@@ -13,6 +13,29 @@ The central derived objects per (operator, state) are:
 * latent / reasonable classes, computed from S1/S2,
 
 and per (operator, universe): inherent / immanent classes.
+
+With N worlds there are 2^N classes, so the conditions as stated are
+quantifier loops over pairs of classes (4^N steps for S2).  They are
+computed here by transforms over the subset lattice instead (Yates's zeta
+transform, in either direction):
+
+* S1: a superset-AND transform gives, for every a, the AND of T[b] over
+  all supersets b of a in N·2^N steps; a is S1 iff it misses the prior
+  beliefs or T[a] lies inside that AND.
+* S2: a fails iff some table value v has T[a] ⊆ v ⊆ ~a.  v = T[a] is
+  such a value unless T[a] meets a, and then every v ⊇ T[a] meets a too;
+  so a is S2 iff T[a] meets a, one step per class.
+* Latent classes are the largest nonempty down-closed part of S1 ∩ S2:
+  a is latent iff it is in both and so is every a minus one world, unless
+  that is empty.
+* Reasonable classes are unions of latent classes.  Latent is down-closed,
+  so a world lies in a latent subclass of a iff its minterm is latent;
+  a class is reasonable iff it is nonempty and all its minterms are latent.
+* Immanent classes are unions of inherent ones, which are not down-closed;
+  a subset-OR transform gives the union of the inherent subclasses of
+  every class at once.
+
+The quantifier loops these replace are kept in the test suite as oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +64,7 @@ def _iter_supersets(a: int, full: int):
         s = (s - 1) & comp
 
 
-def _iter_subsets(a: int):
+def iter_subsets(a: int):
     s = a
     while True:
         yield s
@@ -63,54 +86,69 @@ class StateClassification:
     scope_syntactic: int
 
 
-def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassification:
-    full = sig.all_worlds
-    n_classes = 1 << sig.n_worlds
-    table = bel_table_of(op, st, sig)
+def _superset_and(values: list[int]) -> list[int]:
+    """out[a] = AND of values[b] over all supersets b of a (zeta transform)."""
+    out = list(values)
+    n = len(out)
+    bit = 1
+    while bit < n:
+        for base in range(0, n, bit << 1):
+            for a in range(base, base + bit):
+                out[a] &= out[a + bit]
+        bit <<= 1
+    return out
 
-    s1 = 0
-    s2 = 0
+
+def _subset_or(values: list[int]) -> list[int]:
+    """out[a] = OR of values[b] over all subsets b of a (zeta transform)."""
+    out = list(values)
+    n = len(out)
+    bit = 1
+    while bit < n:
+        for base in range(0, n, bit << 1):
+            for a in range(base + bit, base + (bit << 1)):
+                out[a] |= out[a - bit]
+        bit <<= 1
+    return out
+
+
+def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassification:
+    n_worlds = sig.n_worlds
+    n_classes = 1 << n_worlds
+    table = bel_table_of(op, st, sig)
+    weakest = _superset_and(table)
+    bel = st.bel
+
+    s1 = s2 = scope = 0
+    # down[a]: a and every class below it are in S1 ∩ S2 (vacuous for 0).
+    down = [True] * n_classes
     for a in range(n_classes):
         ta = table[a]
         # S1: a consistent with prior beliefs => revising by any weaker b
         # yields at most the beliefs of revising by a (model-wise: T[a] ⊆ T[b]).
-        if st.bel & a:
-            ok = all(ta & ~table[b] == 0 for b in _iter_supersets(a, full))
-        else:
-            ok = True
-        if ok:
-            s1 |= 1 << a
+        ok1 = not bel & a or ta & ~weakest[a] == 0
         # S2: whenever revising by b keeps at least the beliefs of revising
-        # by a, the result of b is consistent with a.
-        ok = True
-        for b in range(n_classes):
-            tb = table[b]
-            if ta & ~tb == 0 and tb & a == 0:
-                ok = False
-                break
-        if ok:
+        # by a, the result of b is consistent with a.  b = a is one such b,
+        # and every superset of T[a] meets a once T[a] does.
+        ok2 = ta & a != 0
+        if ok1:
+            s1 |= 1 << a
+        if ok2:
             s2 |= 1 << a
-
-    both = s1 & s2
-    latent = 0
-    for a in range(1, n_classes):
-        if all((both >> b) & 1 for b in _iter_subsets(a) if b):
-            latent |= 1 << a
-
-    reasonable = 0
-    for a in range(1, n_classes):
-        cover = 0
-        for b in _iter_subsets(a):
-            if b and (latent >> b) & 1:
-                cover |= b
-        if cover == a:
-            reasonable |= 1 << a
-
-    scope = 0
-    for a in range(n_classes):
-        if table[a] & ~a == 0:
+        if ta & ~a == 0:
             scope |= 1 << a
+        if a:
+            ok = ok1 and ok2
+            rest = a
+            while ok and rest:
+                low = rest & -rest
+                ok = down[a ^ low]
+                rest ^= low
+            down[a] = ok
 
+    latent = sum(1 << a for a in range(1, n_classes) if down[a])
+    minterms = sum(1 << w for w in range(n_worlds) if down[1 << w])
+    reasonable = sum(1 << a for a in iter_subsets(minterms) if a)
     return StateClassification(sig, table, s1, s2, latent, reasonable, scope)
 
 
@@ -171,15 +209,8 @@ def immanent_classes(op, universe: StateUniverse) -> int:
     """Bitset of classes expressible as a union of inherent classes."""
     inh = inherent_classes(op, universe)
     n_classes = 1 << universe.sig.n_worlds
-    bits = 0
-    for a in range(1, n_classes):
-        cover = 0
-        for b in _iter_subsets(a):
-            if b and (inh >> b) & 1:
-                cover |= b
-        if cover == a:
-            bits |= 1 << a
-    return bits
+    cover = _subset_or([a if (inh >> a) & 1 else 0 for a in range(n_classes)])
+    return sum(1 << a for a in range(1, n_classes) if cover[a] == a)
 
 
 def is_inherent(op, universe: StateUniverse, alpha: int) -> bool:
@@ -209,9 +240,9 @@ def check_dc(classes: set[int], sig: Signature) -> bool:
     pairs are enumerated, not only partitions.
     """
     for e in classes:
-        for c in _iter_subsets(e):
+        for c in iter_subsets(e):
             rest = e & ~c
-            for extra in _iter_subsets(c):
+            for extra in iter_subsets(c):
                 d = rest | extra
                 if c not in classes and d not in classes:
                     return False

@@ -90,7 +90,11 @@ MAX_COUNTEREXAMPLES = 5
 
 
 class OperatorContext:
-    """Memoised belief tables, posteriors and classifications for one operator."""
+    """Memoised belief tables, posteriors and classifications for one operator.
+
+    A suite builds one and hands it to both sides: the postulate side and,
+    in place of the bare operator, `check_condition`.
+    """
 
     def __init__(
         self,
@@ -114,7 +118,7 @@ class OperatorContext:
         return range(1 if self.consistent_only else 0, self.n_classes)
 
     def subsets(self, mask: int):
-        for s in _subsets(mask):
+        for s in classify.iter_subsets(mask):
             if s or not self.consistent_only:
                 yield s
 
@@ -170,13 +174,9 @@ class OperatorContext:
         return self._immanent
 
 
-def _subsets(a: int):
-    s = a
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & a
+def _context(op, sig: Signature) -> OperatorContext:
+    """The calling suite's context, or a throwaway one for a bare operator."""
+    return op if isinstance(op, OperatorContext) else OperatorContext(op, sig)
 
 
 def _worlds(mask: int, n: int) -> list[int]:
@@ -210,7 +210,7 @@ def _iter_postulate(ctx: OperatorContext, pid: str, st: EpistemicState, alphas, 
         rs = ctx.reasonable(st)
         if pairs is None:
             for b in alphas:
-                witness = next((a for a in _subsets(b) if (rs >> a) & 1), None)
+                witness = next((a for a in classify.iter_subsets(b) if (rs >> a) & 1), None)
                 if witness is not None and not (rs >> t[b]) & 1:
                     yield Counterexample(st, b, witness, "DL4: result not reasonable", t[b], "reasonable")
         else:
@@ -258,7 +258,7 @@ def _iter_postulate(ctx: OperatorContext, pid: str, st: EpistemicState, alphas, 
         imm = ctx.immanent()
         if pairs is None:
             for b in alphas:
-                witness = next((a for a in _subsets(b) if (imm >> a) & 1), None)
+                witness = next((a for a in classify.iter_subsets(b) if (imm >> a) & 1), None)
                 if witness is not None and not (imm >> t[b]) & 1:
                     yield Counterexample(st, b, witness, "IL4: result not immanent", t[b], "immanent")
         else:
@@ -441,7 +441,12 @@ def check_condition(
     op=None,
     consistent_only: bool = False,
 ) -> bool:
-    """Literal evaluation of one named condition clause on the transition."""
+    """Literal evaluation of one named condition clause on the transition.
+
+    `op` is needed only by the conditions that read revision results.  It is
+    the operator, or the `OperatorContext` of the calling suite, whose belief
+    tables are then shared with the postulate side.
+    """
     n = sig.n_worlds
     full = sig.all_worlds
     not_a = full & ~alpha
@@ -549,7 +554,7 @@ def check_condition(
     if cid in ("P14.a", "P14.b"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        dom = _success_worlds(op, st, sig)
+        dom = _context(op, sig).success_worlds(st)
         side = alpha if cid == "P14.a" else not_a
         sub_ii = "P9.ii" if cid == "P14.a" else "P10.ii"
         sub_iii = "P9.iii" if cid == "P14.a" else "P10.iii"
@@ -575,7 +580,7 @@ def check_condition(
     if cid in ("P16.i", "P16.ii", "P16.iii", "P16.iv"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        dom = _success_worlds(op, st, sig)
+        dom = _context(op, sig).success_worlds(st)
         ws_a = _worlds(alpha & dom, n)
         ws_na = _worlds(not_a & dom, n)
         if cid == "P16.i":
@@ -606,7 +611,7 @@ def check_condition(
     if cid in ("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (revision-success premises)")
-        t = _table(op, st, sig)
+        t = _context(op, sig).table(st)
         lo = 1 if consistent_only else 0
         success_a = t[alpha] & ~alpha == 0
         if cid == "C-CLCD":
@@ -614,13 +619,13 @@ def check_condition(
                 return True
             return all(
                 t[b] & ~b == 0 or not b & sp
-                for b in _subsets(not_a)
+                for b in classify.iter_subsets(not_a)
                 if b >= lo
             )
         if cid == "C-CM1":
             return all(
                 not (t[b] & ~b == 0 or b & s) or post.bel & ~b == 0 or b & sp
-                for b in _subsets(alpha)
+                for b in classify.iter_subsets(alpha)
                 if b >= lo
             )
         if cid == "C-CM2":
@@ -628,7 +633,7 @@ def check_condition(
                 return True
             return all(
                 t[b] & ~b or post.bel & ~b == 0 or b & sp
-                for b in _subsets(not_a)
+                for b in classify.iter_subsets(not_a)
                 if b >= lo
             )
         if cid in ("C-FC", "C-FR"):
@@ -656,32 +661,6 @@ def check_condition(
         return True
 
     raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
-
-
-_table_cache: dict = {}
-
-
-def _table(op, st: EpistemicState, sig: Signature) -> tuple[int, ...]:
-    # Keyed by identity; the operator is pinned in the entry so the id
-    # cannot be recycled while the entry lives.
-    key = (id(op), st)
-    entry = _table_cache.get(key)
-    if entry is not None and entry[0] is op:
-        return entry[1]
-    t = tuple(op.revise_beliefs(st, a) for a in range(1 << sig.n_worlds))
-    if len(_table_cache) > 100_000:
-        _table_cache.clear()
-    _table_cache[key] = (op, t)
-    return t
-
-
-def _success_worlds(op, st: EpistemicState, sig: Signature) -> int:
-    t = _table(op, st, sig)
-    mask = 0
-    for w in range(sig.n_worlds):
-        if t[1 << w] & ~(1 << w) == 0:
-            mask |= 1 << w
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +738,14 @@ def verify_equivalence(
             one, two = ("FC", "FR") if theorem == "P-FCFR" else ("SC", "SR")
             lhs = (_postulate_instance(ctx, one, st, a), _postulate_instance(ctx, two, st, a))
             rhs = (
-                check_condition(st, post, a, f"C-{one}", sig, op, consistent_only),
-                check_condition(st, post, a, f"C-{two}", sig, op, consistent_only),
+                check_condition(st, post, a, f"C-{one}", sig, ctx, consistent_only),
+                check_condition(st, post, a, f"C-{two}", sig, ctx, consistent_only),
             )
         else:
             pid, cids = _THEOREM_CONDITIONS[theorem]
             lhs = _postulate_instance(ctx, pid, st, a)
             rhs = all(
-                check_condition(st, post, a, cid, sig, op, consistent_only) for cid in cids
+                check_condition(st, post, a, cid, sig, ctx, consistent_only) for cid in cids
             )
         if lhs != rhs:
             if len(ces) < max_counterexamples:

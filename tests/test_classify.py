@@ -1,3 +1,5 @@
+import random
+
 from revlab.classify import (
     check_dc,
     check_ssc,
@@ -16,12 +18,13 @@ from revlab.classify import (
     syntactic_scope,
 )
 from revlab.fixtures import fig1_fixture, karl_fixture
-from revlab.operators import RevisionOperator, UpdatePolicy
+from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.orders import RankedOrder
 from revlab.prop import Signature
-from revlab.states import EpistemicState, StateUniverse, enumerate_states
+from revlab.states import EpistemicState, StateUniverse, enumerate_states, sample_states
 
 AB = Signature.of("a b")
+ABC = Signature.of("a b c")
 DL_OP = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
 
 
@@ -30,6 +33,139 @@ def mask(*worlds):
     for w in worlds:
         m |= 1 << w
     return m
+
+
+# ---------------------------------------------------------------------------
+# Slow oracle: the acceptance conditions and the cover conditions as
+# quantifier loops over classes, as they are stated.
+
+
+def _subsets(a):
+    s = a
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & a
+
+
+def _supersets(a, full):
+    return (a | s for s in _subsets(full & ~a))
+
+
+def _covered(a, members):
+    """a is the union of its subclasses in the bitset `members`."""
+    cover = 0
+    for b in _subsets(a):
+        if b and (members >> b) & 1:
+            cover |= b
+    return cover == a
+
+
+def oracle_classify(op, st, sig):
+    n_classes = 1 << sig.n_worlds
+    full = sig.all_worlds
+    table = tuple(op.revise_beliefs(st, a) for a in range(n_classes))
+    s1 = s2 = scope = 0
+    for a in range(n_classes):
+        ta = table[a]
+        if not st.bel & a or all(ta & ~table[b] == 0 for b in _supersets(a, full)):
+            s1 |= 1 << a
+        if not any(ta & ~tb == 0 and tb & a == 0 for tb in table):
+            s2 |= 1 << a
+        if ta & ~a == 0:
+            scope |= 1 << a
+    both = s1 & s2
+    latent = 0
+    for a in range(1, n_classes):
+        if all((both >> b) & 1 for b in _subsets(a) if b):
+            latent |= 1 << a
+    reasonable = sum(1 << a for a in range(1, n_classes) if _covered(a, latent))
+    return table, s1, s2, latent, reasonable, scope
+
+
+def oracle_immanent(op, universe):
+    n_classes = 1 << universe.sig.n_worlds
+    inh = 0
+    for a in range(1, n_classes):
+        if all(op.revise_beliefs(st, a) == a for st in universe.iter_states()):
+            inh |= 1 << a
+    return sum(1 << a for a in range(1, n_classes) if _covered(a, inh))
+
+
+def assert_matches_oracle(op, st, sig):
+    cls = classify_state(op, st, sig)
+    got = (tuple(cls.table), cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
+    assert got == oracle_classify(op, st, sig), st
+
+
+class TableOp:
+    """Duck-typed operator: one fixed belief table per state, nothing else."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def revise_beliefs(self, st, alpha):
+        return self.tables[st][alpha]
+
+
+def _arbitrary_state(rng, sig):
+    # Only the beliefs matter to the classification; scope and order are
+    # whatever a valid state needs.
+    full = sig.all_worlds
+    return EpistemicState(rng.randrange(full + 1), full, RankedOrder((full,)))
+
+
+class TestTransformsMatchOracle:
+    def test_faithful_n2_every_policy(self):
+        uni = enumerate_states(AB, "faithful")
+        for policy in all_policies():
+            op = RevisionOperator("dl", policy)
+            for st in uni.states:
+                assert_matches_oracle(op, st, AB)
+            assert immanent_classes(op, uni) == oracle_immanent(op, uni)
+
+    def test_fa_universe_agm(self):
+        uni = enumerate_states(AB, "fa")
+        op = RevisionOperator("agm")
+        for st in uni.states:
+            assert_matches_oracle(op, st, AB)
+        assert immanent_classes(op, uni) == oracle_immanent(op, uni)
+
+    def test_il_universe(self):
+        sig, _, _, op = fig1_fixture()
+        uni = enumerate_states(sig, "il", global_consistency=True, il_scope=op.il_scope)
+        for st in uni.states:
+            assert_matches_oracle(op, st, sig)
+        assert immanent_classes(op, uni) == oracle_immanent(op, uni)
+
+    def test_arbitrary_tables_n2(self):
+        # Tables that no DL operator produces, so no shortcut may lean on
+        # the structure of minimisation.
+        rng = random.Random(20240809)
+        for _ in range(20_000):
+            st = _arbitrary_state(rng, AB)
+            table = [rng.randrange(16) for _ in range(16)]
+            assert_matches_oracle(TableOp({st: table}), st, AB)
+
+    def test_arbitrary_immanence_n2(self):
+        # Classes are accepted as themselves in most states, so the
+        # inherent sets vary and are rarely down-closed.
+        rng = random.Random(7)
+        for _ in range(2_000):
+            states = {_arbitrary_state(rng, AB) for _ in range(rng.randrange(1, 4))}
+            tables = {
+                st: [a if rng.random() < 0.8 else rng.randrange(16) for a in range(16)]
+                for st in states
+            }
+            uni = StateUniverse(AB, "faithful", False, None, tuple(states), None)
+            op = TableOp(tables)
+            assert immanent_classes(op, uni) == oracle_immanent(op, uni)
+
+    def test_sampled_n3(self):
+        rng = random.Random(20240809)
+        for st in sample_states(ABC, "faithful", 300, rng):
+            assert_matches_oracle(DL_OP, st, ABC)
 
 
 class TestS1S2:

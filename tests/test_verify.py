@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from revlab.fixtures import karl_fixture
@@ -152,6 +154,57 @@ class TestEquivalences:
     def test_unknown_theorem(self, faithful_gc):
         with pytest.raises(ValueError, match="P13a"):
             verify_equivalence(DL_OP, faithful_gc, "nope")
+
+
+# Counterexamples of the five red criterion-9 equivalences under keep/keep on
+# the 2-atom faithful universe: the first five as (bel, scope, levels), input
+# and clause, the instances checked when the cap stops the run, and the
+# length and digest of the full list.  Sharing belief tables between the
+# postulate and the condition side must not move them.
+_HOLDS, _FAILS = "condition holds, postulate fails", "postulate holds, condition fails"
+RED_COUNTEREXAMPLES = {
+    "P9": (
+        [((2, 1, (1,)), a, _HOLDS) for a in (1, 3, 5, 7, 9)],
+        12, 4308, "bdd1e99cdcf7486e",
+    ),
+    "P10": (
+        [((2, 1, (1,)), a, _HOLDS) for a in (1, 3, 5, 7, 9)],
+        12, 4308, "7a47f24fb2617864",
+    ),
+    "P12": (
+        [((4, 3, (1, 2)), a, _FAILS) for a in (2, 6, 10, 14)] + [((8, 3, (1, 2)), 2, _FAILS)],
+        503, 2452, "dd996078ab35d3f9",
+    ),
+    "P14a": (
+        [((2, 1, (1,)), a, _HOLDS) for a in (3, 7, 11, 15)] + [((4, 1, (1,)), 5, _HOLDS)],
+        24, 710, "85f13117920ea567",
+    ),
+    "P14b": (
+        [((2, 1, (1,)), a, _HOLDS) for a in (1, 5, 9, 13)] + [((4, 1, (1,)), 1, _HOLDS)],
+        20, 710, "a409c49aa7265859",
+    ),
+}
+
+
+def _rows(verdict):
+    return [
+        ((ce.state.bel, ce.state.scope, ce.state.order.levels), ce.alpha, ce.clause)
+        for ce in verdict.counterexamples
+    ]
+
+
+@pytest.mark.parametrize("theorem", sorted(RED_COUNTEREXAMPLES))
+def test_red_counterexamples_pinned(theorem, faithful_gc):
+    first, at_cap, total, digest = RED_COUNTEREXAMPLES[theorem]
+    v = verify_equivalence(DL_OP, faithful_gc, theorem)
+    assert not v.holds and v.note == "counterexample cap hit"
+    assert v.instances == at_cap
+    assert _rows(v) == [(st, a, f"{theorem}: {side}") for st, a, side in first]
+    full = verify_equivalence(DL_OP, faithful_gc, theorem, max_counterexamples=10**6)
+    assert full.instances == len(faithful_gc.states) * 16
+    rows = _rows(full)
+    assert len(rows) == total
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 class TestRoundtrips:
