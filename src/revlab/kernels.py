@@ -1,7 +1,7 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set REVLAB_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the agreement tests).
+Set REVLAB_PURE_PYTHON=1 to force the fallback (used by the agreement
+tests).
 """
 
 from __future__ import annotations

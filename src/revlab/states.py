@@ -15,7 +15,7 @@ has ~4.4M members, so enumeration turns lazy and the verifier samples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, ParseError, TooLargeError
@@ -67,6 +67,10 @@ class StateUniverse:
     il_scope: int | None = None
     _states: tuple[EpistemicState, ...] | None = None
     _maker: Callable[[], Iterable[EpistemicState]] | None = None
+    # The last transition table an exhaustive verifier suite built on this
+    # universe (see transitions.TransitionTable), kept for the next suite call
+    # with the same operator.  Not part of the universe's value.
+    _transitions: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def states(self) -> tuple[EpistemicState, ...]:

@@ -36,6 +36,7 @@ from .operators import canonical_assignment
 from .orders import leq_in, strictly_less_in
 from .prop import Signature, popcount
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
+from .transitions import TransitionTable, suite_table
 
 POSTULATE_IDS = (
     [f"DL{i}" for i in range(1, 8)]
@@ -89,94 +90,9 @@ class Verdict:
 MAX_COUNTEREXAMPLES = 5
 
 
-class OperatorContext:
-    """Memoised belief tables, posteriors and classifications for one operator.
-
-    A suite builds one and hands it to both sides: the postulate side and,
-    in place of the bare operator, `check_condition`.
-    """
-
-    def __init__(
-        self,
-        op,
-        sig: Signature,
-        universe: StateUniverse | None = None,
-        consistent_only: bool = False,
-    ):
-        self.op = op
-        self.sig = sig
-        self.universe = universe
-        self.consistent_only = consistent_only
-        self.n_classes = 1 << sig.n_worlds
-        self._tables: dict[EpistemicState, tuple[int, ...]] = {}
-        self._posts: dict[tuple[EpistemicState, int], EpistemicState] = {}
-        self._cls: dict[EpistemicState, classify.StateClassification] = {}
-        self._scopes: dict[EpistemicState, int] = {}
-        self._immanent: int | None = None
-
-    def classes(self) -> range:
-        return range(1 if self.consistent_only else 0, self.n_classes)
-
-    def subsets(self, mask: int):
-        for s in classify.iter_subsets(mask):
-            if s or not self.consistent_only:
-                yield s
-
-    def table(self, st: EpistemicState) -> tuple[int, ...]:
-        t = self._tables.get(st)
-        if t is None:
-            t = classify.bel_table_of(self.op, st, self.sig)
-            self._tables[st] = t
-        return t
-
-    def post(self, st: EpistemicState, alpha: int) -> EpistemicState:
-        p = self._posts.get((st, alpha))
-        if p is None:
-            p = self.op.apply(st, alpha)
-            self._posts[(st, alpha)] = p
-        return p
-
-    def classification(self, st: EpistemicState) -> classify.StateClassification:
-        c = self._cls.get(st)
-        if c is None:
-            c = classify.classify_state(self.op, st, self.sig)
-            self._cls[st] = c
-        return c
-
-    def scope_classes(self, st: EpistemicState) -> int:
-        bits = self._scopes.get(st)
-        if bits is None:
-            t = self.table(st)
-            bits = 0
-            for a in range(self.n_classes):
-                if t[a] & ~a == 0:
-                    bits |= 1 << a
-            self._scopes[st] = bits
-        return bits
-
-    def reasonable(self, st: EpistemicState) -> int:
-        return self.classification(st).reasonable
-
-    def success_worlds(self, st: EpistemicState) -> int:
-        """Worlds whose minterm is accepted when revised by."""
-        t = self.table(st)
-        mask = 0
-        for w in range(self.sig.n_worlds):
-            if t[1 << w] & ~(1 << w) == 0:
-                mask |= 1 << w
-        return mask
-
-    def immanent(self) -> int:
-        if self._immanent is None:
-            if self.universe is None:
-                raise PreconditionError("immanence needs a state universe")
-            self._immanent = classify.immanent_classes(self.op, self.universe)
-        return self._immanent
-
-
-def _context(op, sig: Signature) -> OperatorContext:
-    """The calling suite's context, or a throwaway one for a bare operator."""
-    return op if isinstance(op, OperatorContext) else OperatorContext(op, sig)
+def _table_of(op, sig: Signature) -> TransitionTable:
+    """The calling suite's table, or a throwaway one for a bare operator."""
+    return op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
 
 
 def _worlds(mask: int, n: int) -> list[int]:
@@ -187,27 +103,28 @@ def _worlds(mask: int, n: int) -> list[int]:
 # Postulates.  Each checker yields Counterexample tuples for one state.
 
 
-def _iter_postulate(ctx: OperatorContext, pid: str, st: EpistemicState, alphas, pairs):
-    t = ctx.table(st)
+def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
+    st = tab.states[sid]
+    t = tab.bel(sid)
     bel = st.bel
-    full = ctx.sig.all_worlds
+    full = tab.sig.all_worlds
 
     if pid in ("DL1", "CL1", "IL1"):
         for a in alphas:
             if not (t[a] == bel or t[a] & ~a == 0):
                 yield Counterexample(st, a, None, f"{pid}: no success and belief change", t[a], bel)
     elif pid == "DL2":
-        rs = ctx.reasonable(st)
+        rs = tab.reasonable(sid)
         for a in alphas:
             if not (t[a] == bel or (rs >> t[a]) & 1):
                 yield Counterexample(st, a, None, "DL2: changed to a non-reasonable set", t[a], "reasonable or prior")
     elif pid == "DL3":
-        rs = ctx.reasonable(st)
+        rs = tab.reasonable(sid)
         for a in alphas:
             if bel & a and (rs >> a) & 1 and t[a] != bel & a:
                 yield Counterexample(st, a, None, "DL3: vacuity for reasonable input", t[a], bel & a)
     elif pid == "DL4":
-        rs = ctx.reasonable(st)
+        rs = tab.reasonable(sid)
         if pairs is None:
             for b in alphas:
                 witness = next((a for a in classify.iter_subsets(b) if (rs >> a) & 1), None)
@@ -245,17 +162,17 @@ def _iter_postulate(ctx: OperatorContext, pid: str, st: EpistemicState, alphas, 
             if t[a] & ~a == 0 and a & ~b == 0 and t[b] & ~b:
                 yield Counterexample(st, a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}")
     elif pid == "IL2":
-        imm = ctx.immanent()
+        imm = tab.immanent()
         for a in alphas:
             if not (t[a] == bel or (imm >> t[a]) & 1):
                 yield Counterexample(st, a, None, "IL2: changed to a non-immanent set", t[a], "immanent or prior")
     elif pid == "IL3":
-        imm = ctx.immanent()
+        imm = tab.immanent()
         for a in alphas:
             if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
                 yield Counterexample(st, a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a)
     elif pid == "IL4":
-        imm = ctx.immanent()
+        imm = tab.immanent()
         if pairs is None:
             for b in alphas:
                 witness = next((a for a in classify.iter_subsets(b) if (imm >> a) & 1), None)
@@ -267,106 +184,108 @@ def _iter_postulate(ctx: OperatorContext, pid: str, st: EpistemicState, alphas, 
                     yield Counterexample(st, b, a, "IL4: result not immanent", t[b], "immanent")
     elif pid in ("DP1", "DP2"):
         for a in alphas:
-            tp = ctx.table(ctx.post(st, a))
+            tp = tab.bel(tab.post(sid, a))
             side = a if pid == "DP1" else full & ~a
-            for b in ctx.subsets(side):
+            for b in tab.subsets(side):
                 if tp[b] != t[b]:
                     yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
     elif pid == "DP3":
         for a in alphas:
-            tp = ctx.table(ctx.post(st, a))
-            for b in ctx.classes():
+            tp = tab.bel(tab.post(sid, a))
+            for b in tab.classes():
                 if t[b] & ~a == 0 and tp[b] & ~a:
                     yield Counterexample(st, a, b, "DP3: posterior lost the input", tp[b], f"subset of {a}")
     elif pid == "DP4":
         for a in alphas:
-            tp = ctx.table(ctx.post(st, a))
-            for b in ctx.classes():
+            tp = tab.bel(tab.post(sid, a))
+            for b in tab.classes():
                 if t[b] & a and not tp[b] & a:
                     yield Counterexample(st, a, b, "DP4: posterior denies the input", tp[b], f"meets {a}")
     elif pid in ("CLDP1", "CLDP2"):
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if pid == "CLDP2" and not (sc >> a) & 1:
                 continue
-            tp = ctx.table(ctx.post(st, a))
+            tp = tab.bel(tab.post(sid, a))
             side = a if pid == "CLDP1" else full & ~a
-            for b in ctx.subsets(side):
+            for b in tab.subsets(side):
                 if (sc >> b) & 1 and tp[b] != t[b]:
                     yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
     elif pid in ("DLDP1", "DLDP2"):
-        rs = ctx.reasonable(st)
+        rs = tab.reasonable(sid)
         for a in alphas:
             if not (rs >> a) & 1:
                 continue
-            tp = ctx.table(ctx.post(st, a))
+            tp = tab.bel(tab.post(sid, a))
             side = a if pid == "DLDP1" else full & ~a
-            for b in ctx.subsets(side):
+            for b in tab.subsets(side):
                 if (rs >> b) & 1 and tp[b] != t[b]:
                     yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
     elif pid == "CLP":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
                 continue
-            tp = ctx.table(ctx.post(st, a))
-            for b in ctx.classes():
+            tp = tab.bel(tab.post(sid, a))
+            for b in tab.classes():
                 if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
                     yield Counterexample(st, a, b, "CLP: input not retained", tp[b], f"subset of {a}")
     elif pid == "CLCD":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
                 continue
-            scp = ctx.scope_classes(ctx.post(st, a))
-            for b in ctx.subsets(full & ~a):
+            scp = tab.scope_classes(tab.post(sid, a))
+            for b in tab.subsets(full & ~a):
                 if not (sc >> b) & 1 and (scp >> b) & 1:
                     yield Counterexample(st, a, b, "CLCD: contrary entered the scope", "in scope", "out of scope")
     elif pid == "CM1":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
-            scp = ctx.scope_classes(ctx.post(st, a))
-            for b in ctx.subsets(a):
+            scp = tab.scope_classes(tab.post(sid, a))
+            for b in tab.subsets(a):
                 if (sc >> b) & 1 and not (scp >> b) & 1:
                     yield Counterexample(st, a, b, "CM1: stronger input left the scope", "out", "in scope")
     elif pid == "CM2":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
                 continue
-            scp = ctx.scope_classes(ctx.post(st, a))
-            for b in ctx.subsets(full & ~a):
+            scp = tab.scope_classes(tab.post(sid, a))
+            for b in tab.subsets(full & ~a):
                 if (sc >> b) & 1 and not (scp >> b) & 1:
                     yield Counterexample(st, a, b, "CM2: contrary input left the scope", "out", "in scope")
     elif pid in ("FC", "FR", "SC", "SR"):
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         want_success = pid in ("SC", "SR")
         for a in alphas:
             if bool((sc >> a) & 1) != want_success:
                 continue
-            scp = ctx.scope_classes(ctx.post(st, a))
+            scp = tab.scope_classes(tab.post(sid, a))
             grew, shrank = scp & ~sc, sc & ~scp
-            if ctx.consistent_only:
+            if tab.consistent_only:
                 grew &= ~1
                 shrank &= ~1
             bad = shrank if pid in ("FC", "SC") else grew
             if bad:
                 which = "shrank" if pid in ("FC", "SC") else "grew"
-                yield Counterexample(st, a, bad & -bad, f"{pid}: scope {which}", "changed", "monotone")
+                yield Counterexample(
+                    st, a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
+                )
     elif pid == "DOC":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
                 continue
-            scp = ctx.scope_classes(ctx.post(st, a))
-            for b in ctx.subsets(full & ~a):
+            scp = tab.scope_classes(tab.post(sid, a))
+            for b in tab.subsets(full & ~a):
                 if (scp >> b) & 1:
                     yield Counterexample(st, a, b, "DOC: contrary accepted after success", "in scope", "out of scope")
     elif pid == "COM":
-        sc = ctx.scope_classes(st)
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
-                scp = ctx.scope_classes(ctx.post(st, a))
+                scp = tab.scope_classes(tab.post(sid, a))
                 if not (scp >> a) & 1:
                     yield Counterexample(st, a, None, "COM: refused input still refused", "out", "in scope")
     else:
@@ -392,27 +311,26 @@ def check_postulate(
     """
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
-    sig = universe.sig
-    ctx = OperatorContext(op, sig, universe, consistent_only)
+    tab = suite_table(op, universe, consistent_only, instance_list is not None)
     if alphas is None:
-        alphas = ctx.classes()
+        alphas = tab.classes()
     if instance_list is not None:
-        work = [(st, [a]) for st, a in instance_list]
+        work = [(tab.id_of(st), [a]) for st, a in instance_list]
     else:
         if states is None:
-            states = list(universe.iter_states())
-        work = [(st, alphas) for st in states]
+            states = universe.iter_states()
+        work = [(tab.id_of(st), alphas) for st in states]
     ces: list[Counterexample] = []
     instances = 0
     pair_pids = {"DL4", "DL7", "CL5", "CL6", "IL4", "IL7"}
-    for st, st_alphas in work:
+    for sid, st_alphas in work:
         if pid in pair_pids and pairs is not None:
             instances += len(pairs)
         elif pid in pair_pids:
             instances += len(st_alphas) ** 2 if pid in ("DL7", "CL6", "CL5", "IL7") else len(st_alphas)
         else:
             instances += len(st_alphas)
-        for ce in _iter_postulate(ctx, pid, st, st_alphas, pairs):
+        for ce in _iter_postulate(tab, pid, sid, st_alphas, pairs):
             if len(ces) < max_counterexamples:
                 ces.append(ce)
             else:
@@ -444,7 +362,7 @@ def check_condition(
     """Literal evaluation of one named condition clause on the transition.
 
     `op` is needed only by the conditions that read revision results.  It is
-    the operator, or the `OperatorContext` of the calling suite, whose belief
+    the operator, or the `TransitionTable` of the calling suite, whose belief
     tables are then shared with the postulate side.
     """
     n = sig.n_worlds
@@ -554,7 +472,8 @@ def check_condition(
     if cid in ("P14.a", "P14.b"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        dom = _context(op, sig).success_worlds(st)
+        tab = _table_of(op, sig)
+        dom = tab.success_worlds(tab.id_of(st))
         side = alpha if cid == "P14.a" else not_a
         sub_ii = "P9.ii" if cid == "P14.a" else "P10.ii"
         sub_iii = "P9.iii" if cid == "P14.a" else "P10.iii"
@@ -580,7 +499,8 @@ def check_condition(
     if cid in ("P16.i", "P16.ii", "P16.iii", "P16.iv"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        dom = _context(op, sig).success_worlds(st)
+        tab = _table_of(op, sig)
+        dom = tab.success_worlds(tab.id_of(st))
         ws_a = _worlds(alpha & dom, n)
         ws_na = _worlds(not_a & dom, n)
         if cid == "P16.i":
@@ -611,7 +531,8 @@ def check_condition(
     if cid in ("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (revision-success premises)")
-        t = _context(op, sig).table(st)
+        tab = _table_of(op, sig)
+        t = tab.bel(tab.id_of(st))
         lo = 1 if consistent_only else 0
         success_a = t[alpha] & ~alpha == 0
         if cid == "C-CLCD":
@@ -684,9 +605,9 @@ _THEOREM_CONDITIONS = {
 }
 
 
-def _postulate_instance(ctx: OperatorContext, pid: str, st: EpistemicState, alpha: int) -> bool:
-    """Truth of the postulate at one (state, alpha), inner variables quantified."""
-    return not any(True for _ in _iter_postulate(ctx, pid, st, [alpha], None))
+def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alpha: int) -> bool:
+    """Truth of the postulate at one (state id, alpha), inner variables quantified."""
+    return not any(True for _ in _iter_postulate(tab, pid, sid, [alpha], None))
 
 
 def verify_equivalence(
@@ -704,23 +625,25 @@ def verify_equivalence(
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     sig = universe.sig
-    ctx = OperatorContext(op, sig, universe, consistent_only)
+    tab = suite_table(op, universe, consistent_only, instance_list is not None)
     if alphas is None:
-        alphas = ctx.classes()
+        alphas = tab.classes()
     if instance_list is not None:
-        pairs_iter = list(instance_list)
+        work = [(st, tab.id_of(st), a) for st, a in instance_list]
     else:
         if states is None:
-            states = list(universe.iter_states())
-        pairs_iter = [(st, a) for st in states for a in alphas]
+            states = universe.iter_states()
+        ids = [(st, tab.id_of(st)) for st in states]
+        work = [(st, sid, a) for st, sid in ids for a in alphas]
 
     ces: list[Counterexample] = []
     instances = 0
-    for st, a in pairs_iter:
+    for st, sid, a in work:
         instances += 1
-        post = ctx.post(st, a)
+        post_id = tab.post(sid, a)
+        post = tab.states[post_id]
         if theorem in ("P13a", "P13b"):
-            sc, scp = ctx.scope_classes(st), ctx.scope_classes(post)
+            sc, scp = tab.scope_classes(sid), tab.scope_classes(post_id)
             if consistent_only:
                 sc &= ~1
                 scp &= ~1
@@ -736,16 +659,16 @@ def verify_equivalence(
                 ) and check_condition(st, post, a, "SD2", sig, consistent_only=consistent_only)
         elif theorem in ("P-FCFR", "P-SCSR"):
             one, two = ("FC", "FR") if theorem == "P-FCFR" else ("SC", "SR")
-            lhs = (_postulate_instance(ctx, one, st, a), _postulate_instance(ctx, two, st, a))
+            lhs = (_postulate_instance(tab, one, sid, a), _postulate_instance(tab, two, sid, a))
             rhs = (
-                check_condition(st, post, a, f"C-{one}", sig, ctx, consistent_only),
-                check_condition(st, post, a, f"C-{two}", sig, ctx, consistent_only),
+                check_condition(st, post, a, f"C-{one}", sig, tab, consistent_only),
+                check_condition(st, post, a, f"C-{two}", sig, tab, consistent_only),
             )
         else:
             pid, cids = _THEOREM_CONDITIONS[theorem]
-            lhs = _postulate_instance(ctx, pid, st, a)
+            lhs = _postulate_instance(tab, pid, sid, a)
             rhs = all(
-                check_condition(st, post, a, cid, sig, ctx, consistent_only) for cid in cids
+                check_condition(st, post, a, cid, sig, tab, consistent_only) for cid in cids
             )
         if lhs != rhs:
             if len(ces) < max_counterexamples:
@@ -815,14 +738,15 @@ def representation_roundtrip(
         for ce in v.counterexamples:
             add(ce)
 
-    ctx = OperatorContext(op, sig, universe, consistent_only)
+    tab = suite_table(op, universe, consistent_only, sampled=False)
     if family == "DP":
         for st in states:
-            for a in ctx.classes():
+            sid = tab.id_of(st)
+            for a in tab.classes():
                 instances += 1
-                post = ctx.post(st, a)
+                post = tab.states[tab.post(sid, a)]
                 for pid, cid in (("DP1", "CR8"), ("DP2", "CR9"), ("DP3", "CR10"), ("DP4", "CR11")):
-                    lhs = _postulate_instance(ctx, pid, st, a)
+                    lhs = _postulate_instance(tab, pid, sid, a)
                     rhs = check_condition(st, post, a, cid, sig)
                     if lhs != rhs:
                         add(Counterexample(st, a, None, f"{pid} vs {cid} mismatch", lhs, rhs))
@@ -832,7 +756,7 @@ def representation_roundtrip(
         for st in states:
             instances += 1
             try:
-                order, scope = canonical_assignment(op, st, sig, family=canon_family)
+                order, scope = canonical_assignment(tab, st, sig, family=canon_family)
             except NonWeakOrderError as err:
                 add(Counterexample(st, None, None, f"canonical reconstruction failed: {err}", "error", "weak order"))
                 continue
@@ -844,11 +768,11 @@ def representation_roundtrip(
                 add(Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF"))
             if family == "AGM" and scope != sig.all_worlds:
                 add(Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds))
+            want = tab.bel(tab.id_of(st))
             for a in range(1 if consistent_only else 0, n_classes):
                 got = revise_mask(order.levels, scope, st.bel, a)
-                want = op.revise_beliefs(st, a)
-                if got != want:
-                    add(Counterexample(st, a, None, "reconstructed operator disagrees", got, want))
+                if got != want[a]:
+                    add(Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a]))
                     break
         if family == "IL" and len(il_scopes) > 1:
             add(Counterexample(states[0], None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope"))

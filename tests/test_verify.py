@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
+from revlab.classify import syntactic_scope
 from revlab.fixtures import karl_fixture
-from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
+from revlab.operators import ExtensionalOperator, RevisionOperator, UpdatePolicy, all_policies, tabulate
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
 from revlab.states import EpistemicState, enumerate_states
@@ -85,6 +86,20 @@ class TestCheckPostulate:
     def test_keep_policy_fails_doc(self, faithful_gc):
         v = check_postulate(DL_OP, faithful_gc, "DOC")
         assert not v.holds
+
+    @pytest.mark.parametrize("pid", ["FC", "FR", "SC", "SR"])
+    def test_scope_monotony_reports_the_class_that_moved(self, faithful_gc, pid):
+        # beta is the least class that left the scope (FC, SC) or entered it
+        # (FR, SR), by the revision's own acceptance, not a bit of that set
+        op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+        v = check_postulate(op, faithful_gc, pid, max_counterexamples=10**6)
+        if pid in ("FC", "SR"):
+            assert v.counterexamples
+        for ce in v.counterexamples:
+            sc = syntactic_scope(op, ce.state, AB)
+            scp = syntactic_scope(op, op.apply(ce.state, ce.alpha), AB)
+            moved = sc - scp if pid in ("FC", "SC") else scp - sc
+            assert ce.beta == min(moved)
 
 
 class TestCheckCondition:
@@ -242,3 +257,78 @@ def test_id_registries_are_disjoint_and_complete():
     assert len(set(POSTULATE_IDS)) == len(POSTULATE_IDS) == 38
     assert len(set(THEOREM_IDS)) == 18
     assert len(set(CONDITION_IDS)) == len(CONDITION_IDS)
+
+
+# ---------------------------------------------------------------------------
+# Transition tables shared by the suite calls on one universe
+
+
+def _faithful_gc():
+    return enumerate_states(AB, "faithful", global_consistency=True)
+
+
+def _verdict(v):
+    return v.holds, v.instances, v.counterexamples, v.note
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [UpdatePolicy("keep", "keep"), UpdatePolicy("natural", "doc"), UpdatePolicy("lex", "result_only")],
+    ids=str,
+)
+def test_shared_table_gives_the_verdicts_of_fresh_universes(policy):
+    # Every theorem in turn on one universe, so all but the first call read
+    # a table that earlier calls filled, against each call on its own.
+    shared = _faithful_gc()
+    op = RevisionOperator("dl", policy)
+    kept = None
+    for theorem in THEOREM_IDS:
+        got = verify_equivalence(op, shared, theorem)
+        kept = kept or shared._transitions
+        assert shared._transitions is kept
+        want = verify_equivalence(RevisionOperator("dl", policy), _faithful_gc(), theorem)
+        assert _verdict(got) == _verdict(want), theorem
+
+
+def test_table_is_not_shared_across_consistent_only():
+    uni = _faithful_gc()
+    check_postulate(DL_OP, uni, "DL1")
+    loose = uni._transitions
+    v = check_postulate(DL_OP, uni, "CL3", consistent_only=True)
+    assert uni._transitions is not loose and uni._transitions.consistent_only
+    assert _verdict(v) == _verdict(check_postulate(DL_OP, _faithful_gc(), "CL3", consistent_only=True))
+
+
+def test_table_is_not_shared_across_policies():
+    uni = _faithful_gc()
+    keep = verify_equivalence(DL_OP, uni, "P13b")
+    doc = verify_equivalence(RevisionOperator("dl", UpdatePolicy("keep", "doc")), uni, "P13b")
+    fresh = verify_equivalence(RevisionOperator("dl", UpdatePolicy("keep", "doc")), _faithful_gc(), "P13b")
+    assert _verdict(doc) == _verdict(fresh)
+    assert keep.holds and doc.holds and uni._transitions.op.policy.scope_rule == "doc"
+
+
+def test_table_is_not_shared_across_tabulated_operators():
+    # Two lookup-table operators that differ in one entry: the second one
+    # breaks DL1 there, which a table kept from the first would hide.
+    uni = _faithful_gc()
+    base = tabulate(DL_OP, uni)
+    st = uni.states[0]
+    old = base.mapping[(st, 1)]
+    bad_bel = AB.all_worlds & ~1
+    assert bad_bel != st.bel
+    mapping = dict(base.mapping)
+    mapping[(st, 1)] = EpistemicState(bad_bel, old.scope, old.order)
+    mutant = ExtensionalOperator(AB, base.states, mapping)
+    assert check_postulate(base, uni, "DL1").holds
+    v = check_postulate(mutant, uni, "DL1")
+    assert not v.holds
+    assert [(ce.state, ce.alpha) for ce in v.counterexamples] == [(st, 1)]
+
+
+def test_sampled_calls_leave_no_table():
+    uni = _faithful_gc()
+    instances = [(st, a) for st in uni.states[:40] for a in (3, 6)]
+    assert verify_equivalence(DL_OP, uni, "P15a", instance_list=instances).instances == 80
+    assert check_postulate(DL_OP, uni, "DL1", instance_list=instances).holds
+    assert uni._transitions is None
