@@ -149,12 +149,14 @@ class RevisionOperator:
             raise ScopeMismatchError(
                 f"state scope {st.scope} differs from operator scope {self.il_scope}"
             )
-        table = list(kernels.bel_table(st.order.levels, st.scope, st.bel, n_classes))
-        if self.family == "agm":
-            for alpha in range(n_classes):
-                if not alpha & st.scope:
-                    table[alpha] = kernels.min_mask(st.order.levels, alpha)
-        return tuple(table)
+        table = kernels.bel_table(st.order.levels, st.scope, st.bel, n_classes)
+        if self.family != "agm":
+            return table
+        fixed = list(table)
+        for alpha in range(n_classes):
+            if not alpha & st.scope:
+                fixed[alpha] = kernels.min_mask(st.order.levels, alpha)
+        return tuple(fixed)
 
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state; families with a fixed scope keep it."""

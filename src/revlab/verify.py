@@ -789,38 +789,34 @@ def mutation_detection(
 ) -> Verdict:
     """Rate at which single-entry table corruptions are caught by the round trip."""
     sig = universe.sig
-    from .operators import ExtensionalOperator, tabulate
+    from .operators import tabulate
 
     rng = random.Random(seed)
-    base = tabulate(op, universe)
-    states = base.states
+    # One table serves every trial: each overwrites one entry and puts it back.
+    mutant = tabulate(op, universe)
+    states = mutant.states
     n_classes = 1 << sig.n_worlds
     detected = 0
     misses = []
     for _ in range(trials):
         st = states[rng.randrange(len(states))]
         a = rng.randrange(n_classes)
-        orig = base.mapping[(st, a)]
+        orig = mutant.mapping[(st, a)]
         while True:
             new_bel = rng.randrange(n_classes)
             if new_bel != orig.bel:
                 break
-        mapping = dict(base.mapping)
-        mapping[(st, a)] = EpistemicState(new_bel, orig.scope, orig.order)
-        mutant = ExtensionalOperator(sig, states, mapping)
-        hit = False
+        mutant.mapping[(st, a)] = EpistemicState(new_bel, orig.scope, orig.order)
         try:
             order, scope = canonical_assignment(mutant, st, sig)
-            recon = EpistemicState(st.bel, scope, order)
-            if not check_faithful_limited(recon):
-                hit = True
-            else:
-                for c in range(n_classes):
-                    if revise_mask(order.levels, scope, st.bel, c) != mutant.revise_beliefs(st, c):
-                        hit = True
-                        break
+            hit = not check_faithful_limited(EpistemicState(st.bel, scope, order)) or any(
+                revise_mask(order.levels, scope, st.bel, c) != mutant.revise_beliefs(st, c)
+                for c in range(n_classes)
+            )
         except NonWeakOrderError:
             hit = True
+        finally:
+            mutant.mapping[(st, a)] = orig
         if hit:
             detected += 1
         elif len(misses) < MAX_COUNTEREXAMPLES:

@@ -158,6 +158,14 @@ class TestApply:
         for alpha in range(256):
             assert table[alpha] == op.revise_beliefs(st, alpha)
 
+    def test_agm_bel_table_minimises_outside_the_scope(self):
+        # the agm fix-up: inputs missing the scope (⊥ here) empty the beliefs
+        op = RevisionOperator("agm")
+        for st in enumerate_states(AB, "fa").states:
+            table = op.bel_table(st, 16)
+            assert table == tuple(op.revise_beliefs(st, alpha) for alpha in range(16))
+            assert table[0] == 0
+
 
 class TestCanonicalAssignment:
     def test_reconstructs_karl_assignment(self):

@@ -3,8 +3,16 @@ import hashlib
 import pytest
 
 from revlab.classify import syntactic_scope
+from revlab import operators, verify
 from revlab.fixtures import karl_fixture
-from revlab.operators import ExtensionalOperator, RevisionOperator, UpdatePolicy, all_policies, tabulate
+from revlab.operators import (
+    ExtensionalOperator,
+    RevisionOperator,
+    UpdatePolicy,
+    all_policies,
+    canonical_assignment,
+    tabulate,
+)
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
 from revlab.states import EpistemicState, enumerate_states
@@ -12,6 +20,7 @@ from revlab.verify import (
     CONDITION_IDS,
     POSTULATE_IDS,
     THEOREM_IDS,
+    Counterexample,
     check_condition,
     check_postulate,
     mutation_detection,
@@ -251,6 +260,54 @@ class TestMutation:
         v = mutation_detection(DL_OP, faithful_gc, trials=60, seed=1)
         assert v.holds
         assert v.seed == 1
+
+    def test_verdicts_for_seeds_0_and_1(self, faithful):
+        # pinned from the version that copied the table for every trial
+        v0 = mutation_detection(DL_OP, faithful, trials=200, seed=0)
+        assert (v0.holds, v0.instances, v0.note, v0.counterexamples) == (True, 200, "detected 200/200", [])
+        v1 = mutation_detection(DL_OP, faithful, trials=200, seed=1)
+        assert (v1.holds, v1.instances, v1.note) == (True, 200, "detected 199/200")
+        miss = EpistemicState(0, 15, RankedOrder((1, 4, 2, 8)))
+        assert v1.counterexamples == [
+            Counterexample(miss, 10, 8, "mutation not detected", "accepted", "detected")
+        ]
+
+    def test_tabulated_operator_is_restored_after_every_trial(self, faithful, monkeypatch):
+        # Each trial must see the tabulated table with exactly its own entry
+        # overwritten, and the table must be whole again when the run ends,
+        # also when a trial raises.
+        tables = []
+
+        def recording_tabulate(op, universe):
+            base = tabulate(op, universe)
+            tables.append((base, dict(base.mapping)))
+            return base
+
+        def checking_assignment(op, st, sig):
+            base, snapshot = tables[0]
+            assert op is base
+            changed = [k for k, v in base.mapping.items() if snapshot[k] is not v]
+            assert len(changed) == 1 and changed[0][0] == st
+            calls.append(changed[0])
+            return canonical_assignment(op, st, sig)
+
+        calls = []
+        monkeypatch.setattr(operators, "tabulate", recording_tabulate)
+        monkeypatch.setattr(verify, "canonical_assignment", checking_assignment)
+        mutation_detection(DL_OP, faithful, trials=30, seed=1)
+        base, snapshot = tables[0]
+        assert len(calls) == 30 and base.mapping == snapshot
+        assert all(base.mapping[k] is v for k, v in snapshot.items())
+
+        def failing_assignment(op, st, sig):
+            raise RuntimeError("trial failed")
+
+        tables.clear()
+        monkeypatch.setattr(verify, "canonical_assignment", failing_assignment)
+        with pytest.raises(RuntimeError):
+            mutation_detection(DL_OP, faithful, trials=5, seed=1)
+        base, snapshot = tables[0]
+        assert all(base.mapping[k] is v for k, v in snapshot.items())
 
 
 def test_id_registries_are_disjoint_and_complete():
