@@ -319,8 +319,15 @@ def _dump_extensional(op: ExtensionalOperator) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
+
+
 def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator | ExtensionalOperator:
-    """Parses an operator spec file.
+    """Parses an operator spec file; raises ParseError with the offending line number.
 
     Policy operators are `family:`/`order_rule:`/`scope_rule:` lines
     (plus `il_scope:` for the fixed-scope family).  Extensional operators
@@ -328,8 +335,9 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     `entry: <state> <class-mask> <posterior-state>` triples.
     """
     fields: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     state_lines: dict[int, str] = {}
-    entries: list[tuple[int, int, int]] = []
+    entries: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -339,32 +347,41 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
         if key.startswith("state "):
-            state_lines[int(key.split()[1])] = value
+            idx = _parse_int(key[len("state "):].strip(), lineno, "state id")
+            if idx in state_lines:
+                raise ParseError(f"line {lineno}: duplicate state id {idx}")
+            state_lines[idx] = value
         elif key == "entry":
             parts = value.split()
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: entry wants 'state class state', got {value!r}")
-            entries.append(tuple(int(x) for x in parts))
+            sid, alpha, pid = (_parse_int(x, lineno, "entry field") for x in parts)
+            if (sid, alpha) in entries:
+                raise ParseError(f"line {lineno}: duplicate entry for state {sid}, class {alpha}")
+            entries[(sid, alpha)] = (pid, lineno)
         else:
-            fields[key] = value
+            fields[key], linenos[key] = value, lineno
     family = fields.get("family")
     if family == "extensional":
         return _parse_extensional(fields, state_lines, entries)
     if family not in FAMILIES:
         raise ParseError(f"family must be one of {FAMILIES + ('extensional',)}, got {family!r}")
-    policy = UpdatePolicy(
-        fields.get("order_rule", "keep"), fields.get("scope_rule", "keep")
-    )
+    rules = []
+    for key, known in (("order_rule", ORDER_RULES), ("scope_rule", SCOPE_RULES)):
+        rule = fields.get(key, "keep")
+        if rule not in known:
+            raise ParseError(f"line {linenos[key]}: unknown {key} {rule!r}; want one of {tuple(known)}")
+        rules.append(rule)
     il_scope = None
     if family == "il":
         if "il_scope" not in fields:
             raise ParseError("il operator file needs an il_scope line")
         raw_scope = fields["il_scope"]
-        if sig is not None and not raw_scope.strip().isdigit():
+        if sig is not None and not raw_scope.isdigit():
             il_scope = sig.worldset_of_strs(raw_scope)
         else:
-            il_scope = int(raw_scope)
-    return RevisionOperator(family, policy, il_scope)
+            il_scope = _parse_int(raw_scope, linenos["il_scope"], "il_scope")
+    return RevisionOperator(family, UpdatePolicy(*rules), il_scope)
 
 
 def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:
@@ -384,10 +401,13 @@ def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:
             sig.worldset_of_strs(parts["scope"]),
             RankedOrder.from_text(parts["order"], sig),
         )
+    n_classes = 1 << sig.n_worlds
     mapping = {}
-    for sid, alpha, pid in entries:
+    for (sid, alpha), (pid, lineno) in entries.items():
         if sid not in states or pid not in states:
-            raise ParseError(f"entry references unknown state id in ({sid}, {alpha}, {pid})")
+            raise ParseError(f"line {lineno}: entry references unknown state id in ({sid}, {alpha}, {pid})")
+        if not 0 <= alpha < n_classes:
+            raise ParseError(f"line {lineno}: entry class {alpha} outside [0, {n_classes})")
         mapping[(states[sid], alpha)] = states[pid]
     ordered = tuple(states[i] for i in sorted(states))
     return ExtensionalOperator(sig, ordered, mapping)

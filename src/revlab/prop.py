@@ -32,13 +32,15 @@ class Signature:
     atoms: tuple[str, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.atoms) <= MAX_ATOMS:
-            raise ValueError(f"signature must have 1..{MAX_ATOMS} atoms, got {len(self.atoms)}")
+        if len(self.atoms) > MAX_ATOMS:
+            raise TooLargeError(f"signature supports at most {MAX_ATOMS} atoms, got {len(self.atoms)}")
+        if not self.atoms:
+            raise ParseError("signature must have at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError("atom names must be unique")
+            raise ParseError("atom names must be unique")
         for a in self.atoms:
             if not _ATOM_RE.fullmatch(a):
-                raise ValueError(f"bad atom name {a!r} (want [a-z][a-z0-9_]*)")
+                raise ParseError(f"bad atom name {a!r} (want [a-z][a-z0-9_]*)")
 
     @staticmethod
     def of(text: str) -> "Signature":

@@ -5,8 +5,13 @@ Three layers:
 * check_postulate — quantifies one named postulate over a universe of
   states and the formula classes, returning a Verdict with concrete
   counterexamples;
-* check_condition — literal evaluation of one named semantic condition on
-  a (state, posterior, input) transition;
+* check_condition — one named semantic condition on a (state, posterior,
+  input) transition, looked up in the `CONDITIONS` table.  Each entry is
+  mask algebra: order agreement compares level lists cut to a world set,
+  the cross quantifiers read per-world up-cones, and the scoped
+  independence conditions test their minimal witnesses.  The literal
+  world-pair and class loops are the test oracle, in
+  tests/condition_oracle.py;
 * verify_equivalence / representation_roundtrip — per-instance
   bidirectional checks of the characterisation theorems, and the
   construct/reconstruct round trips behind the representation results.
@@ -33,8 +38,7 @@ from . import classify
 from .errors import NonWeakOrderError, PreconditionError
 from .kernels import revise_mask
 from .operators import canonical_assignment
-from .orders import leq_in, strictly_less_in
-from .prop import Signature, popcount
+from .prop import Signature, iter_worlds, popcount
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
 from .transitions import TransitionTable, suite_table
 
@@ -44,18 +48,6 @@ POSTULATE_IDS = (
     + [f"IL{i}" for i in range(1, 8)]
     + [f"DP{i}" for i in range(1, 5)]
     + ["CLDP1", "CLDP2", "CLP", "CLCD", "CM1", "CM2", "FC", "FR", "SC", "SR", "DOC", "COM", "DLDP1", "DLDP2"]
-)
-
-CONDITION_IDS = (
-    ["FA1", "FA2", "CLF", "LIM-FAITHFUL"]
-    + [f"CR{i}" for i in range(8, 12)]
-    + [f"P9.{s}" for s in ("i", "ii", "iii")]
-    + [f"P10.{s}" for s in ("i", "ii", "iii")]
-    + [f"P11.{s}" for s in ("i", "ii", "iii", "iv")]
-    + [f"P12.{s}" for s in ("i", "ii", "iii", "iv")]
-    + ["SI1", "SI2", "SD1", "SD2", "P14.a", "P14.b", "P15.a", "P15.b"]
-    + [f"P16.{s}" for s in ("i", "ii", "iii", "iv")]
-    + ["C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR", "C-DOC", "C-COM"]
 )
 
 THEOREM_IDS = (
@@ -88,15 +80,6 @@ class Verdict:
 
 
 MAX_COUNTEREXAMPLES = 5
-
-
-def _table_of(op, sig: Signature) -> TransitionTable:
-    """The calling suite's table, or a throwaway one for a bare operator."""
-    return op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
-
-
-def _worlds(mask: int, n: int) -> list[int]:
-    return [w for w in range(n) if mask >> w & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +323,207 @@ def check_postulate(
 
 # ---------------------------------------------------------------------------
 # Semantic conditions on a single transition (state, posterior, alpha)
+#
+# Every condition is a function of (st, post, a, na, tab, co): the prior, the
+# posterior, the input and its complement, the calling suite's transition
+# table (None when no operator was given) and consistent_only.  Orders are
+# read through masks: an order's domain is its state's scope, and a world
+# off the domain is related to nothing.
 
 
-def _order_agree(st, post, worlds) -> bool:
-    return all(
-        leq_in(st.order, w1, w2) == leq_in(post.order, w1, w2)
-        for w1 in worlds
-        for w2 in worlds
+def _agree(st: EpistemicState, post: EpistemicState, ws: int) -> bool:
+    """Both orders relate the worlds of `ws` alike: their level lists cut to `ws` are equal."""
+    return [lv & ws for lv in st.order.levels if lv & ws] == [lv & ws for lv in post.order.levels if lv & ws]
+
+
+def _above(st: EpistemicState, w: int, strict: bool) -> int:
+    """Up-cone of world w: the scope worlds at or (strictly) above it in st's order; 0 off the scope."""
+    up, bit = st.scope, 1 << w
+    for lv in st.order.levels:
+        if lv & bit:
+            return up & ~lv if strict else up
+        up &= ~lv
+    return 0
+
+
+def _kept(x: EpistemicState, sx: bool, y: EpistemicState, sy: bool, ws1: int, ws2: int) -> bool:
+    """For w1 in ws1 and w2 in ws2, w1 below w2 in x implies w1 below w2 in y (strictly where sx, sy)."""
+    return all(_above(x, w, sx) & ws2 & ~_above(y, w, sy) == 0 for w in iter_worlds(ws1))
+
+
+def _none_above(x: EpistemicState, strict: bool, ws1: int, ws2: int) -> bool:
+    """No world of ws2 lies (strictly) above a world of ws1 in x."""
+    return all(_above(x, w, strict) & ws2 == 0 for w in iter_worlds(ws1))
+
+
+def _scope_kept(st: EpistemicState, post: EpistemicState, side: int) -> bool:
+    """P9.ii / P10.ii: the side's scope worlds stay in the scope; a lone one may be believed instead."""
+    sa = st.scope & side
+    if popcount(sa) >= 2:
+        return sa & ~post.scope == 0
+    return sa & ~post.bel & ~post.scope == 0
+
+
+def _scope_bounded(st: EpistemicState, post: EpistemicState, side: int) -> bool:
+    """P9.iii / P10.iii: the side's worlds of the new scope were in the old one, or believed
+    when there is at most one belief world."""
+    pa = post.scope & side
+    if popcount(st.bel) >= 2:
+        return pa & ~st.scope == 0
+    return pa & ~st.bel & ~st.scope == 0
+
+
+def _p12iv(st: EpistemicState, post: EpistemicState, a: int, na: int) -> bool:
+    """An a-world of the scope that leaves it has no na-world of the new scope outside the
+    old one, or at or above it; P11.iv is this with the roles of prior and posterior swapped."""
+    gone, new = a & st.scope & ~post.scope, na & post.scope
+    return not (gone and new & ~st.scope) and _none_above(st, False, gone, new)
+
+
+def _in_each_singleton(bel: int, ws: int) -> bool:
+    """`bel` lies inside {w} for every world w of `ws`: the minimal witnesses of SI1 and SD1."""
+    return not ws or not bel or (bel == ws and popcount(ws) == 1)
+
+
+def _in_each_superset(bel2: int, bel: int, scope2: int, full: int, co: bool) -> bool:
+    """`bel2` lies inside every class that contains `bel` and misses `scope2` (SI2, SD2).
+
+    The least such class is `bel` itself, or a single world when the
+    contradiction is excluded and `bel` is empty.
+    """
+    if bel & scope2:
+        return True
+    if bel or not co:
+        return bel2 & ~bel == 0
+    return _in_each_singleton(bel2, full & ~scope2)
+
+
+def _need(tab: TransitionTable | None) -> TransitionTable:
+    if tab is None:
+        raise PreconditionError("this condition reads revision results, so it needs the operator")
+    return tab
+
+
+def _success(tab, st: EpistemicState) -> int:
+    """Worlds whose minterm revision of st succeeds."""
+    return _need(tab).success_worlds(tab.id_of(st))
+
+
+def _row(tab, st: EpistemicState) -> tuple[int, ...]:
+    return _need(tab).bel(tab.id_of(st))
+
+
+def _on_success(cond):
+    """`cond` with the input and its complement cut to the success worlds (the P16 clauses)."""
+
+    def restricted(st, post, a, na, tab, co):
+        dom = _success(tab, st)
+        return cond(st, post, a & dom, na & dom, tab, co)
+
+    return restricted
+
+
+def _p11i(st, post, a, na, strict) -> bool:
+    both = st.scope & post.scope
+    return _kept(st, strict, post, True, a & both, na & both)
+
+
+def _c_clcd(st, post, a, na, tab, co) -> bool:
+    t = _row(tab, st)
+    return t[a] & ~a != 0 or all(
+        t[b] & ~b == 0 or b & post.scope == 0 for b in classify.iter_subsets(na) if b or not co
     )
+
+
+def _c_cm1(st, post, a, na, tab, co) -> bool:
+    t = _row(tab, st)
+    return all(
+        not (t[b] & ~b == 0 or b & st.scope) or post.bel & ~b == 0 or b & post.scope
+        for b in classify.iter_subsets(a)
+        if b or not co
+    )
+
+
+def _c_cm2(st, post, a, na, tab, co) -> bool:
+    t = _row(tab, st)
+    return t[a] & ~a != 0 or all(
+        t[b] & ~b or post.bel & ~b == 0 or b & post.scope for b in classify.iter_subsets(na) if b or not co
+    )
+
+
+def _scope_pair(on_success: bool, first: str, second: str):
+    """C-FC, C-FR (on_success False) and C-SC, C-SR: both named conditions hold
+    whenever revision by the input succeeds exactly when `on_success` says."""
+
+    def cond(st, post, a, na, tab, co):
+        if (_row(tab, st)[a] & ~a == 0) != on_success:
+            return True
+        return CONDITIONS[first](st, post, a, na, tab, co) and CONDITIONS[second](st, post, a, na, tab, co)
+
+    return cond
+
+
+CONDITIONS = {
+    "FA1": lambda st, *_: sum(1 for lv in st.order.levels if lv & st.bel) < 2,
+    "FA2": lambda st, *_: _none_above(st, False, st.scope & ~st.bel, st.bel),
+    "CLF": lambda st, *_: check_clf(st),
+    "LIM-FAITHFUL": lambda st, *_: check_faithful_limited(st),
+    "CR8": lambda st, post, a, na, *_: _agree(st, post, a),
+    "CR9": lambda st, post, a, na, *_: _agree(st, post, na),
+    "CR10": lambda st, post, a, na, *_: _kept(st, True, post, True, a, na),
+    "CR11": lambda st, post, a, na, *_: _kept(st, False, post, False, a, na),
+    "P9.i": lambda st, post, a, na, *_: _agree(st, post, a & st.scope & post.scope),
+    "P9.ii": lambda st, post, a, na, *_: _scope_kept(st, post, a),
+    "P9.iii": lambda st, post, a, na, *_: _scope_bounded(st, post, a),
+    "P10.i": lambda st, post, a, na, *_: _agree(st, post, na & st.scope & post.scope),
+    "P10.ii": lambda st, post, a, na, *_: _scope_kept(st, post, na),
+    "P10.iii": lambda st, post, a, na, *_: _scope_bounded(st, post, na),
+    "P11.i": lambda st, post, a, na, *_: _p11i(st, post, a, na, True),
+    "P11.ii": lambda st, post, a, na, *_: _none_above(st, True, a & ~post.scope, na & post.scope),
+    "P11.iii": lambda st, post, a, na, *_: st.bel & na != 0 or na & post.scope & ~st.scope == 0,
+    "P11.iv": lambda st, post, a, na, *_: _p12iv(post, st, na, a),
+    "P12.i": lambda st, post, a, na, *_: _kept(
+        post, True, st, True, a & st.scope & post.scope, na & st.scope & post.scope
+    ),
+    "P12.ii": lambda st, post, a, na, *_: _none_above(post, True, na & ~st.scope, a & st.scope),
+    "P12.iii": lambda st, post, a, na, *_: st.bel & a == 0 or na & post.scope & ~st.scope == 0,
+    "P12.iv": lambda st, post, a, na, *_: _p12iv(st, post, a, na),
+    "SI1": lambda st, post, a, na, tab, co: _in_each_singleton(post.bel, st.scope & ~post.scope),
+    "SI2": lambda st, post, a, na, tab, co: _in_each_superset(post.bel, st.bel, post.scope, a | na, co),
+    "SD1": lambda st, post, a, na, tab, co: _in_each_singleton(st.bel, post.scope & ~st.scope),
+    "SD2": lambda st, post, a, na, tab, co: _in_each_superset(st.bel, post.bel, st.scope, a | na, co),
+    "P14.a": lambda st, post, a, na, tab, co: (
+        _agree(st, post, a & st.scope & post.scope & _success(tab, st))
+        and _scope_kept(st, post, a)
+        and _scope_bounded(st, post, a)
+    ),
+    "P14.b": lambda st, post, a, na, tab, co: (
+        _agree(st, post, na & st.scope & post.scope & _success(tab, st))
+        and _scope_kept(st, post, na)
+        and _scope_bounded(st, post, na)
+    ),
+    "P15.a": lambda st, post, a, na, *_: (
+        a & ~st.scope != 0 or popcount(a) < 2 or _agree(st, post, a)
+    ),
+    "P15.b": lambda st, post, a, na, *_: a == 0 or a & ~st.scope != 0 or _agree(st, post, na & st.scope),
+    "P16.i": _on_success(lambda st, post, a, na, *_: _p11i(st, post, a, na, False)),
+    "P16.ii": _on_success(lambda st, post, a, na, *_: _none_above(st, False, a & ~post.scope, na & post.scope)),
+    "P16.iii": lambda st, post, a, na, tab, co: (
+        na & _success(tab, st) & post.scope & ~st.scope == 0 or st.bel & a == 0
+    ),
+    "P16.iv": _on_success(lambda st, post, a, na, *_: _p12iv(st, post, a, na)),
+    "C-CLCD": _c_clcd,
+    "C-CM1": _c_cm1,
+    "C-CM2": _c_cm2,
+    "C-FC": _scope_pair(False, "SI1", "SI2"),
+    "C-FR": _scope_pair(False, "SD1", "SD2"),
+    "C-SC": _scope_pair(True, "SI1", "SI2"),
+    "C-SR": _scope_pair(True, "SD1", "SD2"),
+    "C-DOC": lambda st, post, a, na, *_: post.scope & na == 0 or (a & st.scope == 0 and st.bel & na != 0),
+    "C-COM": lambda st, post, a, na, *_: a & st.scope != 0 or st.bel & na == 0 or a & post.scope != 0,
+}
+
+CONDITION_IDS = tuple(CONDITIONS)
 
 
 def check_condition(
@@ -359,229 +535,18 @@ def check_condition(
     op=None,
     consistent_only: bool = False,
 ) -> bool:
-    """Literal evaluation of one named condition clause on the transition.
+    """One named condition clause on the transition, from the `CONDITIONS` table.
 
     `op` is needed only by the conditions that read revision results.  It is
     the operator, or the `TransitionTable` of the calling suite, whose belief
     tables are then shared with the postulate side.
     """
-    n = sig.n_worlds
-    full = sig.all_worlds
-    not_a = full & ~alpha
-    s, sp = st.scope, post.scope
-
-    if cid == "FA1":
-        ws = _worlds(st.bel & st.order.domain, n)
-        return all(st.order.level_of(w1) == st.order.level_of(w2) for w1 in ws for w2 in ws)
-    if cid == "FA2":
-        ins = _worlds(st.bel & st.order.domain, n)
-        outs = _worlds(st.order.domain & ~st.bel, n)
-        return all(st.order.level_of(w1) < st.order.level_of(w2) for w1 in ins for w2 in outs)
-    if cid == "CLF":
-        return check_clf(st)
-    if cid == "LIM-FAITHFUL":
-        return check_faithful_limited(st)
-
-    if cid in ("CR8", "CR9"):
-        side = alpha if cid == "CR8" else not_a
-        return _order_agree(st, post, _worlds(side, n))
-    if cid in ("CR10", "CR11"):
-        rel = strictly_less_in if cid == "CR10" else leq_in
-        return all(
-            not rel(st.order, w1, w2) or rel(post.order, w1, w2)
-            for w1 in _worlds(alpha, n)
-            for w2 in _worlds(not_a, n)
-        )
-
-    if cid in ("P9.i", "P10.i"):
-        side = alpha if cid == "P9.i" else not_a
-        return _order_agree(st, post, _worlds(side & s & sp, n))
-    if cid in ("P9.ii", "P10.ii"):
-        side = alpha if cid == "P9.ii" else not_a
-        sa = s & side
-        if popcount(sa) >= 2:
-            return sa & ~sp == 0
-        return sa & ~post.bel & ~sp == 0
-    if cid in ("P9.iii", "P10.iii"):
-        side = alpha if cid == "P9.iii" else not_a
-        pa = sp & side
-        if popcount(st.bel) >= 2:
-            return pa & ~s == 0
-        return pa & ~st.bel & ~s == 0
-
-    if cid in ("P11.i", "P11.ii", "P11.iii", "P11.iv"):
-        if cid == "P11.i":
-            both = s & sp
-            return all(
-                not strictly_less_in(st.order, w1, w2) or strictly_less_in(post.order, w1, w2)
-                for w1 in _worlds(alpha & both, n)
-                for w2 in _worlds(not_a & both, n)
-            )
-        if cid == "P11.ii":
-            return all(
-                not strictly_less_in(st.order, w1, w2) or not sp >> w2 & 1 or sp >> w1 & 1
-                for w1 in _worlds(alpha, n)
-                for w2 in _worlds(not_a, n)
-            )
-        if cid == "P11.iii":
-            if st.bel & ~alpha:
-                return True
-            return sp & not_a & ~s == 0
-        return all(
-            not ((not sp >> w1 & 1) or leq_in(post.order, w2, w1)) or s >> w2 & 1
-            for w1 in _worlds(alpha & s, n)
-            for w2 in _worlds(not_a & sp, n)
-        )
-
-    if cid in ("P12.i", "P12.ii", "P12.iii", "P12.iv"):
-        if cid == "P12.i":
-            both = s & sp
-            return all(
-                not strictly_less_in(post.order, w1, w2) or strictly_less_in(st.order, w1, w2)
-                for w1 in _worlds(alpha & both, n)
-                for w2 in _worlds(not_a & both, n)
-            )
-        if cid == "P12.ii":
-            return all(
-                not strictly_less_in(post.order, w2, w1) or not s >> w1 & 1 or s >> w2 & 1
-                for w1 in _worlds(alpha, n)
-                for w2 in _worlds(not_a, n)
-            )
-        if cid == "P12.iii":
-            if not st.bel & alpha:
-                return True
-            return sp & not_a & ~s == 0
-        return all(
-            not ((not s >> w2 & 1) or leq_in(st.order, w1, w2)) or sp >> w1 & 1
-            for w1 in _worlds(alpha & s, n)
-            for w2 in _worlds(not_a & sp, n)
-        )
-
-    if cid in ("SI1", "SI2", "SD1", "SD2"):
-        for b in range(1 if consistent_only else 0, 1 << n):
-            if cid == "SI1" and b & s and not (b & sp or post.bel & ~b == 0):
-                return False
-            if cid == "SI2" and st.bel & ~b == 0 and post.bel & ~b and not b & sp:
-                return False
-            if cid == "SD1" and b & sp and not (b & s or st.bel & ~b == 0):
-                return False
-            if cid == "SD2" and post.bel & ~b == 0 and st.bel & ~b and not b & s:
-                return False
-        return True
-
-    if cid in ("P14.a", "P14.b"):
-        if op is None:
-            raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        tab = _table_of(op, sig)
-        dom = tab.success_worlds(tab.id_of(st))
-        side = alpha if cid == "P14.a" else not_a
-        sub_ii = "P9.ii" if cid == "P14.a" else "P10.ii"
-        sub_iii = "P9.iii" if cid == "P14.a" else "P10.iii"
-        return (
-            _order_agree(st, post, _worlds(side & s & sp & dom, n))
-            and check_condition(st, post, alpha, sub_ii, sig)
-            and check_condition(st, post, alpha, sub_iii, sig)
-        )
-
-    if cid in ("P15.a", "P15.b"):
-        if alpha == 0 or alpha & ~s:
-            return True
-        if cid == "P15.a":
-            ws = _worlds(alpha, n)
-            return all(
-                leq_in(st.order, w1, w2) == leq_in(post.order, w1, w2)
-                for w1 in ws
-                for w2 in ws
-                if w1 != w2
-            )
-        return _order_agree(st, post, _worlds(s & not_a, n))
-
-    if cid in ("P16.i", "P16.ii", "P16.iii", "P16.iv"):
-        if op is None:
-            raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
-        tab = _table_of(op, sig)
-        dom = tab.success_worlds(tab.id_of(st))
-        ws_a = _worlds(alpha & dom, n)
-        ws_na = _worlds(not_a & dom, n)
-        if cid == "P16.i":
-            both = s & sp
-            return all(
-                not leq_in(st.order, w1, w2) or strictly_less_in(post.order, w1, w2)
-                for w1 in ws_a
-                for w2 in ws_na
-                if both >> w1 & 1 and both >> w2 & 1
-            )
-        if cid == "P16.ii":
-            return all(
-                not leq_in(st.order, w1, w2) or not sp >> w2 & 1 or sp >> w1 & 1
-                for w1 in ws_a
-                for w2 in ws_na
-            )
-        if cid == "P16.iii":
-            if not st.bel & alpha:
-                return True
-            return all(not sp >> w & 1 or s >> w & 1 for w in ws_na)
-        return all(
-            not ((not s >> w2 & 1) or leq_in(st.order, w1, w2)) or sp >> w1 & 1
-            for w1 in ws_a
-            for w2 in ws_na
-            if s >> w1 & 1 and sp >> w2 & 1
-        )
-
-    if cid in ("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"):
-        if op is None:
-            raise PreconditionError(f"{cid} needs the operator (revision-success premises)")
-        tab = _table_of(op, sig)
-        t = tab.bel(tab.id_of(st))
-        lo = 1 if consistent_only else 0
-        success_a = t[alpha] & ~alpha == 0
-        if cid == "C-CLCD":
-            if not success_a:
-                return True
-            return all(
-                t[b] & ~b == 0 or not b & sp
-                for b in classify.iter_subsets(not_a)
-                if b >= lo
-            )
-        if cid == "C-CM1":
-            return all(
-                not (t[b] & ~b == 0 or b & s) or post.bel & ~b == 0 or b & sp
-                for b in classify.iter_subsets(alpha)
-                if b >= lo
-            )
-        if cid == "C-CM2":
-            if not success_a:
-                return True
-            return all(
-                t[b] & ~b or post.bel & ~b == 0 or b & sp
-                for b in classify.iter_subsets(not_a)
-                if b >= lo
-            )
-        if cid in ("C-FC", "C-FR"):
-            if success_a:
-                return True
-            pair = ("SI1", "SI2") if cid == "C-FC" else ("SD1", "SD2")
-        else:
-            if not success_a:
-                return True
-            pair = ("SI1", "SI2") if cid == "C-SC" else ("SD1", "SD2")
-        return check_condition(
-            st, post, alpha, pair[0], sig, consistent_only=consistent_only
-        ) and check_condition(st, post, alpha, pair[1], sig, consistent_only=consistent_only)
-
-    if cid == "C-DOC":
-        ok = True
-        if alpha & s:
-            ok = ok and sp & not_a == 0
-        if st.bel & ~alpha == 0:
-            ok = ok and sp & not_a == 0
-        return ok
-    if cid == "C-COM":
-        if alpha & s == 0 and st.bel & ~alpha:
-            return alpha & sp != 0
-        return True
-
-    raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
+    cond = CONDITIONS.get(cid)
+    if cond is None:
+        raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
+    if op is not None and not isinstance(op, TransitionTable):
+        op = TransitionTable(op, sig)
+    return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, op, consistent_only)
 
 
 # ---------------------------------------------------------------------------

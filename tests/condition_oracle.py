@@ -1,0 +1,254 @@
+"""Literal oracle for the semantic conditions of `revlab.verify`.
+
+`verify.check_condition` evaluates each condition as mask algebra over
+restricted level lists, up-cones and minimal witnesses.  This module keeps
+the conditions as stated: world-pair loops over `leq_in` and
+`strictly_less_in`, and a loop over all 2^n classes for the scoped
+independence conditions.  `tests/test_verify.py` compares the two.
+"""
+
+from __future__ import annotations
+
+from revlab import classify
+from revlab.errors import PreconditionError
+from revlab.orders import leq_in, strictly_less_in
+from revlab.prop import popcount
+from revlab.states import check_clf, check_faithful_limited
+from revlab.transitions import TransitionTable
+
+
+def _worlds(mask, n):
+    return [w for w in range(n) if mask >> w & 1]
+
+
+def _order_agree(st, post, worlds):
+    return all(
+        leq_in(st.order, w1, w2) == leq_in(post.order, w1, w2)
+        for w1 in worlds
+        for w2 in worlds
+    )
+
+
+def _table_of(op, sig):
+    return op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
+
+
+def oracle_condition(st, post, alpha, cid, sig, op=None, consistent_only=False):
+    """Literal evaluation of one named condition clause on the transition."""
+    n = sig.n_worlds
+    full = sig.all_worlds
+    not_a = full & ~alpha
+    s, sp = st.scope, post.scope
+
+    if cid == "FA1":
+        ws = _worlds(st.bel & st.order.domain, n)
+        return all(st.order.level_of(w1) == st.order.level_of(w2) for w1 in ws for w2 in ws)
+    if cid == "FA2":
+        ins = _worlds(st.bel & st.order.domain, n)
+        outs = _worlds(st.order.domain & ~st.bel, n)
+        return all(st.order.level_of(w1) < st.order.level_of(w2) for w1 in ins for w2 in outs)
+    if cid == "CLF":
+        return check_clf(st)
+    if cid == "LIM-FAITHFUL":
+        return check_faithful_limited(st)
+
+    if cid in ("CR8", "CR9"):
+        side = alpha if cid == "CR8" else not_a
+        return _order_agree(st, post, _worlds(side, n))
+    if cid in ("CR10", "CR11"):
+        rel = strictly_less_in if cid == "CR10" else leq_in
+        return all(
+            not rel(st.order, w1, w2) or rel(post.order, w1, w2)
+            for w1 in _worlds(alpha, n)
+            for w2 in _worlds(not_a, n)
+        )
+
+    if cid in ("P9.i", "P10.i"):
+        side = alpha if cid == "P9.i" else not_a
+        return _order_agree(st, post, _worlds(side & s & sp, n))
+    if cid in ("P9.ii", "P10.ii"):
+        side = alpha if cid == "P9.ii" else not_a
+        sa = s & side
+        if popcount(sa) >= 2:
+            return sa & ~sp == 0
+        return sa & ~post.bel & ~sp == 0
+    if cid in ("P9.iii", "P10.iii"):
+        side = alpha if cid == "P9.iii" else not_a
+        pa = sp & side
+        if popcount(st.bel) >= 2:
+            return pa & ~s == 0
+        return pa & ~st.bel & ~s == 0
+
+    if cid in ("P11.i", "P11.ii", "P11.iii", "P11.iv"):
+        if cid == "P11.i":
+            both = s & sp
+            return all(
+                not strictly_less_in(st.order, w1, w2) or strictly_less_in(post.order, w1, w2)
+                for w1 in _worlds(alpha & both, n)
+                for w2 in _worlds(not_a & both, n)
+            )
+        if cid == "P11.ii":
+            return all(
+                not strictly_less_in(st.order, w1, w2) or not sp >> w2 & 1 or sp >> w1 & 1
+                for w1 in _worlds(alpha, n)
+                for w2 in _worlds(not_a, n)
+            )
+        if cid == "P11.iii":
+            if st.bel & ~alpha:
+                return True
+            return sp & not_a & ~s == 0
+        return all(
+            not ((not sp >> w1 & 1) or leq_in(post.order, w2, w1)) or s >> w2 & 1
+            for w1 in _worlds(alpha & s, n)
+            for w2 in _worlds(not_a & sp, n)
+        )
+
+    if cid in ("P12.i", "P12.ii", "P12.iii", "P12.iv"):
+        if cid == "P12.i":
+            both = s & sp
+            return all(
+                not strictly_less_in(post.order, w1, w2) or strictly_less_in(st.order, w1, w2)
+                for w1 in _worlds(alpha & both, n)
+                for w2 in _worlds(not_a & both, n)
+            )
+        if cid == "P12.ii":
+            return all(
+                not strictly_less_in(post.order, w2, w1) or not s >> w1 & 1 or s >> w2 & 1
+                for w1 in _worlds(alpha, n)
+                for w2 in _worlds(not_a, n)
+            )
+        if cid == "P12.iii":
+            if not st.bel & alpha:
+                return True
+            return sp & not_a & ~s == 0
+        return all(
+            not ((not s >> w2 & 1) or leq_in(st.order, w1, w2)) or sp >> w1 & 1
+            for w1 in _worlds(alpha & s, n)
+            for w2 in _worlds(not_a & sp, n)
+        )
+
+    if cid in ("SI1", "SI2", "SD1", "SD2"):
+        for b in range(1 if consistent_only else 0, 1 << n):
+            if cid == "SI1" and b & s and not (b & sp or post.bel & ~b == 0):
+                return False
+            if cid == "SI2" and st.bel & ~b == 0 and post.bel & ~b and not b & sp:
+                return False
+            if cid == "SD1" and b & sp and not (b & s or st.bel & ~b == 0):
+                return False
+            if cid == "SD2" and post.bel & ~b == 0 and st.bel & ~b and not b & s:
+                return False
+        return True
+
+    if cid in ("P14.a", "P14.b"):
+        if op is None:
+            raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
+        tab = _table_of(op, sig)
+        dom = tab.success_worlds(tab.id_of(st))
+        side = alpha if cid == "P14.a" else not_a
+        sub_ii = "P9.ii" if cid == "P14.a" else "P10.ii"
+        sub_iii = "P9.iii" if cid == "P14.a" else "P10.iii"
+        return (
+            _order_agree(st, post, _worlds(side & s & sp & dom, n))
+            and oracle_condition(st, post, alpha, sub_ii, sig)
+            and oracle_condition(st, post, alpha, sub_iii, sig)
+        )
+
+    if cid in ("P15.a", "P15.b"):
+        if alpha == 0 or alpha & ~s:
+            return True
+        if cid == "P15.a":
+            ws = _worlds(alpha, n)
+            return all(
+                leq_in(st.order, w1, w2) == leq_in(post.order, w1, w2)
+                for w1 in ws
+                for w2 in ws
+                if w1 != w2
+            )
+        return _order_agree(st, post, _worlds(s & not_a, n))
+
+    if cid in ("P16.i", "P16.ii", "P16.iii", "P16.iv"):
+        if op is None:
+            raise PreconditionError(f"{cid} needs the operator (success-world quantifier)")
+        tab = _table_of(op, sig)
+        dom = tab.success_worlds(tab.id_of(st))
+        ws_a = _worlds(alpha & dom, n)
+        ws_na = _worlds(not_a & dom, n)
+        if cid == "P16.i":
+            both = s & sp
+            return all(
+                not leq_in(st.order, w1, w2) or strictly_less_in(post.order, w1, w2)
+                for w1 in ws_a
+                for w2 in ws_na
+                if both >> w1 & 1 and both >> w2 & 1
+            )
+        if cid == "P16.ii":
+            return all(
+                not leq_in(st.order, w1, w2) or not sp >> w2 & 1 or sp >> w1 & 1
+                for w1 in ws_a
+                for w2 in ws_na
+            )
+        if cid == "P16.iii":
+            if not st.bel & alpha:
+                return True
+            return all(not sp >> w & 1 or s >> w & 1 for w in ws_na)
+        return all(
+            not ((not s >> w2 & 1) or leq_in(st.order, w1, w2)) or sp >> w1 & 1
+            for w1 in ws_a
+            for w2 in ws_na
+            if s >> w1 & 1 and sp >> w2 & 1
+        )
+
+    if cid in ("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"):
+        if op is None:
+            raise PreconditionError(f"{cid} needs the operator (revision-success premises)")
+        tab = _table_of(op, sig)
+        t = tab.bel(tab.id_of(st))
+        lo = 1 if consistent_only else 0
+        success_a = t[alpha] & ~alpha == 0
+        if cid == "C-CLCD":
+            if not success_a:
+                return True
+            return all(
+                t[b] & ~b == 0 or not b & sp
+                for b in classify.iter_subsets(not_a)
+                if b >= lo
+            )
+        if cid == "C-CM1":
+            return all(
+                not (t[b] & ~b == 0 or b & s) or post.bel & ~b == 0 or b & sp
+                for b in classify.iter_subsets(alpha)
+                if b >= lo
+            )
+        if cid == "C-CM2":
+            if not success_a:
+                return True
+            return all(
+                t[b] & ~b or post.bel & ~b == 0 or b & sp
+                for b in classify.iter_subsets(not_a)
+                if b >= lo
+            )
+        if cid in ("C-FC", "C-FR"):
+            if success_a:
+                return True
+            pair = ("SI1", "SI2") if cid == "C-FC" else ("SD1", "SD2")
+        else:
+            if not success_a:
+                return True
+            pair = ("SI1", "SI2") if cid == "C-SC" else ("SD1", "SD2")
+        return oracle_condition(
+            st, post, alpha, pair[0], sig, consistent_only=consistent_only
+        ) and oracle_condition(st, post, alpha, pair[1], sig, consistent_only=consistent_only)
+
+    if cid == "C-DOC":
+        ok = True
+        if alpha & s:
+            ok = ok and sp & not_a == 0
+        if st.bel & ~alpha == 0:
+            ok = ok and sp & not_a == 0
+        return ok
+    if cid == "C-COM":
+        if alpha & s == 0 and st.bel & ~alpha:
+            return alpha & sp != 0
+        return True
+
+    raise ValueError(f"unknown condition id {cid!r}")

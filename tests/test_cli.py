@@ -115,6 +115,28 @@ class TestCheck:
         assert capsys.readouterr().out == first
 
 
+class TestBadInput:
+    """Malformed input ends in exit code 2 and one `error:` line, not a traceback."""
+
+    def _fails_cleanly(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err and "Traceback" not in err
+
+    def test_malformed_operator_file(self, tmp_path, capsys):
+        op = tmp_path / "bad.op"
+        op.write_text("family: extensional\nsig: a\nstate x: bel 0 ; scope 0 ; order [0]\n")
+        self._fails_cleanly(["check", "--operator", str(op), "--sig", "a", "all"], capsys, "line 3")
+
+    def test_bad_signature_option(self, capsys):
+        self._fails_cleanly(["check", "--sig", "A B", "all"], capsys, "'A'")
+
+    def test_bad_signature_in_state_file(self, tmp_path, capsys):
+        state = tmp_path / "bad.state"
+        state.write_text("sig: A B\nbel: 00\nscope: 00\norder: [00]\n")
+        self._fails_cleanly(["revise", "--state", str(state)], capsys, "'A'")
+
+
 class TestRepro:
     @pytest.mark.parametrize("name", ["karl", "fig1", "lemmas"])
     def test_repro_passes(self, name, capsys):

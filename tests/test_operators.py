@@ -255,6 +255,28 @@ class TestOperatorFiles:
         assert parsed.states == table.states
         assert parsed.mapping == table.mapping
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("family: extensional\nsig: a\nstate x: bel 0 ; scope 0 ; order [0]\n", 3),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 one 0\n", 4),
+            ("family: il\nil_scope: six\n", 2),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 4 0\n", 4),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 -1 0\n", 4),
+            ("family: dl\norder_rule: sideways\n", 2),
+            ("family: dl\n\nscope_rule: wide\n", 3),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nstate 0: bel 1 ; scope 1 ; order [1]\n", 4),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1 0\nentry: 0 1 0\n", 5),
+        ],
+        ids=[
+            "state-id", "entry-field", "il-scope", "class-too-large", "class-negative",
+            "order-rule", "scope-rule", "duplicate-state", "duplicate-entry",
+        ],
+    )
+    def test_malformed_files_name_the_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_operator(text)
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_operator("family: nope\n")

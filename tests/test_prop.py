@@ -45,6 +45,14 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(())
 
+    def test_signature_errors_are_revlab_errors(self):
+        with pytest.raises(ParseError, match="'B'"):
+            Signature.of("a B")
+        with pytest.raises(ParseError, match="unique"):
+            Signature.of("a a")
+        with pytest.raises(TooLargeError):
+            Signature(tuple(f"x{i}" for i in range(17)))
+
     def test_atom_limit(self):
         Signature(tuple(f"x{i}" for i in range(16)))
         with pytest.raises(ValueError):

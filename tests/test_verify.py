@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import pytest
+from condition_oracle import oracle_condition
 
 from revlab.classify import syntactic_scope
+from revlab.errors import PreconditionError
 from revlab import operators, verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
@@ -15,9 +18,12 @@ from revlab.operators import (
 )
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
-from revlab.states import EpistemicState, enumerate_states
+from revlab.states import EpistemicState, enumerate_states, sample_states
+from revlab.transitions import TransitionTable
 from revlab.verify import (
+    _THEOREM_CONDITIONS,
     CONDITION_IDS,
+    CONDITIONS,
     POSTULATE_IDS,
     THEOREM_IDS,
     Counterexample,
@@ -145,12 +151,80 @@ class TestCheckCondition:
         with pytest.raises(ValueError, match="SI1"):
             check_condition(st, st, 0, "NOPE", AB)
 
+    def test_conditions_that_read_revisions_need_the_operator(self):
+        sig, st, _ = karl_fixture()
+        for cid in CONDITION_IDS:
+            if cid.startswith(("P14", "P16", "C-")) and cid not in ("C-DOC", "C-COM"):
+                with pytest.raises(PreconditionError):
+                    check_condition(st, st, 1, cid, sig)
+            else:
+                assert check_condition(st, st, 1, cid, sig) in (True, False)
+
     def test_every_listed_condition_evaluates(self):
         sig, st, op = karl_fixture()
         alpha = parse_models("t", sig)
         post = op.apply(st, alpha)
         for cid in CONDITION_IDS:
             assert check_condition(st, post, alpha, cid, sig, op) in (True, False)
+
+
+def _distinct_transitions(sig, pairs):
+    """The distinct (state, posterior, input) transitions of (state, input) pairs under every policy."""
+    seen = {}
+    for policy in all_policies():
+        op = RevisionOperator("dl", policy)
+        for st, a in pairs:
+            seen.setdefault((st, op.apply(st, a), a), None)
+    return list(seen)
+
+
+# The ids that read consistent_only are also compared with it set.
+_CONSISTENT_ONLY_IDS = [cid for cid in CONDITION_IDS if cid[:2] in ("SI", "SD", "C-")]
+
+
+def _oracle_mismatches(sig, transitions):
+    # The dl prior's belief table and success worlds do not depend on the
+    # policy, so one table serves the conditions that read them.
+    tab = TransitionTable(RevisionOperator("dl"), sig)
+    bad = []
+    for st, post, a in transitions:
+        for cid, co in [(cid, False) for cid in CONDITION_IDS] + [(cid, True) for cid in _CONSISTENT_ONLY_IDS]:
+            got = check_condition(st, post, a, cid, sig, tab, co)
+            want = oracle_condition(st, post, a, cid, sig, tab, co)
+            if got is not want:
+                bad.append((cid, co, st, post, a, got, want))
+    return bad
+
+
+class TestConditionsMatchOracle:
+    """The mask-algebra condition table against the literal world-pair and class loops."""
+
+    def test_every_2atom_transition_under_every_policy(self, faithful):
+        transitions = _distinct_transitions(AB, [(st, a) for st in faithful.states for a in range(16)])
+        assert len(transitions) == 21_226
+        assert _oracle_mismatches(AB, transitions)[:5] == []
+
+    def test_seeded_3atom_sample_under_every_policy(self):
+        sig = Signature.of("a b c")
+        rng = random.Random(20240809)
+        states = sample_states(sig, "faithful", 150, rng)
+        pairs = [(st, rng.randrange(256)) for st in states for _ in range(3)]
+        assert _oracle_mismatches(sig, _distinct_transitions(sig, pairs))[:5] == []
+
+    @pytest.mark.parametrize("atoms", ["a b", "a b c"])
+    def test_seeded_arbitrary_pairs(self, atoms):
+        # The conditions are defined on any two states, not only on a state
+        # and its posterior; unrelated pairs with arbitrary beliefs reach
+        # the order relations no revision produces (FA1 and FA2 on
+        # unfaithful priors, ties between an input and its complement).
+        sig = Signature.of(atoms)
+        rng = random.Random(7)
+        orders = sample_states(sig, "faithful", 2 * 1200, rng)
+        states = [EpistemicState(rng.randrange(1 << sig.n_worlds), st.scope, st.order) for st in orders]
+        triples = [
+            (states[i], states[i + 1], rng.randrange(1 << sig.n_worlds)) for i in range(0, len(states), 2)
+        ]
+        assert _oracle_mismatches(sig, triples)[:5] == []
 
 
 class TestEquivalences:
@@ -314,6 +388,19 @@ def test_id_registries_are_disjoint_and_complete():
     assert len(set(POSTULATE_IDS)) == len(POSTULATE_IDS) == 38
     assert len(set(THEOREM_IDS)) == 18
     assert len(set(CONDITION_IDS)) == len(CONDITION_IDS)
+    assert CONDITION_IDS == tuple(
+        ["FA1", "FA2", "CLF", "LIM-FAITHFUL"]
+        + [f"CR{i}" for i in range(8, 12)]
+        + [f"P9.{s}" for s in ("i", "ii", "iii")]
+        + [f"P10.{s}" for s in ("i", "ii", "iii")]
+        + [f"P11.{s}" for s in ("i", "ii", "iii", "iv")]
+        + [f"P12.{s}" for s in ("i", "ii", "iii", "iv")]
+        + ["SI1", "SI2", "SD1", "SD2", "P14.a", "P14.b", "P15.a", "P15.b"]
+        + [f"P16.{s}" for s in ("i", "ii", "iii", "iv")]
+        + ["C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR", "C-DOC", "C-COM"]
+    )
+    for _, cids in _THEOREM_CONDITIONS.values():
+        assert all(cid in CONDITIONS for cid in cids)
 
 
 # ---------------------------------------------------------------------------
