@@ -179,24 +179,18 @@ def cmd_revise(args) -> int:
 
 
 def _expand_ids(ids: list[str], op) -> list[str]:
-    family_ids = {
-        "dl": [f"DL{i}" for i in range(1, 8)],
-        "cl": [f"CL{i}" for i in range(1, 7)],
-        "il": [f"IL{i}" for i in range(1, 8)],
-        "agm": [f"CL{i}" for i in range(1, 7)] + [f"IL{i}" for i in range(1, 8)],
-    }
     out: list[str] = []
     for raw in ids:
-        if raw == "all":
-            out.extend(family_ids[op.family])
-        else:
+        if raw != "all":
             out.append(raw)
-    valid = set(verify.POSTULATE_IDS) | set(verify.THEOREM_IDS)
+        elif isinstance(op, RevisionOperator):
+            out.extend(verify.FAMILY_POSTULATES[op.family.upper()])
+        else:
+            raise RevlabError("an extensional operator has no family to expand 'all' from; the ids must be named")
+    valid = verify.POSTULATE_IDS + verify.THEOREM_IDS
     for check_id in out:
         if check_id not in valid:
-            raise RevlabError(
-                f"unknown id {check_id!r}; valid ids: {', '.join(list(verify.POSTULATE_IDS) + list(verify.THEOREM_IDS))}"
-            )
+            raise RevlabError(f"unknown id {check_id!r}; valid ids: {', '.join(valid)}")
     return out
 
 

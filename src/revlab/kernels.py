@@ -98,15 +98,14 @@ def posterior(
     alpha: int,
     order_rule: int,
     scope_rule: int,
-    repair: int,
 ) -> tuple[int, int, tuple[int, ...]]:
     """Full posterior state (bel', scope', levels') under an update policy.
 
     Worlds entering the scope from outside the prior domain are appended as
     a least-plausible level.  Emptied scopes fall back to the prior scope
-    (domains must stay nonempty).  With `repair` (or the natural rule) the
-    new belief minimum is promoted to a fresh level 0, which re-establishes
-    faithfulness of the posterior.
+    (domains must stay nonempty).  The new belief minimum is then promoted
+    to a fresh level 0, which re-establishes faithfulness; the natural order
+    rule, which adds only that promotion, so gives the keep rule's posteriors.
     """
     bel2 = revise_mask(levels, scope, bel, alpha)
 
@@ -138,7 +137,7 @@ def posterior(
             new_levels.append(fresh)
 
     promoted = bel2 & scope2
-    if promoted and (order_rule == ORDER_NATURAL or repair):
+    if promoted:
         rest = [lv & ~promoted for lv in new_levels]
         new_levels = [promoted] + [lv for lv in rest if lv]
 

@@ -56,13 +56,13 @@ FAMILIES = ("dl", "cl", "agm", "il")
 class UpdatePolicy:
     """Posterior (order, scope) rule; `doc` shrinks the scope to the accepted part.
 
-    With faithful_repair the new belief minimum is promoted to a fresh
-    level 0 after reordering, keeping iterated states faithful.
+    Every posterior has its new belief minimum promoted to a fresh level 0,
+    keeping iterated states faithful.  So `natural`, which adds only that
+    promotion to `keep`, gives the posteriors of `keep`; it stays a policy.
     """
 
     order_rule: str = "keep"
     scope_rule: str = "keep"
-    faithful_repair: bool = True
 
     def __post_init__(self):
         if self.order_rule not in ORDER_RULES:
@@ -178,7 +178,6 @@ class RevisionOperator:
             alpha,
             ORDER_RULES[self.policy.order_rule],
             SCOPE_RULES[scope_rule],
-            1 if self.policy.faithful_repair else 0,
         )
         return EpistemicState(bel2, scope2, RankedOrder(levels2))
 
@@ -190,6 +189,10 @@ class ExtensionalOperator:
     sig: Signature
     states: tuple[EpistemicState, ...]
     mapping: dict[tuple[EpistemicState, int], EpistemicState]
+
+    @property
+    def name(self) -> str:
+        return f"extensional({len(self.states)} states)"
 
     def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
         return self.apply(st, alpha).bel
@@ -336,7 +339,7 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     """
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
-    state_lines: dict[int, str] = {}
+    state_lines: dict[int, tuple[str, int]] = {}
     entries: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -350,7 +353,7 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
             idx = _parse_int(key[len("state "):].strip(), lineno, "state id")
             if idx in state_lines:
                 raise ParseError(f"line {lineno}: duplicate state id {idx}")
-            state_lines[idx] = value
+            state_lines[idx] = (value, lineno)
         elif key == "entry":
             parts = value.split()
             if len(parts) != 3:
@@ -359,6 +362,8 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
             if (sid, alpha) in entries:
                 raise ParseError(f"line {lineno}: duplicate entry for state {sid}, class {alpha}")
             entries[(sid, alpha)] = (pid, lineno)
+        elif key in fields:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
         else:
             fields[key], linenos[key] = value, lineno
     family = fields.get("family")
@@ -389,18 +394,21 @@ def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:
         raise ParseError("extensional operator file needs a sig line")
     sig = Signature.of(fields["sig"])
     states: dict[int, EpistemicState] = {}
-    for idx, body in state_lines.items():
+    for idx, (body, lineno) in state_lines.items():
         parts = {}
         for chunk in body.split(";"):
             keyword, _, rest = chunk.strip().partition(" ")
             parts[keyword] = rest.strip()
         if set(parts) != {"bel", "scope", "order"}:
-            raise ParseError(f"state {idx}: want 'bel ... ; scope ... ; order [...]'")
-        states[idx] = EpistemicState(
-            sig.worldset_of_strs(parts["bel"]),
-            sig.worldset_of_strs(parts["scope"]),
-            RankedOrder.from_text(parts["order"], sig),
-        )
+            raise ParseError(f"line {lineno}: state {idx}: want 'bel ... ; scope ... ; order [...]'")
+        try:
+            states[idx] = EpistemicState(
+                sig.worldset_of_strs(parts["bel"]),
+                sig.worldset_of_strs(parts["scope"]),
+                RankedOrder.from_text(parts["order"], sig),
+            )
+        except (InvariantError, ParseError) as err:
+            raise ParseError(f"line {lineno}: state {idx}: {err}") from None
     n_classes = 1 << sig.n_worlds
     mapping = {}
     for (sid, alpha), (pid, lineno) in entries.items():

@@ -208,7 +208,7 @@ def dump_state(sig: Signature, st: EpistemicState) -> str:
 
 def parse_state(text: str) -> tuple[Signature, EpistemicState]:
     """Parses a state file; raises ParseError with the offending line number."""
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -221,12 +221,23 @@ def parse_state(text: str) -> tuple[Signature, EpistemicState]:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
+        fields[key] = (value.strip(), lineno)
     for key in ("sig", "bel", "scope", "order"):
         if key not in fields:
             raise ParseError(f"missing {key!r} line")
-    sig = Signature.of(fields["sig"])
-    bel = sig.worldset_of_strs(fields["bel"])
-    scope = sig.worldset_of_strs(fields["scope"])
-    order = RankedOrder.from_text(fields["order"], sig)
-    return sig, EpistemicState(bel, scope, order)
+
+    def parsed(key, parse):
+        value, lineno = fields[key]
+        try:
+            return parse(value)
+        except (InvariantError, ParseError) as err:
+            raise ParseError(f"line {lineno}: {err}") from None
+
+    sig = parsed("sig", Signature.of)
+    bel = parsed("bel", sig.worldset_of_strs)
+    scope = parsed("scope", sig.worldset_of_strs)
+    order = parsed("order", lambda text: RankedOrder.from_text(text, sig))
+    try:
+        return sig, EpistemicState(bel, scope, order)
+    except InvariantError as err:  # an empty scope, or an order over other worlds
+        raise ParseError(f"line {fields['order' if scope else 'scope'][1]}: {err}") from None

@@ -42,12 +42,16 @@ from .prop import Signature, iter_worlds, popcount
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
 from .transitions import TransitionTable, suite_table
 
-POSTULATE_IDS = (
-    [f"DL{i}" for i in range(1, 8)]
-    + [f"CL{i}" for i in range(1, 7)]
-    + [f"IL{i}" for i in range(1, 8)]
-    + [f"DP{i}" for i in range(1, 5)]
-    + ["CLDP1", "CLDP2", "CLP", "CLCD", "CM1", "CM2", "FC", "FR", "SC", "SR", "DOC", "COM", "DLDP1", "DLDP2"]
+FAMILY_POSTULATES = {
+    "DL": tuple(f"DL{i}" for i in range(1, 8)),
+    "CL": tuple(f"CL{i}" for i in range(1, 7)),
+    "IL": tuple(f"IL{i}" for i in range(1, 8)),
+    "AGM": tuple(f"CL{i}" for i in range(1, 7)) + tuple(f"IL{i}" for i in range(1, 8)),
+    "DP": tuple(f"DP{i}" for i in range(1, 5)),
+}
+
+POSTULATE_IDS = tuple(dict.fromkeys(pid for ids in FAMILY_POSTULATES.values() for pid in ids)) + (
+    "CLDP1", "CLDP2", "CLP", "CLCD", "CM1", "CM2", "FC", "FR", "SC", "SR", "DOC", "COM", "DLDP1", "DLDP2",
 )
 
 THEOREM_IDS = (
@@ -55,8 +59,6 @@ THEOREM_IDS = (
     "P15a", "P15b", "P16", "P-CLCD", "P-CM1", "P-CM2", "P-FCFR",
     "P-SCSR", "P-DOC", "P-COM",
 )
-
-ROUNDTRIP_FAMILIES = ("DL", "IL", "CL", "AGM", "DP")
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,44 @@ MAX_COUNTEREXAMPLES = 5
 
 # ---------------------------------------------------------------------------
 # Postulates.  Each checker yields Counterexample tuples for one state.
+#
+# Postulates of one shape share a branch of `_iter_postulate` and differ by
+# a row of its tables.  A class set is a bitset over classes, read from the
+# table for one state id: all classes, the scope classes (the inputs whose
+# revision succeeds) or the reasonable classes.
 
 
-def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
+def _all_classes(tab: TransitionTable, sid: int) -> int:
+    return -1
+
+
+# pid: (β ranges inside α rather than ¬α, classes of α checked, classes of β kept)
+_TWO_STEP = {
+    "DP1": (True, _all_classes, _all_classes),
+    "DP2": (False, _all_classes, _all_classes),
+    "CLDP1": (True, _all_classes, TransitionTable.scope_classes),
+    "CLDP2": (False, TransitionTable.scope_classes, TransitionTable.scope_classes),
+    "DLDP1": (True, TransitionTable.reasonable, TransitionTable.reasonable),
+    "DLDP2": (False, TransitionTable.reasonable, TransitionTable.reasonable),
+}
+
+# pid: (β ranges inside α rather than ¬α, only accepted α are checked,
+#       classes that moved given the prior and posterior scope classes,
+#       clause, observed, required)
+_SCOPE_MOVES = {
+    "CLCD": (False, True, lambda sc, scp: scp & ~sc, "contrary entered the scope", "in scope", "out of scope"),
+    "CM1": (True, False, lambda sc, scp: sc & ~scp, "stronger input left the scope", "out", "in scope"),
+    "CM2": (False, True, lambda sc, scp: sc & ~scp, "contrary input left the scope", "out", "in scope"),
+    "DOC": (False, True, lambda sc, scp: scp, "contrary accepted after success", "in scope", "out of scope"),
+}
+
+
+def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> tuple[str, int]:
+    """DL postulates read the state's reasonable classes, IL ones the universe's immanent classes."""
+    return ("reasonable", tab.reasonable(sid)) if pid.startswith("DL") else ("immanent", tab.immanent())
+
+
+def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
     st = tab.states[sid]
     t = tab.bel(sid)
     bel = st.bel
@@ -96,27 +133,22 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
         for a in alphas:
             if not (t[a] == bel or t[a] & ~a == 0):
                 yield Counterexample(st, a, None, f"{pid}: no success and belief change", t[a], bel)
-    elif pid == "DL2":
-        rs = tab.reasonable(sid)
+    elif pid in ("DL2", "IL2"):
+        word, cls = _reasonable_or_immanent(tab, pid, sid)
         for a in alphas:
-            if not (t[a] == bel or (rs >> t[a]) & 1):
-                yield Counterexample(st, a, None, "DL2: changed to a non-reasonable set", t[a], "reasonable or prior")
+            if not (t[a] == bel or (cls >> t[a]) & 1):
+                yield Counterexample(st, a, None, f"{pid}: changed to a non-{word} set", t[a], f"{word} or prior")
+    elif pid in ("DL4", "IL4"):
+        word, cls = _reasonable_or_immanent(tab, pid, sid)
+        for a in alphas:
+            witness = next((b for b in classify.iter_subsets(a) if (cls >> b) & 1), None)
+            if witness is not None and not (cls >> t[a]) & 1:
+                yield Counterexample(st, a, witness, f"{pid}: result not {word}", t[a], word)
     elif pid == "DL3":
         rs = tab.reasonable(sid)
         for a in alphas:
             if bel & a and (rs >> a) & 1 and t[a] != bel & a:
                 yield Counterexample(st, a, None, "DL3: vacuity for reasonable input", t[a], bel & a)
-    elif pid == "DL4":
-        rs = tab.reasonable(sid)
-        if pairs is None:
-            for b in alphas:
-                witness = next((a for a in classify.iter_subsets(b) if (rs >> a) & 1), None)
-                if witness is not None and not (rs >> t[b]) & 1:
-                    yield Counterexample(st, b, witness, "DL4: result not reasonable", t[b], "reasonable")
-        else:
-            for a, b in pairs:
-                if a & ~b == 0 and (rs >> a) & 1 and not (rs >> t[b]) & 1:
-                    yield Counterexample(st, b, a, "DL4: result not reasonable", t[b], "reasonable")
     elif pid in ("DL5", "IL5"):
         for a in alphas:
             if bel and not t[a]:
@@ -126,11 +158,11 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
         # representation; counted for the record.
         return
     elif pid in ("DL7", "CL6", "IL7"):
-        ab = pairs if pairs is not None else [(a, b) for a in alphas for b in alphas]
-        for a, b in ab:
-            u = t[a | b]
-            if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
-                yield Counterexample(st, a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b]))
+        for a in alphas:
+            for b in alphas:
+                u = t[a | b]
+                if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
+                    yield Counterexample(st, a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b]))
     elif pid == "CL2":
         for a in alphas:
             if bel & a and t[a] != bel & a:
@@ -140,38 +172,24 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
             if not t[a]:
                 yield Counterexample(st, a, None, "CL3: inconsistent result", 0, "nonempty")
     elif pid == "CL5":
-        ab = pairs if pairs is not None else [(a, b) for a in alphas for b in alphas]
-        for a, b in ab:
-            if t[a] & ~a == 0 and a & ~b == 0 and t[b] & ~b:
-                yield Counterexample(st, a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}")
-    elif pid == "IL2":
-        imm = tab.immanent()
         for a in alphas:
-            if not (t[a] == bel or (imm >> t[a]) & 1):
-                yield Counterexample(st, a, None, "IL2: changed to a non-immanent set", t[a], "immanent or prior")
+            for b in alphas:
+                if t[a] & ~a == 0 and a & ~b == 0 and t[b] & ~b:
+                    yield Counterexample(st, a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}")
     elif pid == "IL3":
         imm = tab.immanent()
         for a in alphas:
             if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
                 yield Counterexample(st, a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a)
-    elif pid == "IL4":
-        imm = tab.immanent()
-        if pairs is None:
-            for b in alphas:
-                witness = next((a for a in classify.iter_subsets(b) if (imm >> a) & 1), None)
-                if witness is not None and not (imm >> t[b]) & 1:
-                    yield Counterexample(st, b, witness, "IL4: result not immanent", t[b], "immanent")
-        else:
-            for a, b in pairs:
-                if a & ~b == 0 and (imm >> a) & 1 and not (imm >> t[b]) & 1:
-                    yield Counterexample(st, b, a, "IL4: result not immanent", t[b], "immanent")
-    elif pid in ("DP1", "DP2"):
+    elif pid in _TWO_STEP:
+        inside, checked, kept = _TWO_STEP[pid]
+        checked, kept = checked(tab, sid), kept(tab, sid)
         for a in alphas:
-            tp = tab.bel(tab.post(sid, a))
-            side = a if pid == "DP1" else full & ~a
-            for b in tab.subsets(side):
-                if tp[b] != t[b]:
-                    yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
+            if (checked >> a) & 1:
+                tp = tab.bel(tab.post(sid, a))
+                for b in tab.subsets(a if inside else full & ~a):
+                    if (kept >> b) & 1 and tp[b] != t[b]:
+                        yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
     elif pid == "DP3":
         for a in alphas:
             tp = tab.bel(tab.post(sid, a))
@@ -184,26 +202,6 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
             for b in tab.classes():
                 if t[b] & a and not tp[b] & a:
                     yield Counterexample(st, a, b, "DP4: posterior denies the input", tp[b], f"meets {a}")
-    elif pid in ("CLDP1", "CLDP2"):
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if pid == "CLDP2" and not (sc >> a) & 1:
-                continue
-            tp = tab.bel(tab.post(sid, a))
-            side = a if pid == "CLDP1" else full & ~a
-            for b in tab.subsets(side):
-                if (sc >> b) & 1 and tp[b] != t[b]:
-                    yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
-    elif pid in ("DLDP1", "DLDP2"):
-        rs = tab.reasonable(sid)
-        for a in alphas:
-            if not (rs >> a) & 1:
-                continue
-            tp = tab.bel(tab.post(sid, a))
-            side = a if pid == "DLDP1" else full & ~a
-            for b in tab.subsets(side):
-                if (rs >> b) & 1 and tp[b] != t[b]:
-                    yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
     elif pid == "CLP":
         sc = tab.scope_classes(sid)
         for a in alphas:
@@ -213,31 +211,16 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
             for b in tab.classes():
                 if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
                     yield Counterexample(st, a, b, "CLP: input not retained", tp[b], f"subset of {a}")
-    elif pid == "CLCD":
+    elif pid in _SCOPE_MOVES:
+        inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
         sc = tab.scope_classes(sid)
         for a in alphas:
-            if not (sc >> a) & 1:
+            if gated and not (sc >> a) & 1:
                 continue
-            scp = tab.scope_classes(tab.post(sid, a))
-            for b in tab.subsets(full & ~a):
-                if not (sc >> b) & 1 and (scp >> b) & 1:
-                    yield Counterexample(st, a, b, "CLCD: contrary entered the scope", "in scope", "out of scope")
-    elif pid == "CM1":
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            scp = tab.scope_classes(tab.post(sid, a))
-            for b in tab.subsets(a):
-                if (sc >> b) & 1 and not (scp >> b) & 1:
-                    yield Counterexample(st, a, b, "CM1: stronger input left the scope", "out", "in scope")
-    elif pid == "CM2":
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if not (sc >> a) & 1:
-                continue
-            scp = tab.scope_classes(tab.post(sid, a))
-            for b in tab.subsets(full & ~a):
-                if (sc >> b) & 1 and not (scp >> b) & 1:
-                    yield Counterexample(st, a, b, "CM2: contrary input left the scope", "out", "in scope")
+            gone = moved(sc, tab.scope_classes(tab.post(sid, a)))
+            for b in tab.subsets(a if inside else full & ~a):
+                if (gone >> b) & 1:
+                    yield Counterexample(st, a, b, f"{pid}: {clause}", observed, required)
     elif pid in ("FC", "FR", "SC", "SR"):
         sc = tab.scope_classes(sid)
         want_success = pid in ("SC", "SR")
@@ -255,15 +238,6 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
                 yield Counterexample(
                     st, a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
                 )
-    elif pid == "DOC":
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if not (sc >> a) & 1:
-                continue
-            scp = tab.scope_classes(tab.post(sid, a))
-            for b in tab.subsets(full & ~a):
-                if (scp >> b) & 1:
-                    yield Counterexample(st, a, b, "DOC: contrary accepted after success", "in scope", "out of scope")
     elif pid == "COM":
         sc = tab.scope_classes(sid)
         for a in alphas:
@@ -275,14 +249,21 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas, pairs):
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
 
 
+def _suite_work(tab: TransitionTable, universe: StateUniverse, states, instance_list):
+    """(state, id, inputs) per checked state, all interned before any posterior is asked for."""
+    if instance_list is not None:
+        return [(st, tab.id_of(st), [a]) for st, a in instance_list]
+    if states is None:
+        states = universe.iter_states()
+    return [(st, tab.id_of(st), tab.classes()) for st in states]
+
+
 def check_postulate(
     op,
     universe: StateUniverse,
     pid: str,
     *,
     states=None,
-    alphas=None,
-    pairs=None,
     instance_list=None,
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
@@ -295,25 +276,12 @@ def check_postulate(
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
-    if alphas is None:
-        alphas = tab.classes()
-    if instance_list is not None:
-        work = [(tab.id_of(st), [a]) for st, a in instance_list]
-    else:
-        if states is None:
-            states = universe.iter_states()
-        work = [(tab.id_of(st), alphas) for st in states]
     ces: list[Counterexample] = []
     instances = 0
-    pair_pids = {"DL4", "DL7", "CL5", "CL6", "IL4", "IL7"}
-    for sid, st_alphas in work:
-        if pid in pair_pids and pairs is not None:
-            instances += len(pairs)
-        elif pid in pair_pids:
-            instances += len(st_alphas) ** 2 if pid in ("DL7", "CL6", "CL5", "IL7") else len(st_alphas)
-        else:
-            instances += len(st_alphas)
-        for ce in _iter_postulate(tab, pid, sid, st_alphas, pairs):
+    for _, sid, alphas in _suite_work(tab, universe, states, instance_list):
+        # The postulates over two free inputs count every (α, β) pair.
+        instances += len(alphas) ** 2 if pid in ("DL7", "CL6", "CL5", "IL7") else len(alphas)
+        for ce in _iter_postulate(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
                 ces.append(ce)
             else:
@@ -572,7 +540,7 @@ _THEOREM_CONDITIONS = {
 
 def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alpha: int) -> bool:
     """Truth of the postulate at one (state id, alpha), inner variables quantified."""
-    return not any(True for _ in _iter_postulate(tab, pid, sid, [alpha], None))
+    return not any(True for _ in _iter_postulate(tab, pid, sid, [alpha]))
 
 
 def verify_equivalence(
@@ -581,7 +549,6 @@ def verify_equivalence(
     theorem: str,
     *,
     states=None,
-    alphas=None,
     instance_list=None,
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
@@ -591,16 +558,7 @@ def verify_equivalence(
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     sig = universe.sig
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
-    if alphas is None:
-        alphas = tab.classes()
-    if instance_list is not None:
-        work = [(st, tab.id_of(st), a) for st, a in instance_list]
-    else:
-        if states is None:
-            states = universe.iter_states()
-        ids = [(st, tab.id_of(st)) for st in states]
-        work = [(st, sid, a) for st, sid in ids for a in alphas]
-
+    work = [(st, sid, a) for st, sid, alphas in _suite_work(tab, universe, states, instance_list) for a in alphas]
     ces: list[Counterexample] = []
     instances = 0
     for st, sid, a in work:
@@ -648,15 +606,6 @@ def verify_equivalence(
 # Representation round trips
 
 
-_FAMILY_POSTULATES = {
-    "DL": [f"DL{i}" for i in range(1, 8)],
-    "CL": [f"CL{i}" for i in range(1, 7)],
-    "IL": [f"IL{i}" for i in range(1, 8)],
-    "AGM": [f"CL{i}" for i in range(1, 7)] + [f"IL{i}" for i in range(1, 8)],
-    "DP": [f"DP{i}" for i in range(1, 5)],
-}
-
-
 def representation_roundtrip(
     op,
     universe: StateUniverse,
@@ -673,8 +622,8 @@ def representation_roundtrip(
     scope is constant, the CL reconstruction is CLF-valid, the AGM scope is
     total, and DP postulates match the CR conditions per instance).
     """
-    if family not in ROUNDTRIP_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; valid: {ROUNDTRIP_FAMILIES}")
+    if family not in FAMILY_POSTULATES:
+        raise ValueError(f"unknown family {family!r}; valid: {tuple(FAMILY_POSTULATES)}")
     sig = universe.sig
     if states is None:
         states = list(universe.iter_states())
@@ -690,7 +639,7 @@ def representation_roundtrip(
     # consistent fragment, where minimisation and the keep-beliefs fallback
     # agree; the contradiction input separates them by construction.
     consistent_only = family in ("DP", "AGM")
-    for pid in _FAMILY_POSTULATES[family]:
+    for pid in FAMILY_POSTULATES[family]:
         v = check_postulate(
             op,
             universe,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from revlab import verify
 from revlab.cli import main
 from revlab.fixtures import (
     FIG1_OPERATOR_TEXT,
@@ -9,6 +10,11 @@ from revlab.fixtures import (
     KARL_OPERATOR_TEXT,
     KARL_STATE_TEXT,
 )
+from revlab.operators import RevisionOperator, UpdatePolicy, dump_operator, tabulate
+from revlab.prop import Signature, parse_models
+from revlab.states import dump_state, enumerate_states, parse_state
+
+AB = Signature.of("a b")
 
 
 @pytest.fixture
@@ -113,6 +119,71 @@ class TestCheck:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    """A keep/keep operator tabulated on the 2-atom faithful universe, as a file."""
+    table = tabulate(RevisionOperator("dl"), enumerate_states(AB, "faithful"))
+    path = tmp_path_factory.mktemp("ops") / "table.op"
+    path.write_text(dump_operator(table))
+    return table, str(path)
+
+
+class TestExtensionalOperatorFile:
+    def test_named_postulate_passes(self, table_file, capsys):
+        _, op = table_file
+        assert main(["check", "--operator", op, "--sig", "a b", "DL1"]) == 0
+        assert "CHECK DL1 op=extensional(566 states) n=2 instances=9056 result=PASS" in capsys.readouterr().out
+
+    def test_all_needs_named_ids(self, table_file, capsys):
+        _, op = table_file
+        assert main(["check", "--operator", op, "--sig", "a b", "all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ids must be named" in err
+
+    def test_revise_prints_the_posterior(self, table_file, tmp_path, capsys):
+        table, op = table_file
+        st = table.states[100]
+        state = tmp_path / "s.state"
+        state.write_text(dump_state(AB, st))
+        assert main(["revise", "--state", str(state), "--operator", op, "a"]) == 0
+        post = table.mapping[(st, parse_models("a", AB))]
+        assert post != st
+        assert capsys.readouterr().out.endswith(f"# after a\n{dump_state(AB, post)}\n")
+
+
+def _witness_blocks(out: str) -> list[str]:
+    """The state-file blocks printed under the CHECK lines of a text report."""
+    blocks: list[str] = []
+    for line in out.splitlines(keepends=True):
+        if line.startswith("sig: "):
+            blocks.append("")
+        if blocks and not line.startswith("CHECK "):
+            blocks[-1] += line
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "policy, ids",
+    [(UpdatePolicy("keep", "keep"), ["P9", "P12"]), (UpdatePolicy("keep", "doc"), ["FC", "SR"])],
+    ids=["keep-keep-P9-P12", "keep-doc-FC-SR"],
+)
+def test_witnesses_load_as_the_counterexample_states(policy, ids, tmp_path, capsys):
+    # Every printed witness is a state file that loads back as the verdict's state, in order.
+    op = RevisionOperator("dl", policy)
+    path = tmp_path / "op"
+    path.write_text(dump_operator(op))
+    argv = ["check", "--operator", str(path), "--sig", "a b", "--global-consistency", "--max-counterexamples", "50"]
+    assert main(argv + ids) == 1
+    loaded = [parse_state(block) for block in _witness_blocks(capsys.readouterr().out)]
+    uni = enumerate_states(AB, "faithful", global_consistency=True)
+    want = []
+    for check_id in ids:
+        check = verify.verify_equivalence if check_id in verify.THEOREM_IDS else verify.check_postulate
+        want += [ce.state for ce in check(op, uni, check_id, max_counterexamples=50).counterexamples]
+    assert len(want) > 50
+    assert loaded == [(AB, st) for st in want]
 
 
 class TestBadInput:

@@ -74,9 +74,7 @@ class TestSemantics:
         for levels, scope, bel, alpha in cases(4, 300, 7):
             for orule in (0, 1, 2):
                 for srule in (0, 1, 2):
-                    bel2, scope2, levels2 = kernels.posterior(
-                        levels, scope, bel, alpha, orule, srule, 1
-                    )
+                    bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, orule, srule)
                     assert scope2 != 0
                     seen = 0
                     for lv in levels2:

@@ -267,10 +267,20 @@ class TestOperatorFiles:
             ("family: dl\n\nscope_rule: wide\n", 3),
             ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nstate 0: bel 1 ; scope 1 ; order [1]\n", 4),
             ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1 0\nentry: 0 1 0\n", 5),
+            ("family: dl\norder_rule: lex\nfamily: cl\n", 3),
+            ("family: dl\norder_rule: lex\n\norder_rule: keep\n", 4),
+            ("scope_rule: doc\nfamily: dl\nscope_rule: doc\n", 3),
+            ("family: il\nil_scope: 6\nil_scope: 2\n", 3),
+            ("family: extensional\nsig: a\nsig: a b\n", 3),
+            ("family: extensional\nsig: a b\nstate 0: bel 00 ; scope 00 01 ; order [00]\n", 3),
+            ("family: extensional\nsig: a\n# states\nstate 0: bel 0 ; scope 0\n", 4),
+            ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [2]\n", 3),
         ],
         ids=[
             "state-id", "entry-field", "il-scope", "class-too-large", "class-negative",
             "order-rule", "scope-rule", "duplicate-state", "duplicate-entry",
+            "duplicate-family", "duplicate-order-rule", "duplicate-scope-rule", "duplicate-il-scope",
+            "duplicate-sig", "state-order-domain", "state-body", "state-bad-world",
         ],
     )
     def test_malformed_files_name_the_line(self, text, line):

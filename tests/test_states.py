@@ -176,5 +176,19 @@ class TestStateFiles:
             parse_state("sig: a b\nbel: 01\nscope: 01\n")
 
     def test_mismatched_order_domain_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(ParseError, match="^line 4: order domain must equal the scope$"):
             parse_state("sig: a b\nbel: 01\nscope: 01 10\norder: [01]\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sig: a b\nbel: 01\nscope:\norder: [01]\n", "line 3: scope must be nonempty"),
+            ("sig: a b\n# note\nbel: 0x\nscope: 01\norder: [01]\n", "line 3: world '0x'"),
+            ("sig: a b\nbel: 01\nscope: 01\norder: 01\n", "line 4: order text must be bracketed"),
+            ("sig: a a\nbel: 01\nscope: 01\norder: [01]\n", "line 1: atom names must be unique"),
+        ],
+        ids=["empty-scope", "bad-world", "unbracketed-order", "duplicate-atom"],
+    )
+    def test_field_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse_state(text)

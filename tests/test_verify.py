@@ -305,6 +305,108 @@ def test_red_counterexamples_pinned(theorem, faithful_gc):
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
+# Uncapped postulate verdicts with consistent_only off and on: one digest
+# per postulate over holds, instances, note and every counterexample field.
+# They run on the 2-atom faithful universe under three policies and on the
+# fixed-scope universe under the il operator, each also as a lookup table
+# with some entries replaced by random states of its universe, which makes
+# the postulates every policy satisfies fail somewhere.  Pinned from the
+# postulate checker written as one branch per postulate id.
+_PINNED_POLICIES = (UpdatePolicy("keep", "keep"), UpdatePolicy("keep", "doc"), UpdatePolicy("lex", "result_only"))
+POSTULATE_DIGESTS = {
+    "DL1": "4935a9377b9af01f",
+    "DL2": "922c03fe6e02800b",
+    "DL3": "0c5d737e1cc6f7c2",
+    "DL4": "a58d3e465f4b6366",
+    "DL5": "2b1ee11c6d079570",
+    "DL6": "d64a1c2f3a497a7a",
+    "DL7": "7f8caddd24c6952e",
+    "CL1": "3d7734bbbaa0e79f",
+    "CL2": "5b39cbaa706ec751",
+    "CL3": "31b003a531995900",
+    "CL4": "d64a1c2f3a497a7a",
+    "CL5": "960af9ab008d2270",
+    "CL6": "8b3e3e710e480e46",
+    "IL1": "5694ba6f0e06cd83",
+    "IL2": "fed6055cc8ac63ad",
+    "IL3": "b5ab414c06be97ad",
+    "IL4": "52e857d29180d274",
+    "IL5": "5ede8644d04ee4fa",
+    "IL6": "d64a1c2f3a497a7a",
+    "IL7": "5db17c48606e9b96",
+    "DP1": "0bed934036666e1d",
+    "DP2": "6bdd4f90bd2978e0",
+    "DP3": "b868aba868cd4a9a",
+    "DP4": "b4c00626f1315942",
+    "CLDP1": "00b5dd70d7959ded",
+    "CLDP2": "d4c2dad044a5ae62",
+    "CLP": "a4e8aade655c911f",
+    "CLCD": "23da437c37eab9a0",
+    "CM1": "b007c0129b34cece",
+    "CM2": "776d68a03929658a",
+    "FC": "0461fed2d78c6a23",
+    "FR": "914e63a687ef0c05",
+    "SC": "563d4774e94480f0",
+    "SR": "af1ecb138bd7f44f",
+    "DOC": "e4a59f29ddc1a236",
+    "COM": "77c4614b46f1231d",
+    "DLDP1": "04639e5358434c99",
+    "DLDP2": "36ce273d0606e466",
+}
+SAMPLED_POSTULATE_DIGEST = "933e71cf294a6031"
+
+
+def _corrupted_table(op, universe, n, seed):
+    rng = random.Random(seed)
+    mapping = dict(tabulate(op, universe).mapping)
+    for _ in range(n):
+        st = universe.states[rng.randrange(len(universe.states))]
+        mapping[(st, rng.randrange(16))] = universe.states[rng.randrange(len(universe.states))]
+    return ExtensionalOperator(AB, tuple(universe.states), mapping)
+
+
+def _pinned_runs(faithful):
+    il_op = RevisionOperator("il", il_scope=mask(1, 2))
+    il_uni = enumerate_states(AB, "il", il_scope=il_op.il_scope)
+    ops = [RevisionOperator("dl", policy) for policy in _PINNED_POLICIES]
+    return [(op, faithful) for op in ops + [_corrupted_table(DL_OP, faithful, 40, 3)]] + [
+        (op, il_uni) for op in (il_op, _corrupted_table(il_op, il_uni, 10, 8))
+    ]
+
+
+def _verdict_bytes(v):
+    ces = [
+        (ce.state.bel, ce.state.scope, ce.state.order.levels, ce.alpha, ce.beta, ce.clause,
+         repr(ce.observed), repr(ce.required))
+        for ce in v.counterexamples
+    ]
+    return repr((v.holds, v.instances, v.note, ces)).encode()
+
+
+def test_postulate_verdicts_pinned(faithful):
+    digests = {pid: hashlib.sha256() for pid in POSTULATE_IDS}
+    failing = 0
+    for op, universe in _pinned_runs(faithful):
+        for co in (False, True):
+            for pid in POSTULATE_IDS:
+                v = check_postulate(op, universe, pid, consistent_only=co, max_counterexamples=10**7)
+                digests[pid].update(_verdict_bytes(v))
+                failing += not v.holds
+    assert failing == 248
+    assert {pid: h.hexdigest()[:16] for pid, h in digests.items()} == POSTULATE_DIGESTS
+
+
+def test_sampled_postulate_verdicts_pinned(faithful):
+    rng = random.Random(11)
+    instances = [(faithful.states[rng.randrange(len(faithful.states))], rng.randrange(16)) for _ in range(80)]
+    h = hashlib.sha256()
+    for op, _ in _pinned_runs(faithful)[:4]:  # the operators on the faithful universe
+        for pid in POSTULATE_IDS:
+            v = check_postulate(op, faithful, pid, instance_list=instances, max_counterexamples=10**7)
+            h.update(_verdict_bytes(v))
+    assert h.hexdigest()[:16] == SAMPLED_POSTULATE_DIGEST
+
+
 class TestRoundtrips:
     def test_dl_roundtrip(self, faithful):
         assert representation_roundtrip(DL_OP, faithful, "DL").holds
