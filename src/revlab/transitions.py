@@ -24,8 +24,8 @@ class TransitionTable:
     interns its states before any posterior, so an exhaustive run numbers
     the universe in universe order, and a posterior gets the next id the
     first time it is seen.  Every per-id row is filled on first use.  The
-    postulate side reads by id; `check_condition` is handed the table in
-    place of the bare operator and reads the same rows.
+    postulate side reads by id; the conditions are handed the table in
+    place of the bare operator and read the same rows.
 
     The table also answers `revise_beliefs` and `bel_table` from its rows,
     so `classify_state` and `canonical_assignment` can take it as their

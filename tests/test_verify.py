@@ -407,6 +407,91 @@ def test_sampled_postulate_verdicts_pinned(faithful):
     assert h.hexdigest()[:16] == SAMPLED_POSTULATE_DIGEST
 
 
+# Uncapped theorem verdicts with consistent_only off and on: one digest per
+# theorem over holds, instances, note and every counterexample field, on the
+# 417-state universe under three policies and a corrupted lookup table,
+# which makes the green theorems fail in both directions.  The sampled
+# digest covers every theorem on seeded 3-atom (state, input) pairs.  Pinned
+# from the suite that evaluated both sides once per (state, input).
+THEOREM_DIGESTS = {
+    "P9": "2913a38854e43025",
+    "P10": "c730c4c7f159aa9d",
+    "P11": "bd96dcc3045734ba",
+    "P12": "a381810ff2103a32",
+    "P13a": "30fab218c5b65c27",
+    "P13b": "619839f7df153995",
+    "P14a": "fd95cb1912ea8011",
+    "P14b": "4f05d8b0c277939a",
+    "P15a": "8d37e96f743fcc20",
+    "P15b": "26a5d2261fd5f94e",
+    "P16": "d77dc923934573d5",
+    "P-CLCD": "785108bba048ad1a",
+    "P-CM1": "e92691d8cd30bfb9",
+    "P-CM2": "a54d30a25d283493",
+    "P-FCFR": "2555d7c04108e5d3",
+    "P-SCSR": "7da8595e607d3fc9",
+    "P-DOC": "39fecf8cedab49a2",
+    "P-COM": "3efc801f6c3ff303",
+}
+SAMPLED_THEOREM_DIGEST = "4522a88322c82e10"
+
+
+def _theorem_ops(universe):
+    return [RevisionOperator("dl", policy) for policy in _PINNED_POLICIES] + [_corrupted_table(DL_OP, universe, 40, 3)]
+
+
+def test_theorem_verdicts_pinned(faithful_gc):
+    digests = {theorem: hashlib.sha256() for theorem in THEOREM_IDS}
+    failing, sides = 0, set()
+    for op in _theorem_ops(faithful_gc):
+        for co in (False, True):
+            for theorem in THEOREM_IDS:
+                v = verify_equivalence(op, faithful_gc, theorem, consistent_only=co, max_counterexamples=10**7)
+                digests[theorem].update(_verdict_bytes(v))
+                failing += not v.holds
+                if theorem not in RED_COUNTEREXAMPLES:
+                    sides.update(ce.clause.split(": ")[1] for ce in v.counterexamples)
+    assert failing == 62
+    assert sides == {_HOLDS, _FAILS}
+    assert {theorem: h.hexdigest()[:16] for theorem, h in digests.items()} == THEOREM_DIGESTS
+
+
+def test_sampled_theorem_verdicts_pinned():
+    sig = Signature.of("a b c")
+    uni = enumerate_states(sig, "faithful", global_consistency=True)
+    rng = random.Random(5)
+    # Two inputs per state, one after the other, so a bitset kept across
+    # instances of one state would show.
+    states = sample_states(sig, "faithful", 100, rng, global_consistency=True)
+    instances = [(st, rng.randrange(256)) for st in states for _ in range(2)]
+    h = hashlib.sha256()
+    for policy in _PINNED_POLICIES:
+        for theorem in THEOREM_IDS:
+            v = verify_equivalence(
+                RevisionOperator("dl", policy), uni, theorem, instance_list=instances, max_counterexamples=10**7
+            )
+            h.update(_verdict_bytes(v))
+    assert h.hexdigest()[:16] == SAMPLED_THEOREM_DIGEST
+
+
+# The postulate ids the theorems read, each as a per-state bitset.
+_THEOREM_PIDS = sorted({pid for parts in _THEOREM_CONDITIONS.values() for pid, _ in parts if pid})
+
+
+@pytest.mark.parametrize("co", [False, True])
+def test_postulate_bitset_matches_one_input_runs(faithful, co):
+    # One pass over a state's inputs flags exactly the inputs at which a
+    # pass over that input alone finds a counterexample.
+    for op, _ in _pinned_runs(faithful)[:4]:  # three policies and the corrupted table
+        tab = TransitionTable(op, AB, faithful, co)
+        for pid in _THEOREM_PIDS:
+            for st in faithful.states:
+                sid = tab.id_of(st)
+                alone = [a for a in tab.classes() if any(True for _ in verify._iter_postulate(tab, pid, sid, [a]))]
+                want = sum(1 << a for a in alone)
+                assert verify._postulate_instance(tab, pid, sid, tab.classes()) == want, (pid, st)
+
+
 class TestRoundtrips:
     def test_dl_roundtrip(self, faithful):
         assert representation_roundtrip(DL_OP, faithful, "DL").holds
@@ -501,8 +586,14 @@ def test_id_registries_are_disjoint_and_complete():
         + [f"P16.{s}" for s in ("i", "ii", "iii", "iv")]
         + ["C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR", "C-DOC", "C-COM"]
     )
-    for _, cids in _THEOREM_CONDITIONS.values():
-        assert all(cid in CONDITIONS for cid in cids)
+    assert THEOREM_IDS == (
+        "P9", "P10", "P11", "P12", "P13a", "P13b", "P14a", "P14b", "P15a", "P15b", "P16",
+        "P-CLCD", "P-CM1", "P-CM2", "P-FCFR", "P-SCSR", "P-DOC", "P-COM",
+    )
+    for parts in _THEOREM_CONDITIONS.values():
+        for pid, cids in parts:
+            assert pid is None or pid in POSTULATE_IDS
+            assert all(cid in CONDITIONS for cid in cids)
 
 
 # ---------------------------------------------------------------------------
