@@ -199,7 +199,7 @@ def cmd_check(args) -> int:
         raise RevlabError("check needs --sig")
     sig = Signature.of(args.sig)
     op = _load_operator(args, sig)
-    uni, states, instance_list = _universe(args, sig, op)
+    uni, _, instance_list = _universe(args, sig, op)
     ids = _expand_ids(args.ids, op)
     rows = []
     any_fail = False
@@ -209,7 +209,6 @@ def cmd_check(args) -> int:
                 op,
                 uni,
                 check_id,
-                states=states,
                 instance_list=instance_list,
                 consistent_only=args.consistent_only,
                 max_counterexamples=args.max_counterexamples,
@@ -219,7 +218,6 @@ def cmd_check(args) -> int:
                 op,
                 uni,
                 check_id,
-                states=states,
                 instance_list=instance_list,
                 consistent_only=args.consistent_only,
                 max_counterexamples=args.max_counterexamples,

@@ -306,6 +306,9 @@ def dump_operator(op: RevisionOperator | ExtensionalOperator) -> str:
 def _dump_extensional(op: ExtensionalOperator) -> str:
     sig = op.sig
     index = {st: i for i, st in enumerate(op.states)}
+    entries = sorted(op.mapping.items(), key=lambda kv: (index[kv[0][0]], kv[0][1]))
+    for _, post in entries:  # a posterior outside the table's states is numbered after them
+        index.setdefault(post, len(index))
 
     def state_line(st: EpistemicState) -> str:
         return (
@@ -314,11 +317,8 @@ def _dump_extensional(op: ExtensionalOperator) -> str:
         )
 
     lines = ["family: extensional", f"sig: {' '.join(sig.atoms)}"]
-    lines += [f"state {i}: {state_line(st)}" for i, st in enumerate(op.states)]
-    for (st, alpha), post in sorted(
-        op.mapping.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-    ):
-        lines.append(f"entry: {index[st]} {alpha} {index[post]}")
+    lines += [f"state {i}: {state_line(st)}" for st, i in index.items()]
+    lines += [f"entry: {index[st]} {alpha} {index[post]}" for (st, alpha), post in entries]
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,11 @@ Three layers:
   world-pair and class loops are the test oracle, in
   tests/condition_oracle.py;
 * verify_equivalence / representation_roundtrip — bidirectional checks of
-  the characterisation theorems per state, postulate side as a bitset, and
-  the construct/reconstruct round trips behind the representation results.
+  the characterisation theorems and the construct/reconstruct round trips
+  behind the representation results.  The theorems and the DP round trip
+  share one mismatch loop, whose postulate side is a per-state bitset of
+  failing inputs (P13a ORs FC and SC, P13b FR and SR); the other round
+  trips and mutation_detection share one reconstruction check.
 
 Reading notes (also emitted in report headers):
 
@@ -79,7 +82,8 @@ MAX_COUNTEREXAMPLES = 5
 
 
 # ---------------------------------------------------------------------------
-# Postulates.  Each checker yields Counterexample tuples for one state.
+# Postulates.  Each checker yields (α, β, clause, observed, required) rows
+# for one state, which `check_postulate` turns into Counterexamples.
 #
 # Postulates of one shape share a branch of `_iter_postulate` and differ by
 # a row of its tables.  A class set is a bitset over classes, read from the
@@ -118,35 +122,34 @@ def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> tuple[s
 
 
 def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
-    st = tab.states[sid]
     t = tab.bel(sid)
-    bel = st.bel
+    bel = tab.states[sid].bel
     full = tab.sig.all_worlds
 
     if pid in ("DL1", "CL1", "IL1"):
         for a in alphas:
             if not (t[a] == bel or t[a] & ~a == 0):
-                yield Counterexample(st, a, None, f"{pid}: no success and belief change", t[a], bel)
+                yield a, None, f"{pid}: no success and belief change", t[a], bel
     elif pid in ("DL2", "IL2"):
         word, cls = _reasonable_or_immanent(tab, pid, sid)
         for a in alphas:
             if not (t[a] == bel or (cls >> t[a]) & 1):
-                yield Counterexample(st, a, None, f"{pid}: changed to a non-{word} set", t[a], f"{word} or prior")
+                yield a, None, f"{pid}: changed to a non-{word} set", t[a], f"{word} or prior"
     elif pid in ("DL4", "IL4"):
         word, cls = _reasonable_or_immanent(tab, pid, sid)
         for a in alphas:
             witness = next((b for b in classify.iter_subsets(a) if (cls >> b) & 1), None)
             if witness is not None and not (cls >> t[a]) & 1:
-                yield Counterexample(st, a, witness, f"{pid}: result not {word}", t[a], word)
+                yield a, witness, f"{pid}: result not {word}", t[a], word
     elif pid == "DL3":
         rs = tab.reasonable(sid)
         for a in alphas:
             if bel & a and (rs >> a) & 1 and t[a] != bel & a:
-                yield Counterexample(st, a, None, "DL3: vacuity for reasonable input", t[a], bel & a)
+                yield a, None, "DL3: vacuity for reasonable input", t[a], bel & a
     elif pid in ("DL5", "IL5"):
         for a in alphas:
             if bel and not t[a]:
-                yield Counterexample(st, a, None, f"{pid}: inconsistent result from consistent beliefs", 0, "nonempty")
+                yield a, None, f"{pid}: inconsistent result from consistent beliefs", 0, "nonempty"
     elif pid in ("DL6", "CL4", "IL6"):
         # Classes are canonical model sets, so syntax independence holds by
         # representation; counted for the record.
@@ -156,25 +159,25 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             for b in alphas:
                 u = t[a | b]
                 if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
-                    yield Counterexample(st, a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b]))
+                    yield a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b])
     elif pid == "CL2":
         for a in alphas:
             if bel & a and t[a] != bel & a:
-                yield Counterexample(st, a, None, "CL2: vacuity", t[a], bel & a)
+                yield a, None, "CL2: vacuity", t[a], bel & a
     elif pid == "CL3":
         for a in alphas:
             if not t[a]:
-                yield Counterexample(st, a, None, "CL3: inconsistent result", 0, "nonempty")
+                yield a, None, "CL3: inconsistent result", 0, "nonempty"
     elif pid == "CL5":
         for a in alphas:
             for b in alphas:
                 if t[a] & ~a == 0 and a & ~b == 0 and t[b] & ~b:
-                    yield Counterexample(st, a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}")
+                    yield a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}"
     elif pid == "IL3":
         imm = tab.immanent()
         for a in alphas:
             if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
-                yield Counterexample(st, a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a)
+                yield a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a
     elif pid in _TWO_STEP:
         inside, checked, kept = _TWO_STEP[pid]
         checked, kept = checked(tab, sid), kept(tab, sid)
@@ -183,19 +186,19 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
                 tp = tab.bel(tab.post(sid, a))
                 for b in tab.subsets(a if inside else full & ~a):
                     if (kept >> b) & 1 and tp[b] != t[b]:
-                        yield Counterexample(st, a, b, f"{pid}: two-step belief mismatch", tp[b], t[b])
+                        yield a, b, f"{pid}: two-step belief mismatch", tp[b], t[b]
     elif pid == "DP3":
         for a in alphas:
             tp = tab.bel(tab.post(sid, a))
             for b in tab.classes():
                 if t[b] & ~a == 0 and tp[b] & ~a:
-                    yield Counterexample(st, a, b, "DP3: posterior lost the input", tp[b], f"subset of {a}")
+                    yield a, b, "DP3: posterior lost the input", tp[b], f"subset of {a}"
     elif pid == "DP4":
         for a in alphas:
             tp = tab.bel(tab.post(sid, a))
             for b in tab.classes():
                 if t[b] & a and not tp[b] & a:
-                    yield Counterexample(st, a, b, "DP4: posterior denies the input", tp[b], f"meets {a}")
+                    yield a, b, "DP4: posterior denies the input", tp[b], f"meets {a}"
     elif pid == "CLP":
         sc = tab.scope_classes(sid)
         for a in alphas:
@@ -204,7 +207,7 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             tp = tab.bel(tab.post(sid, a))
             for b in tab.classes():
                 if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
-                    yield Counterexample(st, a, b, "CLP: input not retained", tp[b], f"subset of {a}")
+                    yield a, b, "CLP: input not retained", tp[b], f"subset of {a}"
     elif pid in _SCOPE_MOVES:
         inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
         sc = tab.scope_classes(sid)
@@ -214,7 +217,7 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             gone = moved(sc, tab.scope_classes(tab.post(sid, a)))
             for b in tab.subsets(a if inside else full & ~a):
                 if (gone >> b) & 1:
-                    yield Counterexample(st, a, b, f"{pid}: {clause}", observed, required)
+                    yield a, b, f"{pid}: {clause}", observed, required
     elif pid in ("FC", "FR", "SC", "SR"):
         sc = tab.scope_classes(sid)
         want_success = pid in ("SC", "SR")
@@ -229,27 +232,23 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             bad = shrank if pid in ("FC", "SC") else grew
             if bad:
                 which = "shrank" if pid in ("FC", "SC") else "grew"
-                yield Counterexample(
-                    st, a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
-                )
+                yield a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
     elif pid == "COM":
         sc = tab.scope_classes(sid)
         for a in alphas:
             if not (sc >> a) & 1:
                 scp = tab.scope_classes(tab.post(sid, a))
                 if not (scp >> a) & 1:
-                    yield Counterexample(st, a, None, "COM: refused input still refused", "out", "in scope")
+                    yield a, None, "COM: refused input still refused", "out", "in scope"
     else:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
 
 
-def _suite_work(tab: TransitionTable, universe: StateUniverse, states, instance_list):
-    """(state, id, inputs) per checked state, all interned before any posterior is asked for."""
+def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
+    """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior."""
     if instance_list is not None:
         return [(st, tab.id_of(st), [a]) for st, a in instance_list]
-    if states is None:
-        states = universe.iter_states()
-    return [(st, tab.id_of(st), tab.classes()) for st in states]
+    return [(st, tab.id_of(st), tab.classes()) for st in universe.iter_states()]
 
 
 def check_postulate(
@@ -257,7 +256,6 @@ def check_postulate(
     universe: StateUniverse,
     pid: str,
     *,
-    states=None,
     instance_list=None,
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
@@ -272,12 +270,12 @@ def check_postulate(
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
     ces: list[Counterexample] = []
     instances = 0
-    for _, sid, alphas in _suite_work(tab, universe, states, instance_list):
+    for st, sid, alphas in _suite_work(tab, universe, instance_list):
         # The postulates over two free inputs count every (α, β) pair.
         instances += len(alphas) ** 2 if pid in ("DL7", "CL6", "CL5", "IL7") else len(alphas)
-        for ce in _iter_postulate(tab, pid, sid, alphas):
+        for row in _iter_postulate(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
-                ces.append(ce)
+                ces.append(Counterexample(st, *row))
             else:
                 return Verdict(pid, False, instances, ces, note="counterexample cap hit")
     return Verdict(pid, not ces, instances, ces)
@@ -514,28 +512,29 @@ def check_condition(
 # ---------------------------------------------------------------------------
 # Equivalence suites: postulate side vs condition side, per (state, alpha)
 #
-# theorem: (postulate id, condition ids) per part; a theorem of two parts
-# compares the pair of truths.  P13a and P13b compare the prior's and the
-# posterior's scope classes in place of a postulate: none leaves, resp. enters.
+# theorem: (postulate ids, condition ids) per part; a part's postulate side
+# fails where any of its postulates fails, and a theorem of two parts compares
+# the pairs of truths.  P13a's "no scope class leaves" is FC or SC failing
+# (over failed and successful inputs), P13b's "none enters" FR or SR.
 _THEOREM_CONDITIONS = {
-    "P9": (("DP1", ("P9.i", "P9.ii", "P9.iii")),),
-    "P10": (("DP2", ("P10.i", "P10.ii", "P10.iii")),),
-    "P11": (("DP3", ("P11.i", "P11.ii", "P11.iii", "P11.iv")),),
-    "P12": (("DP4", ("P12.i", "P12.ii", "P12.iii", "P12.iv")),),
-    "P13a": ((None, ("SI1", "SI2")),),
-    "P13b": ((None, ("SD1", "SD2")),),
-    "P14a": (("CLDP1", ("P14.a",)),),
-    "P14b": (("CLDP2", ("P14.b",)),),
-    "P15a": (("DLDP1", ("P15.a",)),),
-    "P15b": (("DLDP2", ("P15.b",)),),
-    "P16": (("CLP", ("P16.i", "P16.ii", "P16.iii", "P16.iv")),),
-    "P-CLCD": (("CLCD", ("C-CLCD",)),),
-    "P-CM1": (("CM1", ("C-CM1",)),),
-    "P-CM2": (("CM2", ("C-CM2",)),),
-    "P-FCFR": (("FC", ("C-FC",)), ("FR", ("C-FR",))),
-    "P-SCSR": (("SC", ("C-SC",)), ("SR", ("C-SR",))),
-    "P-DOC": (("DOC", ("C-DOC",)),),
-    "P-COM": (("COM", ("C-COM",)),),
+    "P9": ((("DP1",), ("P9.i", "P9.ii", "P9.iii")),),
+    "P10": ((("DP2",), ("P10.i", "P10.ii", "P10.iii")),),
+    "P11": ((("DP3",), ("P11.i", "P11.ii", "P11.iii", "P11.iv")),),
+    "P12": ((("DP4",), ("P12.i", "P12.ii", "P12.iii", "P12.iv")),),
+    "P13a": ((("FC", "SC"), ("SI1", "SI2")),),
+    "P13b": ((("FR", "SR"), ("SD1", "SD2")),),
+    "P14a": ((("CLDP1",), ("P14.a",)),),
+    "P14b": ((("CLDP2",), ("P14.b",)),),
+    "P15a": ((("DLDP1",), ("P15.a",)),),
+    "P15b": ((("DLDP2",), ("P15.b",)),),
+    "P16": ((("CLP",), ("P16.i", "P16.ii", "P16.iii", "P16.iv")),),
+    "P-CLCD": ((("CLCD",), ("C-CLCD",)),),
+    "P-CM1": ((("CM1",), ("C-CM1",)),),
+    "P-CM2": ((("CM2",), ("C-CM2",)),),
+    "P-FCFR": ((("FC",), ("C-FC",)), (("FR",), ("C-FR",))),
+    "P-SCSR": ((("SC",), ("C-SC",)), (("SR",), ("C-SR",))),
+    "P-DOC": ((("DOC",), ("C-DOC",)),),
+    "P-COM": ((("COM",), ("C-COM",)),),
 }
 
 THEOREM_IDS = tuple(_THEOREM_CONDITIONS)
@@ -544,7 +543,38 @@ THEOREM_IDS = tuple(_THEOREM_CONDITIONS)
 def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int:
     """Bitset of the inputs among `alphas` at which the postulate fails at state `sid`,
     inner variables quantified: one pass over the state's inputs."""
-    return sum(1 << a for a in {ce.alpha for ce in _iter_postulate(tab, pid, sid, alphas)})
+    return sum(1 << a for a in {row[0] for row in _iter_postulate(tab, pid, sid, alphas)})
+
+
+def _mismatches(tab: TransitionTable, parts, work):
+    """(instances so far, state, α, postulate truths, condition truths) at each
+    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
+    the postulate side is read once per state (or sampled instance) as a bitset."""
+    groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
+    full = tab.sig.all_worlds
+    co = tab.consistent_only
+    seen = None
+    for instances, (st, sid, ins, a) in enumerate(work, 1):
+        if ins is not seen:  # a new state, or a new sampled instance
+            seen, fails = ins, []
+            for pids, _ in parts:
+                bad = 0
+                for pid in pids:
+                    bad |= _postulate_instance(tab, pid, sid, ins)
+                fails.append(bad)
+        post = tab.states[tab.post(sid, a)]
+        lhs = [not (bad >> a) & 1 for bad in fails]
+        na = full & ~a
+        rhs = []  # all() written out: a generator per instance is a tenth of the suite's time
+        for conds in groups:
+            for cond in conds:
+                if not cond(st, post, a, na, tab, co):
+                    rhs.append(False)
+                    break
+            else:
+                rhs.append(True)
+        if lhs != rhs:
+            yield instances, st, a, lhs, rhs
 
 
 def verify_equivalence(
@@ -552,7 +582,6 @@ def verify_equivalence(
     universe: StateUniverse,
     theorem: str,
     *,
-    states=None,
     instance_list=None,
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
@@ -561,39 +590,16 @@ def verify_equivalence(
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
-    pids = [pid for pid, _ in parts if pid]
-    groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
-    full = universe.sig.all_worlds
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
-    work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, states, instance_list) for a in ins]
+    work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
     ces: list[Counterexample] = []
-    seen = None
-    for instances, (st, sid, ins, a) in enumerate(work, 1):
-        if ins is not seen:  # a new state, or a new sampled instance
-            seen, fails = ins, [_postulate_instance(tab, pid, sid, ins) for pid in pids]
-        post_id = tab.post(sid, a)
-        post = tab.states[post_id]
-        if pids:
-            lhs = [not (bad >> a) & 1 for bad in fails]
-        else:  # the contradiction's class is left out under consistent_only
-            sc, scp = tab.scope_classes(sid), tab.scope_classes(post_id)
-            lhs = [(scp & ~sc if theorem == "P13b" else sc & ~scp) & (-2 if consistent_only else -1) == 0]
-        na = full & ~a
-        rhs = []  # all() written out: a generator per instance is a tenth of the suite's time
-        for conds in groups:
-            for cond in conds:
-                if not cond(st, post, a, na, tab, consistent_only):
-                    rhs.append(False)
-                    break
-            else:
-                rhs.append(True)
-        if lhs != rhs:
-            if len(ces) < max_counterexamples:
-                lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
-                side = "postulate holds, condition fails" if lhs else "condition holds, postulate fails"
-                ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
-            else:
-                return Verdict(theorem, False, instances, ces, note="counterexample cap hit")
+    for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):
+        if len(ces) >= max_counterexamples:
+            return Verdict(theorem, False, instances, ces, note="counterexample cap hit")
+        # Lists of truths compare at their first differing part, which names the side.
+        side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
+        lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
+        ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
     return Verdict(theorem, not ces, len(work), ces)
 
 
@@ -601,12 +607,36 @@ def verify_equivalence(
 # Representation round trips
 
 
+def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, alphas):
+    """The forward check at one state: the scope rebuilt from `op`'s revision results (None
+    without a weak order) and the rebuilt assignment's failures: unfaithful, not CLF-valid (CL),
+    scope short of all worlds (AGM), or the first input of `alphas` revised unlike `op`."""
+    try:
+        order, scope = canonical_assignment(op, st, sig, family="cl" if family == "CL" else "dl")
+    except NonWeakOrderError as err:
+        return None, [Counterexample(st, None, None, f"canonical reconstruction failed: {err}", "error", "weak order")]
+    recon = EpistemicState(st.bel, scope, order)
+    ces = []
+    if not check_faithful_limited(recon):
+        ces.append(Counterexample(st, None, None, "reconstruction not faithful", recon, "faithful"))
+    if family == "CL" and not check_clf(recon):
+        ces.append(Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF"))
+    if family == "AGM" and scope != sig.all_worlds:
+        ces.append(Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds))
+    want = classify.bel_table_of(op, st, sig)
+    for a in alphas:
+        got = revise_mask(order.levels, scope, st.bel, a)
+        if got != want[a]:
+            ces.append(Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a]))
+            break
+    return scope, ces
+
+
 def representation_roundtrip(
     op,
     universe: StateUniverse,
     family: str,
     *,
-    states=None,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
 ) -> Verdict:
     """Both directions of a representation theorem on a finite universe.
@@ -619,10 +649,6 @@ def representation_roundtrip(
     """
     if family not in FAMILY_POSTULATES:
         raise ValueError(f"unknown family {family!r}; valid: {tuple(FAMILY_POSTULATES)}")
-    sig = universe.sig
-    if states is None:
-        states = list(universe.iter_states())
-    n_classes = 1 << sig.n_worlds
     ces: list[Counterexample] = []
     instances = 0
 
@@ -639,7 +665,6 @@ def representation_roundtrip(
             op,
             universe,
             pid,
-            states=states,
             consistent_only=consistent_only,
             max_counterexamples=max_counterexamples,
         )
@@ -648,47 +673,27 @@ def representation_roundtrip(
             add(ce)
 
     tab = suite_table(op, universe, consistent_only, sampled=False)
-    if family == "DP":
-        for st in states:
-            sid, alphas = tab.id_of(st), tab.classes()
-            fails = [
-                (pid, cid, _postulate_instance(tab, pid, sid, alphas))
-                for pid, cid in (("DP1", "CR8"), ("DP2", "CR9"), ("DP3", "CR10"), ("DP4", "CR11"))
-            ]
-            for a in alphas:
-                instances += 1
-                post = tab.states[tab.post(sid, a)]
-                for pid, cid, bad in fails:
-                    lhs = not (bad >> a) & 1
-                    rhs = CONDITIONS[cid](st, post, a, sig.all_worlds & ~a, tab, consistent_only)
-                    if lhs != rhs:
-                        add(Counterexample(st, a, None, f"{pid} vs {cid} mismatch", lhs, rhs))
+    work = _suite_work(tab, universe, None)
+    if family == "DP":  # DP1-DP4 against CR8-CR11, one part each
+        parts = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
+        flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]
+        instances += len(flat)
+        for _, st, a, lhs, rhs in _mismatches(tab, parts, flat):
+            for ((pid,), (cid,)), holds, met in zip(parts, lhs, rhs):
+                if holds != met:
+                    add(Counterexample(st, a, None, f"{pid} vs {cid} mismatch", holds, met))
     else:
-        canon_family = "cl" if family == "CL" else "dl"
         il_scopes = set()
-        for st in states:
+        for st, _, alphas in work:
             instances += 1
-            try:
-                order, scope = canonical_assignment(tab, st, sig, family=canon_family)
-            except NonWeakOrderError as err:
-                add(Counterexample(st, None, None, f"canonical reconstruction failed: {err}", "error", "weak order"))
-                continue
-            il_scopes.add(scope)
-            recon = EpistemicState(st.bel, scope, order)
-            if not check_faithful_limited(recon):
-                add(Counterexample(st, None, None, "reconstruction not faithful", recon, "faithful"))
-            if family == "CL" and not check_clf(recon):
-                add(Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF"))
-            if family == "AGM" and scope != sig.all_worlds:
-                add(Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds))
-            want = tab.bel(tab.id_of(st))
-            for a in range(1 if consistent_only else 0, n_classes):
-                got = revise_mask(order.levels, scope, st.bel, a)
-                if got != want[a]:
-                    add(Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a]))
-                    break
+            scope, errors = _reconstruction_errors(tab, st, universe.sig, family, alphas)
+            if scope is not None:
+                il_scopes.add(scope)
+            for ce in errors:
+                add(ce)
         if family == "IL" and len(il_scopes) > 1:
-            add(Counterexample(states[0], None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope"))
+            first = work[0][0]
+            add(Counterexample(first, None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope"))
 
     return Verdict(f"roundtrip-{family}", not ces, instances, ces)
 
@@ -721,13 +726,7 @@ def mutation_detection(
                 break
         mutant.mapping[(st, a)] = EpistemicState(new_bel, orig.scope, orig.order)
         try:
-            order, scope = canonical_assignment(mutant, st, sig)
-            hit = not check_faithful_limited(EpistemicState(st.bel, scope, order)) or any(
-                revise_mask(order.levels, scope, st.bel, c) != mutant.revise_beliefs(st, c)
-                for c in range(n_classes)
-            )
-        except NonWeakOrderError:
-            hit = True
+            hit = bool(_reconstruction_errors(mutant, st, sig, "DL", range(n_classes))[1])
         finally:
             mutant.mapping[(st, a)] = orig
         if hit:

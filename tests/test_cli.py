@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,18 @@ class TestCheck:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+# The JSON report of a sampled 3-atom check of two theorems and a postulate,
+# pinned from the command that passed the sampled states to the suites.
+SAMPLED_CHECK_JSON_DIGEST = "4d4447736f5d9b6c"
+
+
+def test_sampled_check_json_pinned(capsys):
+    main(["check", "--sig", "a b c", "--samples", "60", "--format", "json", "P13a", "P-FCFR", "DL7"])
+    out = capsys.readouterr().out
+    assert [row["id"] for row in json.loads(out)["checks"]] == ["P13a", "P-FCFR", "DL7"]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SAMPLED_CHECK_JSON_DIGEST
 
 
 @pytest.fixture(scope="module")

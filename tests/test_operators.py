@@ -255,6 +255,15 @@ class TestOperatorFiles:
         assert parsed.states == table.states
         assert parsed.mapping == table.mapping
 
+    def test_posteriors_outside_the_table_states_round_trip(self):
+        # The agm posterior of the contradiction believes nothing, so it is no FA state.
+        table = tabulate(RevisionOperator("agm"), enumerate_states(AB, "fa"))
+        parsed = parse_operator(dump_operator(table))
+        assert parsed.states[: len(table.states)] == table.states
+        extra = set(table.mapping.values()) - set(table.states)
+        assert extra and set(parsed.states[len(table.states):]) == extra
+        assert parsed.mapping == table.mapping
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -412,7 +412,9 @@ def test_sampled_postulate_verdicts_pinned(faithful):
 # 417-state universe under three policies and a corrupted lookup table,
 # which makes the green theorems fail in both directions.  The sampled
 # digest covers every theorem on seeded 3-atom (state, input) pairs.  Pinned
-# from the suite that evaluated both sides once per (state, input).
+# from the suite that evaluated both sides once per (state, input); P-FCFR and
+# P-SCSR re-pinned when a two-part mismatch took its label from its first
+# differing part, which moved only their clause strings.
 THEOREM_DIGESTS = {
     "P9": "2913a38854e43025",
     "P10": "c730c4c7f159aa9d",
@@ -428,8 +430,8 @@ THEOREM_DIGESTS = {
     "P-CLCD": "785108bba048ad1a",
     "P-CM1": "e92691d8cd30bfb9",
     "P-CM2": "a54d30a25d283493",
-    "P-FCFR": "2555d7c04108e5d3",
-    "P-SCSR": "7da8595e607d3fc9",
+    "P-FCFR": "c2ced2773433c336",
+    "P-SCSR": "fe5f54c493fafea7",
     "P-DOC": "39fecf8cedab49a2",
     "P-COM": "3efc801f6c3ff303",
 }
@@ -474,8 +476,23 @@ def test_sampled_theorem_verdicts_pinned():
     assert h.hexdigest()[:16] == SAMPLED_THEOREM_DIGEST
 
 
+def test_two_part_mismatch_is_labelled_by_its_first_differing_part(faithful_gc):
+    # Under the corrupted table every P-FCFR and P-SCSR mismatch has a
+    # postulate failing where its condition holds, in the first part that differs.
+    op = _theorem_ops(faithful_gc)[-1]
+    ces = []
+    for theorem in ("P-FCFR", "P-SCSR"):
+        for co in (False, True):
+            v = verify_equivalence(op, faithful_gc, theorem, consistent_only=co, max_counterexamples=10**7)
+            ces += v.counterexamples
+    assert len(ces) == 510
+    for ce in ces:
+        first = next(i for i, (lhs, rhs) in enumerate(zip(ce.observed, ce.required)) if lhs != rhs)
+        assert ce.observed[first] is False and ce.clause.endswith(_HOLDS), ce
+
+
 # The postulate ids the theorems read, each as a per-state bitset.
-_THEOREM_PIDS = sorted({pid for parts in _THEOREM_CONDITIONS.values() for pid, _ in parts if pid})
+_THEOREM_PIDS = sorted({pid for parts in _THEOREM_CONDITIONS.values() for pids, _ in parts for pid in pids})
 
 
 @pytest.mark.parametrize("co", [False, True])
@@ -490,6 +507,29 @@ def test_postulate_bitset_matches_one_input_runs(faithful, co):
                 alone = [a for a in tab.classes() if any(True for _ in verify._iter_postulate(tab, pid, sid, [a]))]
                 want = sum(1 << a for a in alone)
                 assert verify._postulate_instance(tab, pid, sid, tab.classes()) == want, (pid, st)
+
+
+@pytest.mark.parametrize("co", [False, True])
+def test_p13_rows_match_the_scope_class_comparison(faithful, co):
+    # P13a's postulate side is FC or SC failing and P13b's FR or SR; the
+    # oracle compares the scope classes of prior and posterior directly:
+    # none may leave (P13a), resp. enter (P13b), the contradiction aside
+    # under consistent_only.
+    kept = -2 if co else -1
+    for op, _ in _pinned_runs(faithful)[:4]:  # three policies and the corrupted table
+        tab = TransitionTable(op, AB, faithful, co)
+        for st in faithful.states:
+            sid = tab.id_of(st)
+            sc = tab.scope_classes(sid)
+            for theorem in ("P13a", "P13b"):
+                ((pids, _),) = _THEOREM_CONDITIONS[theorem]
+                got = 0
+                for pid in pids:
+                    got |= verify._postulate_instance(tab, pid, sid, tab.classes())
+                for a in tab.classes():
+                    scp = tab.scope_classes(tab.post(sid, a))
+                    moved = sc & ~scp if theorem == "P13a" else scp & ~sc
+                    assert (got >> a) & 1 == (moved & kept != 0), (theorem, st, a)
 
 
 class TestRoundtrips:
@@ -514,6 +554,58 @@ class TestRoundtrips:
     def test_unknown_family(self, faithful):
         with pytest.raises(ValueError):
             representation_roundtrip(DL_OP, faithful, "XX")
+
+
+# Uncapped round-trip verdicts, one digest over holds, instances, note and
+# every counterexample field: each family on its own operator, the dl
+# keep/keep operator under the CL, IL and AGM round trips (which it fails),
+# and corrupted lookup tables under DL and DP.  Mutation verdicts for seeds
+# 0-3 on both 2-atom faithful universes.  Pinned from the suite that checked
+# reconstructions in the round trip and in mutation detection separately.
+ROUNDTRIP_DIGEST = "8b0783f65a800092"
+MUTATION_DIGEST = "0f717cfb2eba23ec"
+
+
+def _roundtrip_runs(faithful):
+    scope = mask(1, 2)
+    il_uni = enumerate_states(AB, "il", global_consistency=True, il_scope=scope)
+    clf = enumerate_states(AB, "clf", global_consistency=True)
+    fa = enumerate_states(AB, "fa")
+    agm = RevisionOperator("agm")
+    return [
+        (DL_OP, faithful, "DL"),
+        (RevisionOperator("cl"), clf, "CL"),
+        (RevisionOperator("il", il_scope=scope), il_uni, "IL"),
+        (agm, fa, "AGM"),
+        (agm, fa, "DP"),
+        (DL_OP, faithful, "CL"),
+        (DL_OP, faithful, "IL"),
+        (DL_OP, faithful, "AGM"),
+        (_corrupted_table(DL_OP, faithful, 40, 3), faithful, "DL"),
+        (_corrupted_table(DL_OP, faithful, 40, 3), faithful, "DP"),
+        (_corrupted_table(agm, fa, 20, 5), fa, "DP"),
+    ]
+
+
+def test_roundtrip_verdicts_pinned(faithful):
+    h = hashlib.sha256()
+    clauses = set()
+    for op, universe, family in _roundtrip_runs(faithful):
+        v = representation_roundtrip(op, universe, family, max_counterexamples=10**7)
+        h.update(_verdict_bytes(v))
+        clauses.update(ce.clause.split(":")[0] for ce in v.counterexamples)
+    assert {"CL2", "IL2", "reconstruction not CLF-valid", "AGM scope not total"} <= clauses
+    assert {f"DP{i} vs CR{i + 7} mismatch" for i in range(1, 5)} <= clauses
+    assert h.hexdigest()[:16] == ROUNDTRIP_DIGEST
+
+
+def test_mutation_verdicts_pinned(faithful, faithful_gc):
+    h = hashlib.sha256()
+    for universe in (faithful, faithful_gc):
+        for seed in range(4):
+            v = mutation_detection(DL_OP, universe, seed=seed)
+            h.update(_verdict_bytes(v) + repr(v.seed).encode())
+    assert h.hexdigest()[:16] == MUTATION_DIGEST
 
 
 class TestMutation:
@@ -544,13 +636,13 @@ class TestMutation:
             tables.append((base, dict(base.mapping)))
             return base
 
-        def checking_assignment(op, st, sig):
+        def checking_assignment(op, st, sig, family="dl"):
             base, snapshot = tables[0]
             assert op is base
             changed = [k for k, v in base.mapping.items() if snapshot[k] is not v]
             assert len(changed) == 1 and changed[0][0] == st
             calls.append(changed[0])
-            return canonical_assignment(op, st, sig)
+            return canonical_assignment(op, st, sig, family)
 
         calls = []
         monkeypatch.setattr(operators, "tabulate", recording_tabulate)
@@ -560,7 +652,7 @@ class TestMutation:
         assert len(calls) == 30 and base.mapping == snapshot
         assert all(base.mapping[k] is v for k, v in snapshot.items())
 
-        def failing_assignment(op, st, sig):
+        def failing_assignment(op, st, sig, family="dl"):
             raise RuntimeError("trial failed")
 
         tables.clear()
@@ -591,8 +683,8 @@ def test_id_registries_are_disjoint_and_complete():
         "P-CLCD", "P-CM1", "P-CM2", "P-FCFR", "P-SCSR", "P-DOC", "P-COM",
     )
     for parts in _THEOREM_CONDITIONS.values():
-        for pid, cids in parts:
-            assert pid is None or pid in POSTULATE_IDS
+        for pids, cids in parts:
+            assert pids and all(pid in POSTULATE_IDS for pid in pids)
             assert all(cid in CONDITIONS for cid in cids)
 
 
