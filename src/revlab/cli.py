@@ -33,13 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="revlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, operator=True, state=False, universe=False):
+    def common(p, operator=True, state=False, universe=False, sig=False):
         if state:
             p.add_argument("--state", required=True, help="state file (sig/bel/scope/order lines)")
         if operator:
             p.add_argument("--operator", help="operator spec file")
-        if universe:
+        if sig:
             p.add_argument("--sig", help="signature atoms, e.g. 'a b'")
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="instances sampled at 3 atoms")
+        if universe:
             p.add_argument(
                 "--universe",
                 default="faithful",
@@ -52,27 +54,26 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="exclude states with inconsistent beliefs",
             )
-            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="instances sampled at 3 atoms")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", default="text", choices=("text", "json"))
-        p.add_argument(
-            "--consistent-only",
-            action="store_true",
-            help="exclude the contradiction from formula quantifiers",
-        )
-        p.add_argument(
-            "--max-counterexamples",
-            type=int,
-            default=5,
-            help="counterexamples reported per failing check",
-        )
 
     p = sub.add_parser("revise", help="run a revision sequence, printing each posterior state")
     common(p, state=True)
     p.add_argument("formulas", nargs="*", help="input formulas, applied in order")
 
     p = sub.add_parser("check", help="check postulates / characterisation theorems")
-    common(p, universe=True)
+    common(p, universe=True, sig=True)
+    p.add_argument(
+        "--consistent-only",
+        action="store_true",
+        help="exclude the contradiction from formula quantifiers",
+    )
+    p.add_argument(
+        "--max-counterexamples",
+        type=int,
+        default=5,
+        help="counterexamples reported per failing check",
+    )
     p.add_argument("ids", nargs="+", help="postulate or theorem ids, or 'all'")
 
     p = sub.add_parser("classify", help="per-class scope/latency/reasonableness report")
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=("text", "json"))
 
     p = sub.add_parser("enumerate", help="enumerate a state universe")
-    common(p, operator=False, universe=True)
+    common(p, operator=False, universe=True, sig=True)
     p.add_argument("--count-only", action="store_true")
     return top
 
@@ -105,7 +106,8 @@ def _universe(args, sig: Signature, op):
     else:
         rng = random.Random(args.seed)
         states = sample_states(sig, kind, args.samples, rng, args.global_consistency, il_scope)
-        lo = 1 if args.consistent_only else 0
+        # The inputs are drawn for `enumerate` too, which has no --consistent-only.
+        lo = 1 if getattr(args, "consistent_only", False) else 0
         instance_list = [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
     if args.unbiased and instance_list is None and not uni.is_unbiased():
         raise RevlabError("universe is not unbiased")

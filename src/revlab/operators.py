@@ -1,24 +1,24 @@
 """Revision operator families, update policies, and assignment reconstruction.
 
 The semantic core is minimisation over a limited total preorder with a
-keep-beliefs fallback when the input misses the order's domain:
+fallback belief set when the input misses the order's domain:
 
-* dl   — arbitrary faithful limited assignment (per-state scope),
+* dl   — arbitrary faithful limited assignment (per-state scope), keeping
+         the prior beliefs as the fallback, as cl and il do,
 * cl   — CLF-valid states (beliefs inside the scope, equal to its minimum),
 * il   — one fixed scope shared by all states,
-* agm  — scope is all of Ω, states FA-valid, and minimisation is plain
-         (no fallback: only the contradiction misses a total domain, and
-         revising by it empties the belief set).
+* agm  — scope is all of Ω, states FA-valid, and the fallback is the
+         empty belief set: only the contradiction misses a total domain,
+         and revising by it empties the beliefs, as plain minimisation does.
 
 States carry their own assignment, so iterated revision needs a rule for
 the posterior (order, scope).  That rule is the UpdatePolicy, an explicit
 (order_rule x scope_rule) parameter; the verifier tests which policies
 satisfy which iteration postulates rather than baking one answer in.
 
-`agm_revise_beliefs` is plain minimisation and therefore maps the
-contradiction to the inconsistent belief set, while the shared core keeps
-the prior beliefs there (its scope never meets an inconsistent input).
-The two coincide on every consistent input.
+So agm revision, like `agm_revise_beliefs`, maps the contradiction to the
+inconsistent belief set, while `dl_revise_beliefs` keeps the prior beliefs
+there.  The two coincide on every consistent input.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ def cl_revise_beliefs(st: EpistemicState, alpha: int) -> int:
 def agm_revise_beliefs(st: EpistemicState, alpha: int, sig: Signature) -> int:
     """Plain minimisation over a total faithful order; alpha = ⊥ yields ⊥.
 
-    This is the one place the belief equation differs from the shared
-    (fallback) core: revising by the contradiction empties the belief set
-    here, while the core keeps the prior beliefs.  They agree on every
-    consistent input.
+    It differs from `dl_revise_beliefs` only at the contradiction, where dl
+    keeps the prior beliefs; they agree on every consistent input.
     """
     if not check_fa(st, sig):
         raise PreconditionError("agm revision needs an FA-valid state (scope = Ω)")
@@ -118,6 +116,16 @@ def il_revise_beliefs(op: "RevisionOperator", st: EpistemicState, alpha: int) ->
 
 @dataclass(frozen=True)
 class RevisionOperator:
+    """A revision operator of one family under one update policy.
+
+    Every family runs the one revision core of `kernels`: minimise the input
+    over the state's limited order, and fall back when the input misses the
+    scope.  dl, cl and il fall back to the prior beliefs; agm, whose scope is
+    all of Ω, falls back to no beliefs, so revising by ⊥ empties them.  An il
+    operator accepts only states whose scope is its fixed scope, and agm and
+    il posteriors keep the prior scope whatever the policy's scope rule.
+    """
+
     family: str
     policy: UpdatePolicy = field(default_factory=UpdatePolicy)
     il_scope: int | None = None
@@ -133,48 +141,26 @@ class RevisionOperator:
         extra = f" scope={self.il_scope}" if self.family == "il" else ""
         return f"{self.family}({self.policy}){extra}"
 
-    def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
+    def _kernel_args(self, st: EpistemicState) -> tuple[tuple[int, ...], int, int]:
+        """The kernels' (levels, scope, fallback beliefs) for `st`; agm falls back to none."""
         if self.family == "il" and st.scope != self.il_scope:
             raise ScopeMismatchError(
                 f"state scope {st.scope} differs from operator scope {self.il_scope}"
             )
-        if self.family == "agm":
-            # plain minimisation: no keep-beliefs fallback, ⊥ empties
-            return kernels.min_mask(st.order.levels, alpha)
-        return kernels.revise_mask(st.order.levels, st.scope, st.bel, alpha)
+        return st.order.levels, st.scope, 0 if self.family == "agm" else st.bel
+
+    def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
+        return kernels.revise_mask(*self._kernel_args(st), alpha)
 
     def bel_table(self, st: EpistemicState, n_classes: int) -> tuple[int, ...]:
         """Posterior beliefs for every class at once (kernel fast path)."""
-        if self.family == "il" and st.scope != self.il_scope:
-            raise ScopeMismatchError(
-                f"state scope {st.scope} differs from operator scope {self.il_scope}"
-            )
-        table = kernels.bel_table(st.order.levels, st.scope, st.bel, n_classes)
-        if self.family != "agm":
-            return table
-        fixed = list(table)
-        for alpha in range(n_classes):
-            if not alpha & st.scope:
-                fixed[alpha] = kernels.min_mask(st.order.levels, alpha)
-        return tuple(fixed)
+        return kernels.bel_table(*self._kernel_args(st), n_classes)
 
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state; families with a fixed scope keep it."""
-        scope_rule = self.policy.scope_rule
-        if self.family in ("agm", "il"):
-            scope_rule = "keep"
-        if self.family == "il" and st.scope != self.il_scope:
-            raise ScopeMismatchError(
-                f"state scope {st.scope} differs from operator scope {self.il_scope}"
-            )
-        if self.family == "agm" and not alpha & st.scope:
-            # revision by an input missing the order entirely (⊥ on valid
-            # states): beliefs empty, structure untouched
-            return EpistemicState(0, st.scope, st.order)
+        scope_rule = "keep" if self.family in ("agm", "il") else self.policy.scope_rule
         bel2, scope2, levels2 = kernels.posterior(
-            st.order.levels,
-            st.scope,
-            st.bel,
+            *self._kernel_args(st),
             alpha,
             ORDER_RULES[self.policy.order_rule],
             SCOPE_RULES[scope_rule],
@@ -417,5 +403,6 @@ def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:
         if not 0 <= alpha < n_classes:
             raise ParseError(f"line {lineno}: entry class {alpha} outside [0, {n_classes})")
         mapping[(states[sid], alpha)] = states[pid]
-    ordered = tuple(states[i] for i in sorted(states))
-    return ExtensionalOperator(sig, ordered, mapping)
+    # The table's states are the ids with entries; other states are posteriors only.
+    rows = tuple(states[i] for i in sorted({sid for sid, _ in entries}))
+    return ExtensionalOperator(sig, rows, mapping)

@@ -35,6 +35,7 @@ Reading notes (also emitted in report headers):
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 
 from . import classify
@@ -661,13 +662,8 @@ def representation_roundtrip(
     # agree; the contradiction input separates them by construction.
     consistent_only = family in ("DP", "AGM")
     for pid in FAMILY_POSTULATES[family]:
-        v = check_postulate(
-            op,
-            universe,
-            pid,
-            consistent_only=consistent_only,
-            max_counterexamples=max_counterexamples,
-        )
+        # Uncapped, so the instance count is whole; `add` keeps the first few.
+        v = check_postulate(op, universe, pid, consistent_only=consistent_only, max_counterexamples=sys.maxsize)
         instances += v.instances
         for ce in v.counterexamples:
             add(ce)
@@ -705,30 +701,34 @@ def mutation_detection(
     trials: int = 200,
     seed: int = 0,
 ) -> Verdict:
-    """Rate at which single-entry table corruptions are caught by the round trip."""
-    sig = universe.sig
-    from .operators import tabulate
+    """Rate at which single-entry belief-table corruptions are caught by the round trip.
 
+    Each trial draws a state and an input, overwrites that entry of the
+    state's stored belief row with another belief set, and runs the forward
+    reconstruction check on the state.  The table is the mutation's own, so
+    no suite reads a corrupted row, and each trial puts its row back.
+    """
+    sig = universe.sig
     rng = random.Random(seed)
-    # One table serves every trial: each overwrites one entry and puts it back.
-    mutant = tabulate(op, universe)
-    states = mutant.states
+    tab = TransitionTable(op, sig)
+    states = tuple(universe.iter_states())
     n_classes = 1 << sig.n_worlds
     detected = 0
     misses = []
     for _ in range(trials):
         st = states[rng.randrange(len(states))]
         a = rng.randrange(n_classes)
-        orig = mutant.mapping[(st, a)]
+        sid = tab.id_of(st)
+        row = tab.bel(sid)
         while True:
             new_bel = rng.randrange(n_classes)
-            if new_bel != orig.bel:
+            if new_bel != row[a]:
                 break
-        mutant.mapping[(st, a)] = EpistemicState(new_bel, orig.scope, orig.order)
+        tab._tables[sid] = row[:a] + (new_bel,) + row[a + 1:]
         try:
-            hit = bool(_reconstruction_errors(mutant, st, sig, "DL", range(n_classes))[1])
+            hit = bool(_reconstruction_errors(tab, st, sig, "DL", range(n_classes))[1])
         finally:
-            mutant.mapping[(st, a)] = orig
+            tab._tables[sid] = row
         if hit:
             detected += 1
         elif len(misses) < MAX_COUNTEREXAMPLES:

@@ -220,6 +220,30 @@ class TestBadInput:
         state.write_text("sig: A B\nbel: 00\nscope: 00\norder: [00]\n")
         self._fails_cleanly(["revise", "--state", str(state)], capsys, "'A'")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["revise", "--state", "s", "--consistent-only"],
+            ["revise", "--state", "s", "--max-counterexamples", "3"],
+            ["classify", "--state", "s", "--consistent-only"],
+            ["classify", "--state", "s", "--max-counterexamples", "3"],
+            ["classify", "--state", "s", "--sig", "a b"],
+            ["classify", "--state", "s", "--samples", "9"],
+            ["enumerate", "--sig", "a b", "--consistent-only"],
+            ["enumerate", "--sig", "a b", "--max-counterexamples", "3"],
+        ],
+        ids=[
+            "revise-consistent-only", "revise-max-counterexamples",
+            "classify-consistent-only", "classify-max-counterexamples", "classify-sig", "classify-samples",
+            "enumerate-consistent-only", "enumerate-max-counterexamples",
+        ],
+    )
+    def test_options_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRepro:
     @pytest.mark.parametrize("name", ["karl", "fig1", "lemmas"])
@@ -246,6 +270,8 @@ class TestEnumerate:
             main(["enumerate", "--sig", "a b", "--global-consistency", "--count-only"]) == 0
         )
         assert "# states: 417" in capsys.readouterr().out
+        assert main(["enumerate", "--sig", "a b c", "--samples", "7", "--count-only"]) == 0
+        assert "# states: 7 (sampled)" in capsys.readouterr().out
 
     def test_dump(self, capsys):
         assert main(["enumerate", "--sig", "a", "--universe", "fa"]) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revlab import kernels
 from revlab.errors import (
     NonWeakOrderError,
     ParseError,
@@ -11,6 +12,7 @@ from revlab.errors import (
 )
 from revlab.fixtures import fig1_fixture, karl_fixture
 from revlab.operators import (
+    ORDER_RULES,
     ExtensionalOperator,
     RevisionOperator,
     UpdatePolicy,
@@ -92,6 +94,13 @@ class TestBeliefEquations:
         other = EpistemicState(st1.bel, mask(0, 1), RankedOrder((mask(0), mask(1))))
         with pytest.raises(ScopeMismatchError):
             il_revise_beliefs(op, other, 1)
+        for call in (
+            lambda: op.revise_beliefs(other, 1),
+            lambda: op.bel_table(other, 16),
+            lambda: op.apply(other, 1),
+        ):
+            with pytest.raises(ScopeMismatchError):
+                call()
 
     def test_dl_matches_agm_on_fa_states_for_consistent_inputs(self):
         for st in enumerate_states(AB, "fa").states:
@@ -165,6 +174,39 @@ class TestApply:
             table = op.bel_table(st, 16)
             assert table == tuple(op.revise_beliefs(st, alpha) for alpha in range(16))
             assert table[0] == 0
+
+
+def _plain_agm_bel_table(st):
+    """The agm belief table as the fallback core plus a fix-up: misses minimise to ⊥."""
+    table = list(kernels.bel_table(st.order.levels, st.scope, st.bel, 16))
+    for alpha in range(16):
+        if not alpha & st.scope:
+            table[alpha] = kernels.min_mask(st.order.levels, alpha)
+    return tuple(table)
+
+
+def _plain_agm_apply(op, st, alpha):
+    """The agm posterior with an input missing the scope handled apart."""
+    if not alpha & st.scope:
+        return EpistemicState(0, st.scope, st.order)
+    bel2, scope2, levels2 = kernels.posterior(
+        st.order.levels, st.scope, st.bel, alpha, ORDER_RULES[op.policy.order_rule], kernels.SCOPE_KEEP
+    )
+    return EpistemicState(bel2, scope2, RankedOrder(levels2))
+
+
+@pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
+def test_agm_matches_plain_minimisation(kind):
+    # agm is the shared core with an empty fallback; the oracle is plain
+    # minimisation with inputs that miss the scope as a separate case.
+    states = enumerate_states(AB, kind).states
+    for policy in all_policies():
+        op = RevisionOperator("agm", policy)
+        for st in states:
+            assert op.bel_table(st, 16) == _plain_agm_bel_table(st)
+            for alpha in range(16):
+                assert op.revise_beliefs(st, alpha) == kernels.min_mask(st.order.levels, alpha)
+                assert op.apply(st, alpha) == _plain_agm_apply(op, st, alpha)
 
 
 class TestCanonicalAssignment:
@@ -258,11 +300,12 @@ class TestOperatorFiles:
     def test_posteriors_outside_the_table_states_round_trip(self):
         # The agm posterior of the contradiction believes nothing, so it is no FA state.
         table = tabulate(RevisionOperator("agm"), enumerate_states(AB, "fa"))
+        assert set(table.mapping.values()) - set(table.states)
         parsed = parse_operator(dump_operator(table))
-        assert parsed.states[: len(table.states)] == table.states
-        extra = set(table.mapping.values()) - set(table.states)
-        assert extra and set(parsed.states[len(table.states):]) == extra
+        assert parsed.states == table.states
+        assert parsed.name == table.name == "extensional(75 states)"
         assert parsed.mapping == table.mapping
+        parsed.check_total()
 
     @pytest.mark.parametrize(
         "text, line",

@@ -6,7 +6,7 @@ from condition_oracle import oracle_condition
 
 from revlab.classify import syntactic_scope
 from revlab.errors import PreconditionError
-from revlab import operators, verify
+from revlab import verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
     ExtensionalOperator,
@@ -599,6 +599,18 @@ def test_roundtrip_verdicts_pinned(faithful):
     assert h.hexdigest()[:16] == ROUNDTRIP_DIGEST
 
 
+@pytest.mark.parametrize("family, instances", [("CL", 326_582), ("AGM", 467_516)])
+def test_roundtrip_instance_count_does_not_depend_on_the_cap(faithful, family, instances):
+    # The dl keep/keep operator fails both round trips; a capped run reports
+    # the whole instance count and the first counterexamples of the uncapped run.
+    full = representation_roundtrip(DL_OP, faithful, family, max_counterexamples=10**7)
+    assert (full.holds, full.instances) == (False, instances)
+    for cap in (1, 5):
+        v = representation_roundtrip(DL_OP, faithful, family, max_counterexamples=cap)
+        assert (v.holds, v.instances) == (False, instances)
+        assert v.counterexamples == full.counterexamples[:cap]
+
+
 def test_mutation_verdicts_pinned(faithful, faithful_gc):
     h = hashlib.sha256()
     for universe in (faithful, faithful_gc):
@@ -625,42 +637,40 @@ class TestMutation:
             Counterexample(miss, 10, 8, "mutation not detected", "accepted", "detected")
         ]
 
-    def test_tabulated_operator_is_restored_after_every_trial(self, faithful, monkeypatch):
-        # Each trial must see the tabulated table with exactly its own entry
-        # overwritten, and the table must be whole again when the run ends,
-        # also when a trial raises.
+    def test_belief_table_is_restored_after_every_trial(self, faithful, monkeypatch):
+        # Each trial must see the operator's belief rows with exactly its own
+        # (state, input) entry overwritten, and every row must be whole again
+        # when the run ends, also when a trial raises.
         tables = []
 
-        def recording_tabulate(op, universe):
-            base = tabulate(op, universe)
-            tables.append((base, dict(base.mapping)))
-            return base
+        def wrong_entries(tab):
+            return [
+                (st, a)
+                for sid, st in enumerate(tab.states)
+                for a, (got, want) in enumerate(zip(tab.bel(sid), DL_OP.bel_table(st, 16)))
+                if got != want
+            ]
 
-        def checking_assignment(op, st, sig, family="dl"):
-            base, snapshot = tables[0]
-            assert op is base
-            changed = [k for k, v in base.mapping.items() if snapshot[k] is not v]
+        def checking_assignment(tab, st, sig, family="dl"):
+            tables.append(tab)
+            changed = wrong_entries(tab)
             assert len(changed) == 1 and changed[0][0] == st
-            calls.append(changed[0])
-            return canonical_assignment(op, st, sig, family)
+            return canonical_assignment(tab, st, sig, family)
 
-        calls = []
-        monkeypatch.setattr(operators, "tabulate", recording_tabulate)
         monkeypatch.setattr(verify, "canonical_assignment", checking_assignment)
         mutation_detection(DL_OP, faithful, trials=30, seed=1)
-        base, snapshot = tables[0]
-        assert len(calls) == 30 and base.mapping == snapshot
-        assert all(base.mapping[k] is v for k, v in snapshot.items())
+        assert len(tables) == 30 and all(tab is tables[0] for tab in tables)
+        assert tables[0].states and wrong_entries(tables[0]) == []
 
-        def failing_assignment(op, st, sig, family="dl"):
+        def failing_assignment(tab, st, sig, family="dl"):
+            tables.append(tab)
             raise RuntimeError("trial failed")
 
         tables.clear()
         monkeypatch.setattr(verify, "canonical_assignment", failing_assignment)
         with pytest.raises(RuntimeError):
             mutation_detection(DL_OP, faithful, trials=5, seed=1)
-        base, snapshot = tables[0]
-        assert all(base.mapping[k] is v for k, v in snapshot.items())
+        assert len(tables) == 1 and wrong_entries(tables[0]) == []
 
 
 def test_id_registries_are_disjoint_and_complete():
