@@ -15,18 +15,11 @@ from .errors import (
 from .orders import (
     RankedOrder,
     enumerate_orders,
-    leq,
     min_set,
-    restrict,
-    strictly_less,
     trichotomy_check,
 )
 from .prop import (
     Signature,
-    entails,
-    enumerate_formula_classes,
-    expansion,
-    formula_of_worlds,
     models,
     parse,
     parse_models,
@@ -46,13 +39,9 @@ from .operators import (
     ExtensionalOperator,
     RevisionOperator,
     UpdatePolicy,
-    agm_revise_beliefs,
     all_policies,
     canonical_assignment,
-    cl_revise_beliefs,
-    dl_revise_beliefs,
     dump_operator,
-    il_revise_beliefs,
     parse_operator,
     tabulate,
 )

@@ -152,39 +152,6 @@ def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassificatio
     return StateClassification(sig, table, s1, s2, latent, reasonable, scope)
 
 
-def satisfies_S1(op, st: EpistemicState, alpha: int, sig: Signature) -> bool:
-    return bool((classify_state(op, st, sig).s1 >> alpha) & 1)
-
-
-def satisfies_S2(op, st: EpistemicState, alpha: int, sig: Signature) -> bool:
-    return bool((classify_state(op, st, sig).s2 >> alpha) & 1)
-
-
-def is_latent(op, st: EpistemicState, alpha: int, sig: Signature) -> bool:
-    """alpha and every consistent strengthening satisfy both S1 and S2."""
-    return bool((classify_state(op, st, sig).latent >> alpha) & 1)
-
-
-def is_reasonable(op, st: EpistemicState, alpha: int, sig: Signature) -> bool:
-    """alpha is a (nonempty) union of latent classes."""
-    return bool((classify_state(op, st, sig).reasonable >> alpha) & 1)
-
-
-def syntactic_scope(op, st: EpistemicState, sig: Signature) -> set[int]:
-    """Classes accepted by revision: revising by them makes them believed."""
-    table = bel_table_of(op, st, sig)
-    return {a for a in range(1 << sig.n_worlds) if table[a] & ~a == 0}
-
-
-def semantic_scope(st: EpistemicState, sig: Signature) -> set[int]:
-    """Believed classes plus classes meeting the state's scope set."""
-    return {
-        a
-        for a in range(1 << sig.n_worlds)
-        if st.bel & ~a == 0 or a & st.scope
-    }
-
-
 # ---------------------------------------------------------------------------
 # Operator-global notions (quantified over a universe of states)
 
@@ -211,16 +178,6 @@ def immanent_classes(op, universe: StateUniverse) -> int:
     n_classes = 1 << universe.sig.n_worlds
     cover = _subset_or([a if (inh >> a) & 1 else 0 for a in range(n_classes)])
     return sum(1 << a for a in range(1, n_classes) if cover[a] == a)
-
-
-def is_inherent(op, universe: StateUniverse, alpha: int) -> bool:
-    if alpha == 0:
-        return False
-    return all(op.revise_beliefs(st, alpha) == alpha for st in universe.iter_states())
-
-
-def is_immanent(op, universe: StateUniverse, alpha: int) -> bool:
-    return bool((immanent_classes(op, universe) >> alpha) & 1)
 
 
 # ---------------------------------------------------------------------------

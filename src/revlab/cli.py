@@ -109,7 +109,9 @@ def _universe(args, sig: Signature, op):
         # The inputs are drawn for `enumerate` too, which has no --consistent-only.
         lo = 1 if getattr(args, "consistent_only", False) else 0
         instance_list = [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
-    if args.unbiased and instance_list is None and not uni.is_unbiased():
+    if args.unbiased and instance_list is not None:
+        raise RevlabError(f"--unbiased needs an enumerated universe; at {sig.n_atoms} atoms it is sampled")
+    if args.unbiased and not uni.is_unbiased():
         raise RevlabError("universe is not unbiased")
     return uni, states, instance_list
 
@@ -248,6 +250,14 @@ def cmd_classify(args) -> int:
     universe = None
     if sig.n_atoms <= 2:
         universe, _, _ = _universe(args, sig, op)
+    else:
+        for flag, is_set in (
+            ("--universe", args.universe != "faithful"),
+            ("--global-consistency", args.global_consistency),
+            ("--unbiased", args.unbiased),
+        ):
+            if is_set:
+                raise RevlabError(f"{flag} needs a state of at most 2 atoms; no universe is built at {sig.n_atoms}")
     lines = classification_report(op, st, universe, sig)
     header = {"command": "classify", "operator": op.name, "seed": args.seed}
     rows = [{"line": line} for line in lines]

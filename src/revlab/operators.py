@@ -15,10 +15,6 @@ States carry their own assignment, so iterated revision needs a rule for
 the posterior (order, scope).  That rule is the UpdatePolicy, an explicit
 (order_rule x scope_rule) parameter; the verifier tests which policies
 satisfy which iteration postulates rather than baking one answer in.
-
-So agm revision, like `agm_revise_beliefs`, maps the contradiction to the
-inconsistent belief set, while `dl_revise_beliefs` keeps the prior beliefs
-there.  The two coincide on every consistent input.
 """
 
 from __future__ import annotations
@@ -31,13 +27,12 @@ from .errors import (
     InvariantError,
     NonWeakOrderError,
     ParseError,
-    PreconditionError,
     ScopeMismatchError,
     TableMissError,
 )
-from .orders import RankedOrder, min_set
+from .orders import RankedOrder
 from .prop import Signature, iter_worlds
-from .states import EpistemicState, StateUniverse, check_clf, check_fa
+from .states import EpistemicState, StateUniverse
 
 ORDER_RULES = {
     "keep": kernels.ORDER_KEEP,
@@ -78,40 +73,6 @@ def all_policies() -> tuple[UpdatePolicy, ...]:
     return tuple(
         UpdatePolicy(o, s) for o, s in product(ORDER_RULES, SCOPE_RULES)
     )
-
-
-# ---------------------------------------------------------------------------
-# Belief-level equations
-
-
-def dl_revise_beliefs(st: EpistemicState, alpha: int) -> int:
-    """Minimise alpha over the state's order when alpha meets the scope, else keep."""
-    return kernels.revise_mask(st.order.levels, st.scope, st.bel, alpha)
-
-
-def cl_revise_beliefs(st: EpistemicState, alpha: int) -> int:
-    """Same equation with the scope read as the credible set; needs a CLF state."""
-    if not check_clf(st):
-        raise PreconditionError("cl revision needs a CLF-valid state")
-    return dl_revise_beliefs(st, alpha)
-
-
-def agm_revise_beliefs(st: EpistemicState, alpha: int, sig: Signature) -> int:
-    """Plain minimisation over a total faithful order; alpha = ⊥ yields ⊥.
-
-    It differs from `dl_revise_beliefs` only at the contradiction, where dl
-    keeps the prior beliefs; they agree on every consistent input.
-    """
-    if not check_fa(st, sig):
-        raise PreconditionError("agm revision needs an FA-valid state (scope = Ω)")
-    return min_set(alpha, st.order)
-
-
-def il_revise_beliefs(op: "RevisionOperator", st: EpistemicState, alpha: int) -> int:
-    """Fixed-scope revision; the state's scope must equal the operator's."""
-    if op.family != "il":
-        raise PreconditionError("il revision needs an il-family operator")
-    return op.revise_beliefs(st, alpha)
 
 
 @dataclass(frozen=True)

@@ -63,45 +63,9 @@ class RankedOrder:
         return RankedOrder(levels)
 
 
-def leq(order: RankedOrder, w1: int, w2: int) -> bool:
-    """w1 at most as implausible as w2; errors if either world is outside the domain."""
-    return order.level_of(w1) <= order.level_of(w2)
-
-
-def strictly_less(order: RankedOrder, w1: int, w2: int) -> bool:
-    return order.level_of(w1) < order.level_of(w2)
-
-
-def leq_in(order: RankedOrder, w1: int, w2: int) -> bool:
-    """Non-throwing leq: false when either world is outside the domain.
-
-    The convention used by the iteration-condition checkers, where posterior
-    domains may have dropped a world.
-    """
-    dom = order.domain
-    if not ((dom >> w1) & 1 and (dom >> w2) & 1):
-        return False
-    return order.level_of(w1) <= order.level_of(w2)
-
-
-def strictly_less_in(order: RankedOrder, w1: int, w2: int) -> bool:
-    dom = order.domain
-    if not ((dom >> w1) & 1 and (dom >> w2) & 1):
-        return False
-    return order.level_of(w1) < order.level_of(w2)
-
-
 def min_set(candidates: int, order: RankedOrder) -> int:
     """Minimal elements of candidates within the domain; 0 when they miss it."""
     return kernels.min_mask(order.levels, candidates)
-
-
-def restrict(order: RankedOrder, keep: int) -> RankedOrder:
-    """Drops worlds outside `keep`, removing emptied levels."""
-    levels = tuple(lv & keep for lv in order.levels if lv & keep)
-    if not levels:
-        raise InvariantError("restriction would empty the order's domain")
-    return RankedOrder(levels)
 
 
 def enumerate_orders(domain: int) -> Iterator[RankedOrder]:

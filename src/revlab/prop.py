@@ -22,7 +22,6 @@ from typing import Iterator
 from .errors import ParseError, TooLargeError, UnknownAtomError
 
 MAX_ATOMS = 16
-MAX_ATOMS_EXHAUSTIVE = 4
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -350,45 +349,3 @@ def eval_world(f: Formula, sig: Signature, world: int) -> bool:
         case Iff(l, r):
             return eval_world(l, sig, world) == eval_world(r, sig, world)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def entails(a: int, b: int) -> bool:
-    """a ⊆ b on model masks (propositional entailment of the classes)."""
-    return a & ~b == 0
-
-
-def expansion(belief: int, alpha: int) -> int:
-    """Model set of the expansion of a belief set by alpha."""
-    return belief & alpha
-
-
-def formula_of_worlds(ws: int, sig: Signature) -> Formula:
-    """Canonical formula with exactly the given models.
-
-    Disjunction of minterms, worlds ascending; the empty set yields `false`.
-    """
-    terms = []
-    for w in iter_worlds(ws):
-        lits = []
-        for i, name in enumerate(sig.atoms):
-            bit = (w >> (sig.n_atoms - 1 - i)) & 1
-            lits.append(Atom(name) if bit else Not(Atom(name)))
-        term = lits[0]
-        for lit in lits[1:]:
-            term = And(term, lit)
-        terms.append(term)
-    if not terms:
-        return Bottom()
-    f = terms[0]
-    for t in terms[1:]:
-        f = Or(f, t)
-    return f
-
-
-def enumerate_formula_classes(sig: Signature) -> Iterator[int]:
-    """All formula classes (world-set masks) once each, ∅ first, ascending."""
-    if sig.n_atoms > MAX_ATOMS_EXHAUSTIVE:
-        raise TooLargeError(
-            f"class enumeration supports at most {MAX_ATOMS_EXHAUSTIVE} atoms, got {sig.n_atoms}"
-        )
-    return iter(range(1 << sig.n_worlds))

@@ -94,9 +94,6 @@ class StateUniverse:
                 seen |= 1 << st.bel
         return seen & want == want
 
-    def satisfies_global_consistency(self) -> bool:
-        return all(st.bel != 0 for st in self.iter_states())
-
 
 def _iter_states(
     sig: Signature, kind: str, global_consistency: bool, il_scope: int | None

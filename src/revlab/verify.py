@@ -35,8 +35,8 @@ Reading notes (also emitted in report headers):
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import classify
 from .errors import NonWeakOrderError, PreconditionError
@@ -80,6 +80,7 @@ class Verdict:
 
 
 MAX_COUNTEREXAMPLES = 5
+_PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: every (α, β) pair is an instance
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,7 @@ def check_postulate(
     ces: list[Counterexample] = []
     instances = 0
     for st, sid, alphas in _suite_work(tab, universe, instance_list):
-        # The postulates over two free inputs count every (α, β) pair.
-        instances += len(alphas) ** 2 if pid in ("DL7", "CL6", "CL5", "IL7") else len(alphas)
+        instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
         for row in _iter_postulate(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
                 ces.append(Counterexample(st, *row))
@@ -285,11 +285,11 @@ def check_postulate(
 # ---------------------------------------------------------------------------
 # Semantic conditions on a single transition (state, posterior, alpha)
 #
-# Every condition is a function of (st, post, a, na, tab, co): the prior, the
-# posterior, the input and its complement, the calling suite's transition
-# table (None when no operator was given) and consistent_only.  Orders are
-# read through masks: an order's domain is its state's scope, and a world
-# off the domain is related to nothing.
+# Every condition is a function of (st, post, a, na, tab, sid, co): the prior,
+# the posterior, the input and its complement, the calling suite's transition
+# table and the prior's id there (both None when no operator was given) and
+# consistent_only.  Orders are read through masks: an order's domain is its
+# state's scope, and a world off the domain is related to nothing.
 
 
 def _agree(st: EpistemicState, post: EpistemicState, ws: int) -> bool:
@@ -365,21 +365,21 @@ def _need(tab: TransitionTable | None) -> TransitionTable:
     return tab
 
 
-def _success(tab, st: EpistemicState) -> int:
-    """Worlds whose minterm revision of st succeeds."""
-    return _need(tab).success_worlds(tab.id_of(st))
+def _success(tab, sid: int) -> int:
+    """Worlds whose minterm revision of state `sid` succeeds."""
+    return _need(tab).success_worlds(sid)
 
 
-def _row(tab, st: EpistemicState) -> tuple[int, ...]:
-    return _need(tab).bel(tab.id_of(st))
+def _row(tab, sid: int) -> tuple[int, ...]:
+    return _need(tab).bel(sid)
 
 
 def _on_success(cond):
     """`cond` with the input and its complement cut to the success worlds (the P16 clauses)."""
 
-    def restricted(st, post, a, na, tab, co):
-        dom = _success(tab, st)
-        return cond(st, post, a & dom, na & dom, tab, co)
+    def restricted(st, post, a, na, tab, sid, co):
+        dom = _success(tab, sid)
+        return cond(st, post, a & dom, na & dom, tab, sid, co)
 
     return restricted
 
@@ -389,15 +389,15 @@ def _p11i(st, post, a, na, strict) -> bool:
     return _kept(st, strict, post, True, a & both, na & both)
 
 
-def _c_clcd(st, post, a, na, tab, co) -> bool:
-    t = _row(tab, st)
+def _c_clcd(st, post, a, na, tab, sid, co) -> bool:
+    t = _row(tab, sid)
     return t[a] & ~a != 0 or all(
         t[b] & ~b == 0 or b & post.scope == 0 for b in classify.iter_subsets(na) if b or not co
     )
 
 
-def _c_cm1(st, post, a, na, tab, co) -> bool:
-    t = _row(tab, st)
+def _c_cm1(st, post, a, na, tab, sid, co) -> bool:
+    t = _row(tab, sid)
     return all(
         not (t[b] & ~b == 0 or b & st.scope) or post.bel & ~b == 0 or b & post.scope
         for b in classify.iter_subsets(a)
@@ -405,8 +405,8 @@ def _c_cm1(st, post, a, na, tab, co) -> bool:
     )
 
 
-def _c_cm2(st, post, a, na, tab, co) -> bool:
-    t = _row(tab, st)
+def _c_cm2(st, post, a, na, tab, sid, co) -> bool:
+    t = _row(tab, sid)
     return t[a] & ~a != 0 or all(
         t[b] & ~b or post.bel & ~b == 0 or b & post.scope for b in classify.iter_subsets(na) if b or not co
     )
@@ -416,10 +416,11 @@ def _scope_pair(on_success: bool, first: str, second: str):
     """C-FC, C-FR (on_success False) and C-SC, C-SR: both named conditions hold
     whenever revision by the input succeeds exactly when `on_success` says."""
 
-    def cond(st, post, a, na, tab, co):
-        if (_row(tab, st)[a] & ~a == 0) != on_success:
+    def cond(st, post, a, na, tab, sid, co):
+        if (_row(tab, sid)[a] & ~a == 0) != on_success:
             return True
-        return CONDITIONS[first](st, post, a, na, tab, co) and CONDITIONS[second](st, post, a, na, tab, co)
+        args = st, post, a, na, tab, sid, co
+        return CONDITIONS[first](*args) and CONDITIONS[second](*args)
 
     return cond
 
@@ -449,17 +450,17 @@ CONDITIONS = {
     "P12.ii": lambda st, post, a, na, *_: _none_above(post, True, na & ~st.scope, a & st.scope),
     "P12.iii": lambda st, post, a, na, *_: st.bel & a == 0 or na & post.scope & ~st.scope == 0,
     "P12.iv": lambda st, post, a, na, *_: _p12iv(st, post, a, na),
-    "SI1": lambda st, post, a, na, tab, co: _in_each_singleton(post.bel, st.scope & ~post.scope),
-    "SI2": lambda st, post, a, na, tab, co: _in_each_superset(post.bel, st.bel, post.scope, a | na, co),
-    "SD1": lambda st, post, a, na, tab, co: _in_each_singleton(st.bel, post.scope & ~st.scope),
-    "SD2": lambda st, post, a, na, tab, co: _in_each_superset(st.bel, post.bel, st.scope, a | na, co),
-    "P14.a": lambda st, post, a, na, tab, co: (
-        _agree(st, post, a & st.scope & post.scope & _success(tab, st))
+    "SI1": lambda st, post, *_: _in_each_singleton(post.bel, st.scope & ~post.scope),
+    "SI2": lambda st, post, a, na, tab, sid, co: _in_each_superset(post.bel, st.bel, post.scope, a | na, co),
+    "SD1": lambda st, post, *_: _in_each_singleton(st.bel, post.scope & ~st.scope),
+    "SD2": lambda st, post, a, na, tab, sid, co: _in_each_superset(st.bel, post.bel, st.scope, a | na, co),
+    "P14.a": lambda st, post, a, na, tab, sid, co: (
+        _agree(st, post, a & st.scope & post.scope & _success(tab, sid))
         and _scope_kept(st, post, a)
         and _scope_bounded(st, post, a)
     ),
-    "P14.b": lambda st, post, a, na, tab, co: (
-        _agree(st, post, na & st.scope & post.scope & _success(tab, st))
+    "P14.b": lambda st, post, a, na, tab, sid, co: (
+        _agree(st, post, na & st.scope & post.scope & _success(tab, sid))
         and _scope_kept(st, post, na)
         and _scope_bounded(st, post, na)
     ),
@@ -469,8 +470,8 @@ CONDITIONS = {
     "P15.b": lambda st, post, a, na, *_: a == 0 or a & ~st.scope != 0 or _agree(st, post, na & st.scope),
     "P16.i": _on_success(lambda st, post, a, na, *_: _p11i(st, post, a, na, False)),
     "P16.ii": _on_success(lambda st, post, a, na, *_: _none_above(st, False, a & ~post.scope, na & post.scope)),
-    "P16.iii": lambda st, post, a, na, tab, co: (
-        na & _success(tab, st) & post.scope & ~st.scope == 0 or st.bel & a == 0
+    "P16.iii": lambda st, post, a, na, tab, sid, co: (
+        na & _success(tab, sid) & post.scope & ~st.scope == 0 or st.bel & a == 0
     ),
     "P16.iv": _on_success(lambda st, post, a, na, *_: _p12iv(st, post, a, na)),
     "C-CLCD": _c_clcd,
@@ -507,7 +508,8 @@ def check_condition(
         raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
     if op is not None and not isinstance(op, TransitionTable):
         op = TransitionTable(op, sig)
-    return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, op, consistent_only)
+    sid = None if op is None else op.id_of(st)
+    return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, op, sid, consistent_only)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +571,7 @@ def _mismatches(tab: TransitionTable, parts, work):
         rhs = []  # all() written out: a generator per instance is a tenth of the suite's time
         for conds in groups:
             for cond in conds:
-                if not cond(st, post, a, na, tab, co):
+                if not cond(st, post, a, na, tab, sid, co):
                     rhs.append(False)
                     break
             else:
@@ -661,15 +663,13 @@ def representation_roundtrip(
     # consistent fragment, where minimisation and the keep-beliefs fallback
     # agree; the contradiction input separates them by construction.
     consistent_only = family in ("DP", "AGM")
-    for pid in FAMILY_POSTULATES[family]:
-        # Uncapped, so the instance count is whole; `add` keeps the first few.
-        v = check_postulate(op, universe, pid, consistent_only=consistent_only, max_counterexamples=sys.maxsize)
-        instances += v.instances
-        for ce in v.counterexamples:
-            add(ce)
-
     tab = suite_table(op, universe, consistent_only, sampled=False)
     work = _suite_work(tab, universe, None)
+    for pid in FAMILY_POSTULATES[family]:  # every instance counted, failures read up to the cap
+        for st, sid, alphas in work:
+            instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
+            rows = islice(_iter_postulate(tab, pid, sid, alphas), max_counterexamples - len(ces))
+            ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":  # DP1-DP4 against CR8-CR11, one part each
         parts = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
         flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]

@@ -1,20 +1,45 @@
-"""Literal oracle for the semantic conditions of `revlab.verify`.
+"""Literal oracles for the semantic conditions of `revlab.verify` and the scope.
 
 `verify.check_condition` evaluates each condition as mask algebra over
 restricted level lists, up-cones and minimal witnesses.  This module keeps
 the conditions as stated: world-pair loops over `leq_in` and
 `strictly_less_in`, and a loop over all 2^n classes for the scoped
 independence conditions.  `tests/test_verify.py` compares the two.
+`semantic_scope` is the scope as the paper defines it, which the
+acceptance suite compares with the classes revision accepts.
 """
 
 from __future__ import annotations
 
 from revlab import classify
 from revlab.errors import PreconditionError
-from revlab.orders import leq_in, strictly_less_in
 from revlab.prop import popcount
 from revlab.states import check_clf, check_faithful_limited
 from revlab.transitions import TransitionTable
+
+
+def leq_in(order, w1, w2):
+    """w1 at most as implausible as w2; false when either world is outside the domain.
+
+    The convention of the iteration conditions, where a posterior's domain
+    may have dropped a world.
+    """
+    dom = order.domain
+    if not ((dom >> w1) & 1 and (dom >> w2) & 1):
+        return False
+    return order.level_of(w1) <= order.level_of(w2)
+
+
+def strictly_less_in(order, w1, w2):
+    dom = order.domain
+    if not ((dom >> w1) & 1 and (dom >> w2) & 1):
+        return False
+    return order.level_of(w1) < order.level_of(w2)
+
+
+def semantic_scope(st, sig):
+    """Believed classes plus classes meeting the state's scope set."""
+    return {a for a in range(1 << sig.n_worlds) if st.bel & ~a == 0 or a & st.scope}
 
 
 def _worlds(mask, n):

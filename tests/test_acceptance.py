@@ -18,12 +18,13 @@ import time
 
 import pytest
 
+from condition_oracle import semantic_scope
 from conftest import record_criterion
 from revlab import classify
 from revlab.fixtures import fig1_fixture, karl_fixture
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.orders import RankedOrder, enumerate_orders, trichotomy_check
-from revlab.prop import Signature, parse_models
+from revlab.prop import Signature, iter_worlds, parse_models
 from revlab.states import (
     EpistemicState,
     StateUniverse,
@@ -157,15 +158,17 @@ def test_criterion_4_forward_representation_and_mutations(faithful_all, faithful
     assert detected >= 190  # 95% of 200
 
 
+def syntactic_scope(op, st, sig):
+    """The classes that revision by them makes believed, as a set."""
+    return set(iter_worlds(classify.classify_state(op, st, sig).scope_syntactic))
+
+
 def test_criterion_5_scope_equality(faithful_all):
     op = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
-    bad = sum(
-        classify.syntactic_scope(op, st, AB) != classify.semantic_scope(st, AB)
-        for st in faithful_all.states
-    )
+    bad = sum(syntactic_scope(op, st, AB) != semantic_scope(st, AB) for st in faithful_all.states)
     rng = random.Random(SEED)
     bad3 = sum(
-        classify.syntactic_scope(op, st, ABC) != classify.semantic_scope(st, ABC)
+        syntactic_scope(op, st, ABC) != semantic_scope(st, ABC)
         for st in sample_states(ABC, "faithful", 500, rng)
     )
     ok = bad == 0 and bad3 == 0
@@ -182,9 +185,7 @@ def test_criterion_5_scope_equality(faithful_all):
 def test_criterion_6_agm_scope_is_total(fa_universe):
     op = RevisionOperator("agm")
     everything = set(range(16))
-    bad = sum(
-        classify.syntactic_scope(op, st, AB) != everything for st in fa_universe.states
-    )
+    bad = sum(syntactic_scope(op, st, AB) != everything for st in fa_universe.states)
     record_criterion("06", "AGM operators accept all 16 classes in every FA state", bad == 0)
     assert bad == 0
 
@@ -257,6 +258,17 @@ def test_criterion_9_characterisation_equivalences(theorem, faithful_gc):
         f"printed is not equivalent to the postulate on faithful states "
         f"({detail}); see README.md, Acceptance status"
     )
+
+
+def test_readme_p9_witness_fails_under_every_policy(faithful_gc):
+    # The README's smallest P9 witness: beliefs {01}, scope {00}, order [00],
+    # revised by 00|01.  Every printed condition holds and DP1 fails.
+    st = EpistemicState(mask(1), mask(0), RankedOrder((mask(0),)))
+    assert st in faithful_gc.states
+    for policy in all_policies():
+        v = verify_equivalence(RevisionOperator("dl", policy), faithful_gc, "P9", instance_list=[(st, mask(0, 1))])
+        assert not v.holds, policy
+        assert [ce.clause for ce in v.counterexamples] == ["P9: condition holds, postulate fails"]
 
 
 def _passes_both_suites(op, universe):

@@ -1,5 +1,7 @@
 import random
 
+from condition_oracle import semantic_scope
+
 from revlab.classify import (
     check_dc,
     check_ssc,
@@ -8,19 +10,11 @@ from revlab.classify import (
     find_witness_M,
     immanent_classes,
     inherent_classes,
-    is_immanent,
-    is_inherent,
-    is_latent,
-    is_reasonable,
-    satisfies_S1,
-    satisfies_S2,
-    semantic_scope,
-    syntactic_scope,
 )
 from revlab.fixtures import fig1_fixture, karl_fixture
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.orders import RankedOrder
-from revlab.prop import Signature
+from revlab.prop import Signature, iter_worlds
 from revlab.states import EpistemicState, StateUniverse, enumerate_states, sample_states
 
 AB = Signature.of("a b")
@@ -171,43 +165,45 @@ class TestTransformsMatchOracle:
 class TestS1S2:
     def test_believed_scope_world_is_s1(self):
         sig, st, op = karl_fixture()
-        assert satisfies_S1(op, st, mask(2), sig)
+        assert classify_state(op, st, sig).s1 >> mask(2) & 1
 
     def test_believed_world_outside_scope_fails_s1(self):
         sig, st, op = karl_fixture()
-        assert not satisfies_S1(op, st, mask(3), sig)
+        assert not classify_state(op, st, sig).s1 >> mask(3) & 1
 
     def test_s1_vacuous_when_inconsistent_with_beliefs(self):
         sig, st, op = karl_fixture()
-        assert satisfies_S1(op, st, mask(4), sig)  # beliefs miss world 4
+        assert classify_state(op, st, sig).s1 >> mask(4) & 1  # beliefs miss world 4
 
     def test_unbelieved_scope_world_is_s2(self):
         sig, st, op = karl_fixture()
-        assert satisfies_S2(op, st, mask(4), sig)
+        assert classify_state(op, st, sig).s2 >> mask(4) & 1
 
     def test_world_outside_beliefs_and_scope_fails_s2(self):
         sig, st, op = karl_fixture()
-        assert not satisfies_S2(op, st, mask(5), sig)
+        assert not classify_state(op, st, sig).s2 >> mask(5) & 1
 
     def test_inconsistent_state_fails_s2_outside_scope(self):
         st = EpistemicState(0, mask(1), RankedOrder((mask(1),)))
-        assert not satisfies_S2(DL_OP, st, mask(2), AB)
+        assert not classify_state(DL_OP, st, AB).s2 >> mask(2) & 1
 
 
 class TestLatentReasonable:
     def test_karl_scope_minterm_latent(self):
         sig, st, op = karl_fixture()
-        assert is_latent(op, st, mask(4), sig)
+        assert classify_state(op, st, sig).latent >> mask(4) & 1
 
     def test_karl_nonscope_set_not_latent(self):
         sig, st, op = karl_fixture()
-        assert not is_latent(op, st, mask(1, 2, 3) & ~st.scope | mask(3), sig)
-        assert not is_latent(op, st, mask(3), sig)
+        latent = classify_state(op, st, sig).latent
+        assert not latent >> (mask(1, 2, 3) & ~st.scope | mask(3)) & 1
+        assert not latent >> mask(3) & 1
 
     def test_bottom_never_latent_or_reasonable(self):
         sig, st, op = karl_fixture()
-        assert not is_latent(op, st, 0, sig)
-        assert not is_reasonable(op, st, 0, sig)
+        cls = classify_state(op, st, sig)
+        assert not cls.latent & 1
+        assert not cls.reasonable & 1
 
     def test_reasonable_iff_inside_scope_exhaustive(self):
         # the model-set characterisation of reasonable inputs
@@ -231,15 +227,20 @@ class TestLatentReasonable:
                     assert bool(cls.s2 >> wm & 1) == in_scope
 
 
+def scope_of(op, st, sig):
+    """The classes revision accepts, as a set."""
+    return set(iter_worlds(classify_state(op, st, sig).scope_syntactic))
+
+
 class TestScope:
     def test_agm_scope_is_everything(self):
         op = RevisionOperator("agm")
         for st in enumerate_states(AB, "fa").states[::6]:
-            assert syntactic_scope(op, st, AB) == set(range(16))
+            assert scope_of(op, st, AB) == set(range(16))
 
     def test_karl_scope_shape(self):
         sig, st, op = karl_fixture()
-        syn = syntactic_scope(op, st, sig)
+        syn = scope_of(op, st, sig)
         bel_classes = {c for c in range(256) if st.bel & ~c == 0}
         touching = {c for c in range(256) if c & st.scope}
         assert syn == bel_classes | touching
@@ -248,17 +249,17 @@ class TestScope:
     def test_posterior_karl_scope(self):
         sig, st, op = karl_fixture()
         post = op.apply(st, 0b10101010 & 0xAA)  # models of t
-        syn = syntactic_scope(op, post, sig)
+        syn = scope_of(op, post, sig)
         assert syn == semantic_scope(post, sig)
 
     def test_scope_equality_exhaustive_n2(self):
         for st in enumerate_states(AB, "faithful").states:
-            assert syntactic_scope(DL_OP, st, AB) == semantic_scope(st, AB)
+            assert scope_of(DL_OP, st, AB) == semantic_scope(st, AB)
 
     def test_inconsistent_state_scope_contains_bottom(self):
         st = EpistemicState(0, mask(1), RankedOrder((mask(1),)))
         assert 0 in semantic_scope(st, AB)
-        assert 0 in syntactic_scope(DL_OP, st, AB)
+        assert 0 in scope_of(DL_OP, st, AB)
 
 
 class TestInherence:
@@ -268,8 +269,7 @@ class TestInherence:
         op = RevisionOperator("agm")
         inh = inherent_classes(op, uni)
         assert inh == sum(1 << (1 << w) for w in range(4))
-        assert all(is_immanent(op, uni, a) for a in range(1, 16))
-        assert not is_immanent(op, uni, 0)
+        assert immanent_classes(op, uni) == sum(1 << a for a in range(1, 16))
 
     def test_cl_with_credible_set_equal_beliefs_has_none(self):
         states = tuple(
@@ -283,8 +283,9 @@ class TestInherence:
     def test_il_inherent_iff_inside_fixed_scope(self):
         sig, _, _, op = fig1_fixture()
         uni = enumerate_states(sig, "il", global_consistency=True, il_scope=op.il_scope)
+        inh = inherent_classes(op, uni)
         for w in range(4):
-            assert is_inherent(op, uni, 1 << w) == bool(op.il_scope >> w & 1)
+            assert bool(inh >> (1 << w) & 1) == bool(op.il_scope >> w & 1)
         imm = immanent_classes(op, uni)
         for alpha in range(16):
             assert bool(imm >> alpha & 1) == (alpha != 0 and alpha & ~op.il_scope == 0)

@@ -221,6 +221,32 @@ class TestBadInput:
         self._fails_cleanly(["revise", "--state", str(state)], capsys, "'A'")
 
     @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--universe", "il"], "--universe"),
+            (["--global-consistency"], "--global-consistency"),
+            (["--unbiased"], "--unbiased"),
+            (["--universe", "il", "--unbiased", "--global-consistency"], "--universe"),
+        ],
+        ids=["universe", "global-consistency", "unbiased", "all-three"],
+    )
+    def test_classify_universe_flags_above_two_atoms(self, karl_files, capsys, flags, needle):
+        # A 3-atom state is classified without a universe, so these flags cannot apply.
+        state, op = karl_files
+        self._fails_cleanly(["classify", "--state", state, "--operator", op, *flags], capsys, needle)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--sig", "a b c", "--samples", "20", "--unbiased", "--universe", "clf", "DL1"],
+            ["enumerate", "--sig", "a b c", "--samples", "20", "--unbiased"],
+        ],
+        ids=["check", "enumerate"],
+    )
+    def test_unbiased_on_a_sampled_universe(self, argv, capsys):
+        self._fails_cleanly(argv, capsys, "--unbiased")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["revise", "--state", "s", "--consistent-only"],

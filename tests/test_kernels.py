@@ -1,18 +1,19 @@
 """The revision kernels against independent oracles.
 
 `min_mask` and `revise_mask` are checked against a world-by-world
-minimality test built from `orders.leq_in`; the packed `bel_table` is
-checked against pointwise `revise_mask`, exhaustively over every weak order
-at 4 worlds and on seeded 8- and 16-world states.
+minimality test built from `condition_oracle.leq_in`; the packed
+`bel_table` is checked against pointwise `revise_mask`, exhaustively over
+every weak order at 4 worlds and on seeded 8- and 16-world states.
 """
 
 import random
 
 import pytest
+from condition_oracle import leq_in
 
 from revlab import kernels
 from revlab.errors import TooLargeError
-from revlab.orders import RankedOrder, enumerate_orders, leq_in
+from revlab.orders import RankedOrder, enumerate_orders
 
 
 def random_levels(rng, n_worlds):

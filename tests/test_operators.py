@@ -6,7 +6,6 @@ from revlab import kernels
 from revlab.errors import (
     NonWeakOrderError,
     ParseError,
-    PreconditionError,
     ScopeMismatchError,
     TableMissError,
 )
@@ -16,17 +15,13 @@ from revlab.operators import (
     ExtensionalOperator,
     RevisionOperator,
     UpdatePolicy,
-    agm_revise_beliefs,
     all_policies,
     canonical_assignment,
-    cl_revise_beliefs,
-    dl_revise_beliefs,
     dump_operator,
-    il_revise_beliefs,
     parse_operator,
     tabulate,
 )
-from revlab.orders import RankedOrder, leq
+from revlab.orders import RankedOrder
 from revlab.prop import Signature, iter_worlds, parse_models
 from revlab.states import EpistemicState, enumerate_states, sample_states
 
@@ -40,60 +35,53 @@ def mask(*worlds):
     return m
 
 
+DL = RevisionOperator("dl")
+CL = RevisionOperator("cl")
+AGM = RevisionOperator("agm")
+
+
 class TestBeliefEquations:
     def test_karl_accepts_t(self):
         sig, st, _ = karl_fixture()
-        assert dl_revise_beliefs(st, parse_models("t", sig)) == mask(1)
+        assert DL.revise_beliefs(st, parse_models("t", sig)) == mask(1)
 
     def test_posterior_karl_denies_o(self):
         sig, st, op = karl_fixture()
         post = op.apply(st, parse_models("t", sig))
-        assert dl_revise_beliefs(post, parse_models("o", sig)) == mask(1)
+        assert DL.revise_beliefs(post, parse_models("o", sig)) == mask(1)
 
     def test_contradiction_keeps_beliefs(self):
         _, st, _ = karl_fixture()
-        assert dl_revise_beliefs(st, 0) == st.bel
+        assert DL.revise_beliefs(st, 0) == st.bel
 
     def test_cl_examples(self):
         st = EpistemicState(mask(0), mask(0, 1), RankedOrder((mask(0), mask(1))))
-        assert cl_revise_beliefs(st, mask(1, 2)) == mask(1)
-        assert cl_revise_beliefs(st, mask(2)) == mask(0)
-
-    def test_cl_requires_clf_state(self):
-        _, karl, _ = karl_fixture()
-        with pytest.raises(PreconditionError):
-            cl_revise_beliefs(karl, 1)
+        assert CL.revise_beliefs(st, mask(1, 2)) == mask(1)
+        assert CL.revise_beliefs(st, mask(2)) == mask(0)
 
     def test_cl_vacuity_against_expansion_oracle(self):
         for st in enumerate_states(AB, "clf").states:
             for alpha in range(16):
                 if st.bel & alpha:
-                    assert cl_revise_beliefs(st, alpha) == st.bel & alpha
+                    assert CL.revise_beliefs(st, alpha) == st.bel & alpha
 
     def test_agm_examples(self):
         st = EpistemicState(mask(1), AB.all_worlds, RankedOrder((mask(1), mask(0, 2, 3))))
-        assert agm_revise_beliefs(st, mask(2, 3), AB) == mask(2, 3)
-        assert agm_revise_beliefs(st, mask(0, 1, 2), AB) == mask(1)  # vacuity
-        assert agm_revise_beliefs(st, 0, AB) == 0  # min over the empty set
-
-    def test_agm_requires_fa_state(self):
-        _, karl, _ = karl_fixture()
-        with pytest.raises(PreconditionError):
-            agm_revise_beliefs(karl, 1, Signature.of("z o t"))
+        assert AGM.revise_beliefs(st, mask(2, 3)) == mask(2, 3)
+        assert AGM.revise_beliefs(st, mask(0, 1, 2)) == mask(1)  # vacuity
+        assert AGM.revise_beliefs(st, 0) == 0  # min over the empty set
 
     def test_il_fig1_values(self):
         sig, st1, st2, op = fig1_fixture()
         a = parse_models("a", sig)
         ab = parse_models("a & b", sig)
-        assert il_revise_beliefs(op, st1, a) == mask(2)
-        assert il_revise_beliefs(op, st1, ab) == st1.bel
-        assert il_revise_beliefs(op, st2, ab) == st2.bel
+        assert op.revise_beliefs(st1, a) == mask(2)
+        assert op.revise_beliefs(st1, ab) == st1.bel
+        assert op.revise_beliefs(st2, ab) == st2.bel
 
     def test_il_scope_mismatch(self):
         _, st1, _, op = fig1_fixture()
         other = EpistemicState(st1.bel, mask(0, 1), RankedOrder((mask(0), mask(1))))
-        with pytest.raises(ScopeMismatchError):
-            il_revise_beliefs(op, other, 1)
         for call in (
             lambda: op.revise_beliefs(other, 1),
             lambda: op.bel_table(other, 16),
@@ -105,16 +93,16 @@ class TestBeliefEquations:
     def test_dl_matches_agm_on_fa_states_for_consistent_inputs(self):
         for st in enumerate_states(AB, "fa").states:
             for alpha in range(1, 16):
-                assert dl_revise_beliefs(st, alpha) == agm_revise_beliefs(st, alpha, AB)
+                assert DL.revise_beliefs(st, alpha) == AGM.revise_beliefs(st, alpha)
             # the one divergence: the shared core keeps beliefs at the
             # contradiction, plain minimisation empties them
-            assert dl_revise_beliefs(st, 0) == st.bel
-            assert agm_revise_beliefs(st, 0, AB) == 0
+            assert DL.revise_beliefs(st, 0) == st.bel
+            assert AGM.revise_beliefs(st, 0) == 0
 
     def test_dl_matches_cl_on_clf_states(self):
         for st in enumerate_states(AB, "clf").states:
             for alpha in range(16):
-                assert dl_revise_beliefs(st, alpha) == cl_revise_beliefs(st, alpha)
+                assert DL.revise_beliefs(st, alpha) == CL.revise_beliefs(st, alpha)
 
 
 class TestApply:
@@ -151,7 +139,7 @@ class TestApply:
             bel2 = post.bel
             for w1 in inside:
                 for w2 in outside:
-                    assert leq(post.order, w1, w2)
+                    assert post.order.level_of(w1) <= post.order.level_of(w2)
             # relative order within each side is preserved, except for the
             # promotion of the new belief minimum
             for group in (inside, outside):
@@ -159,7 +147,9 @@ class TestApply:
                     for w2 in group:
                         if bel2 >> w1 & 1 or bel2 >> w2 & 1:
                             continue
-                        assert leq(post.order, w1, w2) == leq(st.order, w1, w2)
+                        assert (post.order.level_of(w1) <= post.order.level_of(w2)) == (
+                            st.order.level_of(w1) <= st.order.level_of(w2)
+                        )
 
     def test_bel_table_matches_pointwise_revision(self):
         _, st, op = karl_fixture()

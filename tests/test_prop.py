@@ -5,15 +5,11 @@ from revlab.errors import ParseError, TooLargeError, UnknownAtomError
 from revlab.prop import (
     And,
     Atom,
-    Bottom,
     Not,
     Or,
     Signature,
-    entails,
-    enumerate_formula_classes,
     eval_world,
-    expansion,
-    formula_of_worlds,
+    iter_worlds,
     models,
     parse,
     parse_models,
@@ -130,47 +126,18 @@ def test_models_agrees_with_per_world_evaluation(f):
         assert bool(m >> w & 1) == eval_world(f, ZOT, w)
 
 
-class TestEntailsExpansion:
-    def test_entails(self):
-        assert entails(mask(1), mask(1, 3))
-        assert entails(0, mask(2))
-        assert not entails(mask(1, 2), mask(1))
-
-    def test_expansion(self):
-        assert expansion(mask(1, 2), mask(2, 3)) == mask(2)
-        assert expansion(mask(1, 2), mask(3)) == 0
-        # fixed-scope example: beliefs {ab, āb} expanded by a stay consistent
-        assert expansion(mask(3, 1), mask(3, 2)) == mask(3)
+def minterm_text(ws, sig):
+    """The disjunction of the minterms of the worlds in `ws`, or `false`."""
+    terms = (
+        " & ".join(name if world >> sig.atom_bit(name) & 1 else f"!{name}" for name in sig.atoms)
+        for world in iter_worlds(ws)
+    )
+    return " | ".join(terms) or "false"
 
 
 class TestFormulaOfWorlds:
-    def test_single_minterm(self):
-        assert str(formula_of_worlds(mask(2), ZOT)) == "!z & o & !t"
-
-    def test_empty_is_bottom(self):
-        assert formula_of_worlds(0, AB) == Bottom()
-
-    def test_two_minterms(self):
-        f = formula_of_worlds(mask(1, 2), AB)
-        assert str(f) == "!a & b | a & !b"
-        assert models(f, AB) == mask(1, 2)
-
     @pytest.mark.parametrize("sig", [Signature.of("a"), AB, ZOT])
     def test_right_inverse_of_models(self, sig):
+        # every world set is the model set of the formula that lists its worlds
         for ws in range(1 << sig.n_worlds):
-            assert models(formula_of_worlds(ws, sig), sig) == ws
-
-
-class TestEnumerateClasses:
-    @pytest.mark.parametrize(
-        "sig,count", [(Signature.of("a"), 4), (AB, 16), (ZOT, 256)]
-    )
-    def test_counts(self, sig, count):
-        classes = list(enumerate_formula_classes(sig))
-        assert len(classes) == count
-        assert classes[0] == 0
-        assert classes == sorted(set(classes))
-
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            enumerate_formula_classes(Signature.of("a b c d e"))
+            assert parse_models(minterm_text(ws, sig), sig) == ws

@@ -4,7 +4,6 @@ import random
 import pytest
 from condition_oracle import oracle_condition
 
-from revlab.classify import syntactic_scope
 from revlab.errors import PreconditionError
 from revlab import verify
 from revlab.fixtures import karl_fixture
@@ -110,9 +109,12 @@ class TestCheckPostulate:
         v = check_postulate(op, faithful_gc, pid, max_counterexamples=10**6)
         if pid in ("FC", "SR"):
             assert v.counterexamples
+        def accepted(st):
+            return {b for b in range(16) if op.revise_beliefs(st, b) & ~b == 0}
+
         for ce in v.counterexamples:
-            sc = syntactic_scope(op, ce.state, AB)
-            scp = syntactic_scope(op, op.apply(ce.state, ce.alpha), AB)
+            sc = accepted(ce.state)
+            scp = accepted(op.apply(ce.state, ce.alpha))
             moved = sc - scp if pid in ("FC", "SC") else scp - sc
             assert ce.beta == min(moved)
 
@@ -225,6 +227,18 @@ class TestConditionsMatchOracle:
             (states[i], states[i + 1], rng.randrange(1 << sig.n_worlds)) for i in range(0, len(states), 2)
         ]
         assert _oracle_mismatches(sig, triples)[:5] == []
+
+
+def test_conditions_are_handed_the_state_id(monkeypatch):
+    # An exhaustive suite looks up each state once and each posterior once;
+    # the conditions read the prior's rows by the id the suite holds.
+    looked_up = []
+    id_of = TransitionTable.id_of
+    monkeypatch.setattr(TransitionTable, "id_of", lambda tab, st: looked_up.append(st) or id_of(tab, st))
+    universe = enumerate_states(AB, "faithful", global_consistency=True)
+    v = verify_equivalence(RevisionOperator("dl", UpdatePolicy("keep", "doc")), universe, "P16")
+    assert v.holds and v.instances == len(universe.states) * 16
+    assert len(looked_up) <= len(universe.states) + v.instances
 
 
 class TestEquivalences:
@@ -609,6 +623,23 @@ def test_roundtrip_instance_count_does_not_depend_on_the_cap(faithful, family, i
         v = representation_roundtrip(DL_OP, faithful, family, max_counterexamples=cap)
         assert (v.holds, v.instances) == (False, instances)
         assert v.counterexamples == full.counterexamples[:cap]
+
+
+@pytest.mark.parametrize("family", ["CL", "AGM"])
+def test_roundtrip_builds_backward_counterexamples_only_up_to_the_cap(faithful, family, monkeypatch):
+    # dl keep/keep fails thousands of backward instances; past the cap they
+    # are counted, and no Counterexample is built for them.
+    built = []
+
+    class Counted(Counterexample):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            built.append(self.clause.split(":")[0])
+
+    monkeypatch.setattr(verify, "Counterexample", Counted)
+    v = representation_roundtrip(DL_OP, faithful, family)
+    backward = [pid for pid in built if pid in verify.FAMILY_POSTULATES[family]]
+    assert len(backward) == len(v.counterexamples) == verify.MAX_COUNTEREXAMPLES
 
 
 def test_mutation_verdicts_pinned(faithful, faithful_gc):
