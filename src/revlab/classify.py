@@ -4,11 +4,12 @@ Everything here quantifies over formula classes, i.e. world-set masks; a
 set of classes is itself encoded as an int bitset with bit c set iff class
 c belongs (at n atoms there are 2^(2^n) classes, so the bitset stays an
 int).  The operator argument is duck-typed: anything with
-``revise_beliefs(state, alpha) -> mask``.
+``revise_beliefs(state, alpha) -> mask``, and optionally the packed form
+``bel_row(state, n_classes)``.
 
 The central derived objects per (operator, state) are:
 
-* the belief table T with T[a] = models of Bel(state revised by a),
+* the belief row T, lane a holding the models of Bel(state revised by a),
 * acceptance conditions S1/S2 per class, computed from T,
 * latent / reasonable classes, computed from S1/S2,
 
@@ -16,42 +17,47 @@ and per (operator, universe): inherent / immanent classes.
 
 With N worlds there are 2^N classes, so the conditions as stated are
 quantifier loops over pairs of classes (4^N steps for S2).  They are
-computed here by transforms over the subset lattice instead (Yates's zeta
-transform, in either direction):
+computed here on the packed row instead, each as a few operations on all
+lanes at once (see `kernels.Lanes`), with the subset-lattice transform
+`lattice_and` (Yates's zeta transform on lanes) where a quantifier runs
+over supersets or subsets:
 
-* S1: a superset-AND transform gives, for every a, the AND of T[b] over
-  all supersets b of a in N·2^N steps; a is S1 iff it misses the prior
-  beliefs or T[a] lies inside that AND.
+* S1: the superset-AND transform of T gives, in lane a, the AND of T[b]
+  over all supersets b of a in N shift-and-mask steps; a is S1 iff it
+  misses the prior beliefs or T[a] lies inside that AND.
 * S2: a fails iff some table value v has T[a] ⊆ v ⊆ ~a.  v = T[a] is
   such a value unless T[a] meets a, and then every v ⊇ T[a] meets a too;
-  so a is S2 iff T[a] meets a, one step per class.
+  so a is S2 iff T[a] meets a: the nonzero lanes of `T & classes`.
+* The syntactic scope is the zero lanes of `T & ~classes`.
 * Latent classes are the largest nonempty down-closed part of S1 ∩ S2:
-  a is latent iff it is in both and so is every a minus one world, unless
-  that is empty.
+  the subset-AND transform of its indicator lanes, lane 0 vacuous.
 * Reasonable classes are unions of latent classes.  Latent is down-closed,
   so a world lies in a latent subclass of a iff its minterm is latent;
   a class is reasonable iff it is nonempty and all its minterms are latent.
 * Immanent classes are unions of inherent ones, which are not down-closed;
-  a subset-OR transform gives the union of the inherent subclasses of
+  the subset-OR transform gives the union of the inherent subclasses of
   every class at once.
 
-The quantifier loops these replace are kept in the test suite as oracle.
+The quantifier loops these replace, and the list form of the transforms,
+are kept in the test suite as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .prop import Signature
 from .states import EpistemicState, StateUniverse
 
 
-def bel_table_of(op, st: EpistemicState, sig: Signature) -> tuple[int, ...]:
-    """Posterior belief mask for every formula class."""
-    fast = getattr(op, "bel_table", None)
+def bel_row_of(op, st: EpistemicState, sig: Signature) -> int:
+    """Posterior belief mask of every formula class, packed one class per lane."""
+    n_classes = 1 << sig.n_worlds
+    fast = getattr(op, "bel_row", None)
     if fast is not None:
-        return fast(st, 1 << sig.n_worlds)
-    return tuple(op.revise_beliefs(st, a) for a in range(1 << sig.n_worlds))
+        return fast(st, n_classes)
+    return kernels.lanes(n_classes).pack(op.revise_beliefs(st, a) for a in range(n_classes))
 
 
 def _iter_supersets(a: int, full: int):
@@ -73,6 +79,16 @@ def iter_subsets(a: int):
         s = (s - 1) & a
 
 
+def subset_bits(mask: int) -> int:
+    """Bitset of the classes inside the world set `mask`, doubled once per world of it."""
+    bits = 1
+    while mask:
+        low = mask & -mask
+        bits |= bits << low
+        mask ^= low
+    return bits
+
+
 @dataclass(frozen=True)
 class StateClassification:
     """Per-state classification bitsets (bit c set iff class c qualifies)."""
@@ -86,70 +102,24 @@ class StateClassification:
     scope_syntactic: int
 
 
-def _superset_and(values: list[int]) -> list[int]:
-    """out[a] = AND of values[b] over all supersets b of a (zeta transform)."""
-    out = list(values)
-    n = len(out)
-    bit = 1
-    while bit < n:
-        for base in range(0, n, bit << 1):
-            for a in range(base, base + bit):
-                out[a] &= out[a + bit]
-        bit <<= 1
-    return out
-
-
-def _subset_or(values: list[int]) -> list[int]:
-    """out[a] = OR of values[b] over all subsets b of a (zeta transform)."""
-    out = list(values)
-    n = len(out)
-    bit = 1
-    while bit < n:
-        for base in range(0, n, bit << 1):
-            for a in range(base + bit, base + (bit << 1)):
-                out[a] |= out[a - bit]
-        bit <<= 1
-    return out
-
-
 def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassification:
-    n_worlds = sig.n_worlds
-    n_classes = 1 << n_worlds
-    table = bel_table_of(op, st, sig)
-    weakest = _superset_and(table)
-    bel = st.bel
-
-    s1 = s2 = scope = 0
-    # down[a]: a and every class below it are in S1 ∩ S2 (vacuous for 0).
-    down = [True] * n_classes
-    for a in range(n_classes):
-        ta = table[a]
-        # S1: a consistent with prior beliefs => revising by any weaker b
-        # yields at most the beliefs of revising by a (model-wise: T[a] ⊆ T[b]).
-        ok1 = not bel & a or ta & ~weakest[a] == 0
-        # S2: whenever revising by b keeps at least the beliefs of revising
-        # by a, the result of b is consistent with a.  b = a is one such b,
-        # and every superset of T[a] meets a once T[a] does.
-        ok2 = ta & a != 0
-        if ok1:
-            s1 |= 1 << a
-        if ok2:
-            s2 |= 1 << a
-        if ta & ~a == 0:
-            scope |= 1 << a
-        if a:
-            ok = ok1 and ok2
-            rest = a
-            while ok and rest:
-                low = rest & -rest
-                ok = down[a ^ low]
-                rest ^= low
-            down[a] = ok
-
-    latent = sum(1 << a for a in range(1, n_classes) if down[a])
-    minterms = sum(1 << w for w in range(n_worlds) if down[1 << w])
-    reasonable = sum(1 << a for a in iter_subsets(minterms) if a)
-    return StateClassification(sig, table, s1, s2, latent, reasonable, scope)
+    ln = kernels.lanes(1 << sig.n_worlds)
+    nz, high, classes = ln.nz, ln.high, ln.classes
+    row = bel_row_of(op, st, sig)
+    weakest = ln.lattice_and(row, supersets=True)
+    # S1: a consistent with prior beliefs => revising by any weaker b
+    # yields at most the beliefs of revising by a (model-wise: T[a] ⊆ T[b]).
+    s1 = high ^ (nz(classes & st.bel * ln.ones) & nz(row & ~weakest))
+    # S2: whenever revising by b keeps at least the beliefs of revising
+    # by a, the result of b is consistent with a.  b = a is one such b,
+    # and every superset of T[a] meets a once T[a] does.
+    s2 = nz(row & classes)
+    scope = high ^ nz(row & ~classes)
+    # Latent: a and every nonempty class below it are in S1 ∩ S2.
+    latent = ln.bits(ln.lattice_and(s1 & s2 | high & ln.lane, supersets=False)) & ~1
+    minterms = sum(1 << w for w in range(sig.n_worlds) if latent >> (1 << w) & 1)
+    reasonable = subset_bits(minterms) & ~1
+    return StateClassification(sig, ln.entries(row), ln.bits(s1), ln.bits(s2), latent, reasonable, ln.bits(scope))
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +134,26 @@ def inherent_classes(op, universe: StateUniverse) -> int:
     immanent.
     """
     sig = universe.sig
-    n_classes = 1 << sig.n_worlds
-    bits = 0
-    for a in range(1, n_classes):
-        if all(op.revise_beliefs(st, a) == a for st in universe.iter_states()):
-            bits |= 1 << a
-    return bits
+    ln = kernels.lanes(1 << sig.n_worlds)
+    fixed = ln.high  # lanes a with T[a] == a in every state so far
+    for st in universe.iter_states():
+        fixed &= ~ln.nz(bel_row_of(op, st, sig) ^ ln.classes)
+        if not fixed:
+            break
+    return ln.bits(fixed) & ~1
+
+
+def _unions(members: int, sig: Signature) -> int:
+    """Bitset of the nonempty classes that are unions of classes in `members`."""
+    ln = kernels.lanes(1 << sig.n_worlds)
+    values = ln.pack(a if (members >> a) & 1 else 0 for a in range(ln.n_classes))
+    cover = ln.full ^ ln.lattice_and(ln.full ^ values, supersets=False)  # OR over subsets
+    return ln.bits(ln.high ^ ln.nz(cover ^ ln.classes)) & ~1
 
 
 def immanent_classes(op, universe: StateUniverse) -> int:
     """Bitset of classes expressible as a union of inherent classes."""
-    inh = inherent_classes(op, universe)
-    n_classes = 1 << universe.sig.n_worlds
-    cover = _subset_or([a if (inh >> a) & 1 else 0 for a in range(n_classes)])
-    return sum(1 << a for a in range(1, n_classes) if cover[a] == a)
+    return _unions(inherent_classes(op, universe), universe.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +200,7 @@ def classification_report(op, st: EpistemicState, universe: StateUniverse | None
     """One line per class: scope / latent / reasonable (+ inherent / immanent)."""
     cls = classify_state(op, st, sig)
     inh = inherent_classes(op, universe) if universe is not None else None
-    imm = immanent_classes(op, universe) if universe is not None else None
+    imm = _unions(inh, sig) if universe is not None else None
     lines = []
     for a in range(1 << sig.n_worlds):
         flags = [

@@ -44,9 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         if universe:
             p.add_argument(
                 "--universe",
-                default="faithful",
                 choices=("faithful", "clf", "fa", "il"),
-                help="state universe kind (default: faithful)",
+                help="state universe kind (default: faithful, or il for an operator with an il_scope)",
             )
             p.add_argument("--unbiased", action="store_true", help="require the universe to be unbiased")
             p.add_argument(
@@ -99,7 +98,14 @@ def _load_operator(args, sig: Signature | None) -> RevisionOperator:
 def _universe(args, sig: Signature, op):
     """Universe plus either full states (n<=2) or sampled (state, alpha) pairs."""
     il_scope = getattr(op, "il_scope", None)
-    kind = args.universe if il_scope is None else "il"
+    if il_scope is None:
+        kind = args.universe or "faithful"
+    elif args.universe in (None, "il"):
+        kind = "il"
+    else:
+        raise RevlabError(
+            f"--universe {args.universe} cannot apply: the operator has an il_scope, so its universe is il"
+        )
     uni = enumerate_states(sig, kind, args.global_consistency, il_scope)
     if sig.n_atoms <= 2:
         states, instance_list = list(uni.states), None
@@ -252,7 +258,7 @@ def cmd_classify(args) -> int:
         universe, _, _ = _universe(args, sig, op)
     else:
         for flag, is_set in (
-            ("--universe", args.universe != "faithful"),
+            ("--universe", args.universe not in (None, "faithful")),
             ("--global-consistency", args.global_consistency),
             ("--unbiased", args.unbiased),
         ):

@@ -1,15 +1,27 @@
-"""Revision kernels over world-set masks.
+"""Revision kernels over world-set masks, and the lane layout of packed belief rows.
 
-These four functions are the inner loop of every suite: belief revision
-is repeated minimisation of world-set masks over level lists, and the
+These functions are the inner loop of every suite: belief revision is
+repeated minimisation of world-set masks over level lists, and the
 verifier calls them millions of times.  Orders are passed as tuples of
 disjoint nonempty level masks, most plausible level first.
 
-`bel_table` minimises every formula class at once.  It packs the classes
+`bel_row` minimises every formula class at once.  It packs the classes
 0..n-1 into one integer, one 8-bit lane per class up to 8 worlds and one
 16-bit lane up to 16 worlds, and walks the levels once over all lanes, so
 its cost grows with the number of levels, not the number of classes.
-`revise_mask` is the pointwise form the tests compare it against.
+`revise_mask` is the pointwise form the tests compare it against, and
+`bel_table` is the row unpacked into a tuple.
+
+The suites keep belief rows packed and quantify over classes with a few
+big-integer operations on all lanes at once (`Lanes`):
+
+* a lane test: `nz(x)` flags the nonzero lanes of x in their top bits, so
+  "T[a] inside a" for every class a is the zero lanes of `T & ~classes`;
+* compaction: `bits` turns flags into a class bitset in C (each lane's
+  top byte becomes one binary digit of `int(..., 2)`);
+* the subset-lattice transform: `lattice_and` replaces every lane a by the
+  AND of the lanes at a's supersets, or at its subsets, in one
+  shift-and-mask step per world; the OR over subsets is its complement.
 """
 
 from __future__ import annotations
@@ -50,34 +62,102 @@ def revise_mask(levels: tuple[int, ...], scope: int, bel: int, alpha: int) -> in
     return bel
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")  # a lane's top byte -> its bit as a digit
+
+
+class Lanes:
+    """Lane layout of a packed belief row over n classes: class c in lane c.
+
+    A row packs one world-set mask per class into one integer, in lanes of
+    `width` bits.  A flag set marks lanes by their top bit: `nz` flags the
+    nonzero lanes of any packed value, and `bits` compacts flags into a
+    class bitset (bit c set iff lane c is flagged).  Lane constants:
+
+    * `ones` has a 1 at the bottom of every lane, so `m * ones` copies a
+      lane-sized m into every lane; `full` is every lane all ones;
+    * `high` holds each lane's top bit and `low` its other bits;
+    * `classes` holds class c in lane c, so `classes & m * ones` is every
+      class cut to m;
+    * `steps` holds, per world j, the lane distance 2^j lanes apart in bits
+      and the full lanes whose class has, and lacks, world j.
+    """
+
+    def __init__(self, n_classes: int):
+        if n_classes > MAX_TABLE_CLASSES:
+            raise TooLargeError(f"belief tables support at most {MAX_TABLE_CLASSES} classes, got {n_classes}")
+        self.n_classes = n_classes
+        self.nbytes = 1 if n_classes <= 256 else 2
+        self.width = 8 * self.nbytes
+        self.lane = (1 << self.width) - 1
+        self.ones = int.from_bytes((1).to_bytes(self.nbytes, "little") * n_classes, "little")
+        self.full = self.ones * self.lane
+        self.high = self.ones << self.width - 1
+        self.low = self.high - self.ones
+        self.classes = int.from_bytes(
+            b"".join(c.to_bytes(self.nbytes, "little") for c in range(n_classes)), "little"
+        )
+        self.steps = []
+        world = 1
+        while world < n_classes:
+            has = self.fill(self.nz(self.classes & world * self.ones))
+            self.steps.append((world * self.width, has, self.full ^ has))
+            world <<= 1
+        self._struct = struct.Struct(f"<{n_classes}{'B' if self.nbytes == 1 else 'H'}")
+
+    def nz(self, x: int) -> int:
+        """Flags of the nonzero lanes of x: the top bit of `((x & low) + low) | x`."""
+        low = self.low
+        return (((x & low) + low) | x) & self.high
+
+    def fill(self, flags: int) -> int:
+        """Flagged lanes all ones."""
+        return (flags >> self.width - 1) * self.lane
+
+    def within(self, mask: int) -> int:
+        """Flags of the classes inside the world set `mask`."""
+        return self.high ^ self.nz(self.classes & (self.n_classes - 1 & ~mask) * self.ones)
+
+    def bits(self, flags: int) -> int:
+        """Class bitset of a flag set: each lane's top byte read as one binary digit."""
+        top = flags.to_bytes(self._struct.size, "little")[self.nbytes - 1 :: self.nbytes]
+        return int(top.translate(_FLAG_DIGITS)[::-1], 2)
+
+    def lattice_and(self, x: int, supersets: bool) -> int:
+        """Lane a becomes the AND of x's lanes at every superset (or every subset) of a.
+
+        One shift-and-mask step per world (Yates's zeta transform on lanes);
+        the OR over subsets is `full ^ lattice_and(full ^ x, False)`.
+        """
+        for dist, has, lacks in self.steps:
+            x &= (x >> dist | has) if supersets else (x << dist | lacks)
+        return x
+
+    def entry(self, row: int, c: int) -> int:
+        return row >> c * self.width & self.lane
+
+    def entries(self, row: int) -> tuple[int, ...]:
+        """The row unpacked, one mask per class."""
+        return self._struct.unpack(row.to_bytes(self._struct.size, "little"))
+
+    def pack(self, masks) -> int:
+        return int.from_bytes(self._struct.pack(*masks), "little")
+
+
 @lru_cache(maxsize=None)
-def _lanes(n_classes: int) -> tuple[int, int, int, int, int, int, struct.Struct]:
-    """Lane constants for n classes: (shift, lane, ones, low, high, classes, unpacker).
-
-    `ones` has a 1 at the bottom of every lane, so `m * ones` copies a
-    lane-sized m into every lane; `low` and `high` hold each lane's low
-    bits and its top bit, at `shift`; `classes` holds class c in lane c.
-    """
-    if n_classes > MAX_TABLE_CLASSES:
-        raise TooLargeError(f"belief tables support at most {MAX_TABLE_CLASSES} classes, got {n_classes}")
-    nbytes = 1 if n_classes <= 256 else 2
-    shift = 8 * nbytes - 1
-    ones = int.from_bytes((1).to_bytes(nbytes, "little") * n_classes, "little")
-    classes = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in range(n_classes)), "little")
-    high = ones << shift
-    unpack = struct.Struct(f"<{n_classes}{'B' if nbytes == 1 else 'H'}")
-    return shift, (1 << shift + 1) - 1, ones, high - ones, high, classes, unpack
+def lanes(n_classes: int) -> Lanes:
+    return Lanes(n_classes)
 
 
-def bel_table(levels: tuple[int, ...], scope: int, bel: int, n_classes: int) -> tuple[int, ...]:
-    """Posterior belief mask for every formula class 0..n_classes-1.
+def bel_row(levels: tuple[int, ...], scope: int, bel: int, n_classes: int) -> int:
+    """Posterior belief mask of every formula class 0..n_classes-1, packed one class per lane.
 
-    Entry alpha equals `revise_mask(levels, scope, bel, alpha)`.  The level,
+    Lane alpha equals `revise_mask(levels, scope, bel, alpha)`.  The level,
     scope and belief masks range over the worlds the classes range over, so
-    each fits in a lane.  A lane x is nonzero iff the top bit of
-    `((x & low) + low) | x` is set.
+    each fits in a lane.  The levels are walked once over all lanes.
     """
-    shift, lane, ones, low, high, classes, unpack = _lanes(n_classes)
+    ln = lanes(n_classes)
+    classes, ones, low, high, shift, lane = ln.classes, ln.ones, ln.low, ln.high, ln.width - 1, ln.lane
+    # `fill(nz(x))` written out: this walk builds every belief row of a suite.
     x = classes & scope * ones
     pending = (((((x & low) + low) | x) & high) >> shift) * lane  # lanes meeting the scope
     out = bel * ones & ~pending
@@ -88,7 +168,12 @@ def bel_table(levels: tuple[int, ...], scope: int, bel: int, n_classes: int) -> 
         take = (((((x & low) + low) | x) & high) >> shift) * lane & pending
         out |= x & take
         pending ^= take
-    return unpack.unpack(out.to_bytes(unpack.size, "little"))
+    return out
+
+
+def bel_table(levels: tuple[int, ...], scope: int, bel: int, n_classes: int) -> tuple[int, ...]:
+    """`bel_row` unpacked: entry alpha is `revise_mask(levels, scope, bel, alpha)`."""
+    return lanes(n_classes).entries(bel_row(levels, scope, bel, n_classes))
 
 
 def posterior(

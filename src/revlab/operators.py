@@ -113,8 +113,12 @@ class RevisionOperator:
     def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
         return kernels.revise_mask(*self._kernel_args(st), alpha)
 
+    def bel_row(self, st: EpistemicState, n_classes: int) -> int:
+        """Posterior beliefs for every class at once, packed one class per lane."""
+        return kernels.bel_row(*self._kernel_args(st), n_classes)
+
     def bel_table(self, st: EpistemicState, n_classes: int) -> tuple[int, ...]:
-        """Posterior beliefs for every class at once (kernel fast path)."""
+        """`bel_row` as a tuple, one posterior belief mask per class."""
         return kernels.bel_table(*self._kernel_args(st), n_classes)
 
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:

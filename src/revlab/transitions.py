@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import weakref
 
-from . import classify
+from . import classify, kernels
 from .errors import PreconditionError
 from .prop import Signature
 from .states import EpistemicState, StateUniverse
 
 
 class TransitionTable:
-    """Posteriors, belief tables and classifications of one operator, by state id.
+    """Posteriors, belief rows and classifications of one operator, by state id.
 
     States get dense integer ids in the order they first appear: a suite
     interns its states before any posterior, so an exhaustive run numbers
@@ -27,9 +27,11 @@ class TransitionTable:
     postulate side reads by id; the conditions are handed the table in
     place of the bare operator and read the same rows.
 
-    The table also answers `revise_beliefs` and `bel_table` from its rows,
-    so `classify_state` and `canonical_assignment` can take it as their
-    operator without building a belief table again.
+    A belief row is packed, one class per lane (`kernels.Lanes`), so the
+    class sets built on it are a few lane operations each.  The table also
+    answers `revise_beliefs` and `bel_row` from its rows, so
+    `classify_state` and `canonical_assignment` can take it as their
+    operator without building a belief row again.
     """
 
     def __init__(
@@ -45,12 +47,13 @@ class TransitionTable:
         self._universe = weakref.ref(universe) if universe is not None else None
         self.consistent_only = consistent_only
         self.n_classes = 1 << sig.n_worlds
+        self.lanes = kernels.lanes(self.n_classes)
         self.states: list[EpistemicState] = []
         self._ids: dict[EpistemicState, int] = {}
         # Posterior id per (id, class), keyed by id * n_classes + class: a
         # sampled suite asks for one class of each state.
         self._posts: dict[int, int] = {}
-        self._tables: list[tuple[int, ...] | None] = []
+        self._rows: list[int | None] = []
         self._scopes: list[int | None] = []
         self._success: list[int | None] = []
         self._cls: list[classify.StateClassification | None] = []
@@ -62,17 +65,12 @@ class TransitionTable:
             sid = len(self.states)
             self._ids[st] = sid
             self.states.append(st)
-            for rows in (self._tables, self._scopes, self._success, self._cls):
+            for rows in (self._rows, self._scopes, self._success, self._cls):
                 rows.append(None)
         return sid
 
     def classes(self) -> range:
         return range(1 if self.consistent_only else 0, self.n_classes)
-
-    def subsets(self, mask: int):
-        for s in classify.iter_subsets(mask):
-            if s or not self.consistent_only:
-                yield s
 
     def post(self, sid: int, alpha: int) -> int:
         """Id of the posterior of state `sid` revised by `alpha`."""
@@ -82,19 +80,19 @@ class TransitionTable:
             p = self._posts[key] = self.id_of(self.op.apply(self.states[sid], alpha))
         return p
 
-    def bel(self, sid: int) -> tuple[int, ...]:
-        """Belief table of state `sid`: posterior belief mask per class."""
-        t = self._tables[sid]
+    def row(self, sid: int) -> int:
+        """Belief row of state `sid`: its posterior belief mask per class, one lane each."""
+        t = self._rows[sid]
         if t is None:
-            t = self._tables[sid] = classify.bel_table_of(self.op, self.states[sid], self.sig)
+            t = self._rows[sid] = classify.bel_row_of(self.op, self.states[sid], self.sig)
         return t
 
-    def bel_table(self, st: EpistemicState, n_classes: int) -> tuple[int, ...]:
+    def bel_row(self, st: EpistemicState, n_classes: int) -> int:
         """The stored row; `n_classes` is always the table's own here."""
-        return self.bel(self.id_of(st))
+        return self.row(self.id_of(st))
 
     def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
-        return self.bel(self.id_of(st))[alpha]
+        return self.lanes.entry(self.row(self.id_of(st)), alpha)
 
     def classification(self, sid: int) -> classify.StateClassification:
         c = self._cls[sid]
@@ -103,14 +101,11 @@ class TransitionTable:
         return c
 
     def scope_classes(self, sid: int) -> int:
+        """Classes whose revision succeeds: the lanes a with T[a] inside a."""
         bits = self._scopes[sid]
         if bits is None:
-            t = self.bel(sid)
-            bits = 0
-            for a in range(self.n_classes):
-                if t[a] & ~a == 0:
-                    bits |= 1 << a
-            self._scopes[sid] = bits
+            ln = self.lanes
+            bits = self._scopes[sid] = ln.bits(ln.high ^ ln.nz(self.row(sid) & ~ln.classes))
         return bits
 
     def reasonable(self, sid: int) -> int:
@@ -120,12 +115,8 @@ class TransitionTable:
         """Worlds whose minterm is accepted when revised by."""
         mask = self._success[sid]
         if mask is None:
-            t = self.bel(sid)
-            mask = 0
-            for w in range(self.sig.n_worlds):
-                if t[1 << w] & ~(1 << w) == 0:
-                    mask |= 1 << w
-            self._success[sid] = mask
+            sc = self.scope_classes(sid)
+            mask = self._success[sid] = sum(1 << w for w in range(self.sig.n_worlds) if sc >> (1 << w) & 1)
         return mask
 
     def immanent(self) -> int:

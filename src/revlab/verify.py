@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 
-from . import classify
+from . import classify, kernels
 from .errors import NonWeakOrderError, PreconditionError
 from .kernels import revise_mask
 from .operators import canonical_assignment
@@ -90,7 +90,9 @@ _PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: every (α, β) pair i
 # Postulates of one shape share a branch of `_iter_postulate` and differ by
 # a row of its tables.  A class set is a bitset over classes, read from the
 # table for one state id: all classes, the scope classes (the inputs whose
-# revision succeeds) or the reasonable classes.
+# revision succeeds) or the reasonable classes.  Where β ranges over classes
+# for one α, the branch tests all β at once on the packed belief rows and
+# yields the failing β in the order the loop over classes would.
 
 
 def _all_classes(tab: TransitionTable, sid: int) -> int:
@@ -123,11 +125,109 @@ def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> tuple[s
     return ("reasonable", tab.reasonable(sid)) if pid.startswith("DL") else ("immanent", tab.immanent())
 
 
-def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
-    t = tab.bel(sid)
-    bel = tab.states[sid].bel
-    full = tab.sig.all_worlds
+def _ascending(bits: int):
+    """The classes of a bitset, lowest first: `tab.classes()` order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
+
+def _descending(bits: int):
+    """The classes of a bitset, highest first: `classify.iter_subsets` order."""
+    while bits:
+        top = bits.bit_length() - 1
+        yield top
+        bits ^= 1 << top
+
+
+def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
+    ln = tab.lanes
+    nz, ones = ln.nz, ln.ones
+    T = tab.row(sid)
+    full = tab.sig.all_worlds
+    skip = 1 if tab.consistent_only else 0  # the contradiction's class bit, when β may not be it
+
+    # β loops as lane operations on the packed rows T (prior) and tp
+    # (posterior): a failing β is a flagged lane, and the flags are compacted
+    # into a class bitset only when some lane fails.
+    if pid in _TWO_STEP:
+        inside, checked, kept = _TWO_STEP[pid]
+        checked, kept = checked(tab, sid), kept(tab, sid) & ~skip
+        for a in alphas:
+            if (checked >> a) & 1:
+                tp = tab.row(tab.post(sid, a))
+                diff = nz(T ^ tp) & ln.within(a if inside else full & ~a)
+                if diff:
+                    for b in _descending(ln.bits(diff) & kept):
+                        yield a, b, f"{pid}: two-step belief mismatch", ln.entry(tp, b), ln.entry(T, b)
+    elif pid == "DP3":
+        for a in alphas:
+            tp = tab.row(tab.post(sid, a))
+            out = (full & ~a) * ones
+            bad = nz(tp & out) & ~nz(T & out)
+            if bad:
+                for b in _ascending(ln.bits(bad) & ~skip):
+                    yield a, b, "DP3: posterior lost the input", ln.entry(tp, b), f"subset of {a}"
+    elif pid == "DP4":
+        for a in alphas:
+            tp = tab.row(tab.post(sid, a))
+            bad = nz(T & a * ones) & ~nz(tp & a * ones)
+            if bad:
+                for b in _ascending(ln.bits(bad) & ~skip):
+                    yield a, b, "DP4: posterior denies the input", ln.entry(tp, b), f"meets {a}"
+    elif pid == "CLP":
+        sc = tab.scope_classes(sid)
+        for a in alphas:
+            if not (sc >> a) & 1:
+                continue
+            tp = tab.row(tab.post(sid, a))
+            bad = nz(T & a * ones) & nz(tp & (full & ~a) * ones)
+            if bad:
+                for b in _ascending(ln.bits(bad) & sc & ~skip):
+                    yield a, b, "CLP: input not retained", ln.entry(tp, b), f"subset of {a}"
+    elif pid in _SCOPE_MOVES:
+        inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
+        sc = tab.scope_classes(sid)
+        for a in alphas:
+            if gated and not (sc >> a) & 1:
+                continue
+            gone = moved(sc, tab.scope_classes(tab.post(sid, a))) & ~skip
+            if gone:
+                for b in _descending(gone & classify.subset_bits(a if inside else full & ~a)):
+                    yield a, b, f"{pid}: {clause}", observed, required
+    elif pid in ("FC", "FR", "SC", "SR"):
+        sc = tab.scope_classes(sid)
+        want_success = pid in ("SC", "SR")
+        for a in alphas:
+            if bool((sc >> a) & 1) != want_success:
+                continue
+            scp = tab.scope_classes(tab.post(sid, a))
+            grew, shrank = scp & ~sc & ~skip, sc & ~scp & ~skip
+            bad = shrank if pid in ("FC", "SC") else grew
+            if bad:
+                which = "shrank" if pid in ("FC", "SC") else "grew"
+                yield a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
+    elif pid == "COM":
+        sc = tab.scope_classes(sid)
+        for a in alphas:
+            if not (sc >> a) & 1:
+                scp = tab.scope_classes(tab.post(sid, a))
+                if not (scp >> a) & 1:
+                    yield a, None, "COM: refused input still refused", "out", "in scope"
+    elif pid in ("DL6", "CL4", "IL6"):
+        # Classes are canonical model sets, so syntax independence holds by
+        # representation; counted for the record.
+        return
+    elif pid in POSTULATE_IDS:
+        # The one-step postulates read single entries of the row.
+        yield from _iter_one_step(tab, pid, sid, alphas, ln.entries(T))
+    else:
+        raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
+
+
+def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[int, ...]):
+    bel = tab.states[sid].bel
     if pid in ("DL1", "CL1", "IL1"):
         for a in alphas:
             if not (t[a] == bel or t[a] & ~a == 0):
@@ -152,10 +252,6 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
         for a in alphas:
             if bel and not t[a]:
                 yield a, None, f"{pid}: inconsistent result from consistent beliefs", 0, "nonempty"
-    elif pid in ("DL6", "CL4", "IL6"):
-        # Classes are canonical model sets, so syntax independence holds by
-        # representation; counted for the record.
-        return
     elif pid in ("DL7", "CL6", "IL7"):
         for a in alphas:
             for b in alphas:
@@ -180,70 +276,6 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
         for a in alphas:
             if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
                 yield a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a
-    elif pid in _TWO_STEP:
-        inside, checked, kept = _TWO_STEP[pid]
-        checked, kept = checked(tab, sid), kept(tab, sid)
-        for a in alphas:
-            if (checked >> a) & 1:
-                tp = tab.bel(tab.post(sid, a))
-                for b in tab.subsets(a if inside else full & ~a):
-                    if (kept >> b) & 1 and tp[b] != t[b]:
-                        yield a, b, f"{pid}: two-step belief mismatch", tp[b], t[b]
-    elif pid == "DP3":
-        for a in alphas:
-            tp = tab.bel(tab.post(sid, a))
-            for b in tab.classes():
-                if t[b] & ~a == 0 and tp[b] & ~a:
-                    yield a, b, "DP3: posterior lost the input", tp[b], f"subset of {a}"
-    elif pid == "DP4":
-        for a in alphas:
-            tp = tab.bel(tab.post(sid, a))
-            for b in tab.classes():
-                if t[b] & a and not tp[b] & a:
-                    yield a, b, "DP4: posterior denies the input", tp[b], f"meets {a}"
-    elif pid == "CLP":
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if not (sc >> a) & 1:
-                continue
-            tp = tab.bel(tab.post(sid, a))
-            for b in tab.classes():
-                if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
-                    yield a, b, "CLP: input not retained", tp[b], f"subset of {a}"
-    elif pid in _SCOPE_MOVES:
-        inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if gated and not (sc >> a) & 1:
-                continue
-            gone = moved(sc, tab.scope_classes(tab.post(sid, a)))
-            for b in tab.subsets(a if inside else full & ~a):
-                if (gone >> b) & 1:
-                    yield a, b, f"{pid}: {clause}", observed, required
-    elif pid in ("FC", "FR", "SC", "SR"):
-        sc = tab.scope_classes(sid)
-        want_success = pid in ("SC", "SR")
-        for a in alphas:
-            if bool((sc >> a) & 1) != want_success:
-                continue
-            scp = tab.scope_classes(tab.post(sid, a))
-            grew, shrank = scp & ~sc, sc & ~scp
-            if tab.consistent_only:
-                grew &= ~1
-                shrank &= ~1
-            bad = shrank if pid in ("FC", "SC") else grew
-            if bad:
-                which = "shrank" if pid in ("FC", "SC") else "grew"
-                yield a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
-    elif pid == "COM":
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if not (sc >> a) & 1:
-                scp = tab.scope_classes(tab.post(sid, a))
-                if not (scp >> a) & 1:
-                    yield a, None, "COM: refused input still refused", "out", "in scope"
-    else:
-        raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
 
 
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
@@ -370,8 +402,9 @@ def _success(tab, sid: int) -> int:
     return _need(tab).success_worlds(sid)
 
 
-def _row(tab, sid: int) -> tuple[int, ...]:
-    return _need(tab).bel(sid)
+def _scope_classes(tab, sid: int) -> int:
+    """Classes whose revision of state `sid` succeeds."""
+    return _need(tab).scope_classes(sid)
 
 
 def _on_success(cond):
@@ -390,25 +423,25 @@ def _p11i(st, post, a, na, strict) -> bool:
 
 
 def _c_clcd(st, post, a, na, tab, sid, co) -> bool:
-    t = _row(tab, sid)
-    return t[a] & ~a != 0 or all(
-        t[b] & ~b == 0 or b & post.scope == 0 for b in classify.iter_subsets(na) if b or not co
+    sc = _scope_classes(tab, sid)
+    return not (sc >> a) & 1 or all(
+        (sc >> b) & 1 or b & post.scope == 0 for b in classify.iter_subsets(na) if b or not co
     )
 
 
 def _c_cm1(st, post, a, na, tab, sid, co) -> bool:
-    t = _row(tab, sid)
+    sc = _scope_classes(tab, sid)
     return all(
-        not (t[b] & ~b == 0 or b & st.scope) or post.bel & ~b == 0 or b & post.scope
+        not ((sc >> b) & 1 or b & st.scope) or post.bel & ~b == 0 or b & post.scope
         for b in classify.iter_subsets(a)
         if b or not co
     )
 
 
 def _c_cm2(st, post, a, na, tab, sid, co) -> bool:
-    t = _row(tab, sid)
-    return t[a] & ~a != 0 or all(
-        t[b] & ~b or post.bel & ~b == 0 or b & post.scope for b in classify.iter_subsets(na) if b or not co
+    sc = _scope_classes(tab, sid)
+    return not (sc >> a) & 1 or all(
+        not (sc >> b) & 1 or post.bel & ~b == 0 or b & post.scope for b in classify.iter_subsets(na) if b or not co
     )
 
 
@@ -417,7 +450,7 @@ def _scope_pair(on_success: bool, first: str, second: str):
     whenever revision by the input succeeds exactly when `on_success` says."""
 
     def cond(st, post, a, na, tab, sid, co):
-        if (_row(tab, sid)[a] & ~a == 0) != on_success:
+        if bool((_scope_classes(tab, sid) >> a) & 1) != on_success:
             return True
         args = st, post, a, na, tab, sid, co
         return CONDITIONS[first](*args) and CONDITIONS[second](*args)
@@ -610,29 +643,33 @@ def verify_equivalence(
 # Representation round trips
 
 
-def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, alphas):
+def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, alphas, budget: int):
     """The forward check at one state: the scope rebuilt from `op`'s revision results (None
-    without a weak order) and the rebuilt assignment's failures: unfaithful, not CLF-valid (CL),
-    scope short of all worlds (AGM), or the first input of `alphas` revised unlike `op`."""
+    without a weak order) and the first `budget` of the rebuilt assignment's failures: unfaithful,
+    not CLF-valid (CL), scope short of all worlds (AGM), or the first input of `alphas` revised
+    unlike `op`.  Failures past the budget are neither built nor looked for."""
     try:
         order, scope = canonical_assignment(op, st, sig, family="cl" if family == "CL" else "dl")
     except NonWeakOrderError as err:
-        return None, [Counterexample(st, None, None, f"canonical reconstruction failed: {err}", "error", "weak order")]
-    recon = EpistemicState(st.bel, scope, order)
-    ces = []
-    if not check_faithful_limited(recon):
-        ces.append(Counterexample(st, None, None, "reconstruction not faithful", recon, "faithful"))
-    if family == "CL" and not check_clf(recon):
-        ces.append(Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF"))
-    if family == "AGM" and scope != sig.all_worlds:
-        ces.append(Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds))
-    want = classify.bel_table_of(op, st, sig)
-    for a in alphas:
-        got = revise_mask(order.levels, scope, st.bel, a)
-        if got != want[a]:
-            ces.append(Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a]))
-            break
-    return scope, ces
+        failed = Counterexample(st, None, None, f"canonical reconstruction failed: {err}", "error", "weak order")
+        return None, [failed][:budget]
+
+    def failures():
+        recon = EpistemicState(st.bel, scope, order)
+        if not check_faithful_limited(recon):
+            yield Counterexample(st, None, None, "reconstruction not faithful", recon, "faithful")
+        if family == "CL" and not check_clf(recon):
+            yield Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF")
+        if family == "AGM" and scope != sig.all_worlds:
+            yield Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds)
+        want = kernels.lanes(1 << sig.n_worlds).entries(classify.bel_row_of(op, st, sig))
+        for a in alphas:
+            got = revise_mask(order.levels, scope, st.bel, a)
+            if got != want[a]:
+                yield Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a])
+                return
+
+    return scope, list(islice(failures(), budget))
 
 
 def representation_roundtrip(
@@ -682,11 +719,11 @@ def representation_roundtrip(
         il_scopes = set()
         for st, _, alphas in work:
             instances += 1
-            scope, errors = _reconstruction_errors(tab, st, universe.sig, family, alphas)
+            budget = max(max_counterexamples - len(ces), 0)
+            scope, errors = _reconstruction_errors(tab, st, universe.sig, family, alphas, budget)
             if scope is not None:
                 il_scopes.add(scope)
-            for ce in errors:
-                add(ce)
+            ces += errors
         if family == "IL" and len(il_scopes) > 1:
             first = work[0][0]
             add(Counterexample(first, None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope"))
@@ -719,16 +756,18 @@ def mutation_detection(
         st = states[rng.randrange(len(states))]
         a = rng.randrange(n_classes)
         sid = tab.id_of(st)
-        row = tab.bel(sid)
+        row = tab.row(sid)
+        old = tab.lanes.entry(row, a)
         while True:
             new_bel = rng.randrange(n_classes)
-            if new_bel != row[a]:
+            if new_bel != old:
                 break
-        tab._tables[sid] = row[:a] + (new_bel,) + row[a + 1:]
+        tab._rows[sid] = row ^ (old ^ new_bel) << a * tab.lanes.width
         try:
-            hit = bool(_reconstruction_errors(tab, st, sig, "DL", range(n_classes))[1])
+            # Detection needs one failure, so the check stops at the first.
+            hit = bool(_reconstruction_errors(tab, st, sig, "DL", range(n_classes), 1)[1])
         finally:
-            tab._tables[sid] = row
+            tab._rows[sid] = row
         if hit:
             detected += 1
         elif len(misses) < MAX_COUNTEREXAMPLES:

@@ -227,7 +227,7 @@ def oracle_condition(st, post, alpha, cid, sig, op=None, consistent_only=False):
         if op is None:
             raise PreconditionError(f"{cid} needs the operator (revision-success premises)")
         tab = _table_of(op, sig)
-        t = tab.bel(tab.id_of(st))
+        t = tab.lanes.entries(tab.row(tab.id_of(st)))
         lo = 1 if consistent_only else 0
         success_a = t[alpha] & ~alpha == 0
         if cid == "C-CLCD":

@@ -1,0 +1,177 @@
+"""List and loop oracles for the lane operations on packed belief rows.
+
+`revlab.kernels.Lanes` quantifies over classes with a few big-integer
+operations on a packed row, and `revlab.classify`, `TransitionTable` and
+the postulate side of `revlab.verify` are built on it.  This module keeps
+the forms they replaced, over one tuple entry per class:
+
+* the subset-lattice transforms as list loops (superset-AND, subset-OR);
+* the scope classes as a loop over the classes;
+* `classify_state` with the list transforms;
+* the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP) and of
+  the scope-move postulates (CLCD, CM1, CM2, DOC).
+
+`tests/test_lanes.py` compares the two.
+"""
+
+from __future__ import annotations
+
+from revlab.classify import iter_subsets
+from revlab.transitions import TransitionTable
+
+
+def superset_and(values: list[int]) -> list[int]:
+    """out[a] = AND of values[b] over all supersets b of a (zeta transform)."""
+    out = list(values)
+    n = len(out)
+    bit = 1
+    while bit < n:
+        for base in range(0, n, bit << 1):
+            for a in range(base, base + bit):
+                out[a] &= out[a + bit]
+        bit <<= 1
+    return out
+
+
+def subset_or(values: list[int]) -> list[int]:
+    """out[a] = OR of values[b] over all subsets b of a (zeta transform)."""
+    out = list(values)
+    n = len(out)
+    bit = 1
+    while bit < n:
+        for base in range(0, n, bit << 1):
+            for a in range(base + bit, base + (bit << 1)):
+                out[a] |= out[a - bit]
+        bit <<= 1
+    return out
+
+
+def scope_classes(table) -> int:
+    """Bitset of the classes a with table[a] inside a."""
+    bits = 0
+    for a in range(len(table)):
+        if table[a] & ~a == 0:
+            bits |= 1 << a
+    return bits
+
+
+def classify_table(table, bel: int, n_worlds: int):
+    """(s1, s2, latent, reasonable, scope) of a belief table, by the list transforms."""
+    n_classes = 1 << n_worlds
+    weakest = superset_and(table)
+    s1 = s2 = scope = 0
+    down = [True] * n_classes  # a and every class below it are in S1 ∩ S2 (vacuous for 0)
+    for a in range(n_classes):
+        ta = table[a]
+        ok1 = not bel & a or ta & ~weakest[a] == 0
+        ok2 = ta & a != 0
+        if ok1:
+            s1 |= 1 << a
+        if ok2:
+            s2 |= 1 << a
+        if ta & ~a == 0:
+            scope |= 1 << a
+        if a:
+            ok = ok1 and ok2
+            rest = a
+            while ok and rest:
+                low = rest & -rest
+                ok = down[a ^ low]
+                rest ^= low
+            down[a] = ok
+    latent = sum(1 << a for a in range(1, n_classes) if down[a])
+    minterms = sum(1 << w for w in range(n_worlds) if down[1 << w])
+    reasonable = sum(1 << a for a in iter_subsets(minterms) if a)
+    return s1, s2, latent, reasonable, scope
+
+
+def unions(members: int, n_classes: int) -> int:
+    """Bitset of the nonempty classes that are unions of classes in `members`."""
+    cover = subset_or([a if (members >> a) & 1 else 0 for a in range(n_classes)])
+    return sum(1 << a for a in range(1, n_classes) if cover[a] == a)
+
+
+def _table(tab: TransitionTable, sid: int) -> tuple[int, ...]:
+    return tab.lanes.entries(tab.row(sid))
+
+
+def _subsets(tab: TransitionTable, mask: int):
+    return (s for s in iter_subsets(mask) if s or not tab.consistent_only)
+
+
+def _scope(tab: TransitionTable, sid: int) -> int:
+    return scope_classes(_table(tab, sid))
+
+
+# pid: (β inside α rather than ¬α, classes of α checked, classes of β kept), as in verify
+def _all(tab, sid):
+    return -1
+
+
+def _reasonable(tab, sid):
+    return tab.reasonable(sid)
+
+
+_TWO_STEP = {
+    "DP1": (True, _all, _all),
+    "DP2": (False, _all, _all),
+    "CLDP1": (True, _all, _scope),
+    "CLDP2": (False, _scope, _scope),
+    "DLDP1": (True, _reasonable, _reasonable),
+    "DLDP2": (False, _reasonable, _reasonable),
+}
+
+_SCOPE_MOVES = {
+    "CLCD": (False, True, lambda sc, scp: scp & ~sc, "contrary entered the scope", "in scope", "out of scope"),
+    "CM1": (True, False, lambda sc, scp: sc & ~scp, "stronger input left the scope", "out", "in scope"),
+    "CM2": (False, True, lambda sc, scp: sc & ~scp, "contrary input left the scope", "out", "in scope"),
+    "DOC": (False, True, lambda sc, scp: scp, "contrary accepted after success", "in scope", "out of scope"),
+}
+
+BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES)
+
+
+def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
+    """The rows `verify._iter_postulate` yields for a β-loop postulate, by loops over tuples."""
+    t = _table(tab, sid)
+    full = tab.sig.all_worlds
+    if pid in _TWO_STEP:
+        inside, checked, kept = _TWO_STEP[pid]
+        checked, kept = checked(tab, sid), kept(tab, sid)
+        for a in alphas:
+            if (checked >> a) & 1:
+                tp = _table(tab, tab.post(sid, a))
+                for b in _subsets(tab, a if inside else full & ~a):
+                    if (kept >> b) & 1 and tp[b] != t[b]:
+                        yield a, b, f"{pid}: two-step belief mismatch", tp[b], t[b]
+    elif pid == "DP3":
+        for a in alphas:
+            tp = _table(tab, tab.post(sid, a))
+            for b in tab.classes():
+                if t[b] & ~a == 0 and tp[b] & ~a:
+                    yield a, b, "DP3: posterior lost the input", tp[b], f"subset of {a}"
+    elif pid == "DP4":
+        for a in alphas:
+            tp = _table(tab, tab.post(sid, a))
+            for b in tab.classes():
+                if t[b] & a and not tp[b] & a:
+                    yield a, b, "DP4: posterior denies the input", tp[b], f"meets {a}"
+    elif pid == "CLP":
+        sc = _scope(tab, sid)
+        for a in alphas:
+            if not (sc >> a) & 1:
+                continue
+            tp = _table(tab, tab.post(sid, a))
+            for b in tab.classes():
+                if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
+                    yield a, b, "CLP: input not retained", tp[b], f"subset of {a}"
+    else:
+        inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
+        sc = _scope(tab, sid)
+        for a in alphas:
+            if gated and not (sc >> a) & 1:
+                continue
+            gone = moved(sc, _scope(tab, tab.post(sid, a)))
+            for b in _subsets(tab, a if inside else full & ~a):
+                if (gone >> b) & 1:
+                    yield a, b, f"{pid}: {clause}", observed, required

@@ -77,6 +77,13 @@ class TestCheck:
         assert "CHECK CL2" in out and "result=FAIL" in out
         assert "bel: 00 01 10 11" in out  # the all-models state witnesses the failure
 
+    def test_il_operator_checks_the_il_universe(self, tmp_path, capsys):
+        op = tmp_path / "il.op"
+        op.write_text("family: il\nil_scope: 3\n")
+        assert main(["check", "--operator", str(op), "--sig", "a b", "IL1"]) == 0
+        out = capsys.readouterr().out
+        assert "# universe: il (" in out and "result=PASS" in out
+
     def test_bad_id_lists_valid(self, karl_files, capsys):
         _, op = karl_files
         assert main(["check", "--operator", op, "--sig", "a b", "DL9"]) == 2
@@ -234,6 +241,14 @@ class TestBadInput:
         # A 3-atom state is classified without a universe, so these flags cannot apply.
         state, op = karl_files
         self._fails_cleanly(["classify", "--state", state, "--operator", op, *flags], capsys, needle)
+
+    @pytest.mark.parametrize("universe", ["faithful", "clf", "fa"])
+    def test_universe_flag_on_an_il_operator(self, tmp_path, capsys, universe):
+        # An il operator has one universe, so a flag naming another cannot apply.
+        op = tmp_path / "il.op"
+        op.write_text("family: il\nil_scope: 3\n")
+        argv = ["check", "--operator", str(op), "--sig", "a b", "--universe", universe, "IL1"]
+        self._fails_cleanly(argv, capsys, f"--universe {universe}")
 
     @pytest.mark.parametrize(
         "argv",

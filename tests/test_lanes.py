@@ -1,0 +1,111 @@
+"""Lane operations on packed belief rows against their list and loop oracles.
+
+The oracles are in `lane_oracle.py`.  Each comparison runs on every belief
+row a 2-atom faithful suite reads (every state and its posteriors under all
+16 inputs and all nine update policies), on a seeded 3-atom sample, and on
+a few seeded 4-atom states, whose rows have 16-bit lanes.
+"""
+
+import random
+
+import pytest
+from lane_oracle import BETA_PIDS, classify_table, iter_beta_rows, scope_classes, subset_or, superset_and, unions
+
+from revlab import classify, kernels, verify
+from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
+from revlab.prop import Signature
+from revlab.states import enumerate_states, sample_states
+from revlab.transitions import TransitionTable
+
+AB = Signature.of("a b")
+ABC = Signature.of("a b c")
+ABCD = Signature.of("a b c d")
+
+
+def _tables(sig, states, policies, co, alphas_of):
+    """A table per policy with every state's posteriors under its inputs filled in."""
+    for policy in policies:
+        tab = TransitionTable(RevisionOperator("dl", policy), sig, consistent_only=co)
+        work = [(tab.id_of(st), alphas_of(st)) for st in states]
+        for sid, alphas in work:
+            for a in alphas:
+                tab.post(sid, a)
+        yield tab, work
+
+
+def _assert_rows_match(tab):
+    """Transforms, scope classes and classification of every row in the table."""
+    ln = tab.lanes
+    n_worlds = tab.sig.n_worlds
+    for sid, st in enumerate(tab.states):
+        row = tab.row(sid)
+        table = ln.entries(row)
+        assert ln.entries(ln.lattice_and(row, supersets=True)) == tuple(superset_and(table))
+        cover = ln.full ^ ln.lattice_and(ln.full ^ row, supersets=False)
+        assert ln.entries(cover) == tuple(subset_or(table))
+        assert tab.scope_classes(sid) == scope_classes(table)
+        cls = classify.classify_state(tab, st, tab.sig)
+        assert cls.table == table
+        got = (cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
+        assert got == classify_table(table, st.bel, n_worlds), st
+
+
+def _assert_beta_rows_match(tab, work, pids=BETA_PIDS):
+    for pid in pids:
+        for sid, alphas in work:
+            got = list(verify._iter_postulate(tab, pid, sid, alphas))
+            assert got == list(iter_beta_rows(tab, pid, sid, alphas)), (pid, tab.states[sid], alphas)
+
+
+@pytest.mark.parametrize("co", [False, True])
+def test_every_2atom_row_under_every_policy(co):
+    faithful = enumerate_states(AB, "faithful")
+    for tab, work in _tables(AB, faithful.states, all_policies(), co, lambda st: range(16)):
+        _assert_rows_match(tab)
+        _assert_beta_rows_match(tab, [(sid, tab.classes()) for sid, _ in work])
+
+
+@pytest.mark.parametrize("co", [False, True])
+def test_seeded_3atom_sample(co):
+    rng = random.Random(20240811)
+    states = sample_states(ABC, "faithful", 40, rng)
+    inputs = {st: [rng.randrange(256) for _ in range(6)] for st in states}
+    policies = [UpdatePolicy("keep", "keep"), UpdatePolicy("keep", "doc"), UpdatePolicy("lex", "result_only")]
+    for tab, work in _tables(ABC, states, policies, co, inputs.__getitem__):
+        _assert_rows_match(tab)
+        _assert_beta_rows_match(tab, work)
+
+
+def test_seeded_4atom_states_with_16_bit_lanes():
+    rng = random.Random(4)
+    states = sample_states(ABCD, "faithful", 2, rng)
+    inputs = {st: [rng.randrange(1 << 16) for _ in range(2)] for st in states}
+    (tab, work), = _tables(ABCD, states, [UpdatePolicy("keep", "doc")], False, inputs.__getitem__)
+    assert tab.lanes.width == 16
+    _assert_rows_match(tab)
+    _assert_beta_rows_match(tab, work, ("DP1", "DP2", "DP3", "DP4", "CLDP2", "CLP", "CM1"))
+
+
+@pytest.mark.parametrize("n_classes", [16, 256, 1 << 16])
+def test_compaction_round_trips(n_classes):
+    ln = kernels.lanes(n_classes)
+    rng = random.Random(n_classes)
+    top = 1 << ln.width - 1
+    for _ in range(5):
+        bits = rng.getrandbits(n_classes)
+        flags = ln.pack(top if (bits >> c) & 1 else 0 for c in range(n_classes))
+        assert ln.bits(flags) == bits and ln.fill(flags) & ln.high == flags
+        row = rng.getrandbits(n_classes * ln.width) & ln.fill(flags)  # lanes outside `bits` zero
+        table = ln.entries(row)
+        assert ln.bits(ln.nz(row)) == sum(1 << c for c, x in enumerate(table) if x)
+        assert ln.pack(table) == row
+
+
+def test_unions_match_the_list_transform():
+    # Arbitrary member sets, rarely down-closed, at 2 and 3 atoms.
+    rng = random.Random(9)
+    for sig in (AB, ABC):
+        n_classes = 1 << sig.n_worlds
+        for _ in range(300):
+            members = rng.getrandbits(n_classes) & rng.getrandbits(n_classes)
+            assert classify._unions(members, sig) == unions(members, n_classes)

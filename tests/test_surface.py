@@ -20,6 +20,7 @@ ENTRY_POINTS = {
     "prop.eval_world": "per-world evaluation, the independent oracle for models()",
     "operators.all_policies": "the nine update policies that the suites and the benchmark run",
     "operators.tabulate": "freezes an operator into a lookup table; the benchmark traces it",
+    "operators.RevisionOperator.bel_table": "an operator's belief table as a tuple; the suites read the packed bel_row",
     "operators.dump_operator": "writes an operator spec file, the inverse of parse_operator",
     "operators.ExtensionalOperator.check_total": "checks that a lookup table covers every state and class",
     "states.check_fa": "FA validity, beside check_clf and check_faithful_limited; the fa universe is tested against it",
