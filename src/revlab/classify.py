@@ -115,7 +115,8 @@ def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassificatio
     # and every superset of T[a] meets a once T[a] does.
     s2 = nz(row & classes)
     scope = high ^ nz(row & ~classes)
-    # Latent: a and every nonempty class below it are in S1 ∩ S2.
+    # Latent: a and every nonempty class below it are in S1 ∩ S2; lane 0,
+    # the empty class, is set so that it constrains nothing.
     latent = ln.bits(ln.lattice_and(s1 & s2 | high & ln.lane, supersets=False)) & ~1
     minterms = sum(1 << w for w in range(sig.n_worlds) if latent >> (1 << w) & 1)
     reasonable = subset_bits(minterms) & ~1
