@@ -117,10 +117,6 @@ class RevisionOperator:
         """Posterior beliefs for every class at once, packed one class per lane."""
         return kernels.bel_row(*self._kernel_args(st), n_classes)
 
-    def bel_table(self, st: EpistemicState, n_classes: int) -> tuple[int, ...]:
-        """`bel_row` as a tuple, one posterior belief mask per class."""
-        return kernels.bel_table(*self._kernel_args(st), n_classes)
-
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state; families with a fixed scope keep it."""
         scope_rule = "keep" if self.family in ("agm", "il") else self.policy.scope_rule

@@ -90,13 +90,11 @@ class Signature:
 
 
 def iter_worlds(mask: int) -> Iterator[int]:
-    """Worlds of a mask in ascending order."""
-    w = 0
+    """Worlds of a mask in ascending order, one set bit stripped per step."""
     while mask:
-        if mask & 1:
-            yield w
-        mask >>= 1
-        w += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def popcount(mask: int) -> int:

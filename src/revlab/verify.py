@@ -125,14 +125,6 @@ def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> tuple[s
     return ("reasonable", tab.reasonable(sid)) if pid.startswith("DL") else ("immanent", tab.immanent())
 
 
-def _ascending(bits: int):
-    """The classes of a bitset, lowest first: `tab.classes()` order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _descending(bits: int):
     """The classes of a bitset, highest first: `classify.iter_subsets` order."""
     while bits:
@@ -167,14 +159,14 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             out = (full & ~a) * ones
             bad = nz(tp & out) & ~nz(T & out)
             if bad:
-                for b in _ascending(ln.bits(bad) & ~skip):
+                for b in iter_worlds(ln.bits(bad) & ~skip):
                     yield a, b, "DP3: posterior lost the input", ln.entry(tp, b), f"subset of {a}"
     elif pid == "DP4":
         for a in alphas:
             tp = tab.row(tab.post(sid, a))
             bad = nz(T & a * ones) & ~nz(tp & a * ones)
             if bad:
-                for b in _ascending(ln.bits(bad) & ~skip):
+                for b in iter_worlds(ln.bits(bad) & ~skip):
                     yield a, b, "DP4: posterior denies the input", ln.entry(tp, b), f"meets {a}"
     elif pid == "CLP":
         sc = tab.scope_classes(sid)
@@ -184,7 +176,7 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
             tp = tab.row(tab.post(sid, a))
             bad = nz(T & a * ones) & nz(tp & (full & ~a) * ones)
             if bad:
-                for b in _ascending(ln.bits(bad) & sc & ~skip):
+                for b in iter_worlds(ln.bits(bad) & sc & ~skip):
                     yield a, b, "CLP: input not retained", ln.entry(tp, b), f"subset of {a}"
     elif pid in _SCOPE_MOVES:
         inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]

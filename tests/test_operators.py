@@ -84,7 +84,7 @@ class TestBeliefEquations:
         other = EpistemicState(st1.bel, mask(0, 1), RankedOrder((mask(0), mask(1))))
         for call in (
             lambda: op.revise_beliefs(other, 1),
-            lambda: op.bel_table(other, 16),
+            lambda: op.bel_row(other, 16),
             lambda: op.apply(other, 1),
         ):
             with pytest.raises(ScopeMismatchError):
@@ -153,7 +153,7 @@ class TestApply:
 
     def test_bel_table_matches_pointwise_revision(self):
         _, st, op = karl_fixture()
-        table = op.bel_table(st, 256)
+        table = _bel_table(op, st, 256)
         for alpha in range(256):
             assert table[alpha] == op.revise_beliefs(st, alpha)
 
@@ -161,9 +161,14 @@ class TestApply:
         # the agm fix-up: inputs missing the scope (⊥ here) empty the beliefs
         op = RevisionOperator("agm")
         for st in enumerate_states(AB, "fa").states:
-            table = op.bel_table(st, 16)
+            table = _bel_table(op, st, 16)
             assert table == tuple(op.revise_beliefs(st, alpha) for alpha in range(16))
             assert table[0] == 0
+
+
+def _bel_table(op, st, n_classes):
+    """The operator's packed belief row unpacked, one posterior belief mask per class."""
+    return kernels.lanes(n_classes).entries(op.bel_row(st, n_classes))
 
 
 def _plain_agm_bel_table(st):
@@ -193,7 +198,7 @@ def test_agm_matches_plain_minimisation(kind):
     for policy in all_policies():
         op = RevisionOperator("agm", policy)
         for st in states:
-            assert op.bel_table(st, 16) == _plain_agm_bel_table(st)
+            assert _bel_table(op, st, 16) == _plain_agm_bel_table(st)
             for alpha in range(16):
                 assert op.revise_beliefs(st, alpha) == kernels.min_mask(st.order.levels, alpha)
                 assert op.apply(st, alpha) == _plain_agm_apply(op, st, alpha)

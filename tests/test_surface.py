@@ -3,7 +3,7 @@
 A public function of `src/revlab/`, at module level or as a method of a
 module-level class, must be referred to somewhere in the package outside
 its own body: by name, as an attribute, or as a string such as
-`getattr(op, "bel_table", None)`.  Recursion does not count, and neither do
+`getattr(op, "bel_row", None)`.  Recursion does not count, and neither do
 the `__init__` re-exports.  A helper that only tests call belongs in
 `tests/` (as the oracles in `condition_oracle.py` do) or nowhere.
 `ENTRY_POINTS` holds the functions kept for callers outside the package.
@@ -18,9 +18,9 @@ SRC = Path(revlab.__file__).parent
 
 ENTRY_POINTS = {
     "prop.eval_world": "per-world evaluation, the independent oracle for models()",
+    "kernels.bel_table": "a belief row unpacked into a tuple; the benchmark traces it",
     "operators.all_policies": "the nine update policies that the suites and the benchmark run",
     "operators.tabulate": "freezes an operator into a lookup table; the benchmark traces it",
-    "operators.RevisionOperator.bel_table": "an operator's belief table as a tuple; the suites read the packed bel_row",
     "operators.dump_operator": "writes an operator spec file, the inverse of parse_operator",
     "operators.ExtensionalOperator.check_total": "checks that a lookup table covers every state and class",
     "states.check_fa": "FA validity, beside check_clf and check_faithful_limited; the fa universe is tested against it",

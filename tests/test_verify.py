@@ -678,7 +678,7 @@ class TestMutation:
             return [
                 (st, a)
                 for sid, st in enumerate(tab.states)
-                for a, (got, want) in enumerate(zip(tab.lanes.entries(tab.row(sid)), DL_OP.bel_table(st, 16)))
+                for a, (got, want) in enumerate(zip(tab.lanes.entries(tab.row(sid)), tab.lanes.entries(DL_OP.bel_row(st, 16))))
                 if got != want
             ]
 
