@@ -1,7 +1,6 @@
 """revlab: belief revision over limited total preorders, with a postulate verifier."""
 
 from .errors import (
-    DomainError,
     InvariantError,
     NonWeakOrderError,
     ParseError,

@@ -89,12 +89,15 @@ def subset_bits(mask: int) -> int:
     return bits
 
 
+def minterm_worlds(classes: int, n_worlds: int) -> int:
+    """Worlds whose minterm, the class of that world alone, is in the bitset `classes`."""
+    return sum(1 << w for w in range(n_worlds) if classes >> (1 << w) & 1)
+
+
 @dataclass(frozen=True)
 class StateClassification:
     """Per-state classification bitsets (bit c set iff class c qualifies)."""
 
-    sig: Signature
-    table: tuple[int, ...]
     s1: int
     s2: int
     latent: int
@@ -103,24 +106,26 @@ class StateClassification:
 
 
 def classify_state(op, st: EpistemicState, sig: Signature) -> StateClassification:
+    return classify_row(bel_row_of(op, st, sig), st.bel, sig)
+
+
+def classify_row(row: int, bel: int, sig: Signature) -> StateClassification:
+    """The classification of a state with prior beliefs `bel` and belief row `row`."""
     ln = kernels.lanes(1 << sig.n_worlds)
     nz, high, classes = ln.nz, ln.high, ln.classes
-    row = bel_row_of(op, st, sig)
     weakest = ln.lattice_and(row, supersets=True)
     # S1: a consistent with prior beliefs => revising by any weaker b
     # yields at most the beliefs of revising by a (model-wise: T[a] ⊆ T[b]).
-    s1 = high ^ (nz(classes & st.bel * ln.ones) & nz(row & ~weakest))
+    s1 = high ^ (nz(classes & bel * ln.ones) & nz(row & ~weakest))
     # S2: whenever revising by b keeps at least the beliefs of revising
     # by a, the result of b is consistent with a.  b = a is one such b,
     # and every superset of T[a] meets a once T[a] does.
     s2 = nz(row & classes)
-    scope = high ^ nz(row & ~classes)
     # Latent: a and every nonempty class below it are in S1 ∩ S2; lane 0,
     # the empty class, is set so that it constrains nothing.
     latent = ln.bits(ln.lattice_and(s1 & s2 | high & ln.lane, supersets=False)) & ~1
-    minterms = sum(1 << w for w in range(sig.n_worlds) if latent >> (1 << w) & 1)
-    reasonable = subset_bits(minterms) & ~1
-    return StateClassification(sig, ln.entries(row), ln.bits(s1), ln.bits(s2), latent, reasonable, ln.bits(scope))
+    reasonable = subset_bits(minterm_worlds(latent, sig.n_worlds)) & ~1
+    return StateClassification(ln.bits(s1), ln.bits(s2), latent, reasonable, ln.accepted(row))
 
 
 # ---------------------------------------------------------------------------

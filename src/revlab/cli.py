@@ -204,10 +204,19 @@ def _expand_ids(ids: list[str], op) -> list[str]:
     return out
 
 
-def cmd_check(args) -> int:
+def _signature(args) -> Signature:
+    """The --sig of `check` and `enumerate`, refusing a sample that could hold no instance."""
     if not args.sig:
-        raise RevlabError("check needs --sig")
-    sig = Signature.of(args.sig)
+        raise RevlabError(f"{args.command} needs --sig")
+    if args.samples < 1:
+        raise RevlabError(f"--samples must be at least 1, got {args.samples}")
+    return Signature.of(args.sig)
+
+
+def cmd_check(args) -> int:
+    sig = _signature(args)
+    if args.max_counterexamples < 0:
+        raise RevlabError(f"--max-counterexamples must be at least 0, got {args.max_counterexamples}")
     op = _load_operator(args, sig)
     uni, _, instance_list = _universe(args, sig, op)
     ids = _expand_ids(args.ids, op)
@@ -285,9 +294,7 @@ def cmd_repro(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if not args.sig:
-        raise RevlabError("enumerate needs --sig")
-    sig = Signature.of(args.sig)
+    sig = _signature(args)
     uni, states, instance_list = _universe(args, sig, RevisionOperator("dl"))
     sampled = instance_list is not None
     rows = [{"line": f"# states: {len(states)}{' (sampled)' if sampled else ''}"}]

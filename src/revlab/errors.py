@@ -21,10 +21,6 @@ class UnknownAtomError(ParseError):
         super().__init__(f"unknown atom {atom!r}", position)
 
 
-class DomainError(RevlabError, ValueError):
-    """A world lies outside the domain of the order it was used with."""
-
-
 class TooLargeError(RevlabError, ValueError):
     """Exhaustive enumeration requested beyond the supported size bound."""
 

@@ -18,7 +18,8 @@ big-integer operations on all lanes at once (`Lanes`):
 * a lane test: `nz(x)` flags the nonzero lanes of x in their top bits, so
   "T[a] inside a" for every class a is the zero lanes of `T & ~classes`;
 * compaction: `bits` turns flags into a class bitset in C (each lane's
-  top byte becomes one binary digit of `int(..., 2)`);
+  top byte becomes one binary digit of `int(..., 2)`), and `accepted` is
+  the scope classes of a belief row, compacted;
 * the subset-lattice transform: `lattice_and` replaces every lane a by the
   AND of the lanes at a's supersets, or at its subsets, in one
   shift-and-mask step per world; the OR over subsets is its complement.
@@ -121,6 +122,10 @@ class Lanes:
         """Class bitset of a flag set: each lane's top byte read as one binary digit."""
         top = flags.to_bytes(self._struct.size, "little")[self.nbytes - 1 :: self.nbytes]
         return int(top.translate(_FLAG_DIGITS)[::-1], 2)
+
+    def accepted(self, row: int) -> int:
+        """Class bitset of the lanes a with row[a] inside a; of a belief row, its scope classes."""
+        return self.bits(self.high ^ self.nz(row & ~self.classes))
 
     def lattice_and(self, x: int, supersets: bool) -> int:
         """Lane a becomes the AND of x's lanes at every superset (or every subset) of a.

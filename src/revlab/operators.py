@@ -179,59 +179,46 @@ def canonical_assignment(
 ) -> tuple[RankedOrder, int]:
     """Rebuilds (order, scope) from the operator's revision behaviour alone.
 
-    The scope is the set of worlds whose minterm formula is latent (for the
-    cl family: accepted), and w1 precedes w2 iff w1 survives revision by
-    the two-world disjunction.  Raises NonWeakOrderError when the pairwise
-    relation is not a weak order, which signals a postulate violation.
+    Both are read off the state's belief row.  The scope is the set of
+    worlds whose minterm formula is latent (for the cl family: accepted),
+    and w1 precedes w2 iff w1 survives revision by the two-world
+    disjunction; `up[w]` holds the scope worlds that w precedes.  Raises
+    NonWeakOrderError when that relation is not a weak order, which
+    signals a postulate violation.
     """
-    if family == "cl":
-        domain = 0
-        for w in range(sig.n_worlds):
-            if op.revise_beliefs(st, 1 << w) & ~(1 << w) == 0:
-                domain |= 1 << w
-    else:
-        cls = classify.classify_state(op, st, sig)
-        domain = 0
-        for w in range(sig.n_worlds):
-            if (cls.latent >> (1 << w)) & 1:
-                domain |= 1 << w
+    row = classify.bel_row_of(op, st, sig)
+    ln = kernels.lanes(1 << sig.n_worlds)
+    classes = ln.accepted(row) if family == "cl" else classify.classify_row(row, st.bel, sig).latent
+    domain = classify.minterm_worlds(classes, sig.n_worlds)
     if domain == 0:
         raise NonWeakOrderError("reconstructed scope is empty")
 
     worlds = list(iter_worlds(domain))
-    pair = {}
-    for w1 in worlds:
-        for w2 in worlds:
-            result = op.revise_beliefs(st, (1 << w1) | (1 << w2))
-            pair[(w1, w2)] = bool(result & (1 << w1))
-    for w1 in worlds:
-        for w2 in worlds:
-            if not (pair[(w1, w2)] or pair[(w2, w1)]):
-                raise NonWeakOrderError("pairwise relation is not total", witness=(w1, w2))
+    up = {w: sum(1 << v for v in worlds if ln.entry(row, 1 << w | 1 << v) >> w & 1) for w in worlds}
+    for w in worlds:
+        gap = domain & ~up[w] & ~sum(1 << v for v in worlds if up[v] >> w & 1)
+        if gap:
+            raise NonWeakOrderError("pairwise relation is not total", witness=(w, next(iter_worlds(gap))))
 
     levels = []
-    remaining = list(worlds)
-    placed = 0
+    above = {}  # per world, the worlds of its level and the later ones
+    remaining = domain
     while remaining:
-        minimal = [w for w in remaining if all(pair[(w, v)] for v in remaining)]
+        minimal = [w for w in iter_worlds(remaining) if remaining & ~up[w] == 0]
         if not minimal:
             raise NonWeakOrderError(
-                "pairwise relation has no minimal element", witness=tuple(remaining)
+                "pairwise relation has no minimal element", witness=tuple(iter_worlds(remaining))
             )
-        mask = 0
         for w in minimal:
-            mask |= 1 << w
-        levels.append(mask)
-        placed |= mask
-        remaining = [w for w in remaining if not placed & (1 << w)]
+            above[w] = remaining
+        levels.append(sum(1 << w for w in minimal))
+        remaining ^= levels[-1]
     order = RankedOrder(tuple(levels))
 
-    for w1 in worlds:
-        for w2 in worlds:
-            if (order.level_of(w1) <= order.level_of(w2)) != pair[(w1, w2)]:
-                raise NonWeakOrderError(
-                    "pairwise relation is not transitive", witness=(w1, w2)
-                )
+    for w in worlds:
+        bad = up[w] ^ above[w]
+        if bad:
+            raise NonWeakOrderError("pairwise relation is not transitive", witness=(w, next(iter_worlds(bad))))
     return order, domain
 
 
@@ -244,7 +231,7 @@ def dump_operator(op: RevisionOperator | ExtensionalOperator) -> str:
         return _dump_extensional(op)
     lines = [f"family: {op.family}"]
     if op.family == "il":
-        lines.append(f"il_scope: {op.il_scope}")
+        lines.append(f"il_scope: {op.il_scope:#x}")  # hex, which no signature reads as worlds
     lines.append(f"order_rule: {op.policy.order_rule}")
     lines.append(f"scope_rule: {op.policy.scope_rule}")
     return "\n".join(lines) + "\n"
@@ -280,7 +267,8 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     """Parses an operator spec file; raises ParseError with the offending line number.
 
     Policy operators are `family:`/`order_rule:`/`scope_rule:` lines
-    (plus `il_scope:` for the fixed-scope family).  Extensional operators
+    (plus `il_scope:` for the fixed-scope family: worlds, read with `sig`,
+    or a mask).  Extensional operators
     additionally carry a `sig:` line, numbered `state k:` lines, and
     `entry: <state> <class-mask> <posterior-state>` triples.
     """
@@ -328,12 +316,19 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     if family == "il":
         if "il_scope" not in fields:
             raise ParseError("il operator file needs an il_scope line")
-        raw_scope = fields["il_scope"]
-        if sig is not None and not raw_scope.isdigit():
-            il_scope = sig.worldset_of_strs(raw_scope)
-        else:
-            il_scope = _parse_int(raw_scope, linenos["il_scope"], "il_scope")
+        il_scope = _parse_il_scope(fields["il_scope"], linenos["il_scope"], sig)
     return RevisionOperator(family, UpdatePolicy(*rules), il_scope)
+
+
+def _parse_il_scope(raw: str, lineno: int, sig: Signature | None) -> int:
+    """Worlds when every token is a world of `sig`, as state files write them; else a
+    mask, in decimal or as `dump_operator` writes it, in hex."""
+    if sig is not None and raw and all(len(t) == sig.n_atoms and set(t) <= {"0", "1"} for t in raw.split()):
+        return sig.worldset_of_strs(raw)
+    try:
+        return int(raw, 16 if raw.startswith("0x") else 10)
+    except ValueError:
+        raise ParseError(f"line {lineno}: il_scope must be worlds or an integer mask, got {raw!r}") from None
 
 
 def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import kernels
-from .errors import DomainError, InvariantError, TooLargeError
+from .errors import InvariantError, TooLargeError
 from .prop import Signature, iter_worlds, popcount
 
 MAX_DOMAIN_EXHAUSTIVE = 4
@@ -39,13 +39,6 @@ class RankedOrder:
         for lv in self.levels:
             mask |= lv
         return mask
-
-    def level_of(self, world: int) -> int:
-        bit = 1 << world
-        for i, lv in enumerate(self.levels):
-            if lv & bit:
-                return i
-        raise DomainError(f"world {world} not in order domain")
 
     def __str__(self):
         return "[" + " | ".join(" ".join(str(w) for w in iter_worlds(lv)) for lv in self.levels) + "]"

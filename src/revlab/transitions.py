@@ -29,9 +29,9 @@ class TransitionTable:
 
     A belief row is packed, one class per lane (`kernels.Lanes`), so the
     class sets built on it are a few lane operations each.  The table also
-    answers `revise_beliefs` and `bel_row` from its rows, so
-    `classify_state` and `canonical_assignment` can take it as their
-    operator without building a belief row again.
+    answers `bel_row` from its rows, so `classify_state` and
+    `canonical_assignment` can take it as their operator without building
+    a belief row again.
     """
 
     def __init__(
@@ -91,9 +91,6 @@ class TransitionTable:
         """The stored row; `n_classes` is always the table's own here."""
         return self.row(self.id_of(st))
 
-    def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
-        return self.lanes.entry(self.row(self.id_of(st)), alpha)
-
     def classification(self, sid: int) -> classify.StateClassification:
         c = self._cls[sid]
         if c is None:
@@ -104,19 +101,17 @@ class TransitionTable:
         """Classes whose revision succeeds: the lanes a with T[a] inside a."""
         bits = self._scopes[sid]
         if bits is None:
-            ln = self.lanes
-            bits = self._scopes[sid] = ln.bits(ln.high ^ ln.nz(self.row(sid) & ~ln.classes))
+            bits = self._scopes[sid] = self.lanes.accepted(self.row(sid))
         return bits
 
     def reasonable(self, sid: int) -> int:
         return self.classification(sid).reasonable
 
     def success_worlds(self, sid: int) -> int:
-        """Worlds whose minterm is accepted when revised by."""
+        """Worlds whose minterm is accepted: revising state `sid` by it succeeds."""
         mask = self._success[sid]
         if mask is None:
-            sc = self.scope_classes(sid)
-            mask = self._success[sid] = sum(1 << w for w in range(self.sig.n_worlds) if sc >> (1 << w) & 1)
+            mask = self._success[sid] = classify.minterm_worlds(self.scope_classes(sid), self.sig.n_worlds)
         return mask
 
     def immanent(self) -> int:

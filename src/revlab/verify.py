@@ -654,11 +654,11 @@ def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, 
             yield Counterexample(st, None, None, "reconstruction not CLF-valid", recon, "CLF")
         if family == "AGM" and scope != sig.all_worlds:
             yield Counterexample(st, None, None, "AGM scope not total", scope, sig.all_worlds)
-        want = kernels.lanes(1 << sig.n_worlds).entries(classify.bel_row_of(op, st, sig))
+        row, ln = classify.bel_row_of(op, st, sig), kernels.lanes(1 << sig.n_worlds)
         for a in alphas:
-            got = revise_mask(order.levels, scope, st.bel, a)
-            if got != want[a]:
-                yield Counterexample(st, a, None, "reconstructed operator disagrees", got, want[a])
+            got, want = revise_mask(order.levels, scope, st.bel, a), ln.entry(row, a)
+            if got != want:
+                yield Counterexample(st, a, None, "reconstructed operator disagrees", got, want)
                 return
 
     return scope, list(islice(failures(), budget))

@@ -3,7 +3,7 @@
 `verify.check_condition` evaluates each condition as mask algebra over
 restricted level lists, up-cones and minimal witnesses.  This module keeps
 the conditions as stated: world-pair loops over `leq_in` and
-`strictly_less_in`, and a loop over all 2^n classes for the scoped
+`strictly_less_in`, which read each world's level off `level_of`, and a loop over all 2^n classes for the scoped
 independence conditions.  `tests/test_verify.py` compares the two.
 `semantic_scope` is the scope as the paper defines it, which the
 acceptance suite compares with the classes revision accepts.
@@ -18,6 +18,14 @@ from revlab.states import check_clf, check_faithful_limited
 from revlab.transitions import TransitionTable
 
 
+def level_of(order, world):
+    """Index of the level holding `world`, most plausible first."""
+    for i, lv in enumerate(order.levels):
+        if lv >> world & 1:
+            return i
+    raise ValueError(f"world {world} not in order domain")
+
+
 def leq_in(order, w1, w2):
     """w1 at most as implausible as w2; false when either world is outside the domain.
 
@@ -27,14 +35,14 @@ def leq_in(order, w1, w2):
     dom = order.domain
     if not ((dom >> w1) & 1 and (dom >> w2) & 1):
         return False
-    return order.level_of(w1) <= order.level_of(w2)
+    return level_of(order, w1) <= level_of(order, w2)
 
 
 def strictly_less_in(order, w1, w2):
     dom = order.domain
     if not ((dom >> w1) & 1 and (dom >> w2) & 1):
         return False
-    return order.level_of(w1) < order.level_of(w2)
+    return level_of(order, w1) < level_of(order, w2)
 
 
 def semantic_scope(st, sig):
@@ -67,11 +75,11 @@ def oracle_condition(st, post, alpha, cid, sig, op=None, consistent_only=False):
 
     if cid == "FA1":
         ws = _worlds(st.bel & st.order.domain, n)
-        return all(st.order.level_of(w1) == st.order.level_of(w2) for w1 in ws for w2 in ws)
+        return all(level_of(st.order, w1) == level_of(st.order, w2) for w1 in ws for w2 in ws)
     if cid == "FA2":
         ins = _worlds(st.bel & st.order.domain, n)
         outs = _worlds(st.order.domain & ~st.bel, n)
-        return all(st.order.level_of(w1) < st.order.level_of(w2) for w1 in ins for w2 in outs)
+        return all(level_of(st.order, w1) < level_of(st.order, w2) for w1 in ins for w2 in outs)
     if cid == "CLF":
         return check_clf(st)
     if cid == "LIM-FAITHFUL":

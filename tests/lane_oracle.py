@@ -9,14 +9,20 @@ the forms they replaced, over one tuple entry per class:
 * the scope classes as a loop over the classes;
 * `classify_state` with the list transforms;
 * the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP) and of
-  the scope-move postulates (CLCD, CM1, CM2, DOC).
+  the scope-move postulates (CLCD, CM1, CM2, DOC);
+* `operators.canonical_assignment` with its pairwise relation as a dict of
+  world pairs, each read from one entry of the row.
 
 `tests/test_lanes.py` compares the two.
 """
 
 from __future__ import annotations
 
+from condition_oracle import level_of
+
 from revlab.classify import iter_subsets
+from revlab.errors import NonWeakOrderError
+from revlab.orders import RankedOrder
 from revlab.transitions import TransitionTable
 
 
@@ -175,3 +181,39 @@ def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
             for b in _subsets(tab, a if inside else full & ~a):
                 if (gone >> b) & 1:
                     yield a, b, f"{pid}: {clause}", observed, required
+
+
+def canonical_pairs(tab: TransitionTable, st, family: str = "dl"):
+    """(order, scope) rebuilt from the table's row of `st` one entry at a time, or NonWeakOrderError."""
+    t = _table(tab, tab.id_of(st))
+    n = tab.sig.n_worlds
+    if family == "cl":
+        domain = sum(1 << w for w in range(n) if t[1 << w] & ~(1 << w) == 0)
+    else:
+        latent = classify_table(t, st.bel, n)[2]
+        domain = sum(1 << w for w in range(n) if (latent >> (1 << w)) & 1)
+    if domain == 0:
+        raise NonWeakOrderError("reconstructed scope is empty")
+
+    worlds = [w for w in range(n) if domain >> w & 1]
+    pair = {(w1, w2): bool(t[(1 << w1) | (1 << w2)] & (1 << w1)) for w1 in worlds for w2 in worlds}
+    for w1 in worlds:
+        for w2 in worlds:
+            if not (pair[(w1, w2)] or pair[(w2, w1)]):
+                raise NonWeakOrderError("pairwise relation is not total", witness=(w1, w2))
+
+    levels = []
+    remaining = list(worlds)
+    while remaining:
+        minimal = [w for w in remaining if all(pair[(w, v)] for v in remaining)]
+        if not minimal:
+            raise NonWeakOrderError("pairwise relation has no minimal element", witness=tuple(remaining))
+        levels.append(sum(1 << w for w in minimal))
+        remaining = [w for w in remaining if w not in minimal]
+    order = RankedOrder(tuple(levels))
+
+    for w1 in worlds:
+        for w2 in worlds:
+            if (level_of(order, w1) <= level_of(order, w2)) != pair[(w1, w2)]:
+                raise NonWeakOrderError("pairwise relation is not transitive", witness=(w1, w2))
+    return order, domain

@@ -2,7 +2,9 @@ import random
 
 from condition_oracle import semantic_scope
 
+from revlab import kernels
 from revlab.classify import (
+    bel_row_of,
     check_dc,
     check_ssc,
     classification_report,
@@ -89,7 +91,8 @@ def oracle_immanent(op, universe):
 
 def assert_matches_oracle(op, st, sig):
     cls = classify_state(op, st, sig)
-    got = (tuple(cls.table), cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
+    table = kernels.lanes(1 << sig.n_worlds).entries(bel_row_of(op, st, sig))
+    got = (table, cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
     assert got == oracle_classify(op, st, sig), st
 
 

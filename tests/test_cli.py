@@ -262,6 +262,26 @@ class TestBadInput:
         self._fails_cleanly(argv, capsys, "--unbiased")
 
     @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["check", "--sig", "a b c", "--samples", "0", "P9"], "--samples"),
+            (["check", "--sig", "a b c", "--samples", "-3", "P9"], "--samples"),
+            (["check", "--sig", "a b", "--samples", "0", "P9"], "--samples"),
+            (["enumerate", "--sig", "a b c", "--samples", "0"], "--samples"),
+            (["check", "--sig", "a b c", "--samples", "20", "--max-counterexamples", "-1", "P9"], "--max-counterexamples"),
+        ],
+        ids=["check-samples-0", "check-samples-negative", "check-samples-2atom", "enumerate-samples-0", "check-cap-negative"],
+    )
+    def test_counts_below_their_least_value(self, argv, capsys, needle):
+        # An empty sample would pass every check vacuously.
+        self._fails_cleanly(argv, capsys, needle)
+
+    def test_a_counterexample_cap_of_zero_reports_the_failure(self, capsys):
+        assert main(["check", "--sig", "a b", "--max-counterexamples", "0", "P9"]) == 1
+        out = capsys.readouterr().out
+        assert "result=FAIL" in out and "# clause" not in out
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["revise", "--state", "s", "--consistent-only"],

@@ -3,15 +3,29 @@
 The oracles are in `lane_oracle.py`.  Each comparison runs on every belief
 row a 2-atom faithful suite reads (every state and its posteriors under all
 16 inputs and all nine update policies), on a seeded 3-atom sample, and on
-a few seeded 4-atom states, whose rows have 16-bit lanes.
+a few seeded 4-atom states, whose rows have 16-bit lanes.  The canonical
+reconstruction is compared with its pairwise-dict form on whole 2-atom
+universes, on every single-entry corruption of a few rows, and on a seeded
+3-atom sample.
 """
 
 import random
 
 import pytest
-from lane_oracle import BETA_PIDS, classify_table, iter_beta_rows, scope_classes, subset_or, superset_and, unions
+from lane_oracle import (
+    BETA_PIDS,
+    canonical_pairs,
+    classify_table,
+    iter_beta_rows,
+    scope_classes,
+    subset_or,
+    superset_and,
+    unions,
+)
 
 from revlab import classify, kernels, verify
+from revlab.errors import NonWeakOrderError
+from revlab.operators import canonical_assignment
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.prop import Signature
 from revlab.states import enumerate_states, sample_states
@@ -45,7 +59,6 @@ def _assert_rows_match(tab):
         assert ln.entries(cover) == tuple(subset_or(table))
         assert tab.scope_classes(sid) == scope_classes(table)
         cls = classify.classify_state(tab, st, tab.sig)
-        assert cls.table == table
         got = (cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
         assert got == classify_table(table, st.bel, n_worlds), st
 
@@ -109,3 +122,65 @@ def test_unions_match_the_list_transform():
         for _ in range(300):
             members = rng.getrandbits(n_classes) & rng.getrandbits(n_classes)
             assert classify._unions(members, sig) == unions(members, n_classes)
+
+
+def _rebuilt(fn, *args):
+    """(order, scope) or the NonWeakOrderError's (message, witness)."""
+    try:
+        return fn(*args)
+    except NonWeakOrderError as err:
+        return str(err), err.witness
+
+
+def _assert_reconstructions_match(op, tab, states, sig):
+    """The lane reconstruction from `op` against the pairwise one from `tab`, for both families."""
+    outcomes = []
+    for st in states:
+        for family in ("dl", "cl"):
+            got = _rebuilt(canonical_assignment, op, st, sig, family)
+            assert got == _rebuilt(canonical_pairs, tab, st, family), (st, family)
+            outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "family, kind, il_scope", [("dl", "faithful", None), ("cl", "clf", None), ("agm", "fa", None), ("il", "il", 0b0110)]
+)
+def test_reconstruction_on_every_2atom_state_under_every_policy(family, kind, il_scope):
+    uni = enumerate_states(AB, kind, il_scope=il_scope)
+    for policy in all_policies():
+        op = RevisionOperator(family, policy, il_scope)
+        _assert_reconstructions_match(op, TransitionTable(op, AB), uni.states, AB)
+
+
+def test_reconstruction_on_every_single_entry_corruption():
+    # Each corrupted row is read through the table by both constructions;
+    # between them, the corruptions reach every error the construction raises.
+    rng = random.Random(20240812)
+    states = rng.sample(enumerate_states(AB, "faithful").states, 12)
+    tab = TransitionTable(RevisionOperator("dl"), AB)
+    width = tab.lanes.width
+    errors = set()
+    for st in states:
+        sid = tab.id_of(st)
+        row = tab.row(sid)
+        for a in range(16):
+            old = tab.lanes.entry(row, a)
+            for new in range(16):
+                if new != old:
+                    tab._rows[sid] = row ^ (old ^ new) << a * width
+                    outcomes = _assert_reconstructions_match(tab, tab, [st], AB)
+                    errors.update(got[0] for got in outcomes if isinstance(got[0], str))
+        tab._rows[sid] = row
+    assert errors == {
+        "reconstructed scope is empty",
+        "pairwise relation is not total",
+        "pairwise relation has no minimal element",
+        "pairwise relation is not transitive",
+    }
+
+
+def test_reconstruction_on_a_seeded_3atom_sample():
+    states = sample_states(ABC, "faithful", 300, random.Random(20240813))
+    op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+    _assert_reconstructions_match(op, TransitionTable(op, ABC), states, ABC)

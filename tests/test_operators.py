@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from condition_oracle import level_of
 
 from revlab import kernels
 from revlab.errors import (
@@ -139,7 +140,7 @@ class TestApply:
             bel2 = post.bel
             for w1 in inside:
                 for w2 in outside:
-                    assert post.order.level_of(w1) <= post.order.level_of(w2)
+                    assert level_of(post.order, w1) <= level_of(post.order, w2)
             # relative order within each side is preserved, except for the
             # promotion of the new belief minimum
             for group in (inside, outside):
@@ -147,8 +148,8 @@ class TestApply:
                     for w2 in group:
                         if bel2 >> w1 & 1 or bel2 >> w2 & 1:
                             continue
-                        assert (post.order.level_of(w1) <= post.order.level_of(w2)) == (
-                            st.order.level_of(w1) <= st.order.level_of(w2)
+                        assert (level_of(post.order, w1) <= level_of(post.order, w2)) == (
+                            level_of(st.order, w1) <= level_of(st.order, w2)
                         )
 
     def test_bel_table_matches_pointwise_revision(self):
@@ -283,6 +284,27 @@ class TestOperatorFiles:
     def test_il_scope_world_syntax(self):
         op = parse_operator("family: il\nil_scope: 01 10\n", AB)
         assert op.il_scope == mask(1, 2)
+
+    def test_il_scope_single_world(self):
+        # One world of the signature's width is a world, not a decimal mask.
+        assert parse_operator("family: il\nil_scope: 10\n", AB).il_scope == mask(2)
+        assert parse_operator("family: il\nil_scope: 01\n", AB).il_scope == mask(1)
+        assert parse_operator("family: il\nil_scope: 011\n", Signature.of("a b c")).il_scope == mask(3)
+        assert parse_operator("family: il\nil_scope: 10\n").il_scope == 10
+
+    def test_il_scope_decimal_masks(self):
+        for sig in (None, AB):
+            assert parse_operator("family: il\nil_scope: 3\n", sig).il_scope == 3
+            assert parse_operator("family: il\nil_scope: 6\n", sig).il_scope == 6
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_operator("family: il\nil_scope: 01 1\n", AB)
+
+    def test_dumped_il_scope_reads_back_with_and_without_a_signature(self):
+        for sig in (AB, Signature.of("a b c")):
+            for scope in range(1, 1 << sig.n_worlds):
+                op = RevisionOperator("il", UpdatePolicy("lex", "doc"), scope)
+                text = dump_operator(op)
+                assert parse_operator(text) == op == parse_operator(text, sig), text
 
     def test_extensional_round_trip(self):
         op = RevisionOperator("dl", UpdatePolicy("natural", "doc"))
