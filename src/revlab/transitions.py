@@ -25,7 +25,8 @@ class TransitionTable:
     the universe in universe order, and a posterior gets the next id the
     first time it is seen.  Every per-id row is filled on first use.  The
     postulate side reads by id; the conditions are handed the table in
-    place of the bare operator and read the same rows.
+    place of the bare operator and read the same rows.  A state's posterior
+    ids are kept together, by class, so a suite fetches them once per state.
 
     A belief row is packed, one class per lane (`kernels.Lanes`), so the
     class sets built on it are a few lane operations each.  The table also
@@ -50,9 +51,9 @@ class TransitionTable:
         self.lanes = kernels.lanes(self.n_classes)
         self.states: list[EpistemicState] = []
         self._ids: dict[EpistemicState, int] = {}
-        # Posterior id per (id, class), keyed by id * n_classes + class: a
-        # sampled suite asks for one class of each state.
-        self._posts: dict[int, int] = {}
+        # Posterior ids per state id, by class: a dict, since a sampled suite
+        # asks for one class of each state.
+        self._posts: list[dict[int, int]] = []
         self._rows: list[int | None] = []
         self._scopes: list[int | None] = []
         self._success: list[int | None] = []
@@ -67,18 +68,24 @@ class TransitionTable:
             self.states.append(st)
             for rows in (self._rows, self._scopes, self._success, self._cls):
                 rows.append(None)
+            self._posts.append({})
         return sid
 
     def classes(self) -> range:
         return range(1 if self.consistent_only else 0, self.n_classes)
 
+    def posts(self, sid: int, alphas) -> dict[int, int]:
+        """Posterior ids of state `sid` by class, filled for every class of `alphas`."""
+        got = self._posts[sid]
+        if len(got) < self.n_classes:
+            for a in alphas:
+                if a not in got:
+                    got[a] = self.id_of(self.op.apply(self.states[sid], a))
+        return got
+
     def post(self, sid: int, alpha: int) -> int:
         """Id of the posterior of state `sid` revised by `alpha`."""
-        key = sid * self.n_classes + alpha
-        p = self._posts.get(key)
-        if p is None:
-            p = self._posts[key] = self.id_of(self.op.apply(self.states[sid], alpha))
-        return p
+        return self.posts(sid, (alpha,))[alpha]
 
     def row(self, sid: int) -> int:
         """Belief row of state `sid`: its posterior belief mask per class, one lane each."""

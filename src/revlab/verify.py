@@ -84,15 +84,19 @@ _PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: every (α, β) pair i
 
 
 # ---------------------------------------------------------------------------
-# Postulates.  Each checker yields (α, β, clause, observed, required) rows
-# for one state, which `check_postulate` turns into Counterexamples.
+# Postulates.  `_iter_postulate` yields one (α, failing β) item per input at
+# which the postulate fails for one state, and `_postulate_rows` expands the
+# items into (α, β, clause, observed, required) rows, which `check_postulate`
+# turns into Counterexamples.  The theorem suites read only the α of each
+# item, so they build no row.
 #
 # Postulates of one shape share a branch of `_iter_postulate` and differ by
 # a row of its tables.  A class set is a bitset over classes, read from the
 # table for one state id: all classes, the scope classes (the inputs whose
 # revision succeeds) or the reasonable classes.  Where β ranges over classes
 # for one α, the branch tests all β at once on the packed belief rows and
-# yields the failing β in the order the loop over classes would.
+# the item carries the failing β as a class bitset (None where a row has no
+# β); the expansion lists them in the order the loop over classes would.
 
 
 def _all_classes(tab: TransitionTable, sid: int) -> int:
@@ -110,19 +114,18 @@ _TWO_STEP = {
 }
 
 # pid: (β ranges inside α rather than ¬α, only accepted α are checked,
-#       classes that moved given the prior and posterior scope classes,
-#       clause, observed, required)
+#       classes that moved given the prior and posterior scope classes)
 _SCOPE_MOVES = {
-    "CLCD": (False, True, lambda sc, scp: scp & ~sc, "contrary entered the scope", "in scope", "out of scope"),
-    "CM1": (True, False, lambda sc, scp: sc & ~scp, "stronger input left the scope", "out", "in scope"),
-    "CM2": (False, True, lambda sc, scp: sc & ~scp, "contrary input left the scope", "out", "in scope"),
-    "DOC": (False, True, lambda sc, scp: scp, "contrary accepted after success", "in scope", "out of scope"),
+    "CLCD": (False, True, lambda sc, scp: scp & ~sc),
+    "CM1": (True, False, lambda sc, scp: sc & ~scp),
+    "CM2": (False, True, lambda sc, scp: sc & ~scp),
+    "DOC": (False, True, lambda sc, scp: scp),
 }
 
 
-def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> tuple[str, int]:
+def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> int:
     """DL postulates read the state's reasonable classes, IL ones the universe's immanent classes."""
-    return ("reasonable", tab.reasonable(sid)) if pid.startswith("DL") else ("immanent", tab.immanent())
+    return tab.reasonable(sid) if pid.startswith("DL") else tab.immanent()
 
 
 def _descending(bits: int):
@@ -131,6 +134,45 @@ def _descending(bits: int):
         top = bits.bit_length() - 1
         yield top
         bits ^= 1 << top
+
+
+def _lowest(bits: int):
+    return ((bits & -bits).bit_length() - 1,)
+
+
+# pid: (order of an item's failing β, None for one row without β; clause;
+#       (observed, required) of a row from the prior and posterior entry
+#       readers t and p, the prior beliefs, α and β)
+_ROW_SHAPES = {}
+for _pids, _order, _clause, _values in (
+    (tuple(_TWO_STEP), _descending, "two-step belief mismatch", lambda t, p, bel, a, b: (p(b), t(b))),
+    (("DP3",), iter_worlds, "posterior lost the input", lambda t, p, bel, a, b: (p(b), f"subset of {a}")),
+    (("DP4",), iter_worlds, "posterior denies the input", lambda t, p, bel, a, b: (p(b), f"meets {a}")),
+    (("CLP",), iter_worlds, "input not retained", lambda t, p, bel, a, b: (p(b), f"subset of {a}")),
+    (("CLCD",), _descending, "contrary entered the scope", lambda *_: ("in scope", "out of scope")),
+    (("CM1",), _descending, "stronger input left the scope", lambda *_: ("out", "in scope")),
+    (("CM2",), _descending, "contrary input left the scope", lambda *_: ("out", "in scope")),
+    (("DOC",), _descending, "contrary accepted after success", lambda *_: ("in scope", "out of scope")),
+    (("FC", "SC"), _lowest, "scope shrank", lambda *_: ("changed", "monotone")),
+    (("FR", "SR"), _lowest, "scope grew", lambda *_: ("changed", "monotone")),
+    (("COM",), None, "refused input still refused", lambda *_: ("out", "in scope")),
+    (("DL1", "CL1", "IL1"), None, "no success and belief change", lambda t, p, bel, a, b: (t(a), bel)),
+    (("DL2",), None, "changed to a non-reasonable set", lambda t, p, bel, a, b: (t(a), "reasonable or prior")),
+    (("IL2",), None, "changed to a non-immanent set", lambda t, p, bel, a, b: (t(a), "immanent or prior")),
+    (("DL3",), None, "vacuity for reasonable input", lambda t, p, bel, a, b: (t(a), bel & a)),
+    (("DL4",), iter_worlds, "result not reasonable", lambda t, p, bel, a, b: (t(a), "reasonable")),
+    (("IL4",), iter_worlds, "result not immanent", lambda t, p, bel, a, b: (t(a), "immanent")),
+    (("DL5", "IL5"), None, "inconsistent result from consistent beliefs", lambda *_: (0, "nonempty")),
+    (
+        ("DL7", "CL6", "IL7"), iter_worlds, "trichotomy of disjunctions",
+        lambda t, p, bel, a, b: (t(a | b), (t(a), t(b), t(a) | t(b))),
+    ),
+    (("CL2",), None, "vacuity", lambda t, p, bel, a, b: (t(a), bel & a)),
+    (("CL3",), None, "inconsistent result", lambda *_: (0, "nonempty")),
+    (("CL5",), iter_worlds, "success not closed under weakening", lambda t, p, bel, a, b: (t(b), f"subset of {b}")),
+    (("IL3",), None, "expansion mismatch for immanent input", lambda t, p, bel, a, b: (t(a) & a, bel & a)),
+):
+    _ROW_SHAPES.update(dict.fromkeys(_pids, (_order, _clause, _values)))
 
 
 def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
@@ -146,67 +188,60 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
     if pid in _TWO_STEP:
         inside, checked, kept = _TWO_STEP[pid]
         checked, kept = checked(tab, sid), kept(tab, sid) & ~skip
+        posts = tab.posts(sid, alphas)
         for a in alphas:
             if (checked >> a) & 1:
-                tp = tab.row(tab.post(sid, a))
-                diff = nz(T ^ tp) & ln.within(a if inside else full & ~a)
-                if diff:
-                    for b in _descending(ln.bits(diff) & kept):
-                        yield a, b, f"{pid}: two-step belief mismatch", ln.entry(tp, b), ln.entry(T, b)
+                diff = nz(T ^ tab.row(posts[a])) & ln.within(a if inside else full & ~a)
+                if diff and (betas := ln.bits(diff) & kept):
+                    yield a, betas
     elif pid == "DP3":
+        posts = tab.posts(sid, alphas)
         for a in alphas:
-            tp = tab.row(tab.post(sid, a))
             out = (full & ~a) * ones
-            bad = nz(tp & out) & ~nz(T & out)
-            if bad:
-                for b in iter_worlds(ln.bits(bad) & ~skip):
-                    yield a, b, "DP3: posterior lost the input", ln.entry(tp, b), f"subset of {a}"
+            bad = nz(tab.row(posts[a]) & out) & ~nz(T & out)
+            if bad and (betas := ln.bits(bad) & ~skip):
+                yield a, betas
     elif pid == "DP4":
+        posts = tab.posts(sid, alphas)
         for a in alphas:
-            tp = tab.row(tab.post(sid, a))
-            bad = nz(T & a * ones) & ~nz(tp & a * ones)
-            if bad:
-                for b in iter_worlds(ln.bits(bad) & ~skip):
-                    yield a, b, "DP4: posterior denies the input", ln.entry(tp, b), f"meets {a}"
+            bad = nz(T & a * ones) & ~nz(tab.row(posts[a]) & a * ones)
+            if bad and (betas := ln.bits(bad) & ~skip):
+                yield a, betas
     elif pid == "CLP":
         sc = tab.scope_classes(sid)
+        posts = tab.posts(sid, alphas)
         for a in alphas:
-            if not (sc >> a) & 1:
-                continue
-            tp = tab.row(tab.post(sid, a))
-            bad = nz(T & a * ones) & nz(tp & (full & ~a) * ones)
-            if bad:
-                for b in iter_worlds(ln.bits(bad) & sc & ~skip):
-                    yield a, b, "CLP: input not retained", ln.entry(tp, b), f"subset of {a}"
+            if (sc >> a) & 1:
+                bad = nz(T & a * ones) & nz(tab.row(posts[a]) & (full & ~a) * ones)
+                if bad and (betas := ln.bits(bad) & sc & ~skip):
+                    yield a, betas
     elif pid in _SCOPE_MOVES:
-        inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
+        inside, gated, moved = _SCOPE_MOVES[pid]
         sc = tab.scope_classes(sid)
+        posts = tab.posts(sid, alphas)
         for a in alphas:
             if gated and not (sc >> a) & 1:
                 continue
-            gone = moved(sc, tab.scope_classes(tab.post(sid, a))) & ~skip
-            if gone:
-                for b in _descending(gone & classify.subset_bits(a if inside else full & ~a)):
-                    yield a, b, f"{pid}: {clause}", observed, required
+            gone = moved(sc, tab.scope_classes(posts[a])) & ~skip
+            if gone and (betas := gone & classify.subset_bits(a if inside else full & ~a)):
+                yield a, betas
     elif pid in ("FC", "FR", "SC", "SR"):
         sc = tab.scope_classes(sid)
         want_success = pid in ("SC", "SR")
+        shrinks = pid in ("FC", "SC")
+        posts = tab.posts(sid, alphas)
         for a in alphas:
-            if bool((sc >> a) & 1) != want_success:
-                continue
-            scp = tab.scope_classes(tab.post(sid, a))
-            grew, shrank = scp & ~sc & ~skip, sc & ~scp & ~skip
-            bad = shrank if pid in ("FC", "SC") else grew
-            if bad:
-                which = "shrank" if pid in ("FC", "SC") else "grew"
-                yield a, (bad & -bad).bit_length() - 1, f"{pid}: scope {which}", "changed", "monotone"
+            if bool((sc >> a) & 1) == want_success:
+                scp = tab.scope_classes(posts[a])
+                bad = (sc & ~scp if shrinks else scp & ~sc) & ~skip
+                if bad:
+                    yield a, bad
     elif pid == "COM":
         sc = tab.scope_classes(sid)
+        posts = tab.posts(sid, alphas)
         for a in alphas:
-            if not (sc >> a) & 1:
-                scp = tab.scope_classes(tab.post(sid, a))
-                if not (scp >> a) & 1:
-                    yield a, None, "COM: refused input still refused", "out", "in scope"
+            if not (sc >> a) & 1 and not (tab.scope_classes(posts[a]) >> a) & 1:
+                yield a, None
     elif pid in ("DL6", "CL4", "IL6"):
         # Classes are canonical model sets, so syntax independence holds by
         # representation; counted for the record.
@@ -223,51 +258,78 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
     if pid in ("DL1", "CL1", "IL1"):
         for a in alphas:
             if not (t[a] == bel or t[a] & ~a == 0):
-                yield a, None, f"{pid}: no success and belief change", t[a], bel
+                yield a, None
     elif pid in ("DL2", "IL2"):
-        word, cls = _reasonable_or_immanent(tab, pid, sid)
+        cls = _reasonable_or_immanent(tab, pid, sid)
         for a in alphas:
             if not (t[a] == bel or (cls >> t[a]) & 1):
-                yield a, None, f"{pid}: changed to a non-{word} set", t[a], f"{word} or prior"
+                yield a, None
     elif pid in ("DL4", "IL4"):
-        word, cls = _reasonable_or_immanent(tab, pid, sid)
+        cls = _reasonable_or_immanent(tab, pid, sid)
         for a in alphas:
-            witness = next((b for b in classify.iter_subsets(a) if (cls >> b) & 1), None)
-            if witness is not None and not (cls >> t[a]) & 1:
-                yield a, witness, f"{pid}: result not {word}", t[a], word
+            # The witness is the first class inside a that qualifies, in iter_subsets order.
+            witness = classify.subset_bits(a) & cls
+            if witness and not (cls >> t[a]) & 1:
+                yield a, 1 << witness.bit_length() - 1
     elif pid == "DL3":
         rs = tab.reasonable(sid)
         for a in alphas:
             if bel & a and (rs >> a) & 1 and t[a] != bel & a:
-                yield a, None, "DL3: vacuity for reasonable input", t[a], bel & a
+                yield a, None
     elif pid in ("DL5", "IL5"):
         for a in alphas:
             if bel and not t[a]:
-                yield a, None, f"{pid}: inconsistent result from consistent beliefs", 0, "nonempty"
+                yield a, None
     elif pid in ("DL7", "CL6", "IL7"):
         for a in alphas:
+            bad = 0
             for b in alphas:
                 u = t[a | b]
                 if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
-                    yield a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b])
+                    bad |= 1 << b
+            if bad:
+                yield a, bad
     elif pid == "CL2":
         for a in alphas:
             if bel & a and t[a] != bel & a:
-                yield a, None, "CL2: vacuity", t[a], bel & a
+                yield a, None
     elif pid == "CL3":
         for a in alphas:
             if not t[a]:
-                yield a, None, "CL3: inconsistent result", 0, "nonempty"
+                yield a, None
     elif pid == "CL5":
         for a in alphas:
-            for b in alphas:
-                if t[a] & ~a == 0 and a & ~b == 0 and t[b] & ~b:
-                    yield a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}"
+            if t[a] & ~a == 0:
+                bad = 0
+                for b in alphas:
+                    if a & ~b == 0 and t[b] & ~b:
+                        bad |= 1 << b
+                if bad:
+                    yield a, bad
     elif pid == "IL3":
         imm = tab.immanent()
         for a in alphas:
             if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
-                yield a, None, "IL3: expansion mismatch for immanent input", t[a] & a, bel & a
+                yield a, None
+
+
+def _postulate_rows(tab: TransitionTable, pid: str, sid: int, alphas):
+    """The (α, β, clause, observed, required) rows of the postulate's failures at state
+    `sid`, lazily: a row is built only when it is read."""
+    order, clause, values = _ROW_SHAPES.get(pid, (None, "", None))
+    ln, T, bel = tab.lanes, tab.row(sid), tab.states[sid].bel
+    clause = f"{pid}: {clause}"
+
+    def t(c):
+        return ln.entry(T, c)
+
+    for a, betas in _iter_postulate(tab, pid, sid, alphas):
+
+        def p(c, a=a):
+            return ln.entry(tab.row(tab.post(sid, a)), c)
+
+        for b in order(betas) if order else (None,):
+            yield (a, b, clause, *values(t, p, bel, a, b))
 
 
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
@@ -298,7 +360,7 @@ def check_postulate(
     instances = 0
     for st, sid, alphas in _suite_work(tab, universe, instance_list):
         instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
-        for row in _iter_postulate(tab, pid, sid, alphas):
+        for row in _postulate_rows(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
                 ces.append(Counterexample(st, *row))
             else:
@@ -321,24 +383,44 @@ def _agree(st: EpistemicState, post: EpistemicState, ws: int) -> bool:
     return [lv & ws for lv in st.order.levels if lv & ws] == [lv & ws for lv in post.order.levels if lv & ws]
 
 
-def _above(st: EpistemicState, w: int, strict: bool) -> int:
-    """Up-cone of world w: the scope worlds at or (strictly) above it in st's order; 0 off the scope."""
-    up, bit = st.scope, 1 << w
-    for lv in st.order.levels:
-        if lv & bit:
-            return up & ~lv if strict else up
-        up &= ~lv
-    return 0
+def _below(y: EpistemicState, strict: bool, ws: int) -> int:
+    """The worlds with every world of ws at or (strictly) above them in y's order: the levels
+    up to the first that meets ws (without it, when strict); none when ws leaves y's scope."""
+    if ws & ~y.scope:
+        return 0
+    low = 0
+    for lv in y.order.levels:
+        if lv & ws:
+            return low if strict else low | lv
+        low |= lv
+    return low
 
 
 def _kept(x: EpistemicState, sx: bool, y: EpistemicState, sy: bool, ws1: int, ws2: int) -> bool:
-    """For w1 in ws1 and w2 in ws2, w1 below w2 in x implies w1 below w2 in y (strictly where sx, sy)."""
-    return all(_above(x, w, sx) & ws2 & ~_above(y, w, sy) == 0 for w in iter_worlds(ws1))
+    """For w1 in ws1 and w2 in ws2, w1 below w2 in x implies w1 below w2 in y (strictly where sx, sy):
+    one walk of x's levels, each level's ws1 worlds below the ws2 worlds of their up-cone in y."""
+    rest = x.scope
+    for lv in x.order.levels:
+        if lv & ws1:
+            cone = (rest & ~lv if sx else rest) & ws2
+            if cone and lv & ws1 & ~_below(y, sy, cone):
+                return False
+        rest &= ~lv
+    return True
 
 
 def _none_above(x: EpistemicState, strict: bool, ws1: int, ws2: int) -> bool:
-    """No world of ws2 lies (strictly) above a world of ws1 in x."""
-    return all(_above(x, w, strict) & ws2 == 0 for w in iter_worlds(ws1))
+    """No world of ws2 lies (strictly) above a world of ws1 in x: the up-cone of the lowest
+    level that meets ws1 (without that level, when strict) misses ws2."""
+    met = False
+    for lv in x.order.levels:
+        if met and lv & ws2:
+            return False
+        if lv & ws1:
+            if not strict and lv & ws2:
+                return False
+            met = True
+    return True
 
 
 def _scope_kept(st: EpistemicState, post: EpistemicState, side: int) -> bool:
@@ -414,27 +496,34 @@ def _p11i(st, post, a, na, strict) -> bool:
     return _kept(st, strict, post, True, a & both, na & both)
 
 
+# The class conditions as subset bitsets: `subset_bits(m)` is the classes inside m,
+# so the classes inside m that meet a world set s are `subset_bits(m) & ~subset_bits(m & ~s)`;
+# `~int(co)` drops the empty class when β may not be the contradiction.
+
+
+def _lacking(m: int, bel: int) -> int:
+    """The classes inside m that do not contain `bel`."""
+    inside = classify.subset_bits(m)
+    return inside if bel & ~m else inside & ~(classify.subset_bits(m & ~bel) << bel)
+
+
 def _c_clcd(st, post, a, na, tab, sid, co) -> bool:
+    # β ⊆ na meeting the new scope is accepted; the empty class meets nothing.
     sc = _scope_classes(tab, sid)
-    return not (sc >> a) & 1 or all(
-        (sc >> b) & 1 or b & post.scope == 0 for b in classify.iter_subsets(na) if b or not co
-    )
+    sub = classify.subset_bits
+    return not (sc >> a) & 1 or sub(na) & ~sub(na & ~post.scope) & ~sc == 0
 
 
 def _c_cm1(st, post, a, na, tab, sid, co) -> bool:
+    # β ⊆ a, accepted or meeting the scope, missing the new scope: contains post.bel.
     sc = _scope_classes(tab, sid)
-    return all(
-        not ((sc >> b) & 1 or b & st.scope) or post.bel & ~b == 0 or b & post.scope
-        for b in classify.iter_subsets(a)
-        if b or not co
-    )
+    return _lacking(a & ~post.scope, post.bel) & (sc | ~classify.subset_bits(a & ~st.scope)) & ~int(co) == 0
 
 
 def _c_cm2(st, post, a, na, tab, sid, co) -> bool:
+    # β ⊆ na accepted, missing the new scope: contains post.bel.
     sc = _scope_classes(tab, sid)
-    return not (sc >> a) & 1 or all(
-        not (sc >> b) & 1 or post.bel & ~b == 0 or b & post.scope for b in classify.iter_subsets(na) if b or not co
-    )
+    return not (sc >> a) & 1 or _lacking(na & ~post.scope, post.bel) & sc & ~int(co) == 0
 
 
 def _scope_pair(on_success: bool, first: str, second: str):
@@ -570,27 +659,30 @@ THEOREM_IDS = tuple(_THEOREM_CONDITIONS)
 
 def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int:
     """Bitset of the inputs among `alphas` at which the postulate fails at state `sid`,
-    inner variables quantified: one pass over the state's inputs."""
-    return sum(1 << a for a in {row[0] for row in _iter_postulate(tab, pid, sid, alphas)})
+    inner variables quantified: one pass over the state's inputs, and no row built."""
+    return sum(1 << a for a, _ in _iter_postulate(tab, pid, sid, alphas))
 
 
 def _mismatches(tab: TransitionTable, parts, work):
     """(instances so far, state, α, postulate truths, condition truths) at each
     (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
-    the postulate side is read once per state (or sampled instance) as a bitset."""
+    the posterior ids and the postulate side, as a bitset, are read once per state
+    (or sampled instance)."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
     full = tab.sig.all_worlds
     co = tab.consistent_only
+    states = tab.states
     seen = None
     for instances, (st, sid, ins, a) in enumerate(work, 1):
         if ins is not seen:  # a new state, or a new sampled instance
             seen, fails = ins, []
+            posts = tab.posts(sid, ins)
             for pids, _ in parts:
                 bad = 0
                 for pid in pids:
                     bad |= _postulate_instance(tab, pid, sid, ins)
                 fails.append(bad)
-        post = tab.states[tab.post(sid, a)]
+        post = states[posts[a]]
         lhs = [not (bad >> a) & 1 for bad in fails]
         na = full & ~a
         rhs = []  # all() written out: a generator per instance is a tenth of the suite's time
@@ -697,7 +789,7 @@ def representation_roundtrip(
     for pid in FAMILY_POSTULATES[family]:  # every instance counted, failures read up to the cap
         for st, sid, alphas in work:
             instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
-            rows = islice(_iter_postulate(tab, pid, sid, alphas), max_counterexamples - len(ces))
+            rows = islice(_postulate_rows(tab, pid, sid, alphas), max_counterexamples - len(ces))
             ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":  # DP1-DP4 against CR8-CR11, one part each
         parts = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))

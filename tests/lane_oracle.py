@@ -138,7 +138,7 @@ BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES)
 
 
 def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
-    """The rows `verify._iter_postulate` yields for a β-loop postulate, by loops over tuples."""
+    """The rows `verify._postulate_rows` builds for a β-loop postulate, by loops over tuples."""
     t = _table(tab, sid)
     full = tab.sig.all_worlds
     if pid in _TWO_STEP:

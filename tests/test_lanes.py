@@ -66,7 +66,7 @@ def _assert_rows_match(tab):
 def _assert_beta_rows_match(tab, work, pids=BETA_PIDS):
     for pid in pids:
         for sid, alphas in work:
-            got = list(verify._iter_postulate(tab, pid, sid, alphas))
+            got = list(verify._postulate_rows(tab, pid, sid, alphas))
             assert got == list(iter_beta_rows(tab, pid, sid, alphas)), (pid, tab.states[sid], alphas)
 
 
