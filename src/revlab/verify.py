@@ -80,7 +80,7 @@ class Verdict:
 
 
 MAX_COUNTEREXAMPLES = 5
-_PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: every (α, β) pair is an instance
+_PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: each input's β ranges over every class
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
     elif pid in ("DL7", "CL6", "IL7"):
         for a in alphas:
             bad = 0
-            for b in alphas:
+            for b in tab.classes():
                 u = t[a | b]
                 if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
                     bad |= 1 << b
@@ -298,12 +298,11 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
             if not t[a]:
                 yield a, None
     elif pid == "CL5":
+        # Every class above an accepted input is accepted.
+        sc, full = tab.scope_classes(sid), tab.sig.all_worlds
         for a in alphas:
-            if t[a] & ~a == 0:
-                bad = 0
-                for b in alphas:
-                    if a & ~b == 0 and t[b] & ~b:
-                        bad |= 1 << b
+            if (sc >> a) & 1:
+                bad = (classify.subset_bits(full & ~a) << a) & ~sc & ~int(tab.consistent_only)
                 if bad:
                     yield a, bad
     elif pid == "IL3":
@@ -351,7 +350,8 @@ def check_postulate(
     """Quantifies one postulate over universe x classes; see Verdict.
 
     `instance_list` replaces the cross product with explicit (state, alpha)
-    pairs, which is how sampled runs at 3 atoms stay at a fixed budget.
+    pairs, which is how sampled runs at 3 atoms stay at a fixed budget; the
+    second input of DL7, CL5, CL6 and IL7 still ranges over every class.
     """
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
@@ -359,7 +359,7 @@ def check_postulate(
     ces: list[Counterexample] = []
     instances = 0
     for st, sid, alphas in _suite_work(tab, universe, instance_list):
-        instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
+        instances += len(alphas) * len(tab.classes()) if pid in _PAIRED else len(alphas)
         for row in _postulate_rows(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
                 ces.append(Counterexample(st, *row))
@@ -788,7 +788,7 @@ def representation_roundtrip(
     work = _suite_work(tab, universe, None)
     for pid in FAMILY_POSTULATES[family]:  # every instance counted, failures read up to the cap
         for st, sid, alphas in work:
-            instances += len(alphas) ** 2 if pid in _PAIRED else len(alphas)
+            instances += len(alphas) * len(tab.classes()) if pid in _PAIRED else len(alphas)
             rows = islice(_postulate_rows(tab, pid, sid, alphas), max_counterexamples - len(ces))
             ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":  # DP1-DP4 against CR8-CR11, one part each

@@ -367,7 +367,9 @@ POSTULATE_DIGESTS = {
     "DLDP1": "04639e5358434c99",
     "DLDP2": "36ce273d0606e466",
 }
-SAMPLED_POSTULATE_DIGEST = "933e71cf294a6031"
+# Re-pinned when the β of a sampled DL7, CL5, CL6 or IL7 input ranged over
+# every class, not only over the input itself: only their instance counts moved.
+SAMPLED_POSTULATE_DIGEST = "1aa737910953c057"
 
 
 def _corrupted_table(op, universe, n, seed):
@@ -419,6 +421,75 @@ def test_sampled_postulate_verdicts_pinned(faithful):
             v = check_postulate(op, faithful, pid, instance_list=instances, max_counterexamples=10**7)
             h.update(_verdict_bytes(v))
     assert h.hexdigest()[:16] == SAMPLED_POSTULATE_DIGEST
+
+
+class _EmptiedAtAllWorlds:
+    """dl keep/keep, duck-typed, with the beliefs after revising by the all-worlds class emptied."""
+
+    def __init__(self, sig):
+        self.full = sig.all_worlds
+
+    def revise_beliefs(self, st, alpha):
+        return 0 if alpha == self.full else DL_OP.revise_beliefs(st, alpha)
+
+    def apply(self, st, alpha):
+        return DL_OP.apply(st, alpha)
+
+
+def test_sampled_two_input_postulates_pair_each_input_with_every_class(faithful):
+    # The corrupted entry breaks DL7 at every pair (α, β) that covers all
+    # worlds, so a sampled α paired only with itself would never fail.
+    assert not check_postulate(_EmptiedAtAllWorlds(AB), faithful, "DL7").holds
+    sig = Signature.of("a b c")
+    uni = enumerate_states(sig, "faithful", global_consistency=True)
+    rng = random.Random(7)
+    states = sample_states(sig, "faithful", 1000, rng, global_consistency=True)
+    instances = [(st, rng.randrange(256)) for st in states]
+    v = check_postulate(_EmptiedAtAllWorlds(sig), uni, "DL7", instance_list=instances)
+    assert not v.holds and v.counterexamples[0].alpha | v.counterexamples[0].beta == sig.all_worlds
+    for pid in verify._PAIRED:
+        v = check_postulate(DL_OP, uni, pid, instance_list=instances)
+        assert (v.holds, v.instances) == (True, 1000 * 256), pid
+
+
+def test_theorem_suites_build_no_postulate_rows(faithful_gc, monkeypatch):
+    expand, expanded, built = verify._postulate_rows, [], []
+
+    def counted_rows(*args):
+        expanded.append(args[1])
+        return expand(*args)
+
+    class Counted(Counterexample):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "_postulate_rows", counted_rows)
+    monkeypatch.setattr(verify, "Counterexample", Counted)
+    reported = 0
+    for theorem in THEOREM_IDS:
+        reported += len(verify_equivalence(DL_OP, faithful_gc, theorem, max_counterexamples=10**7).counterexamples)
+    assert expanded == [] and len(built) == reported > 0
+
+
+def test_check_postulate_builds_rows_only_up_to_the_cap(faithful, monkeypatch):
+    expand, rows = verify._postulate_rows, []
+
+    def counted_rows(*args):
+        for row in expand(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(verify, "_postulate_rows", counted_rows)
+    failing = 0
+    for op, _ in _pinned_runs(faithful)[:4]:
+        for pid in POSTULATE_IDS:
+            for cap in (0, 2):
+                rows.clear()
+                v = check_postulate(op, faithful, pid, max_counterexamples=cap)
+                assert len(rows) <= cap + 1 and len(v.counterexamples) <= cap, (pid, cap)
+                failing += not v.holds
+    assert failing > 0
 
 
 # Uncapped theorem verdicts with consistent_only off and on: one digest per
