@@ -8,16 +8,19 @@ Three layers:
 * check_condition — one named semantic condition on a (state, posterior,
   input) transition, looked up in the `CONDITIONS` table.  Each entry is
   mask algebra: order agreement compares level lists cut to a world set,
-  the cross quantifiers read per-world up-cones, and the scoped
-  independence conditions test their minimal witnesses.  The literal
+  the cross quantifiers are one walk of an order's levels, the class
+  quantifiers are subset bitsets, and the scoped independence conditions
+  test their minimal witnesses.  The literal
   world-pair and class loops are the test oracle, in
   tests/condition_oracle.py;
 * verify_equivalence / representation_roundtrip — bidirectional checks of
   the characterisation theorems and the construct/reconstruct round trips
   behind the representation results.  The theorems and the DP round trip
-  share one mismatch loop, whose postulate side is a per-state bitset of
-  failing inputs (P13a ORs FC and SC, P13b FR and SR); the other round
-  trips and mutation_detection share one reconstruction check.
+  share one mismatch loop.  It reads a state's posteriors once, and its
+  postulate side is a per-state bitset of failing inputs (P13a ORs FC and
+  SC, P13b FR and SR), so it builds no postulate row: a Counterexample is
+  built only for a reported mismatch.  The other round trips and
+  mutation_detection share one reconstruction check.
 
 Reading notes (also emitted in report headers):
 
@@ -84,42 +87,63 @@ _PAIRED = ("DL7", "CL6", "CL5", "IL7")  # two free inputs: each input's β range
 
 
 # ---------------------------------------------------------------------------
-# Postulates.  `_iter_postulate` yields one (α, failing β) item per input at
-# which the postulate fails for one state, and `_postulate_rows` expands the
-# items into (α, β, clause, observed, required) rows, which `check_postulate`
-# turns into Counterexamples.  The theorem suites read only the α of each
-# item, so they build no row.
+# Postulates.  `_iter_postulate` yields, for one state, an (α, failing β)
+# item per input at which the postulate fails: the failing β as a class
+# bitset, or None where the postulate has no β.  Postulates of one shape
+# share a branch and differ by a row of its tables; a class set is a bitset
+# over classes, read from the table for the state id.  Where β ranges over
+# classes, the branch tests all β at once on the packed belief rows.
 #
-# Postulates of one shape share a branch of `_iter_postulate` and differ by
-# a row of its tables.  A class set is a bitset over classes, read from the
-# table for one state id: all classes, the scope classes (the inputs whose
-# revision succeeds) or the reasonable classes.  Where β ranges over classes
-# for one α, the branch tests all β at once on the packed belief rows and
-# the item carries the failing β as a class bitset (None where a row has no
-# β); the expansion lists them in the order the loop over classes would.
+# `_postulate_rows` expands the items into (α, β, clause, observed,
+# required) rows by `_ROW_SHAPES`, β in the order a loop over classes would
+# take, and lazily: `check_postulate` builds rows up to its cap, and the
+# theorem suites, which read only each item's α, build none.
 
 
-def _all_classes(tab: TransitionTable, sid: int) -> int:
+def _all_classes(*_) -> int:
+    """The class set that restricts nothing."""
     return -1
 
 
-# pid: (β ranges inside α rather than ¬α, classes of α checked, classes of β kept)
-_TWO_STEP = {
-    "DP1": (True, _all_classes, _all_classes),
-    "DP2": (False, _all_classes, _all_classes),
-    "CLDP1": (True, _all_classes, TransitionTable.scope_classes),
-    "CLDP2": (False, TransitionTable.scope_classes, TransitionTable.scope_classes),
-    "DLDP1": (True, TransitionTable.reasonable, TransitionTable.reasonable),
-    "DLDP2": (False, TransitionTable.reasonable, TransitionTable.reasonable),
+def _changed_inside(ln, T, P, a, full):
+    return ln.nz(T ^ P) & ln.within(a)
+
+
+def _changed_outside(ln, T, P, a, full):
+    return ln.nz(T ^ P) & ln.within(full & ~a)
+
+
+_SCOPE, _REASONABLE = TransitionTable.scope_classes, TransitionTable.reasonable
+
+# pid: (classes of α checked, classes of β kept, the failing lanes β, flagged,
+#       from the lanes, the prior and posterior rows T and P, α and all worlds)
+_ROW_TESTS = {
+    "DP1": (_all_classes, _all_classes, _changed_inside),
+    "DP2": (_all_classes, _all_classes, _changed_outside),
+    "CLDP1": (_all_classes, _SCOPE, _changed_inside),
+    "CLDP2": (_SCOPE, _SCOPE, _changed_outside),
+    "DLDP1": (_REASONABLE, _REASONABLE, _changed_inside),
+    "DLDP2": (_REASONABLE, _REASONABLE, _changed_outside),
+    "DP3": (
+        _all_classes, _all_classes,
+        lambda ln, T, P, a, full: ln.nz(P & (full & ~a) * ln.ones) & ~ln.nz(T & (full & ~a) * ln.ones),
+    ),
+    "DP4": (_all_classes, _all_classes, lambda ln, T, P, a, full: ln.nz(T & a * ln.ones) & ~ln.nz(P & a * ln.ones)),
+    "CLP": (_SCOPE, _SCOPE, lambda ln, T, P, a, full: ln.nz(T & a * ln.ones) & ln.nz(P & (full & ~a) * ln.ones)),
 }
 
-# pid: (β ranges inside α rather than ¬α, only accepted α are checked,
-#       classes that moved given the prior and posterior scope classes)
+# pid: (the classes β ranges over given α and all worlds, the α checked: accepted
+#       (1), refused (0) or all (None), classes that moved given the prior and
+#       posterior scope classes)
 _SCOPE_MOVES = {
-    "CLCD": (False, True, lambda sc, scp: scp & ~sc),
-    "CM1": (True, False, lambda sc, scp: sc & ~scp),
-    "CM2": (False, True, lambda sc, scp: sc & ~scp),
-    "DOC": (False, True, lambda sc, scp: scp),
+    "CLCD": (lambda a, full: classify.subset_bits(full & ~a), 1, lambda sc, scp: scp & ~sc),
+    "CM1": (lambda a, full: classify.subset_bits(a), None, lambda sc, scp: sc & ~scp),
+    "CM2": (lambda a, full: classify.subset_bits(full & ~a), 1, lambda sc, scp: sc & ~scp),
+    "DOC": (lambda a, full: classify.subset_bits(full & ~a), 1, lambda sc, scp: scp),
+    "FC": (_all_classes, 0, lambda sc, scp: sc & ~scp),
+    "FR": (_all_classes, 0, lambda sc, scp: scp & ~sc),
+    "SC": (_all_classes, 1, lambda sc, scp: sc & ~scp),
+    "SR": (_all_classes, 1, lambda sc, scp: scp & ~sc),
 }
 
 
@@ -136,7 +160,7 @@ def _descending(bits: int):
         bits ^= 1 << top
 
 
-def _lowest(bits: int):
+def _lowest(bits: int) -> tuple[int]:
     return ((bits & -bits).bit_length() - 1,)
 
 
@@ -145,7 +169,10 @@ def _lowest(bits: int):
 #       readers t and p, the prior beliefs, α and β)
 _ROW_SHAPES = {}
 for _pids, _order, _clause, _values in (
-    (tuple(_TWO_STEP), _descending, "two-step belief mismatch", lambda t, p, bel, a, b: (p(b), t(b))),
+    (
+        ("DP1", "DP2", "CLDP1", "CLDP2", "DLDP1", "DLDP2"), _descending, "two-step belief mismatch",
+        lambda t, p, bel, a, b: (p(b), t(b)),
+    ),
     (("DP3",), iter_worlds, "posterior lost the input", lambda t, p, bel, a, b: (p(b), f"subset of {a}")),
     (("DP4",), iter_worlds, "posterior denies the input", lambda t, p, bel, a, b: (p(b), f"meets {a}")),
     (("CLP",), iter_worlds, "input not retained", lambda t, p, bel, a, b: (p(b), f"subset of {a}")),
@@ -177,65 +204,31 @@ for _pids, _order, _clause, _values in (
 
 def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
     ln = tab.lanes
-    nz, ones = ln.nz, ln.ones
     T = tab.row(sid)
     full = tab.sig.all_worlds
     skip = 1 if tab.consistent_only else 0  # the contradiction's class bit, when β may not be it
 
-    # β loops as lane operations on the packed rows T (prior) and tp
+    # β loops as lane operations on the packed rows T (prior) and P
     # (posterior): a failing β is a flagged lane, and the flags are compacted
     # into a class bitset only when some lane fails.
-    if pid in _TWO_STEP:
-        inside, checked, kept = _TWO_STEP[pid]
+    if pid in _ROW_TESTS:
+        checked, kept, flags = _ROW_TESTS[pid]
         checked, kept = checked(tab, sid), kept(tab, sid) & ~skip
         posts = tab.posts(sid, alphas)
         for a in alphas:
             if (checked >> a) & 1:
-                diff = nz(T ^ tab.row(posts[a])) & ln.within(a if inside else full & ~a)
-                if diff and (betas := ln.bits(diff) & kept):
-                    yield a, betas
-    elif pid == "DP3":
-        posts = tab.posts(sid, alphas)
-        for a in alphas:
-            out = (full & ~a) * ones
-            bad = nz(tab.row(posts[a]) & out) & ~nz(T & out)
-            if bad and (betas := ln.bits(bad) & ~skip):
-                yield a, betas
-    elif pid == "DP4":
-        posts = tab.posts(sid, alphas)
-        for a in alphas:
-            bad = nz(T & a * ones) & ~nz(tab.row(posts[a]) & a * ones)
-            if bad and (betas := ln.bits(bad) & ~skip):
-                yield a, betas
-    elif pid == "CLP":
-        sc = tab.scope_classes(sid)
-        posts = tab.posts(sid, alphas)
-        for a in alphas:
-            if (sc >> a) & 1:
-                bad = nz(T & a * ones) & nz(tab.row(posts[a]) & (full & ~a) * ones)
-                if bad and (betas := ln.bits(bad) & sc & ~skip):
+                bad = flags(ln, T, tab.row(posts[a]), a, full)
+                if bad and (betas := ln.bits(bad) & kept):
                     yield a, betas
     elif pid in _SCOPE_MOVES:
-        inside, gated, moved = _SCOPE_MOVES[pid]
+        within, gate, moved = _SCOPE_MOVES[pid]
         sc = tab.scope_classes(sid)
         posts = tab.posts(sid, alphas)
         for a in alphas:
-            if gated and not (sc >> a) & 1:
-                continue
-            gone = moved(sc, tab.scope_classes(posts[a])) & ~skip
-            if gone and (betas := gone & classify.subset_bits(a if inside else full & ~a)):
-                yield a, betas
-    elif pid in ("FC", "FR", "SC", "SR"):
-        sc = tab.scope_classes(sid)
-        want_success = pid in ("SC", "SR")
-        shrinks = pid in ("FC", "SC")
-        posts = tab.posts(sid, alphas)
-        for a in alphas:
-            if bool((sc >> a) & 1) == want_success:
-                scp = tab.scope_classes(posts[a])
-                bad = (sc & ~scp if shrinks else scp & ~sc) & ~skip
-                if bad:
-                    yield a, bad
+            if gate is None or (sc >> a) & 1 == gate:
+                gone = moved(sc, tab.scope_classes(posts[a])) & ~skip
+                if gone and (betas := gone & within(a, full)):
+                    yield a, betas
     elif pid == "COM":
         sc = tab.scope_classes(sid)
         posts = tab.posts(sid, alphas)
