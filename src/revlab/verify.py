@@ -10,9 +10,8 @@ Three layers:
   mask algebra: order agreement compares level lists cut to a world set,
   the cross quantifiers are one walk of an order's levels, the class
   quantifiers are subset bitsets, and the scoped independence conditions
-  test their minimal witnesses.  The literal
-  world-pair and class loops are the test oracle, in
-  tests/condition_oracle.py;
+  test their minimal witnesses.  The literal world-pair and class loops
+  are the test oracle, in tests/condition_oracle.py;
 * verify_equivalence / representation_roundtrip — bidirectional checks of
   the characterisation theorems and the construct/reconstruct round trips
   behind the representation results.  The theorems and the DP round trip
