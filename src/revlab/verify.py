@@ -15,11 +15,13 @@ Three layers:
 * verify_equivalence / representation_roundtrip — bidirectional checks of
   the characterisation theorems and the construct/reconstruct round trips
   behind the representation results.  The theorems and the DP round trip
-  share one mismatch loop.  It reads a state's posteriors once, and its
-  postulate side is a per-state bitset of failing inputs (P13a ORs FC and
-  SC, P13b FR and SR), so it builds no postulate row: a Counterexample is
-  built only for a reported mismatch.  The other round trips and
-  mutation_detection share one reconstruction check.
+  share one mismatch loop.  Once per state it reads the posteriors and the
+  prior's scope classes and success worlds (each only if a condition reads
+  it), and turns each side into a bitset of failing inputs: the postulate
+  side (P13a ORs FC and SC, P13b FR and SR) and the condition side.  A part
+  mismatches where the two differ, so no postulate row is built, and truth
+  lists and a Counterexample only for a reported mismatch.  The other round
+  trips and mutation_detection share one reconstruction check.
 
 Reading notes (also emitted in report headers):
 
@@ -363,11 +365,13 @@ def check_postulate(
 # ---------------------------------------------------------------------------
 # Semantic conditions on a single transition (state, posterior, alpha)
 #
-# Every condition is a function of (st, post, a, na, tab, sid, co): the prior,
-# the posterior, the input and its complement, the calling suite's transition
-# table and the prior's id there (both None when no operator was given) and
-# consistent_only.  Orders are read through masks: an order's domain is its
-# state's scope, and a world off the domain is related to nothing.
+# Every condition is a function of (st, post, a, na, sc, dom, co): the prior,
+# the posterior, the input and its complement, the prior's scope classes and
+# success worlds, and consistent_only.  `sc` and `dom` are revision results:
+# only the ids in `_READS_REVISIONS` read them, and a caller passes None for
+# a value no id it evaluates reads.  Orders are read through masks: an
+# order's domain is its state's scope, and a world off the domain is related
+# to nothing.
 
 
 def _agree(st: EpistemicState, post: EpistemicState, ws: int) -> bool:
@@ -457,28 +461,11 @@ def _in_each_superset(bel2: int, bel: int, scope2: int, full: int, co: bool) -> 
     return _in_each_singleton(bel2, full & ~scope2)
 
 
-def _need(tab: TransitionTable | None) -> TransitionTable:
-    if tab is None:
-        raise PreconditionError("this condition reads revision results, so it needs the operator")
-    return tab
-
-
-def _success(tab, sid: int) -> int:
-    """Worlds whose minterm revision of state `sid` succeeds."""
-    return _need(tab).success_worlds(sid)
-
-
-def _scope_classes(tab, sid: int) -> int:
-    """Classes whose revision of state `sid` succeeds."""
-    return _need(tab).scope_classes(sid)
-
-
 def _on_success(cond):
     """`cond` with the input and its complement cut to the success worlds (the P16 clauses)."""
 
-    def restricted(st, post, a, na, tab, sid, co):
-        dom = _success(tab, sid)
-        return cond(st, post, a & dom, na & dom, tab, sid, co)
+    def restricted(st, post, a, na, sc, dom, co):
+        return cond(st, post, a & dom, na & dom, sc, dom, co)
 
     return restricted
 
@@ -499,34 +486,46 @@ def _lacking(m: int, bel: int) -> int:
     return inside if bel & ~m else inside & ~(classify.subset_bits(m & ~bel) << bel)
 
 
-def _c_clcd(st, post, a, na, tab, sid, co) -> bool:
+def _c_clcd(st, post, a, na, sc, dom, co) -> bool:
     # β ⊆ na meeting the new scope is accepted; the empty class meets nothing.
-    sc = _scope_classes(tab, sid)
     sub = classify.subset_bits
     return not (sc >> a) & 1 or sub(na) & ~sub(na & ~post.scope) & ~sc == 0
 
 
-def _c_cm1(st, post, a, na, tab, sid, co) -> bool:
+def _c_cm1(st, post, a, na, sc, dom, co) -> bool:
     # β ⊆ a, accepted or meeting the scope, missing the new scope: contains post.bel.
-    sc = _scope_classes(tab, sid)
     return _lacking(a & ~post.scope, post.bel) & (sc | ~classify.subset_bits(a & ~st.scope)) & ~int(co) == 0
 
 
-def _c_cm2(st, post, a, na, tab, sid, co) -> bool:
+def _c_cm2(st, post, a, na, sc, dom, co) -> bool:
     # β ⊆ na accepted, missing the new scope: contains post.bel.
-    sc = _scope_classes(tab, sid)
     return not (sc >> a) & 1 or _lacking(na & ~post.scope, post.bel) & sc & ~int(co) == 0
 
 
-def _scope_pair(on_success: bool, first: str, second: str):
-    """C-FC, C-FR (on_success False) and C-SC, C-SR: both named conditions hold
-    whenever revision by the input succeeds exactly when `on_success` says."""
+def _si1(st, post, *_) -> bool:
+    return _in_each_singleton(post.bel, st.scope & ~post.scope)
 
-    def cond(st, post, a, na, tab, sid, co):
-        if bool((_scope_classes(tab, sid) >> a) & 1) != on_success:
-            return True
-        args = st, post, a, na, tab, sid, co
-        return CONDITIONS[first](*args) and CONDITIONS[second](*args)
+
+def _si2(st, post, a, na, sc, dom, co) -> bool:
+    return _in_each_superset(post.bel, st.bel, post.scope, a | na, co)
+
+
+def _sd1(st, post, *_) -> bool:
+    return _in_each_singleton(st.bel, post.scope & ~st.scope)
+
+
+def _sd2(st, post, a, na, sc, dom, co) -> bool:
+    return _in_each_superset(st.bel, post.bel, st.scope, a | na, co)
+
+
+def _scope_pair(on_success: bool, first, second):
+    """C-FC, C-FR (on_success False) and C-SC, C-SR: the conditions `first` and `second`
+    hold whenever revision by the input succeeds exactly when `on_success` says."""
+
+    def cond(st, post, a, na, sc, dom, co):
+        return (sc >> a) & 1 != on_success or (
+            first(st, post, a, na, sc, dom, co) and second(st, post, a, na, sc, dom, co)
+        )
 
     return cond
 
@@ -556,17 +555,17 @@ CONDITIONS = {
     "P12.ii": lambda st, post, a, na, *_: _none_above(post, True, na & ~st.scope, a & st.scope),
     "P12.iii": lambda st, post, a, na, *_: st.bel & a == 0 or na & post.scope & ~st.scope == 0,
     "P12.iv": lambda st, post, a, na, *_: _p12iv(st, post, a, na),
-    "SI1": lambda st, post, *_: _in_each_singleton(post.bel, st.scope & ~post.scope),
-    "SI2": lambda st, post, a, na, tab, sid, co: _in_each_superset(post.bel, st.bel, post.scope, a | na, co),
-    "SD1": lambda st, post, *_: _in_each_singleton(st.bel, post.scope & ~st.scope),
-    "SD2": lambda st, post, a, na, tab, sid, co: _in_each_superset(st.bel, post.bel, st.scope, a | na, co),
-    "P14.a": lambda st, post, a, na, tab, sid, co: (
-        _agree(st, post, a & st.scope & post.scope & _success(tab, sid))
+    "SI1": _si1,
+    "SI2": _si2,
+    "SD1": _sd1,
+    "SD2": _sd2,
+    "P14.a": lambda st, post, a, na, sc, dom, co: (
+        _agree(st, post, a & st.scope & post.scope & dom)
         and _scope_kept(st, post, a)
         and _scope_bounded(st, post, a)
     ),
-    "P14.b": lambda st, post, a, na, tab, sid, co: (
-        _agree(st, post, na & st.scope & post.scope & _success(tab, sid))
+    "P14.b": lambda st, post, a, na, sc, dom, co: (
+        _agree(st, post, na & st.scope & post.scope & dom)
         and _scope_kept(st, post, na)
         and _scope_bounded(st, post, na)
     ),
@@ -576,22 +575,35 @@ CONDITIONS = {
     "P15.b": lambda st, post, a, na, *_: a == 0 or a & ~st.scope != 0 or _agree(st, post, na & st.scope),
     "P16.i": _on_success(lambda st, post, a, na, *_: _p11i(st, post, a, na, False)),
     "P16.ii": _on_success(lambda st, post, a, na, *_: _none_above(st, False, a & ~post.scope, na & post.scope)),
-    "P16.iii": lambda st, post, a, na, tab, sid, co: (
-        na & _success(tab, sid) & post.scope & ~st.scope == 0 or st.bel & a == 0
-    ),
+    "P16.iii": lambda st, post, a, na, sc, dom, co: na & dom & post.scope & ~st.scope == 0 or st.bel & a == 0,
     "P16.iv": _on_success(lambda st, post, a, na, *_: _p12iv(st, post, a, na)),
     "C-CLCD": _c_clcd,
     "C-CM1": _c_cm1,
     "C-CM2": _c_cm2,
-    "C-FC": _scope_pair(False, "SI1", "SI2"),
-    "C-FR": _scope_pair(False, "SD1", "SD2"),
-    "C-SC": _scope_pair(True, "SI1", "SI2"),
-    "C-SR": _scope_pair(True, "SD1", "SD2"),
+    "C-FC": _scope_pair(False, _si1, _si2),
+    "C-FR": _scope_pair(False, _sd1, _sd2),
+    "C-SC": _scope_pair(True, _si1, _si2),
+    "C-SR": _scope_pair(True, _sd1, _sd2),
     "C-DOC": lambda st, post, a, na, *_: post.scope & na == 0 or (a & st.scope == 0 and st.bel & na != 0),
     "C-COM": lambda st, post, a, na, *_: a & st.scope != 0 or st.bel & na == 0 or a & post.scope != 0,
 }
 
 CONDITION_IDS = tuple(CONDITIONS)
+
+# The conditions that read revision results, by the prior's value they read:
+# its scope classes (sc) or its success worlds (dom).
+_READS_REVISIONS = {
+    **dict.fromkeys(("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"), "sc"),
+    **dict.fromkeys(("P14.a", "P14.b", "P16.i", "P16.ii", "P16.iii", "P16.iv"), "dom"),
+}
+
+
+def _prior_values(tab: TransitionTable, sid: int, reads) -> tuple[int | None, int | None]:
+    """(sc, dom) of state `sid`, each read from the table only when `reads` names it."""
+    return (
+        tab.scope_classes(sid) if "sc" in reads else None,
+        tab.success_worlds(sid) if "dom" in reads else None,
+    )
 
 
 def check_condition(
@@ -605,17 +617,22 @@ def check_condition(
 ) -> bool:
     """One named condition clause on the transition, from the `CONDITIONS` table.
 
-    `op` is needed only by the conditions that read revision results.  It is
-    the operator, or the `TransitionTable` of the calling suite, whose belief
-    tables are then shared with the postulate side.
+    `op` is read only for the conditions that read revision results, and
+    they need it.  It is the operator, or the `TransitionTable` of the calling
+    suite, whose belief tables are then shared with the postulate side.
     """
     cond = CONDITIONS.get(cid)
     if cond is None:
         raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
-    if op is not None and not isinstance(op, TransitionTable):
-        op = TransitionTable(op, sig)
-    sid = None if op is None else op.id_of(st)
-    return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, op, sid, consistent_only)
+    sc = dom = None
+    reads = _READS_REVISIONS.get(cid)
+    if reads:
+        if op is None:
+            raise PreconditionError("this condition reads revision results, so it needs the operator")
+        if not isinstance(op, TransitionTable):
+            op = TransitionTable(op, sig)
+        sc, dom = _prior_values(op, op.id_of(st), (reads,))
+    return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, sc, dom, consistent_only)
 
 
 # ---------------------------------------------------------------------------
@@ -657,36 +674,40 @@ def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int
 
 def _mismatches(tab: TransitionTable, parts, work):
     """(instances so far, state, α, postulate truths, condition truths) at each
-    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
-    the posterior ids and the postulate side, as a bitset, are read once per state
-    (or sampled instance)."""
+    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ.
+
+    Once per state (or sampled instance) it reads the posterior ids and the
+    prior values the condition ids read, and evaluates each part's two sides
+    over all of the state's inputs into two bitsets of failing inputs.  An
+    instance is then one bit test of their difference, and the truth lists are
+    built only for a mismatch."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
+    reads = {_READS_REVISIONS.get(cid) for _, cids in parts for cid in cids}
     full = tab.sig.all_worlds
     co = tab.consistent_only
     states = tab.states
     seen = None
     for instances, (st, sid, ins, a) in enumerate(work, 1):
         if ins is not seen:  # a new state, or a new sampled instance
-            seen, fails = ins, []
+            seen, fails, unmet, differ = ins, [], [], 0
             posts = tab.posts(sid, ins)
-            for pids, _ in parts:
-                bad = 0
+            sc, dom = _prior_values(tab, sid, reads)
+            for (pids, _), conds in zip(parts, groups):
+                failing = 0
                 for pid in pids:
-                    bad |= _postulate_instance(tab, pid, sid, ins)
-                fails.append(bad)
-        post = states[posts[a]]
-        lhs = [not (bad >> a) & 1 for bad in fails]
-        na = full & ~a
-        rhs = []  # all() written out: a generator per instance is a tenth of the suite's time
-        for conds in groups:
-            for cond in conds:
-                if not cond(st, post, a, na, tab, sid, co):
-                    rhs.append(False)
-                    break
-            else:
-                rhs.append(True)
-        if lhs != rhs:
-            yield instances, st, a, lhs, rhs
+                    failing |= _postulate_instance(tab, pid, sid, ins)
+                failed = 0
+                for b in ins:
+                    post, nb = states[posts[b]], full & ~b
+                    for cond in conds:  # all() written out: a generator per input is a tenth of the suite's time
+                        if not cond(st, post, b, nb, sc, dom, co):
+                            failed |= 1 << b
+                            break
+                fails.append(failing)
+                unmet.append(failed)
+                differ |= failing ^ failed
+        if (differ >> a) & 1:
+            yield instances, st, a, [not (bad >> a) & 1 for bad in fails], [not (bad >> a) & 1 for bad in unmet]
 
 
 def verify_equivalence(
@@ -703,6 +724,7 @@ def verify_equivalence(
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
+    # Flat, not streamed per state: streaming reads higher benchmark peak RSS (ROADMAP item 6).
     work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
     ces: list[Counterexample] = []
     for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):
@@ -785,7 +807,7 @@ def representation_roundtrip(
             ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":  # DP1-DP4 against CR8-CR11, one part each
         parts = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
-        flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]
+        flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]  # flat: see verify_equivalence
         instances += len(flat)
         for _, st, a, lhs, rhs in _mismatches(tab, parts, flat):
             for ((pid,), (cid,)), holds, met in zip(parts, lhs, rhs):

@@ -18,7 +18,7 @@ from revlab.operators import (
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
 from revlab.states import EpistemicState, enumerate_states, sample_states
-from revlab.transitions import TransitionTable
+from revlab.transitions import TransitionTable, suite_table
 from revlab.verify import (
     _THEOREM_CONDITIONS,
     CONDITION_IDS,
@@ -227,6 +227,19 @@ class TestConditionsMatchOracle:
             (states[i], states[i + 1], rng.randrange(1 << sig.n_worlds)) for i in range(0, len(states), 2)
         ]
         assert _oracle_mismatches(sig, triples)[:5] == []
+
+
+def test_conditions_outside_the_registry_read_no_revision_results(faithful):
+    # Only the ids of `_READS_REVISIONS` are handed the prior's scope classes
+    # and success worlds; every other id is handed None for both, so one that
+    # reads them without being registered raises here.
+    assert set(verify._READS_REVISIONS) <= set(CONDITION_IDS)
+    assert set(verify._READS_REVISIONS.values()) == {"sc", "dom"}
+    free = [cid for cid in CONDITION_IDS if cid not in verify._READS_REVISIONS]
+    transitions = _distinct_transitions(AB, [(st, a) for st in faithful.states for a in range(16)])
+    for st, post, a in transitions:
+        for cid in free:
+            assert check_condition(st, post, a, cid, AB) in (True, False), cid
 
 
 def test_conditions_are_handed_the_state_id(monkeypatch):
@@ -615,6 +628,72 @@ def test_p13_rows_match_the_scope_class_comparison(faithful, co):
                     scp = tab.scope_classes(tab.post(sid, a))
                     moved = sc & ~scp if theorem == "P13a" else scp & ~sc
                     assert (got >> a) & 1 == (moved & kept != 0), (theorem, st, a)
+
+
+def _per_instance_mismatches(tab, parts, work):
+    """The suite loop with one truth list per side and instance: the postulate side
+    from each state's `_postulate_instance` bitsets, the condition side from
+    `check_condition` on the instance's transition."""
+    seen = None
+    for instances, (st, sid, ins, a) in enumerate(work, 1):
+        if ins is not seen:
+            seen = ins
+            fails = []
+            for pids, _ in parts:
+                bad = 0
+                for pid in pids:
+                    bad |= verify._postulate_instance(tab, pid, sid, ins)
+                fails.append(bad)
+        post = tab.states[tab.post(sid, a)]
+        lhs = [not (bad >> a) & 1 for bad in fails]
+        rhs = [
+            all(check_condition(st, post, a, cid, tab.sig, tab, tab.consistent_only) for cid in cids)
+            for _, cids in parts
+        ]
+        if lhs != rhs:
+            yield instances, st, a, lhs, rhs
+
+
+def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_only=False):
+    """Both loops' full mismatch sequences on one suite's work list; their length."""
+    tab = suite_table(op, universe, consistent_only, instance_list is not None)
+    work = [(st, sid, ins, a) for st, sid, ins in verify._suite_work(tab, universe, instance_list) for a in ins]
+    got = list(verify._mismatches(tab, parts, work))
+    assert got == list(_per_instance_mismatches(tab, parts, work))
+    return len(got)
+
+
+_DP_PARTS = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
+
+
+class TestMismatchesMatchPerInstanceLoop:
+    """The per-state failing-input bitsets of `_mismatches` against one truth list per instance."""
+
+    def test_every_theorem_under_every_policy(self, faithful_gc):
+        ops = [RevisionOperator("dl", policy) for policy in all_policies()]
+        found = 0
+        for op in ops + [_theorem_ops(faithful_gc)[-1]]:  # the corrupted table fails both ways
+            for theorem, parts in _THEOREM_CONDITIONS.items():
+                found += _suite_mismatches_agree(op, faithful_gc, parts)
+        assert found > 0
+
+    def test_dp_round_trip_parts(self):
+        fa = enumerate_states(AB, "fa")
+        agm = RevisionOperator("agm")
+        assert _suite_mismatches_agree(agm, fa, _DP_PARTS, consistent_only=True) == 0
+        assert _suite_mismatches_agree(_corrupted_table(agm, fa, 20, 5), fa, _DP_PARTS, consistent_only=True) > 0
+
+    def test_green_theorems_on_sampled_3atom_instances(self):
+        sig = Signature.of("a b c")
+        uni = enumerate_states(sig, "faithful", global_consistency=True)
+        rng = random.Random(11)
+        # Two inputs per state, one after the other, as in a sampled batch.
+        states = sample_states(sig, "faithful", 100, rng, global_consistency=True)
+        instances = [(st, rng.randrange(256)) for st in states for _ in range(2)]
+        op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+        for theorem, parts in _THEOREM_CONDITIONS.items():
+            if theorem not in RED_COUNTEREXAMPLES:
+                _suite_mismatches_agree(op, uni, parts, instance_list=instances)
 
 
 class TestRoundtrips:
