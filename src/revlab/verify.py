@@ -665,6 +665,9 @@ _THEOREM_CONDITIONS = {
 
 THEOREM_IDS = tuple(_THEOREM_CONDITIONS)
 
+# The DP round trip's parts: DP1-DP4 against CR8-CR11, one each.
+_DP_PARTS = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
+
 
 def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int:
     """Bitset of the inputs among `alphas` at which the postulate fails at state `sid`,
@@ -674,13 +677,9 @@ def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int
 
 def _mismatches(tab: TransitionTable, parts, work):
     """(instances so far, state, α, postulate truths, condition truths) at each
-    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ.
-
-    Once per state (or sampled instance) it reads the posterior ids and the
-    prior values the condition ids read, and evaluates each part's two sides
-    over all of the state's inputs into two bitsets of failing inputs.  An
-    instance is then one bit test of their difference, and the truth lists are
-    built only for a mismatch."""
+    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
+    each side is a bitset of failing inputs, built once per state (or sampled
+    instance), so an instance is one bit test and truth lists exist only for a mismatch."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
     reads = {_READS_REVISIONS.get(cid) for _, cids in parts for cid in cids}
     full = tab.sig.all_worlds
@@ -805,12 +804,11 @@ def representation_roundtrip(
             instances += len(alphas) * len(tab.classes()) if pid in _PAIRED else len(alphas)
             rows = islice(_postulate_rows(tab, pid, sid, alphas), max_counterexamples - len(ces))
             ces += (Counterexample(st, *row) for row in rows)
-    if family == "DP":  # DP1-DP4 against CR8-CR11, one part each
-        parts = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
+    if family == "DP":
         flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]  # flat: see verify_equivalence
         instances += len(flat)
-        for _, st, a, lhs, rhs in _mismatches(tab, parts, flat):
-            for ((pid,), (cid,)), holds, met in zip(parts, lhs, rhs):
+        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, flat):
+            for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
                 if holds != met:
                     add(Counterexample(st, a, None, f"{pid} vs {cid} mismatch", holds, met))
     else:

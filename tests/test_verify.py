@@ -663,9 +663,6 @@ def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_
     return len(got)
 
 
-_DP_PARTS = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), (("DP4",), ("CR11",)))
-
-
 class TestMismatchesMatchPerInstanceLoop:
     """The per-state failing-input bitsets of `_mismatches` against one truth list per instance."""
 
@@ -680,8 +677,8 @@ class TestMismatchesMatchPerInstanceLoop:
     def test_dp_round_trip_parts(self):
         fa = enumerate_states(AB, "fa")
         agm = RevisionOperator("agm")
-        assert _suite_mismatches_agree(agm, fa, _DP_PARTS, consistent_only=True) == 0
-        assert _suite_mismatches_agree(_corrupted_table(agm, fa, 20, 5), fa, _DP_PARTS, consistent_only=True) > 0
+        assert _suite_mismatches_agree(agm, fa, verify._DP_PARTS, consistent_only=True) == 0
+        assert _suite_mismatches_agree(_corrupted_table(agm, fa, 20, 5), fa, verify._DP_PARTS, consistent_only=True) > 0
 
     def test_green_theorems_on_sampled_3atom_instances(self):
         sig = Signature.of("a b c")
