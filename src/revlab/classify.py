@@ -45,8 +45,10 @@ are kept in the test suite as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
+from .errors import TooLargeError
 from .prop import Signature
 from .states import EpistemicState, StateUniverse
 
@@ -87,6 +89,21 @@ def subset_bits(mask: int) -> int:
         bits |= bits << low
         mask ^= low
     return bits
+
+
+MAX_PAIR_CLASSES = 256  # the classes of 3 atoms; at 4 atoms the table would hold over 4 billion β
+
+
+@lru_cache(maxsize=None)
+def incomparable(n_classes: int) -> tuple[tuple[int, ...], ...]:
+    """Per class a, the classes b with neither inside the other, ascending.
+
+    These are the only β at which a trichotomy postulate can fail: when
+    one of a, b contains the other, a ∨ b is one of them.
+    """
+    if n_classes > MAX_PAIR_CLASSES:
+        raise TooLargeError(f"pair tables support at most {MAX_PAIR_CLASSES} classes, got {n_classes}")
+    return tuple(tuple(b for b in range(n_classes) if a & ~b and b & ~a) for a in range(n_classes))
 
 
 def minterm_worlds(classes: int, n_worlds: int) -> int:

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator", help="operator spec file")
         if sig:
             p.add_argument("--sig", help="signature atoms, e.g. 'a b'")
-            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="instances sampled at 3 atoms")
+            p.add_argument("--samples", type=int, help=f"instances sampled at 3 atoms (default {DEFAULT_SAMPLES})")
         if universe:
             p.add_argument(
                 "--universe",
@@ -111,7 +111,8 @@ def _universe(args, sig: Signature, op):
         states, instance_list = list(uni.states), None
     else:
         rng = random.Random(args.seed)
-        states = sample_states(sig, kind, args.samples, rng, args.global_consistency, il_scope)
+        n_samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+        states = sample_states(sig, kind, n_samples, rng, args.global_consistency, il_scope)
         # The inputs are drawn for `enumerate` too, which has no --consistent-only.
         lo = 1 if getattr(args, "consistent_only", False) else 0
         instance_list = [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
@@ -205,12 +206,17 @@ def _expand_ids(ids: list[str], op) -> list[str]:
 
 
 def _signature(args) -> Signature:
-    """The --sig of `check` and `enumerate`, refusing a sample that could hold no instance."""
+    """The --sig of `check` and `enumerate`, refusing a --samples that cannot apply (up to
+    2 atoms, where the universe is enumerated) or could hold no instance."""
     if not args.sig:
         raise RevlabError(f"{args.command} needs --sig")
-    if args.samples < 1:
-        raise RevlabError(f"--samples must be at least 1, got {args.samples}")
-    return Signature.of(args.sig)
+    sig = Signature.of(args.sig)
+    if args.samples is not None:
+        if args.samples < 1:
+            raise RevlabError(f"--samples must be at least 1, got {args.samples}")
+        if sig.n_atoms <= 2:
+            raise RevlabError(f"--samples needs a sampled universe; at {sig.n_atoms} atoms it is enumerated")
+    return sig
 
 
 def cmd_check(args) -> int:

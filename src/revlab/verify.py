@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from . import classify, kernels
@@ -275,11 +276,14 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
             if bel and not t[a]:
                 yield a, None
     elif pid in ("DL7", "CL6", "IL7"):
+        # Where β contains α or lies inside it, α ∨ β is one of them and the
+        # trichotomy holds, so only the incomparable β are read.
+        pairs = classify.incomparable(tab.n_classes)
         for a in alphas:
-            bad = 0
-            for b in tab.classes():
+            ta, bad = t[a], 0
+            for b in pairs[a]:
                 u = t[a | b]
-                if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
+                if not (u == ta or u == t[b] or u == ta | t[b]):
                     bad |= 1 << b
             if bad:
                 yield a, bad
@@ -308,15 +312,13 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
 
 def _postulate_rows(tab: TransitionTable, pid: str, sid: int, alphas):
     """The (α, β, clause, observed, required) rows of the postulate's failures at state
-    `sid`, lazily: a row is built only when it is read."""
-    order, clause, values = _ROW_SHAPES.get(pid, (None, "", None))
-    ln, T, bel = tab.lanes, tab.row(sid), tab.states[sid].bel
-    clause = f"{pid}: {clause}"
-
-    def t(c):
-        return ln.entry(T, c)
-
+    `sid`, lazily: a row is built only when it is read, and what the rows share only
+    at the state's first failing item."""
+    ln, t = tab.lanes, None
     for a, betas in _iter_postulate(tab, pid, sid, alphas):
+        if t is None:
+            order, clause, values = _ROW_SHAPES[pid]
+            clause, bel, t = f"{pid}: {clause}", tab.states[sid].bel, partial(ln.entry, tab.row(sid))
 
         def p(c, a=a):
             return ln.entry(tab.row(tab.post(sid, a)), c)
@@ -351,9 +353,9 @@ def check_postulate(
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
     ces: list[Counterexample] = []
-    instances = 0
+    instances, per_input = 0, len(tab.classes()) if pid in _PAIRED else 1
     for st, sid, alphas in _suite_work(tab, universe, instance_list):
-        instances += len(alphas) * len(tab.classes()) if pid in _PAIRED else len(alphas)
+        instances += len(alphas) * per_input
         for row in _postulate_rows(tab, pid, sid, alphas):
             if len(ces) < max_counterexamples:
                 ces.append(Counterexample(st, *row))
@@ -723,7 +725,7 @@ def verify_equivalence(
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
-    # Flat, not streamed per state: streaming reads higher benchmark peak RSS (ROADMAP item 6).
+    # Flat, not streamed per state: streaming reads higher benchmark peak RSS (ROADMAP item 4).
     work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
     ces: list[Counterexample] = []
     for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):
@@ -800,8 +802,9 @@ def representation_roundtrip(
     tab = suite_table(op, universe, consistent_only, sampled=False)
     work = _suite_work(tab, universe, None)
     for pid in FAMILY_POSTULATES[family]:  # every instance counted, failures read up to the cap
+        per_input = len(tab.classes()) if pid in _PAIRED else 1
         for st, sid, alphas in work:
-            instances += len(alphas) * len(tab.classes()) if pid in _PAIRED else len(alphas)
+            instances += len(alphas) * per_input
             rows = islice(_postulate_rows(tab, pid, sid, alphas), max_counterexamples - len(ces))
             ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":

@@ -8,20 +8,28 @@ the forms they replaced, over one tuple entry per class:
 * the subset-lattice transforms as list loops (superset-AND, subset-OR);
 * the scope classes as a loop over the classes;
 * `classify_state` with the list transforms;
-* the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP) and of
-  the scope-move postulates (CLCD, CM1, CM2, DOC);
+* the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP), of
+  the scope-move postulates (CLCD, CM1, CM2, DOC, FC, FR, SC, SR), and of
+  the pair postulates (the trichotomy DL7, CL6 and IL7, and CL5), each over
+  every class;
 * `operators.canonical_assignment` with its pairwise relation as a dict of
   world pairs, each read from one entry of the row.
 
-`tests/test_lanes.py` compares the two.
+`tests/test_lanes.py` compares the two.  The two corrupted operators at the
+end make postulates that every update policy satisfies fail somewhere, so
+the comparisons, and the pinned verdicts in `tests/test_verify.py`, see
+failing rows.
 """
 
 from __future__ import annotations
+
+import random
 
 from condition_oracle import level_of
 
 from revlab.classify import iter_subsets
 from revlab.errors import NonWeakOrderError
+from revlab.operators import ExtensionalOperator, RevisionOperator, UpdatePolicy, tabulate
 from revlab.orders import RankedOrder
 from revlab.transitions import TransitionTable
 
@@ -134,11 +142,23 @@ _SCOPE_MOVES = {
     "DOC": (False, True, lambda sc, scp: scp, "contrary accepted after success", "in scope", "out of scope"),
 }
 
-BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES)
+# pid: (α accepted (1) or refused (0), the class of a failing β is in the prior
+#       scope classes, not the posterior's (1) or the other way (0), clause);
+#       only the first failing β is reported
+_SCOPE_SHIFTS = {
+    "FC": (0, 1, "scope shrank"),
+    "FR": (0, 0, "scope grew"),
+    "SC": (1, 1, "scope shrank"),
+    "SR": (1, 0, "scope grew"),
+}
+
+_TRICHOTOMY = ("DL7", "CL6", "IL7")
+
+BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES, *_SCOPE_SHIFTS, *_TRICHOTOMY, "CL5")
 
 
 def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
-    """The rows `verify._postulate_rows` builds for a β-loop postulate, by loops over tuples."""
+    """The rows `verify._postulate_rows` builds for a postulate with a β, by loops over tuples."""
     t = _table(tab, sid)
     full = tab.sig.all_worlds
     if pid in _TWO_STEP:
@@ -171,6 +191,30 @@ def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
             for b in tab.classes():
                 if (sc >> b) & 1 and t[b] & a and tp[b] & ~a:
                     yield a, b, "CLP: input not retained", tp[b], f"subset of {a}"
+    elif pid in _SCOPE_SHIFTS:
+        accepted, left, clause = _SCOPE_SHIFTS[pid]
+        sc = _scope(tab, sid)
+        for a in alphas:
+            if (sc >> a) & 1 != accepted:
+                continue
+            scp = _scope(tab, tab.post(sid, a))
+            for b in tab.classes():
+                if (sc >> b) & 1 == left and (scp >> b) & 1 != left:
+                    yield a, b, f"{pid}: {clause}", "changed", "monotone"
+                    break
+    elif pid in _TRICHOTOMY:
+        for a in alphas:
+            for b in tab.classes():
+                u = t[a | b]
+                if not (u == t[a] or u == t[b] or u == t[a] | t[b]):
+                    yield a, b, f"{pid}: trichotomy of disjunctions", u, (t[a], t[b], t[a] | t[b])
+    elif pid == "CL5":
+        sc = _scope(tab, sid)
+        for a in alphas:
+            if (sc >> a) & 1:
+                for b in tab.classes():
+                    if a & ~b == 0 and not (sc >> b) & 1:
+                        yield a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}"
     else:
         inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
         sc = _scope(tab, sid)
@@ -217,3 +261,33 @@ def canonical_pairs(tab: TransitionTable, st, family: str = "dl"):
             if (level_of(order, w1) <= level_of(order, w2)) != pair[(w1, w2)]:
                 raise NonWeakOrderError("pairwise relation is not transitive", witness=(w1, w2))
     return order, domain
+
+
+# ---------------------------------------------------------------------------
+# Corrupted operators
+
+DL_KEEP = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
+
+
+def corrupted_table(op, universe, n, seed):
+    """`op` as a lookup table on `universe` with n seeded entries replaced by states of the universe."""
+    rng = random.Random(seed)
+    mapping = dict(tabulate(op, universe).mapping)
+    n_classes = 1 << universe.sig.n_worlds
+    for _ in range(n):
+        st = universe.states[rng.randrange(len(universe.states))]
+        mapping[(st, rng.randrange(n_classes))] = universe.states[rng.randrange(len(universe.states))]
+    return ExtensionalOperator(universe.sig, tuple(universe.states), mapping)
+
+
+class EmptiedAtAllWorlds:
+    """dl keep/keep, duck-typed, with the beliefs after revising by the all-worlds class emptied."""
+
+    def __init__(self, sig):
+        self.full = sig.all_worlds
+
+    def revise_beliefs(self, st, alpha):
+        return 0 if alpha == self.full else DL_KEEP.revise_beliefs(st, alpha)
+
+    def apply(self, st, alpha):
+        return DL_KEEP.apply(st, alpha)

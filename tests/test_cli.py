@@ -264,6 +264,15 @@ class TestBadInput:
         self._fails_cleanly(argv, capsys, "--unbiased")
 
     @pytest.mark.parametrize(
+        "argv",
+        [["check", "--sig", "a b", "--samples", "50", "DL1"], ["enumerate", "--sig", "a b", "--samples", "7"]],
+        ids=["check", "enumerate"],
+    )
+    def test_samples_on_an_enumerated_universe(self, argv, capsys):
+        # Up to 2 atoms every state is enumerated, so a sample size cannot apply.
+        self._fails_cleanly(argv, capsys, "--samples")
+
+    @pytest.mark.parametrize(
         "argv, needle",
         [
             (["check", "--sig", "a b c", "--samples", "0", "P9"], "--samples"),

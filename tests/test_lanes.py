@@ -3,7 +3,9 @@
 The oracles are in `lane_oracle.py`.  Each comparison runs on every belief
 row a 2-atom faithful suite reads (every state and its posteriors under all
 16 inputs and all nine update policies), on a seeded 3-atom sample, and on
-a few seeded 4-atom states, whose rows have 16-bit lanes.  The canonical
+a few seeded 4-atom states, whose rows have 16-bit lanes.  The postulate
+rows are also compared under two corrupted operators, and every postulate
+whose β ranges over classes must have an oracle.  The canonical
 reconstruction is compared with its pairwise-dict form on whole 2-atom
 universes, on every single-entry corruption of a few rows, and on a seeded
 3-atom sample.
@@ -14,8 +16,11 @@ import random
 import pytest
 from lane_oracle import (
     BETA_PIDS,
+    DL_KEEP,
+    EmptiedAtAllWorlds,
     canonical_pairs,
     classify_table,
+    corrupted_table,
     iter_beta_rows,
     scope_classes,
     subset_or,
@@ -24,7 +29,7 @@ from lane_oracle import (
 )
 
 from revlab import classify, kernels, verify
-from revlab.errors import NonWeakOrderError
+from revlab.errors import NonWeakOrderError, TooLargeError
 from revlab.operators import canonical_assignment
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.prop import Signature
@@ -97,6 +102,38 @@ def test_seeded_4atom_states_with_16_bit_lanes():
     assert tab.lanes.width == 16
     _assert_rows_match(tab)
     _assert_beta_rows_match(tab, work, ("DP1", "DP2", "DP3", "DP4", "CLDP2", "CLP", "CM1"))
+
+
+@pytest.mark.parametrize("co", [False, True])
+def test_postulate_rows_under_corrupted_operators(co):
+    # Between them the two operators break each pair postulate somewhere.
+    faithful = enumerate_states(AB, "faithful")
+    failing = set()
+    for op in (EmptiedAtAllWorlds(AB), corrupted_table(DL_KEEP, faithful, 40, 3)):
+        tab = TransitionTable(op, AB, consistent_only=co)
+        work = [(tab.id_of(st), tab.classes()) for st in faithful.states]
+        _assert_beta_rows_match(tab, work)
+        failing.update(
+            pid for pid in verify._PAIRED for sid, alphas in work if next(verify._postulate_rows(tab, pid, sid, alphas), None)
+        )
+    assert failing == set(verify._PAIRED)
+
+
+def test_every_postulate_with_a_beta_over_classes_has_an_oracle():
+    assert {*verify._ROW_TESTS, *verify._SCOPE_MOVES, *verify._PAIRED} <= set(BETA_PIDS)
+
+
+def test_incomparable_pairs():
+    # Of the 2^N x 2^N ordered pairs of classes over N worlds, 2 * 3^N - 2^N are comparable.
+    for n_worlds in (4, 8):
+        pairs = classify.incomparable(1 << n_worlds)
+        assert sum(map(len, pairs)) == 4**n_worlds - 2 * 3**n_worlds + 2**n_worlds
+        assert all(list(bs) == sorted(set(bs)) for bs in pairs)
+        assert all(a & ~b and b & ~a for a, bs in enumerate(pairs) for b in bs)
+    cached = classify.incomparable.cache_info().currsize
+    with pytest.raises(TooLargeError):
+        classify.incomparable(1 << 16)
+    assert classify.incomparable.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("n_classes", [16, 256, 1 << 16])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from condition_oracle import oracle_condition
+from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
 from revlab.errors import PreconditionError
 from revlab import verify
@@ -385,21 +386,12 @@ POSTULATE_DIGESTS = {
 SAMPLED_POSTULATE_DIGEST = "1aa737910953c057"
 
 
-def _corrupted_table(op, universe, n, seed):
-    rng = random.Random(seed)
-    mapping = dict(tabulate(op, universe).mapping)
-    for _ in range(n):
-        st = universe.states[rng.randrange(len(universe.states))]
-        mapping[(st, rng.randrange(16))] = universe.states[rng.randrange(len(universe.states))]
-    return ExtensionalOperator(AB, tuple(universe.states), mapping)
-
-
 def _pinned_runs(faithful):
     il_op = RevisionOperator("il", il_scope=mask(1, 2))
     il_uni = enumerate_states(AB, "il", il_scope=il_op.il_scope)
     ops = [RevisionOperator("dl", policy) for policy in _PINNED_POLICIES]
-    return [(op, faithful) for op in ops + [_corrupted_table(DL_OP, faithful, 40, 3)]] + [
-        (op, il_uni) for op in (il_op, _corrupted_table(il_op, il_uni, 10, 8))
+    return [(op, faithful) for op in ops + [corrupted_table(DL_OP, faithful, 40, 3)]] + [
+        (op, il_uni) for op in (il_op, corrupted_table(il_op, il_uni, 10, 8))
     ]
 
 
@@ -436,29 +428,16 @@ def test_sampled_postulate_verdicts_pinned(faithful):
     assert h.hexdigest()[:16] == SAMPLED_POSTULATE_DIGEST
 
 
-class _EmptiedAtAllWorlds:
-    """dl keep/keep, duck-typed, with the beliefs after revising by the all-worlds class emptied."""
-
-    def __init__(self, sig):
-        self.full = sig.all_worlds
-
-    def revise_beliefs(self, st, alpha):
-        return 0 if alpha == self.full else DL_OP.revise_beliefs(st, alpha)
-
-    def apply(self, st, alpha):
-        return DL_OP.apply(st, alpha)
-
-
 def test_sampled_two_input_postulates_pair_each_input_with_every_class(faithful):
     # The corrupted entry breaks DL7 at every pair (α, β) that covers all
     # worlds, so a sampled α paired only with itself would never fail.
-    assert not check_postulate(_EmptiedAtAllWorlds(AB), faithful, "DL7").holds
+    assert not check_postulate(EmptiedAtAllWorlds(AB), faithful, "DL7").holds
     sig = Signature.of("a b c")
     uni = enumerate_states(sig, "faithful", global_consistency=True)
     rng = random.Random(7)
     states = sample_states(sig, "faithful", 1000, rng, global_consistency=True)
     instances = [(st, rng.randrange(256)) for st in states]
-    v = check_postulate(_EmptiedAtAllWorlds(sig), uni, "DL7", instance_list=instances)
+    v = check_postulate(EmptiedAtAllWorlds(sig), uni, "DL7", instance_list=instances)
     assert not v.holds and v.counterexamples[0].alpha | v.counterexamples[0].beta == sig.all_worlds
     for pid in verify._PAIRED:
         v = check_postulate(DL_OP, uni, pid, instance_list=instances)
@@ -537,7 +516,7 @@ SAMPLED_THEOREM_DIGEST = "4522a88322c82e10"
 
 
 def _theorem_ops(universe):
-    return [RevisionOperator("dl", policy) for policy in _PINNED_POLICIES] + [_corrupted_table(DL_OP, universe, 40, 3)]
+    return [RevisionOperator("dl", policy) for policy in _PINNED_POLICIES] + [corrupted_table(DL_OP, universe, 40, 3)]
 
 
 def test_theorem_verdicts_pinned(faithful_gc):
@@ -678,7 +657,7 @@ class TestMismatchesMatchPerInstanceLoop:
         fa = enumerate_states(AB, "fa")
         agm = RevisionOperator("agm")
         assert _suite_mismatches_agree(agm, fa, verify._DP_PARTS, consistent_only=True) == 0
-        assert _suite_mismatches_agree(_corrupted_table(agm, fa, 20, 5), fa, verify._DP_PARTS, consistent_only=True) > 0
+        assert _suite_mismatches_agree(corrupted_table(agm, fa, 20, 5), fa, verify._DP_PARTS, consistent_only=True) > 0
 
     def test_green_theorems_on_sampled_3atom_instances(self):
         sig = Signature.of("a b c")
@@ -743,9 +722,9 @@ def _roundtrip_runs(faithful):
         (DL_OP, faithful, "CL"),
         (DL_OP, faithful, "IL"),
         (DL_OP, faithful, "AGM"),
-        (_corrupted_table(DL_OP, faithful, 40, 3), faithful, "DL"),
-        (_corrupted_table(DL_OP, faithful, 40, 3), faithful, "DP"),
-        (_corrupted_table(agm, fa, 20, 5), fa, "DP"),
+        (corrupted_table(DL_OP, faithful, 40, 3), faithful, "DL"),
+        (corrupted_table(DL_OP, faithful, 40, 3), faithful, "DP"),
+        (corrupted_table(agm, fa, 20, 5), fa, "DP"),
     ]
 
 
