@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,9 +8,13 @@ from revlab.errors import ParseError, TooLargeError, UnknownAtomError
 from revlab.prop import (
     And,
     Atom,
+    Bottom,
+    Iff,
+    Implies,
     Not,
     Or,
     Signature,
+    Top,
     eval_world,
     iter_worlds,
     models,
@@ -24,6 +31,32 @@ def mask(*worlds):
     for w in worlds:
         m |= 1 << w
     return m
+
+
+SEEDED_PARSE_DIGEST = "a264a34535e47ab3"
+SEEDED_STR_DIGEST = "582c91ee9cdfb876"
+
+
+EDITS = ("", "", "a", "t", "!", "&", "-", "<", ">", "(", ")", "#", " ", "\t", "\u00a0", "é")
+
+
+def seeded_texts(rng, n):
+    """Formula texts with random bracketing and spacing, half of them with one character changed."""
+
+    def text(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(("a", "b", "a", "b", "true", "false", "a", "b", "q"))
+        if rng.random() < 0.2:
+            return "!" + text(depth - 1)
+        sides = [f"({s})" if rng.random() < 0.4 else s for s in (text(depth - 1), text(depth - 1))]
+        return rng.choice(("", " ")).join((sides[0], rng.choice(("&", "|", "->", "<->")), sides[1]))
+
+    for _ in range(n):
+        t = text(4)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(t) + 1)
+            t = t[:i] + rng.choice(EDITS) + t[i + 1:]
+        yield t
 
 
 class TestSignature:
@@ -86,6 +119,65 @@ class TestParse:
             f = parse(text, AB)
             assert parse(str(f), AB) == f
 
+    def test_seeded_texts_parse_to_pinned_results(self):
+        # The tree's repr, or the error's type, message and offset, for each text.
+        h = hashlib.sha256()
+        for text in seeded_texts(random.Random(17), 5000):
+            try:
+                h.update(repr(parse(text, AB)).encode())
+            except ParseError as err:
+                h.update(repr((type(err).__name__, str(err), err.position)).encode())
+        assert h.hexdigest()[:16] == SEEDED_PARSE_DIGEST
+
+
+a, b = Atom("a"), Atom("b")
+
+
+class TestStr:
+    @pytest.mark.parametrize(
+        "f, text",
+        [
+            (And(And(a, b), a), "a & b & a"),
+            (And(a, And(b, a)), "a & (b & a)"),
+            (Or(Or(a, b), a), "a | b | a"),
+            (Or(a, Or(b, a)), "a | (b | a)"),
+            (Implies(Implies(a, b), a), "(a -> b) -> a"),
+            (Implies(a, Implies(b, a)), "a -> b -> a"),
+            (Iff(Iff(a, b), a), "(a <-> b) <-> a"),
+            (Iff(a, Iff(b, a)), "a <-> b <-> a"),
+            (And(Or(a, b), Not(a)), "(a | b) & !a"),
+            (Or(And(a, b), And(b, a)), "a & b | b & a"),
+            (Implies(Or(a, b), And(a, b)), "a | b -> a & b"),
+            (Or(Implies(a, b), a), "(a -> b) | a"),
+            (Iff(Implies(a, b), Implies(b, a)), "a -> b <-> b -> a"),
+            (Implies(Iff(a, b), Bottom()), "(a <-> b) -> false"),
+            (And(Top(), Iff(a, Bottom())), "true & (a <-> false)"),
+            (Not(Not(a)), "!!a"),
+            (Not(Top()), "!true"),
+            (Not(And(a, b)), "!(a & b)"),
+            (Not(Or(a, b)), "!(a | b)"),
+            (Not(Implies(a, b)), "!(a -> b)"),
+            (Not(Iff(a, Not(b))), "!(a <-> !b)"),
+        ],
+    )
+    def test_brackets_only_where_needed(self, f, text):
+        assert str(f) == text
+
+    def test_seeded_trees_print_to_pinned_strings(self):
+        rng = random.Random(17)
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice((a, b, Top(), Bottom()))
+            kind = rng.choice((Not, And, Or, Implies, Iff))
+            return Not(tree(depth - 1)) if kind is Not else kind(tree(depth - 1), tree(depth - 1))
+
+        h = hashlib.sha256()
+        for _ in range(2000):
+            f = tree(5)
+            h.update(f"{f}\t{models(f, AB)}\n".encode())
+        assert h.hexdigest()[:16] == SEEDED_STR_DIGEST
+
 
 class TestModels:
     def test_disjunction(self):
@@ -102,13 +194,13 @@ class TestModels:
         assert parse_models("a <-> b", AB) == mask(0, 3)
 
 
-formulas = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([Atom("z"), Atom("o"), Atom("t")]),
-        st.builds(Not, formulas),
-        st.builds(And, formulas, formulas),
-        st.builds(Or, formulas, formulas),
-    )
+formulas = st.recursive(
+    st.sampled_from([Atom("z"), Atom("o"), Atom("t"), Top(), Bottom()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        *(st.builds(kind, sub, sub) for kind in (And, Or, Implies, Iff)),
+    ),
+    max_leaves=24,
 )
 
 
@@ -124,6 +216,11 @@ def test_models_agrees_with_per_world_evaluation(f):
     m = models(f, ZOT)
     for w in range(ZOT.n_worlds):
         assert bool(m >> w & 1) == eval_world(f, ZOT, w)
+
+
+@given(formulas)
+def test_str_parses_back_to_the_same_tree(f):
+    assert parse(str(f), ZOT) == f
 
 
 def minterm_text(ws, sig):
