@@ -229,24 +229,15 @@ def cmd_check(args) -> int:
     rows = []
     any_fail = False
     for check_id in ids:
-        if check_id in verify.THEOREM_IDS:
-            v = verify.verify_equivalence(
-                op,
-                uni,
-                check_id,
-                instance_list=instance_list,
-                consistent_only=args.consistent_only,
-                max_counterexamples=args.max_counterexamples,
-            )
-        else:
-            v = verify.check_postulate(
-                op,
-                uni,
-                check_id,
-                instance_list=instance_list,
-                consistent_only=args.consistent_only,
-                max_counterexamples=args.max_counterexamples,
-            )
+        check = verify.verify_equivalence if check_id in verify.THEOREM_IDS else verify.check_postulate
+        v = check(
+            op,
+            uni,
+            check_id,
+            instance_list=instance_list,
+            consistent_only=args.consistent_only,
+            max_counterexamples=args.max_counterexamples,
+        )
         if instance_list is not None:
             v.seed = args.seed
         any_fail = any_fail or not v.holds

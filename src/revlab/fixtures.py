@@ -30,7 +30,6 @@ order_rule: keep
 scope_rule: doc
 """
 
-FIG1_SIG = Signature.of("a b")
 FIG1_SCOPE = 0b0110  # the two single-atom worlds
 
 FIG1_STATE_1_TEXT = """\

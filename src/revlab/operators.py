@@ -263,14 +263,28 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
         raise ParseError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
 
 
+# Each key of an operator file and the families whose files use it; `state`
+# stands for every numbered `state k` line.
+_KEY_FAMILIES = {
+    "family": FAMILIES + ("extensional",),
+    "order_rule": FAMILIES,
+    "scope_rule": FAMILIES,
+    "il_scope": ("il",),
+    "sig": ("extensional",),
+    "state": ("extensional",),
+    "entry": ("extensional",),
+}
+
+
 def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator | ExtensionalOperator:
     """Parses an operator spec file; raises ParseError with the offending line number.
 
     Policy operators are `family:`/`order_rule:`/`scope_rule:` lines
     (plus `il_scope:` for the fixed-scope family: worlds, read with `sig`,
-    or a mask).  Extensional operators
-    additionally carry a `sig:` line, numbered `state k:` lines, and
-    `entry: <state> <class-mask> <posterior-state>` triples.
+    or a mask).  Extensional operators carry `family:`, a `sig:` line,
+    numbered `state k:` lines, and
+    `entry: <state> <class-mask> <posterior-state>` triples.  A key that
+    the file's family does not use is an error.
     """
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
@@ -284,7 +298,11 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
             raise ParseError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
-        if key.startswith("state "):
+        kind = "state" if key.startswith("state ") else key
+        if kind not in _KEY_FAMILIES:
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
+        linenos.setdefault(kind, lineno)
+        if kind == "state":
             idx = _parse_int(key[len("state "):].strip(), lineno, "state id")
             if idx in state_lines:
                 raise ParseError(f"line {lineno}: duplicate state id {idx}")
@@ -300,12 +318,15 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
         elif key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         else:
-            fields[key], linenos[key] = value, lineno
+            fields[key] = value
     family = fields.get("family")
+    if family not in _KEY_FAMILIES["family"]:
+        raise ParseError(f"family must be one of {_KEY_FAMILIES['family']}, got {family!r}")
+    for key, lineno in linenos.items():  # in line order
+        if family not in _KEY_FAMILIES[key]:
+            raise ParseError(f"line {lineno}: key {key!r} does not apply to a {family} operator")
     if family == "extensional":
         return _parse_extensional(fields, state_lines, entries)
-    if family not in FAMILIES:
-        raise ParseError(f"family must be one of {FAMILIES + ('extensional',)}, got {family!r}")
     rules = []
     for key, known in (("order_rule", ORDER_RULES), ("scope_rule", SCOPE_RULES)):
         rule = fields.get(key, "keep")
@@ -326,9 +347,13 @@ def _parse_il_scope(raw: str, lineno: int, sig: Signature | None) -> int:
     if sig is not None and raw and all(len(t) == sig.n_atoms and set(t) <= {"0", "1"} for t in raw.split()):
         return sig.worldset_of_strs(raw)
     try:
-        return int(raw, 16 if raw.startswith("0x") else 10)
+        scope = int(raw, 16 if raw.startswith("0x") else 10)
     except ValueError:
         raise ParseError(f"line {lineno}: il_scope must be worlds or an integer mask, got {raw!r}") from None
+    if scope <= 0 or (sig is not None and scope >> sig.n_worlds):
+        within = f" of {sig.n_worlds} worlds" if sig is not None else ""
+        raise ParseError(f"line {lineno}: il_scope must be a nonempty mask{within}, got {raw!r}")
+    return scope
 
 
 def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:

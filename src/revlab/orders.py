@@ -13,7 +13,7 @@ from typing import Iterator
 
 from . import kernels
 from .errors import InvariantError, TooLargeError
-from .prop import Signature, iter_worlds, popcount
+from .prop import Signature, iter_worlds
 
 MAX_DOMAIN_EXHAUSTIVE = 4
 
@@ -63,7 +63,7 @@ def min_set(candidates: int, order: RankedOrder) -> int:
 
 def enumerate_orders(domain: int) -> Iterator[RankedOrder]:
     """Every weak order (ordered set partition) of the domain, exactly once."""
-    n = popcount(domain)
+    n = domain.bit_count()
     if n > MAX_DOMAIN_EXHAUSTIVE:
         raise TooLargeError(
             f"order enumeration supports domains of at most {MAX_DOMAIN_EXHAUSTIVE} worlds, got {n}"

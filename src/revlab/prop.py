@@ -97,10 +97,6 @@ def iter_worlds(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # Formula syntax trees
 
@@ -108,33 +104,41 @@ def popcount(mask: int) -> int:
 class Formula:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        """The formula with brackets only where the grammar needs them."""
+        match self:
+            case Atom(name):
+                return name
+            case Top():
+                return "true"
+            case Bottom():
+                return "false"
+            case Not(arg):
+                return "!" + _operand(arg, _UNARY)
+        level = _LEVEL[type(self)]
+        token, _, right_assoc, _ = _BINARY[level]
+        left = _operand(self.left, level + right_assoc)
+        return f"{left} {token} {_operand(self.right, level + (not right_assoc))}"
+
 
 @dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True, slots=True)
 class Top(Formula):
-    def __str__(self):
-        return "true"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Bottom(Formula):
-    def __str__(self):
-        return "false"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     arg: Formula
-
-    def __str__(self):
-        return f"!{_wrap(self.arg, (Atom, Not, Top, Bottom))}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,17 +146,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"{_wrap(self.left, (Atom, Not, Top, Bottom, And))} & {_wrap(self.right, (Atom, Not, Top, Bottom))}"
-
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"{_wrap(self.left, (Atom, Not, Top, Bottom, And, Or))} | {_wrap(self.right, (Atom, Not, Top, Bottom, And))}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,33 +158,39 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"{_wrap(self.left, (Atom, Not, Top, Bottom, And, Or))} -> {_wrap(self.right, (Atom, Not, Top, Bottom, And, Or, Implies))}"
-
 
 @dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"{_wrap(self.left, (Atom, Not, Top, Bottom, And, Or, Implies))} <-> {_wrap(self.right, (Atom, Not, Top, Bottom, And, Or, Implies, Iff))}"
+
+# The binary connectives, loosest first: token, node class, whether it is
+# right-associative, and a node's models from its sides' models and all worlds.
+_BINARY = (
+    ("<->", Iff, True, lambda a, b, full: full ^ a ^ b),
+    ("->", Implies, True, lambda a, b, full: (full ^ a) | b),
+    ("|", Or, False, lambda a, b, full: a | b),
+    ("&", And, False, lambda a, b, full: a & b),
+)
+_LEVEL = {node: level for level, (_, node, _, _) in enumerate(_BINARY)}
+_UNARY = len(_BINARY)  # the level of atoms, constants and negations
 
 
-def _wrap(f: Formula, bare: tuple) -> str:
-    s = str(f)
-    return s if isinstance(f, bare) else f"({s})"
+def _operand(f: Formula, loosest: int) -> str:
+    """`f` as an operand that admits connectives of `loosest` level or tighter."""
+    return str(f) if _LEVEL.get(type(f), _UNARY) >= loosest else f"({f})"
 
 
 # ---------------------------------------------------------------------------
 # Parser
 #
-# Grammar (ASCII), loosest first, arrows right-associative:
-#   iff     := implies ('<->' iff)?
-#   implies := or ('->' implies)?
-#   or      := and ('|' and)*
-#   and     := unary ('&' unary)*
-#   unary   := '!' unary | '(' iff ')' | 'true' | 'false' | atom
+# Grammar (ASCII), one rule per level of `_BINARY` and then the unary one:
+#   binary(i) := binary(i+1) (op_i binary(i+1))*    for & and |
+#   binary(i) := binary(i+1) (op_i binary(i))?      for the arrows
+#   unary     := '!' unary | '(' binary(0) ')' | 'true' | 'false' | atom
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<op><->|->|[!&|()])|(?P<word>[a-z][a-z0-9_]*)|(?P<bad>\S))")
 
 
 @dataclass
@@ -196,95 +200,56 @@ class _Parser:
     pos: int = 0
     tokens: list[tuple[str, str, int]] = field(default_factory=list)
 
-    _TOKEN_RE = re.compile(r"\s*(?:(<->|->|[!&|()])|([a-z][a-z0-9_]*))")
-
     def tokenize(self):
-        i = 0
-        while i < len(self.text):
-            m = self._TOKEN_RE.match(self.text, i)
-            if m is None:
-                rest = self.text[i:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r}", len(self.text) - len(rest))
-            if m.group(1):
-                self.tokens.append(("op", m.group(1), m.start(1)))
-            else:
-                word = m.group(2)
-                kind = "const" if word in ("true", "false") else "atom"
-                self.tokens.append((kind, word, m.start(2)))
-            i = m.end()
+        for m in _TOKEN_RE.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
         self.tokens.append(("end", "", len(self.text)))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", at)
-        self.take()
+    def accept(self, op: str) -> bool:
+        """Consumes the next token if it is the operator `op`."""
+        kind, val, _ = self.tokens[self.pos]
+        if kind == "op" and val == op:
+            self.pos += 1
+            return True
+        return False
 
     def parse(self) -> Formula:
         self.tokenize()
-        f = self.iff()
-        kind, val, at = self.peek()
+        f = self.binary(0)
+        kind, val, at = self.tokens[self.pos]
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", at)
         return f
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.or_()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def or_(self) -> Formula:
-        f = self.and_()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "|":
-                self.take()
-                f = Or(f, self.and_())
-            else:
-                return f
-
-    def and_(self) -> Formula:
-        f = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "&":
-                self.take()
-                f = And(f, self.unary())
-            else:
-                return f
+    def binary(self, level: int) -> Formula:
+        if level == _UNARY:
+            return self.unary()
+        token, node, right_assoc, _ = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.accept(token):
+            f = node(f, self.binary(level + (not right_assoc)))
+        return f
 
     def unary(self) -> Formula:
         kind, val, at = self.take()
         if kind == "op" and val == "!":
             return Not(self.unary())
         if kind == "op" and val == "(":
-            f = self.iff()
-            self.expect_op(")")
+            f = self.binary(0)
+            if not self.accept(")"):
+                raise ParseError("expected ')'", self.tokens[self.pos][2])
             return f
-        if kind == "const":
-            return Top() if val == "true" else Bottom()
-        if kind == "atom":
+        if kind == "word":
+            if val in ("true", "false"):
+                return Top() if val == "true" else Bottom()
             if val not in self.sig.atoms:
                 raise UnknownAtomError(val, at)
             return Atom(val)
@@ -312,15 +277,9 @@ def models(f: Formula, sig: Signature) -> int:
             return 0
         case Not(g):
             return full ^ models(g, sig)
-        case And(l, r):
-            return models(l, sig) & models(r, sig)
-        case Or(l, r):
-            return models(l, sig) | models(r, sig)
-        case Implies(l, r):
-            return (full ^ models(l, sig)) | models(r, sig)
-        case Iff(l, r):
-            return full ^ models(l, sig) ^ models(r, sig)
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _LEVEL:
+        raise TypeError(f"not a formula: {f!r}")
+    return _BINARY[_LEVEL[type(f)]][3](models(f.left, sig), models(f.right, sig), full)
 
 
 def parse_models(text: str, sig: Signature) -> int:

@@ -47,7 +47,7 @@ from . import classify, kernels
 from .errors import NonWeakOrderError, PreconditionError
 from .kernels import revise_mask
 from .operators import canonical_assignment
-from .prop import Signature, iter_worlds, popcount
+from .prop import Signature, iter_worlds
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
 from .transitions import TransitionTable, suite_table
 
@@ -424,7 +424,7 @@ def _none_above(x: EpistemicState, strict: bool, ws1: int, ws2: int) -> bool:
 def _scope_kept(st: EpistemicState, post: EpistemicState, side: int) -> bool:
     """P9.ii / P10.ii: the side's scope worlds stay in the scope; a lone one may be believed instead."""
     sa = st.scope & side
-    if popcount(sa) >= 2:
+    if sa.bit_count() >= 2:
         return sa & ~post.scope == 0
     return sa & ~post.bel & ~post.scope == 0
 
@@ -433,7 +433,7 @@ def _scope_bounded(st: EpistemicState, post: EpistemicState, side: int) -> bool:
     """P9.iii / P10.iii: the side's worlds of the new scope were in the old one, or believed
     when there is at most one belief world."""
     pa = post.scope & side
-    if popcount(st.bel) >= 2:
+    if st.bel.bit_count() >= 2:
         return pa & ~st.scope == 0
     return pa & ~st.bel & ~st.scope == 0
 
@@ -447,7 +447,7 @@ def _p12iv(st: EpistemicState, post: EpistemicState, a: int, na: int) -> bool:
 
 def _in_each_singleton(bel: int, ws: int) -> bool:
     """`bel` lies inside {w} for every world w of `ws`: the minimal witnesses of SI1 and SD1."""
-    return not ws or not bel or (bel == ws and popcount(ws) == 1)
+    return not ws or not bel or (bel == ws and ws.bit_count() == 1)
 
 
 def _in_each_superset(bel2: int, bel: int, scope2: int, full: int, co: bool) -> bool:
@@ -572,7 +572,7 @@ CONDITIONS = {
         and _scope_bounded(st, post, na)
     ),
     "P15.a": lambda st, post, a, na, *_: (
-        a & ~st.scope != 0 or popcount(a) < 2 or _agree(st, post, a)
+        a & ~st.scope != 0 or a.bit_count() < 2 or _agree(st, post, a)
     ),
     "P15.b": lambda st, post, a, na, *_: a == 0 or a & ~st.scope != 0 or _agree(st, post, na & st.scope),
     "P16.i": _on_success(lambda st, post, a, na, *_: _p11i(st, post, a, na, False)),
@@ -725,7 +725,7 @@ def verify_equivalence(
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list is not None)
-    # Flat, not streamed per state: streaming reads higher benchmark peak RSS (ROADMAP item 4).
+    # Flat, not streamed per state: streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
     work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
     ces: list[Counterexample] = []
     for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from revlab import classify
 from revlab.errors import PreconditionError
-from revlab.prop import popcount
 from revlab.states import check_clf, check_faithful_limited
 from revlab.transitions import TransitionTable
 
@@ -102,13 +101,13 @@ def oracle_condition(st, post, alpha, cid, sig, op=None, consistent_only=False):
     if cid in ("P9.ii", "P10.ii"):
         side = alpha if cid == "P9.ii" else not_a
         sa = s & side
-        if popcount(sa) >= 2:
+        if sa.bit_count() >= 2:
             return sa & ~sp == 0
         return sa & ~post.bel & ~sp == 0
     if cid in ("P9.iii", "P10.iii"):
         side = alpha if cid == "P9.iii" else not_a
         pa = sp & side
-        if popcount(st.bel) >= 2:
+        if st.bel.bit_count() >= 2:
             return pa & ~s == 0
         return pa & ~st.bel & ~s == 0
 

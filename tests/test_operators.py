@@ -298,6 +298,9 @@ class TestOperatorFiles:
             assert parse_operator("family: il\nil_scope: 6\n", sig).il_scope == 6
         with pytest.raises(ParseError, match="^line 2: "):
             parse_operator("family: il\nil_scope: 01 1\n", AB)
+        for outside in ("16", "0xff"):
+            with pytest.raises(ParseError, match="^line 2: "):
+                parse_operator(f"family: il\nil_scope: {outside}\n", AB)
 
     def test_dumped_il_scope_reads_back_with_and_without_a_signature(self):
         for sig in (AB, Signature.of("a b c")):
@@ -344,12 +347,22 @@ class TestOperatorFiles:
             ("family: extensional\nsig: a b\nstate 0: bel 00 ; scope 00 01 ; order [00]\n", 3),
             ("family: extensional\nsig: a\n# states\nstate 0: bel 0 ; scope 0\n", 4),
             ("family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [2]\n", 3),
+            ("family: dl\norder_rul: lex\n", 2),
+            ("family: dl\n\nil_scope: 6\n", 3),
+            ("family: agm\nsig: a\n", 2),
+            ("family: cl\nstate 0: bel 0 ; scope 0 ; order [0]\n", 2),
+            ("family: il\nil_scope: 6\nentry: 0 1 0\n", 3),
+            ("family: extensional\nsig: a\nscope_rule: doc\n", 3),
+            ("family: il\nil_scope: 0\n", 2),
+            ("family: il\nil_scope: -6\n", 2),
         ],
         ids=[
             "state-id", "entry-field", "il-scope", "class-too-large", "class-negative",
             "order-rule", "scope-rule", "duplicate-state", "duplicate-entry",
             "duplicate-family", "duplicate-order-rule", "duplicate-scope-rule", "duplicate-il-scope",
             "duplicate-sig", "state-order-domain", "state-body", "state-bad-world",
+            "unknown-key", "il-scope-on-dl", "sig-on-policy", "state-on-policy", "entry-on-policy",
+            "rule-on-extensional", "il-scope-empty", "il-scope-negative",
         ],
     )
     def test_malformed_files_name_the_line(self, text, line):

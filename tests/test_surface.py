@@ -76,3 +76,9 @@ def uncalled_functions():
 
 def test_every_public_function_has_a_caller_in_the_library():
     assert uncalled_functions() == set(ENTRY_POINTS)
+
+
+def test_no_library_file_cites_a_roadmap_item():
+    # ROADMAP items are renumbered when the roadmap is rewritten, so a cited number goes stale.
+    citing = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py")) if "ROADMAP item" in path.read_text()]
+    assert citing == []
