@@ -208,11 +208,6 @@ class _Parser:
             self.tokens.append((kind, m[kind], m.start(kind)))
         self.tokens.append(("end", "", len(self.text)))
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def accept(self, op: str) -> bool:
         """Consumes the next token if it is the operator `op`."""
         kind, val, _ = self.tokens[self.pos]
@@ -239,7 +234,8 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind, val, at = self.take()
+        kind, val, at = self.tokens[self.pos]
+        self.pos += 1
         if kind == "op" and val == "!":
             return Not(self.unary())
         if kind == "op" and val == "(":
