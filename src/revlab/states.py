@@ -67,9 +67,9 @@ class StateUniverse:
     il_scope: int | None = None
     _states: tuple[EpistemicState, ...] | None = None
     _maker: Callable[[], Iterable[EpistemicState]] | None = None
-    # The last transition table an exhaustive verifier suite built on this
-    # universe (see transitions.TransitionTable), kept for the next suite call
-    # with the same operator.  Not part of the universe's value.
+    # The last transition table a verifier suite built on this universe (see
+    # transitions.suite_table), kept for the next suite call with the same
+    # operator over the same states.  Not part of the universe's value.
     _transitions: object = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -3,8 +3,9 @@
 A verifier suite quantifies over (state, input) transitions and reads, for
 each state, its posteriors, its belief table and the classifications built
 on it.  A `TransitionTable` computes each of these once per state id, and
-an exhaustive suite leaves its table on the universe, so the next suite
-call with the same operator reads what earlier calls filled.
+every suite call leaves its table on the universe, so the next call with
+the same operator over the same states (the whole universe, or the same
+sample) reads what earlier calls filled.
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ class TransitionTable:
     ):
         self.op = op
         self.sig = sig
-        # Weak, since an exhaustive suite leaves the table on its universe.
+        # Weak, since a suite leaves the table on its universe.
         self._universe = weakref.ref(universe) if universe is not None else None
         self.consistent_only = consistent_only
+        # The sampled (state, class) pairs `suite_table` built this table for;
+        # None for the whole universe.
+        self.sample: tuple | None = None
         self.n_classes = 1 << sig.n_worlds
         self.lanes = kernels.lanes(self.n_classes)
         self.states: list[EpistemicState] = []
@@ -130,18 +134,24 @@ class TransitionTable:
         return self._immanent
 
 
-def suite_table(op, universe: StateUniverse, consistent_only: bool, sampled: bool) -> TransitionTable:
+def suite_table(op, universe: StateUniverse, consistent_only: bool, instance_list=None) -> TransitionTable:
     """The table a suite call reads.
 
-    An exhaustive call reuses the last table built on the universe when the
-    operator (by ==) and `consistent_only` match, and otherwise leaves a new
-    one there.  A sampled call gets a table of its own, so a run over many
-    samples does not keep every sample's states alive.
+    The universe keeps the last table built on it.  A call reuses that table
+    when the operator (by ==), `consistent_only` and the sample (the
+    `instance_list` of a sampled call, None for an exhaustive one) all
+    match, and otherwise leaves a new one there, so at most one sample's
+    states stay alive.
     """
-    if sampled:
-        return TransitionTable(op, universe.sig, universe, consistent_only)
+    sample = None if instance_list is None else tuple(instance_list)
     table = universe._transitions
-    if table is None or table.consistent_only != consistent_only or not (table.op is op or table.op == op):
+    if (
+        table is None
+        or table.consistent_only != consistent_only
+        or table.sample != sample
+        or not (table.op is op or table.op == op)
+    ):
         table = TransitionTable(op, universe.sig, universe, consistent_only)
+        table.sample = sample
         object.__setattr__(universe, "_transitions", table)
     return table

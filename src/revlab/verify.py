@@ -351,7 +351,7 @@ def check_postulate(
     """
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
-    tab = suite_table(op, universe, consistent_only, instance_list is not None)
+    tab = suite_table(op, universe, consistent_only, instance_list)
     ces: list[Counterexample] = []
     instances, per_input = 0, len(tab.classes()) if pid in _PAIRED else 1
     for st, sid, alphas in _suite_work(tab, universe, instance_list):
@@ -724,7 +724,7 @@ def verify_equivalence(
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
-    tab = suite_table(op, universe, consistent_only, instance_list is not None)
+    tab = suite_table(op, universe, consistent_only, instance_list)
     # Flat, not streamed per state: streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
     work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
     ces: list[Counterexample] = []
@@ -799,7 +799,7 @@ def representation_roundtrip(
     # consistent fragment, where minimisation and the keep-beliefs fallback
     # agree; the contradiction input separates them by construction.
     consistent_only = family in ("DP", "AGM")
-    tab = suite_table(op, universe, consistent_only, sampled=False)
+    tab = suite_table(op, universe, consistent_only)
     work = _suite_work(tab, universe, None)
     for pid in FAMILY_POSTULATES[family]:  # every instance counted, failures read up to the cap
         per_input = len(tab.classes()) if pid in _PAIRED else 1

@@ -1,10 +1,12 @@
+import collections
 import hashlib
 import json
+import random
 
 import pytest
 
-from revlab import verify
-from revlab.cli import main
+from revlab import classify, verify
+from revlab.cli import DEFAULT_SEED, main
 from revlab.fixtures import (
     FIG1_OPERATOR_TEXT,
     FIG1_STATE_1_TEXT,
@@ -13,7 +15,8 @@ from revlab.fixtures import (
 )
 from revlab.operators import RevisionOperator, UpdatePolicy, dump_operator, tabulate
 from revlab.prop import Signature, parse_models
-from revlab.states import dump_state, enumerate_states, parse_state
+from revlab.states import dump_state, enumerate_states, parse_state, sample_states
+from revlab.transitions import TransitionTable
 
 AB = Signature.of("a b")
 
@@ -141,6 +144,24 @@ def test_sampled_check_json_pinned(capsys):
     out = capsys.readouterr().out
     assert [row["id"] for row in json.loads(out)["checks"]] == ["P13a", "P-FCFR", "DL7"]
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SAMPLED_CHECK_JSON_DIGEST
+
+
+def test_sampled_check_builds_each_prior_row_once(monkeypatch, capsys):
+    # The suite calls of one run share a table, so a sampled state's belief
+    # row is built once per run, not once per postulate.
+    built = collections.Counter()
+    bel_row_of = classify.bel_row_of
+
+    def counting(op, st, sig):
+        if not isinstance(op, TransitionTable):  # a table's own row read passes through
+            built[st] += 1
+        return bel_row_of(op, st, sig)
+
+    monkeypatch.setattr(classify, "bel_row_of", counting)
+    assert main(["check", "--sig", "a b c", "--samples", "100", "all"]) == 0
+    assert capsys.readouterr().out.count("result=PASS") == 7
+    sampled = sample_states(Signature.of("a b c"), "faithful", 100, random.Random(DEFAULT_SEED))
+    assert {built[st] for st in sampled} == {1}
 
 
 @pytest.fixture(scope="module")

@@ -635,7 +635,7 @@ def _per_instance_mismatches(tab, parts, work):
 
 def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_only=False):
     """Both loops' full mismatch sequences on one suite's work list; their length."""
-    tab = suite_table(op, universe, consistent_only, instance_list is not None)
+    tab = suite_table(op, universe, consistent_only, instance_list)
     work = [(st, sid, ins, a) for st, sid, ins in verify._suite_work(tab, universe, instance_list) for a in ins]
     got = list(verify._mismatches(tab, parts, work))
     assert got == list(_per_instance_mismatches(tab, parts, work))
@@ -923,9 +923,48 @@ def test_table_is_not_shared_across_tabulated_operators():
     assert [(ce.state, ce.alpha) for ce in v.counterexamples] == [(st, 1)]
 
 
-def test_sampled_calls_leave_no_table():
+def test_sampled_table_keeps_only_the_last_sample():
     uni = _faithful_gc()
-    instances = [(st, a) for st in uni.states[:40] for a in (3, 6)]
-    assert verify_equivalence(DL_OP, uni, "P15a", instance_list=instances).instances == 80
-    assert check_postulate(DL_OP, uni, "DL1", instance_list=instances).holds
-    assert uni._transitions is None
+    first = [(st, a) for st in uni.states[:40] for a in (3, 6)]
+    second = [(st, a) for st in uni.states[20:60] for a in (3, 6)]
+    assert verify_equivalence(DL_OP, uni, "P15a", instance_list=first).instances == 80
+    kept = uni._transitions
+    assert check_postulate(DL_OP, uni, "DL1", instance_list=list(first)).holds
+    assert uni._transitions is kept
+    # A new sample replaces the table: of the first sample's states only
+    # those the second one shares (or reaches as posteriors) stay interned.
+    check_postulate(DL_OP, uni, "DL1", instance_list=second)
+    tab = uni._transitions
+    assert tab is not kept
+    gone = {st for st, _ in first} - {st for st, _ in second}
+    assert gone and not gone & set(tab.states)
+    assert set(tab.states) <= {st for st, _ in second} | {DL_OP.apply(st, a) for st, a in second}
+    # Exhaustive after sampled, and sampled after exhaustive, replace it too.
+    check_postulate(DL_OP, uni, "DL1")
+    exhaustive = uni._transitions
+    assert exhaustive is not tab and exhaustive.sample is None
+    check_postulate(DL_OP, uni, "DL1", instance_list=second)
+    assert uni._transitions is not exhaustive and uni._transitions.sample == tuple(second)
+
+
+def test_shared_sampled_table_gives_the_verdicts_of_fresh_universes():
+    # The sampled twin of the exhaustive test above: every theorem and then
+    # every postulate over one seeded 3-atom sample on one universe, so all
+    # but the first call read a table that earlier calls filled.
+    sig = Signature.of("a b c")
+    rng = random.Random(13)
+    states = sample_states(sig, "faithful", 60, rng, global_consistency=True)
+    instances = [(st, rng.randrange(256)) for st in states]
+    policy = UpdatePolicy("keep", "doc")
+    shared = enumerate_states(sig, "faithful", global_consistency=True)
+    op = RevisionOperator("dl", policy)
+    calls = [(verify_equivalence, theorem) for theorem in THEOREM_IDS]
+    calls += [(check_postulate, pid) for pid in POSTULATE_IDS]
+    kept = None
+    for check, cid in calls:
+        got = check(op, shared, cid, instance_list=instances)
+        kept = kept or shared._transitions
+        assert shared._transitions is kept
+        fresh = enumerate_states(sig, "faithful", global_consistency=True)
+        want = check(RevisionOperator("dl", policy), fresh, cid, instance_list=instances)
+        assert _verdict(got) == _verdict(want), cid
