@@ -161,7 +161,7 @@ class ExtensionalOperator:
 def tabulate(op, universe: StateUniverse) -> ExtensionalOperator:
     """Freezes an operator's behaviour on a universe into a lookup table."""
     sig = universe.sig
-    states = tuple(universe.iter_states())
+    states = universe.states
     mapping = {
         (st, alpha): op.apply(st, alpha)
         for st in states

@@ -9,13 +9,15 @@ ranked order over the scope).  The three nested validity notions:
 
 Universes are the quantification domains of the postulates ("for all Ψ").
 They are materialised for up to 2 atoms; at 3 atoms the faithful universe
-has ~4.4M members, so enumeration turns lazy and the verifier samples.
+has ~4.4M members, so enumeration turns lazy and the verifier samples, or
+checks one state per orbit under renaming the worlds (orbit_representatives).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, ParseError, TooLargeError
@@ -85,6 +87,16 @@ class StateUniverse:
             return iter(self._states)
         return iter(self._maker())
 
+    def orbits(self) -> list[tuple[EpistemicState, int]] | None:
+        """`orbit_representatives` of a whole faithful, clf or fa universe; None for an il
+        universe, or one built by hand that holds fewer states than its kind has."""
+        if self.kind == "il":
+            return None
+        orbits = orbit_representatives(self.sig, self.kind, self.global_consistency)
+        if self._states is not None and len(self._states) != sum(size for _, size in orbits):
+            return None
+        return orbits
+
     def is_unbiased(self) -> bool:
         """Every consistent belief set occurs in some member state."""
         want = (1 << self.sig.all_worlds + 1) - 2  # bits 1..all_worlds
@@ -150,6 +162,52 @@ def enumerate_states(
         return StateUniverse(sig, kind, global_consistency, il_scope, states, None)
     maker = lambda: _iter_states(sig, kind, global_consistency, il_scope)  # noqa: E731
     return StateUniverse(sig, kind, global_consistency, il_scope, None, maker)
+
+
+def _compositions(k: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of k: tuples of positive sizes summing to k, by first size, then the rest."""
+    if k == 0:
+        yield ()
+    for first in range(1, k + 1):
+        for rest in _compositions(k - first):
+            yield (first, *rest)
+
+
+def orbit_representatives(
+    sig: Signature, kind: str, global_consistency: bool = False
+) -> list[tuple[EpistemicState, int]]:
+    """One state per orbit of the universe under renaming the worlds, with the orbit's size.
+
+    For the faithful, clf and fa kinds.  A renaming keeps a state's kind, and
+    three things fix its orbit: its level sizes, which form a composition of
+    the scope size k; whether the beliefs contain level 0; and the number j
+    of believed worlds outside the scope (clf and fa: level 0 believed, j =
+    0; fa: k is every world).  The representative puts worlds 0..k-1 into
+    the levels in order and the next j worlds into the beliefs, and its
+    orbit holds n!/(prod of the level sizes' factorials · j! · (n-k-j)!)
+    of the n worlds' states.  Built directly, in the order (k, level sizes,
+    level 0 believed, j).
+    """
+    if kind not in ("faithful", "clf", "fa"):
+        raise ValueError(f"orbit representatives cover the faithful, clf and fa kinds, not {kind!r}")
+    n = sig.n_worlds
+    out = []
+    for k in [n] if kind == "fa" else range(1, n + 1):
+        for sizes in _compositions(k):
+            levels, low = [], 0
+            for size in sizes:
+                levels.append((1 << low + size) - (1 << low))
+                low += size
+            order = RankedOrder(tuple(levels))
+            arranged = factorial(n) // prod(map(factorial, sizes))
+            for inner in (0, levels[0]) if kind == "faithful" else (levels[0],):
+                for j in range(n - k + 1) if kind == "faithful" else (0,):
+                    if global_consistency and not inner and not j:
+                        continue
+                    bel = inner | (1 << k + j) - (1 << k)
+                    size = arranged // (factorial(j) * factorial(n - k - j))
+                    out.append((EpistemicState(bel, (1 << k) - 1, order), size))
+    return out
 
 
 def sample_states(

@@ -41,12 +41,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import classify, kernels
 from .errors import NonWeakOrderError, PreconditionError
 from .kernels import revise_mask
-from .operators import canonical_assignment
+from .operators import RevisionOperator, canonical_assignment
 from .prop import Signature, iter_worlds
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
 from .transitions import TransitionTable, suite_table
@@ -328,10 +328,17 @@ def _postulate_rows(tab: TransitionTable, pid: str, sid: int, alphas):
 
 
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
-    """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior."""
+    """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior.
+
+    A lazy universe raises TooLargeError here, before any state is interned."""
     if instance_list is not None:
         return [(st, tab.id_of(st), [a]) for st, a in instance_list]
-    return [(st, tab.id_of(st), tab.classes()) for st in universe.iter_states()]
+    return [(st, tab.id_of(st), tab.classes()) for st in universe.states]
+
+
+def _flat(work):
+    """(state, id, inputs, α) per input of `_suite_work` items, the inputs object shared by a state's items."""
+    return [(st, sid, ins, a) for st, sid, ins in work for a in ins]
 
 
 def check_postulate(
@@ -720,22 +727,46 @@ def verify_equivalence(
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
 ) -> Verdict:
-    """Bidirectional per-(state, alpha) check of one characterisation theorem."""
+    """Bidirectional per-(state, alpha) check of one characterisation theorem.
+
+    Both sides use worlds only through set operations, so where renaming the
+    worlds maps the universe onto itself and commutes with the operator (a
+    dl, cl or agm `RevisionOperator` on a faithful, clf or fa universe), the
+    verdict at (Ψ, α) is the verdict at the renamed pair.  An exhaustive call
+    there first checks one state per orbit (`orbit_representatives`) at
+    every input.  If none mismatches, the theorem holds, over the instances
+    the orbits hold.  Otherwise the whole universe is checked, so the
+    counterexamples are those of the plain run; only a lazy universe, which
+    cannot be walked, takes the representatives' mismatches as its verdict,
+    counting each instance as its orbit's size.
+    """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list)
-    # Flat, not streamed per state: streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
-    work = [(st, sid, ins, a) for st, sid, ins in _suite_work(tab, universe, instance_list) for a in ins]
+    renamable = instance_list is None and isinstance(op, RevisionOperator) and op.family != "il"
+    orbits = universe.orbits() if renamable else None
+    work = None
+    if orbits is not None:
+        reduced = _flat([(st, tab.id_of(st), tab.classes()) for st, _ in orbits])
+        counts = [0, *accumulate(size for _, size in orbits for _ in tab.classes())]  # instances the first i stand for
+        if universe._states is None:
+            work = reduced
+        elif next(_mismatches(tab, parts, reduced), None) is None:
+            return Verdict(theorem, True, counts[-1])
+    if work is None:
+        # Flat, not streamed per state: streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
+        work = _flat(_suite_work(tab, universe, instance_list))
+        counts = range(len(work) + 1)
     ces: list[Counterexample] = []
     for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):
         if len(ces) >= max_counterexamples:
-            return Verdict(theorem, False, instances, ces, note="counterexample cap hit")
+            return Verdict(theorem, False, counts[instances], ces, note="counterexample cap hit")
         # Lists of truths compare at their first differing part, which names the side.
         side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
         lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
         ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
-    return Verdict(theorem, not ces, len(work), ces)
+    return Verdict(theorem, not ces, counts[-1], ces)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +839,7 @@ def representation_roundtrip(
             rows = islice(_postulate_rows(tab, pid, sid, alphas), max_counterexamples - len(ces))
             ces += (Counterexample(st, *row) for row in rows)
     if family == "DP":
-        flat = [(st, sid, ins, a) for st, sid, ins in work for a in ins]  # flat: see verify_equivalence
+        flat = _flat(work)  # flat: see verify_equivalence
         instances += len(flat)
         for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, flat):
             for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
@@ -844,10 +875,10 @@ def mutation_detection(
     reconstruction check on the state.  The table is the mutation's own, so
     no suite reads a corrupted row, and each trial puts its row back.
     """
+    states = universe.states
     sig = universe.sig
     rng = random.Random(seed)
     tab = TransitionTable(op, sig)
-    states = tuple(universe.iter_states())
     n_classes = 1 << sig.n_worlds
     detected = 0
     misses = []

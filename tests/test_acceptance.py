@@ -260,6 +260,26 @@ def test_criterion_9_characterisation_equivalences(theorem, faithful_gc):
     )
 
 
+# Under keep/doc at 3 atoms: the mismatches of the four red theorems counted
+# on the 749 orbit representatives, one per (representative, input).  P12 is
+# red only under the */keep policies.
+RED_3ATOM_KEEP_DOC = {"P9": 161_707, "P10": 7_168, "P14a": 26_003, "P14b": 7_690}
+
+
+def test_theorems_exhaustive_3atom_keep_doc():
+    # Beside criterion 9's seeded sample: every 3-atom faithful, globally
+    # consistent state at every input, decided one state per orbit.
+    uni3 = enumerate_states(ABC, "faithful", global_consistency=True)
+    reps = {st for st, _ in uni3.orbits()}
+    op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+    for theorem in THEOREM_IDS:
+        v = verify_equivalence(op, uni3, theorem, max_counterexamples=10**6)
+        assert v.instances == 3_274_497 * 256, theorem
+        assert len(v.counterexamples) == RED_3ATOM_KEEP_DOC.get(theorem, 0), theorem
+        assert v.holds == (theorem not in RED_3ATOM_KEEP_DOC)
+        assert all(ce.state in reps for ce in v.counterexamples)
+
+
 def test_readme_p9_witness_fails_under_every_policy(faithful_gc):
     # The README's smallest P9 witness: beliefs {01}, scope {00}, order [00],
     # revised by 00|01.  Every printed condition holds and DP1 fails.

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -12,7 +14,9 @@ from revlab.states import (
     check_fa,
     check_faithful_limited,
     dump_state,
+    StateUniverse,
     enumerate_states,
+    orbit_representatives,
     parse_state,
     sample_states,
 )
@@ -149,6 +153,74 @@ class TestSampling:
         a = sample_states(sig, "faithful", 20, random.Random(3))
         b = sample_states(sig, "faithful", 20, random.Random(3))
         assert a == b
+
+
+def _renamed(st, perm):
+    """`st` with world w renamed perm[w]."""
+
+    def image(ws):
+        return sum(1 << perm[w] for w in range(len(perm)) if ws >> w & 1)
+
+    return EpistemicState(image(st.bel), image(st.scope), RankedOrder(tuple(map(image, st.order.levels))))
+
+
+def _canonical(st, perms):
+    """The least renaming of `st`, by (bel, scope, levels): one key per orbit."""
+    return min((r.bel, r.scope, r.order.levels) for r in (_renamed(st, p) for p in perms))
+
+
+class TestOrbitRepresentatives:
+    # The oracle: canonical forms under all 24 renamings of the 2-atom worlds.
+    PERMS = list(permutations(range(4)))
+
+    @pytest.mark.parametrize(
+        "kind, gc", [("faithful", True), ("faithful", False), ("clf", True), ("fa", False)], ids=str
+    )
+    def test_one_state_per_orbit_at_2_atoms(self, kind, gc):
+        universe = enumerate_states(AB, kind, gc)
+        orbit_sizes = Counter(_canonical(st, self.PERMS) for st in universe.states)
+        reps = orbit_representatives(AB, kind, gc)
+        members = set(universe.states)
+        assert all(st in members for st, _ in reps)
+        keys = [_canonical(st, self.PERMS) for st, _ in reps]
+        assert len(set(keys)) == len(keys)  # no two share an orbit
+        assert set(keys) == set(orbit_sizes)  # every state lies in the orbit of one of them
+        assert {key: size for key, (_, size) in zip(keys, reps)} == orbit_sizes
+        assert universe.orbits() == reps
+
+    @pytest.mark.parametrize(
+        "kind, gc, count, total",
+        [
+            ("faithful", True, 749, 3_274_497),
+            ("faithful", False, 1_004, 4_366_166),
+            ("clf", True, 255, 1_091_669),
+            ("fa", False, 128, 545_835),
+        ],
+        ids=str,
+    )
+    def test_3atom_counts(self, kind, gc, count, total):
+        # The totals are the sizes of the lazily enumerated universes.
+        reps = orbit_representatives(Signature.of("a b c"), kind, gc)
+        assert (len(reps), sum(size for _, size in reps)) == (count, total)
+
+    def test_representatives_are_built_in_order(self):
+        # (k, level sizes, level 0 believed, j): a lazy universe's theorem
+        # counterexamples come in this order.
+        reps = [st for st, _ in orbit_representatives(AB, "faithful", True)]
+        assert reps[:3] == [
+            EpistemicState(mask(1), mask(0), RankedOrder((mask(0),))),
+            EpistemicState(mask(1, 2), mask(0), RankedOrder((mask(0),))),
+            EpistemicState(mask(1, 2, 3), mask(0), RankedOrder((mask(0),))),
+        ]
+
+    def test_universes_without_orbits(self):
+        il = enumerate_states(AB, "il", global_consistency=True, il_scope=mask(1, 2))
+        assert il.orbits() is None
+        with pytest.raises(ValueError, match="not 'il'"):
+            orbit_representatives(AB, "il")
+        # A hand-built universe short of its kind's states is not closed under renaming.
+        some = StateUniverse(AB, "clf", True, None, enumerate_states(AB, "clf", True).states[:10], None)
+        assert some.orbits() is None
 
 
 class TestStateFiles:

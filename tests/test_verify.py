@@ -5,7 +5,7 @@ import pytest
 from condition_oracle import oracle_condition
 from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
-from revlab.errors import PreconditionError
+from revlab.errors import PreconditionError, TooLargeError
 from revlab import verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
@@ -18,7 +18,7 @@ from revlab.operators import (
 )
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
-from revlab.states import EpistemicState, enumerate_states, sample_states
+from revlab.states import EpistemicState, StateUniverse, enumerate_states, sample_states
 from revlab.transitions import TransitionTable, suite_table
 from revlab.verify import (
     _THEOREM_CONDITIONS,
@@ -968,3 +968,114 @@ def test_shared_sampled_table_gives_the_verdicts_of_fresh_universes():
         fresh = enumerate_states(sig, "faithful", global_consistency=True)
         want = check(RevisionOperator("dl", policy), fresh, cid, instance_list=instances)
         assert _verdict(got) == _verdict(want), cid
+
+
+# ---------------------------------------------------------------------------
+# Theorem checks decided on one state per world-permutation orbit
+
+
+def _tabulated_closure(op, universe):
+    """`op` frozen into a lookup table over the universe and every posterior it reaches.
+
+    An `ExtensionalOperator` always takes the full path, so its verdicts are
+    the oracle of the orbit decision.  The closure covers posteriors outside
+    the universe, such as the empty beliefs agm reaches on the contradiction.
+    """
+    seen, todo = set(), list(universe.states)
+    while todo:
+        st = todo.pop()
+        if st not in seen:
+            seen.add(st)
+            todo.extend(op.apply(st, a) for a in range(1 << universe.sig.n_worlds))
+    closure = StateUniverse(universe.sig, universe.kind, universe.global_consistency, None, tuple(seen), None)
+    return tabulate(op, closure)
+
+
+@pytest.mark.parametrize(
+    "family, kind, gc",
+    [("dl", "faithful", True), ("dl", "faithful", False), ("cl", "clf", True), ("agm", "fa", False)],
+    ids=str,
+)
+def test_orbit_decision_gives_the_full_verdict(family, kind, gc):
+    universe = enumerate_states(AB, kind, gc)
+    decided = 0
+    for policy in all_policies():
+        op = RevisionOperator(family, policy)
+        table = _tabulated_closure(op, universe)
+        for co in (False, True):
+            # Theorem-major per operator, so each operator's calls share one table.
+            got = [verify_equivalence(op, universe, t, consistent_only=co) for t in THEOREM_IDS]
+            want = [verify_equivalence(table, universe, t, consistent_only=co) for t in THEOREM_IDS]
+            for theorem, g, w in zip(THEOREM_IDS, got, want):
+                assert (g.check_id, g.seed) == (w.check_id, w.seed)
+                assert _verdict(g) == _verdict(w), (policy, co, theorem)
+                decided += g.holds
+    assert decided > 0
+
+
+def test_orbit_decision_checks_only_representatives(monkeypatch):
+    # A theorem that holds is decided on the 37 orbit representatives alone.
+    checked = []
+    instance = verify._postulate_instance
+
+    def counted(tab, pid, sid, ins):
+        checked.append(sid)
+        return instance(tab, pid, sid, ins)
+
+    monkeypatch.setattr(verify, "_postulate_instance", counted)
+    uni = _faithful_gc()
+    v = verify_equivalence(RevisionOperator("dl", UpdatePolicy("keep", "doc")), uni, "P16")
+    assert v.holds and v.instances == len(uni.states) * 16
+    assert len(set(checked)) == len(uni.orbits()) == 37
+
+
+def test_red_theorem_walks_the_universe_once(monkeypatch):
+    # A mismatch among the representatives sends the check over the whole
+    # universe, which still looks up each state and each posterior once.
+    looked_up = []
+    id_of = TransitionTable.id_of
+    monkeypatch.setattr(TransitionTable, "id_of", lambda tab, st: looked_up.append(st) or id_of(tab, st))
+    uni = _faithful_gc()
+    v = verify_equivalence(DL_OP, uni, "P9", max_counterexamples=10**7)
+    assert not v.holds and v.instances == len(uni.states) * 16
+    assert set(uni.states) <= set(looked_up)
+    # Each representative with its 16 posteriors, then each state with its posteriors.
+    assert len(looked_up) <= len(uni.orbits()) * 17 + len(uni.states) + v.instances
+
+
+def test_orbit_decision_skips_sampled_il_and_tabulated_calls(monkeypatch):
+    # Only an exhaustive call with a dl, cl or agm operator reads the orbits.
+    read = []
+    monkeypatch.setattr(StateUniverse, "orbits", lambda uni: read.append(uni) or None)
+    uni = _faithful_gc()
+    il_scope = mask(1, 2)
+    il_uni = enumerate_states(AB, "il", global_consistency=True, il_scope=il_scope)
+    verify_equivalence(DL_OP, uni, "P16", instance_list=[(uni.states[0], 3)])
+    verify_equivalence(RevisionOperator("il", il_scope=il_scope), il_uni, "P16")
+    verify_equivalence(tabulate(DL_OP, uni), uni, "P16")
+    assert read == []
+    verify_equivalence(DL_OP, uni, "P16")
+    assert read == [uni]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda uni: check_postulate(DL_OP, uni, "DL1"),
+        lambda uni: representation_roundtrip(DL_OP, uni, "DL"),
+        lambda uni: mutation_detection(DL_OP, uni, trials=1),
+        lambda uni: verify_equivalence(RevisionOperator("il", il_scope=0b11), uni, "P9"),
+        lambda uni: verify_equivalence(ExtensionalOperator(uni.sig, (), {}), uni, "P9"),
+        lambda uni: tabulate(DL_OP, uni),
+    ],
+    ids=["check_postulate", "roundtrip", "mutation_detection", "il_theorem", "extensional_theorem", "tabulate"],
+)
+def test_exhaustive_calls_on_a_lazy_universe_raise_before_any_state(call):
+    uni = enumerate_states(Signature.of("a b c"), "faithful", global_consistency=True)
+    # Walking the lazy universe would intern its 3,274,497 states first; an
+    # empty walk that records itself stands in for it.
+    walked = []
+    object.__setattr__(uni, "_maker", lambda: walked.append(1) or iter(()))
+    with pytest.raises(TooLargeError):
+        call(uni)
+    assert walked == []
