@@ -158,7 +158,7 @@ BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES, *_SCOPE_SHIFTS, *_T
 
 
 def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
-    """The rows `verify._postulate_rows` builds for a postulate with a β, by loops over tuples."""
+    """The rows `postulates._postulate_rows` builds for a postulate with a β, by loops over tuples."""
     t = _table(tab, sid)
     full = tab.sig.all_worlds
     if pid in _TWO_STEP:

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from lane_oracle import corrupted_table
 
 from revlab import classify, verify
 from revlab.cli import DEFAULT_SEED, main
@@ -144,6 +145,27 @@ def test_sampled_check_json_pinned(capsys):
     out = capsys.readouterr().out
     assert [row["id"] for row in json.loads(out)["checks"]] == ["P13a", "P-FCFR", "DL7"]
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SAMPLED_CHECK_JSON_DIGEST
+
+
+# The JSON reports of `revlab check all` at 2 atoms on a dl lex/doc operator
+# file, and of the seven DL ids on that operator as a lookup table with 40
+# seeded entries replaced, which fails some of them.  Pinned from the
+# checker that walked every state of the universe for every postulate.
+EXHAUSTIVE_CHECK_JSON_DIGEST = "3cc6f84de3d2b623"
+
+
+def test_exhaustive_check_json_pinned(tmp_path, capsys):
+    op = RevisionOperator("dl", UpdatePolicy("lex", "doc"))
+    policy, table = tmp_path / "dl.op", tmp_path / "table.op"
+    policy.write_text(dump_operator(op))
+    table.write_text(dump_operator(corrupted_table(op, enumerate_states(AB, "faithful"), 40, 3)))
+    h = hashlib.sha256()
+    for path, ids in ((policy, ["all"]), (table, [f"DL{i}" for i in range(1, 8)])):
+        main(["check", "--operator", str(path), "--sig", "a b", "--format", "json", *ids])
+        out = capsys.readouterr().out
+        assert [row["id"] for row in json.loads(out)["checks"]] == [f"DL{i}" for i in range(1, 8)]
+        h.update(out.encode())
+    assert h.hexdigest()[:16] == EXHAUSTIVE_CHECK_JSON_DIGEST
 
 
 def test_sampled_check_builds_each_prior_row_once(monkeypatch, capsys):

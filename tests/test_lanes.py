@@ -28,7 +28,7 @@ from lane_oracle import (
     unions,
 )
 
-from revlab import classify, kernels, verify
+from revlab import classify, kernels, postulates
 from revlab.errors import NonWeakOrderError, TooLargeError
 from revlab.operators import canonical_assignment
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
@@ -71,7 +71,7 @@ def _assert_rows_match(tab):
 def _assert_beta_rows_match(tab, work, pids=BETA_PIDS):
     for pid in pids:
         for sid, alphas in work:
-            got = list(verify._postulate_rows(tab, pid, sid, alphas))
+            got = list(postulates._postulate_rows(tab, pid, sid, alphas))
             assert got == list(iter_beta_rows(tab, pid, sid, alphas)), (pid, tab.states[sid], alphas)
 
 
@@ -114,13 +114,13 @@ def test_postulate_rows_under_corrupted_operators(co):
         work = [(tab.id_of(st), tab.classes()) for st in faithful.states]
         _assert_beta_rows_match(tab, work)
         failing.update(
-            pid for pid in verify._PAIRED for sid, alphas in work if next(verify._postulate_rows(tab, pid, sid, alphas), None)
+            pid for pid in postulates._PAIRED for sid, alphas in work if next(postulates._postulate_rows(tab, pid, sid, alphas), None)
         )
-    assert failing == set(verify._PAIRED)
+    assert failing == set(postulates._PAIRED)
 
 
 def test_every_postulate_with_a_beta_over_classes_has_an_oracle():
-    assert {*verify._ROW_TESTS, *verify._SCOPE_MOVES, *verify._PAIRED} <= set(BETA_PIDS)
+    assert {*postulates._ROW_TESTS, *postulates._SCOPE_MOVES, *postulates._PAIRED} <= set(BETA_PIDS)
 
 
 def test_incomparable_pairs():

@@ -24,7 +24,7 @@ ENTRY_POINTS = {
     "operators.dump_operator": "writes an operator spec file, the inverse of parse_operator",
     "operators.ExtensionalOperator.check_total": "checks that a lookup table covers every state and class",
     "states.check_fa": "FA validity, beside check_clf and check_faithful_limited; the fa universe is tested against it",
-    "verify.check_condition": "one named condition on one transition; the benchmark traces it",
+    "conditions.check_condition": "one named condition on one transition; the benchmark traces it through verify",
     "verify.representation_roundtrip": "the representation round trips of criteria 3 and 4",
     "verify.mutation_detection": "the belief-table corruption trials of criterion 4",
 }

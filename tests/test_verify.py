@@ -1044,18 +1044,29 @@ def test_red_theorem_walks_the_universe_once(monkeypatch):
 
 
 def test_orbit_decision_skips_sampled_il_and_tabulated_calls(monkeypatch):
-    # Only an exhaustive call with a dl, cl or agm operator reads the orbits.
+    # Only an exhaustive call with a dl, cl or agm operator reads the orbits,
+    # and a round trip only outside the IL family.
     read = []
     monkeypatch.setattr(StateUniverse, "orbits", lambda uni: read.append(uni) or None)
     uni = _faithful_gc()
     il_scope = mask(1, 2)
+    il_op = RevisionOperator("il", il_scope=il_scope)
     il_uni = enumerate_states(AB, "il", global_consistency=True, il_scope=il_scope)
+    table = tabulate(DL_OP, uni)
     verify_equivalence(DL_OP, uni, "P16", instance_list=[(uni.states[0], 3)])
-    verify_equivalence(RevisionOperator("il", il_scope=il_scope), il_uni, "P16")
-    verify_equivalence(tabulate(DL_OP, uni), uni, "P16")
+    verify_equivalence(il_op, il_uni, "P16")
+    verify_equivalence(table, uni, "P16")
+    check_postulate(DL_OP, uni, "DL7", instance_list=[(uni.states[0], 3)])
+    check_postulate(il_op, il_uni, "IL7")
+    check_postulate(table, uni, "DL7")
+    representation_roundtrip(il_op, il_uni, "IL")
+    representation_roundtrip(DL_OP, uni, "IL")
+    representation_roundtrip(table, uni, "DL")
     assert read == []
     verify_equivalence(DL_OP, uni, "P16")
-    assert read == [uni]
+    check_postulate(DL_OP, uni, "DL7")
+    representation_roundtrip(DL_OP, uni, "DL")
+    assert read == [uni] * 3
 
 
 @pytest.mark.parametrize(
@@ -1079,3 +1090,61 @@ def test_exhaustive_calls_on_a_lazy_universe_raise_before_any_state(call):
     with pytest.raises(TooLargeError):
         call(uni)
     assert walked == []
+
+
+@pytest.mark.parametrize(
+    "call, instances",
+    [
+        (lambda uni: check_postulate(DL_OP, uni, "DL7"), 566 * 16 * 16),
+        (lambda uni: representation_roundtrip(DL_OP, uni, "DL"), 199_798),
+    ],
+    ids=["check_postulate", "roundtrip"],
+)
+def test_holding_checks_intern_only_the_representatives(call, instances):
+    uni = enumerate_states(AB, "faithful")
+    v = call(uni)
+    assert (v.holds, v.instances) == (True, instances)
+    reps = [st for st, _ in uni.orbits()]
+    assert uni._transitions.states == reps and len(reps) == 52
+
+
+@pytest.mark.parametrize("family, kind, gc", [("cl", "clf", True), ("agm", "fa", False)], ids=str)
+def test_orbit_decided_postulates_give_the_full_verdict(family, kind, gc):
+    universe = enumerate_states(AB, kind, gc)
+    decided = 0
+    for policy in all_policies():
+        op = RevisionOperator(family, policy)
+        table = _tabulated_closure(op, universe)
+        for co in (False, True):
+            # Postulate-major per operator, so each operator's calls share one table.
+            got = [check_postulate(op, universe, pid, consistent_only=co) for pid in POSTULATE_IDS]
+            want = [check_postulate(table, universe, pid, consistent_only=co) for pid in POSTULATE_IDS]
+            for pid, g, w in zip(POSTULATE_IDS, got, want):
+                assert g.check_id == w.check_id
+                assert _verdict(g) == _verdict(w), (policy, co, pid)
+                decided += g.holds
+    assert decided > 0
+
+
+def _roundtrip_oracle_runs():
+    fa = enumerate_states(AB, "fa")
+    own = [
+        ("DL", "dl", enumerate_states(AB, "faithful")),
+        ("CL", "cl", enumerate_states(AB, "clf", global_consistency=True)),
+        ("AGM", "agm", fa),
+        ("DP", "agm", fa),
+    ]
+    runs = [(family, RevisionOperator(op_family, policy), uni) for family, op_family, uni in own for policy in all_policies()]
+    return runs + [(family, DL_OP, own[0][2]) for family in ("CL", "AGM")]
+
+
+def test_orbit_decided_roundtrips_give_the_full_verdict():
+    decided = failed = 0
+    for family, op, universe in _roundtrip_oracle_runs():
+        got = representation_roundtrip(op, universe, family)
+        want = representation_roundtrip(_tabulated_closure(op, universe), universe, family)
+        assert got.check_id == want.check_id
+        assert _verdict(got) == _verdict(want), (family, op)
+        decided += got.holds
+        failed += not got.holds
+    assert decided > 0 and failed > 0
