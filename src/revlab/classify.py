@@ -149,21 +149,35 @@ def classify_row(row: int, bel: int, sig: Signature) -> StateClassification:
 # Operator-global notions (quantified over a universe of states)
 
 
+def renaming_orbits(op, universe: StateUniverse):
+    """`universe.orbits()` where renaming the worlds commutes with `op`
+    (`RevisionOperator.commutes_with_renaming`), so that what holds at a
+    representative holds across its orbit; None otherwise."""
+    return universe.orbits() if getattr(op, "commutes_with_renaming", False) else None
+
+
 def inherent_classes(op, universe: StateUniverse) -> int:
     """Bitset of classes accepted with exactly their own consequences in every state.
 
     The contradiction is never counted as inherent (matching the convention
     for reasonableness and immanence), so inherent classes are always
-    immanent.
+    immanent.  Where `renaming_orbits` gives representatives, only they are
+    read: the inherent set is then closed under renaming the worlds, so a
+    class is inherent iff every class of its size is fixed at each of them.
     """
     sig = universe.sig
     ln = kernels.lanes(1 << sig.n_worlds)
+    orbits = renaming_orbits(op, universe)
     fixed = ln.high  # lanes a with T[a] == a in every state so far
-    for st in universe.iter_states():
+    for st in universe.states if orbits is None else (st for st, _ in orbits):
         fixed &= ~ln.nz(bel_row_of(op, st, sig) ^ ln.classes)
         if not fixed:
             break
-    return ln.bits(fixed) & ~1
+    fixed = ln.bits(fixed)
+    if orbits is not None:
+        moved = {a.bit_count() for a in range(ln.n_classes) if not fixed >> a & 1}  # sizes of some unfixed class
+        fixed = sum(1 << a for a in range(ln.n_classes) if a.bit_count() not in moved)
+    return fixed & ~1
 
 
 def _unions(members: int, sig: Signature) -> int:

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--universe",
                 choices=("faithful", "clf", "fa", "il"),
-                help="state universe kind (default: faithful, or il for an operator with an il_scope)",
+                help="state universe kind (default: il for an operator with an il_scope, fa for agm, else faithful)",
             )
             p.add_argument("--unbiased", action="store_true", help="require the universe to be unbiased")
             p.add_argument(
@@ -99,7 +99,7 @@ def _universe(args, sig: Signature, op):
     """Universe plus either full states (n<=2) or sampled (state, alpha) pairs."""
     il_scope = getattr(op, "il_scope", None)
     if il_scope is None:
-        kind = args.universe or "faithful"
+        kind = args.universe or ("fa" if getattr(op, "family", None) == "agm" else "faithful")
     elif args.universe in (None, "il"):
         kind = "il"
     else:

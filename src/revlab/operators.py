@@ -102,6 +102,12 @@ class RevisionOperator:
         extra = f" scope={self.il_scope}" if self.family == "il" else ""
         return f"{self.family}({self.policy}){extra}"
 
+    @property
+    def commutes_with_renaming(self) -> bool:
+        """Renaming the worlds of a state renames its posteriors alike: true of every family
+        but il, whose fixed scope a renaming moves."""
+        return self.family != "il"
+
     def _kernel_args(self, st: EpistemicState) -> tuple[tuple[int, ...], int, int]:
         """The kernels' (levels, scope, fallback beliefs) for `st`; agm falls back to none."""
         if self.family == "il" and st.scope != self.il_scope:
@@ -159,7 +165,12 @@ class ExtensionalOperator:
 
 
 def tabulate(op, universe: StateUniverse) -> ExtensionalOperator:
-    """Freezes an operator's behaviour on a universe into a lookup table."""
+    """Freezes an operator's behaviour on a universe into a lookup table.
+
+    Only the universe's states are frozen, so a suite that reaches a
+    posterior outside the universe (agm revised by ⊥ on the fa universe
+    empties the beliefs) raises TableMissError there.
+    """
     sig = universe.sig
     states = universe.states
     mapping = {

@@ -8,9 +8,11 @@ ranked order over the scope).  The three nested validity notions:
 * FA: scope is all of Ω and beliefs are exactly level 0.
 
 Universes are the quantification domains of the postulates ("for all Ψ").
-They are materialised for up to 2 atoms; at 3 atoms the faithful universe
-has ~4.4M members, so enumeration turns lazy and the verifier samples, or
-checks one state per orbit under renaming the worlds (orbit_representatives).
+A universe is one of two things.  Up to 2 atoms, and for the il kind, it
+holds its states.  At 3 atoms the faithful universe has ~4.4M members, so a
+faithful, clf or fa universe holds only one state per orbit under renaming
+the worlds (`orbit_representatives`), built on the first `orbits()` call;
+there the verifier samples, or decides a check on the representatives.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvariantError, ParseError, TooLargeError
 from .orders import RankedOrder, _enumerate_orders_unchecked, min_set
 from .prop import Signature, iter_worlds
 
 MAX_ATOMS_MATERIALISED = 2
-MAX_ATOMS_LAZY = 3
+MAX_ATOMS = 3
 
 UNIVERSE_KINDS = ("faithful", "clf", "fa", "il")
 
@@ -68,7 +70,9 @@ class StateUniverse:
     global_consistency: bool
     il_scope: int | None = None
     _states: tuple[EpistemicState, ...] | None = None
-    _maker: Callable[[], Iterable[EpistemicState]] | None = None
+    # The orbit representatives with their sizes, built on the first orbits()
+    # call; [] where the universe has none.
+    _orbits: list | None = field(default=None, init=False, repr=False, compare=False)
     # The last transition table a verifier suite built on this universe (see
     # transitions.suite_table), kept for the next suite call with the same
     # operator over the same states.  Not part of the universe's value.
@@ -77,37 +81,25 @@ class StateUniverse:
     @property
     def states(self) -> tuple[EpistemicState, ...]:
         if self._states is None:
-            raise TooLargeError(
-                "universe is lazy (too large to materialise); use iter_states() or sampling"
-            )
+            raise TooLargeError(f"a {self.sig.n_atoms}-atom universe holds only its orbit representatives")
         return self._states
 
-    def iter_states(self) -> Iterator[EpistemicState]:
-        if self._states is not None:
-            return iter(self._states)
-        return iter(self._maker())
-
     def orbits(self) -> list[tuple[EpistemicState, int]] | None:
-        """`orbit_representatives` of a whole faithful, clf or fa universe; None for an il
-        universe, or one built by hand that holds fewer states than its kind has."""
-        if self.kind == "il":
-            return None
-        orbits = orbit_representatives(self.sig, self.kind, self.global_consistency)
-        if self._states is not None and len(self._states) != sum(size for _, size in orbits):
-            return None
-        return orbits
+        """`orbit_representatives` of a whole faithful, clf or fa universe, built once; None for
+        an il universe, or one built by hand that holds fewer states than its kind has."""
+        if self._orbits is None:
+            orbits = [] if self.kind == "il" else orbit_representatives(self.sig, self.kind, self.global_consistency)
+            if self._states is not None and len(self._states) != sum(size for _, size in orbits):
+                orbits = []
+            object.__setattr__(self, "_orbits", orbits)
+        return self._orbits or None
 
     def is_unbiased(self) -> bool:
         """Every consistent belief set occurs in some member state."""
-        want = (1 << self.sig.all_worlds + 1) - 2  # bits 1..all_worlds
-        seen = 0
-        for st in self.iter_states():
-            if st.bel:
-                seen |= 1 << st.bel
-        return seen & want == want
+        return {st.bel for st in self.states} >= set(range(1, self.sig.all_worlds + 1))
 
 
-def _iter_states(
+def _generate_states(
     sig: Signature, kind: str, global_consistency: bool, il_scope: int | None
 ) -> Iterator[EpistemicState]:
     full = sig.all_worlds
@@ -118,23 +110,14 @@ def _iter_states(
     else:
         scopes = range(1, full + 1)
     for scope in scopes:
-        outside = full & ~scope
-        free = list(iter_worlds(outside))
+        outside = [bel for bel in range(full + 1) if not bel & scope]  # believed worlds outside the scope
         for order in _enumerate_orders_unchecked(scope):
             if kind in ("clf", "fa"):
-                bottom_choices: Iterable[int] = [order.levels[0]]
+                beliefs = [order.levels[0]]
             else:
-                bottom_choices = [0, order.levels[0]]
-            for inner in bottom_choices:
-                for rest in range(1 << len(free)):
-                    bel = inner
-                    for i, w in enumerate(free):
-                        if (rest >> i) & 1:
-                            bel |= 1 << w
-                    if kind in ("clf", "fa") and bel != inner:
-                        continue
-                    if global_consistency and bel == 0:
-                        continue
+                beliefs = [inner | rest for inner in (0, order.levels[0]) for rest in outside]
+            for bel in beliefs:
+                if bel or not global_consistency:
                     yield EpistemicState(bel, scope, order)
 
 
@@ -144,24 +127,23 @@ def enumerate_states(
     global_consistency: bool = False,
     il_scope: int | None = None,
 ) -> StateUniverse:
-    """All states of the given validity kind over the signature.
+    """The universe of the given validity kind over the signature.
 
     `kind`: faithful (every faithful limited assignment), clf, fa, or il
-    (faithful with one fixed scope, passed as `il_scope`).
+    (faithful with one fixed scope, passed as `il_scope`).  It holds its
+    states up to 2 atoms and for il; at 3 atoms only its orbit
+    representatives, built on the first `orbits()` call.
     """
     if kind not in UNIVERSE_KINDS:
         raise ValueError(f"unknown universe kind {kind!r}; want one of {UNIVERSE_KINDS}")
     if kind == "il":
         if not il_scope or il_scope & ~sig.all_worlds:
             raise InvariantError("il universe needs a nonempty il_scope within the signature")
-    if sig.n_atoms > MAX_ATOMS_LAZY:
-        raise TooLargeError(f"state enumeration supports at most {MAX_ATOMS_LAZY} atoms")
-
-    if sig.n_atoms <= MAX_ATOMS_MATERIALISED or kind == "il":
-        states = tuple(_iter_states(sig, kind, global_consistency, il_scope))
-        return StateUniverse(sig, kind, global_consistency, il_scope, states, None)
-    maker = lambda: _iter_states(sig, kind, global_consistency, il_scope)  # noqa: E731
-    return StateUniverse(sig, kind, global_consistency, il_scope, None, maker)
+    if sig.n_atoms > MAX_ATOMS:
+        raise TooLargeError(f"state enumeration supports at most {MAX_ATOMS} atoms")
+    held = sig.n_atoms <= MAX_ATOMS_MATERIALISED or kind == "il"
+    states = tuple(_generate_states(sig, kind, global_consistency, il_scope)) if held else None
+    return StateUniverse(sig, kind, global_consistency, il_scope, states)
 
 
 def _compositions(k: int) -> Iterator[tuple[int, ...]]:

@@ -24,9 +24,9 @@ class TransitionTable:
     States get dense integer ids in the order they first appear: a suite
     interns its states before any posterior, so an exhaustive run numbers
     the universe in universe order, and a posterior gets the next id the
-    first time it is seen.  A theorem check decided on orbit
-    representatives interns those and their posteriors first, so the
-    universe's other states come after them.  Every per-id row is filled
+    first time it is seen.  A check decided on orbit representatives
+    interns those and their posteriors first, so the universe's other
+    states come after them.  Every per-id row is filled
     on first use.  The postulate side reads by id; the conditions are
     handed the table in place of the bare operator and read the same
     rows.  A state's posterior ids are kept together, by class, so a suite

@@ -25,8 +25,9 @@ Three layers, each in its own module:
   reconstruction check.
 
 An exhaustive check that renaming the worlds cannot change is decided on one
-state per orbit first (`_orbits`), and walks the whole universe only when a
-representative fails, so its counterexamples are those of the plain run.
+state per orbit first (`_decide`), and walks the whole universe only when a
+representative fails, so its counterexamples are those of the plain run; a
+3-atom universe, which holds only its representatives, takes theirs.
 
 Reading notes (also emitted in report headers):
 
@@ -52,7 +53,7 @@ from .conditions import CONDITIONS, _READS_REVISIONS, _prior_values
 from .conditions import CONDITION_IDS, check_condition  # noqa: F401 (re-exported; the benchmark traces check_condition here)
 from .errors import NonWeakOrderError
 from .kernels import revise_mask
-from .operators import RevisionOperator, canonical_assignment
+from .operators import canonical_assignment
 from .postulates import FAMILY_POSTULATES, POSTULATE_IDS, _iter_postulate, _PAIRED, _postulate_rows
 from .prop import Signature
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
@@ -85,7 +86,8 @@ MAX_COUNTEREXAMPLES = 5
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
     """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior.
 
-    A lazy universe raises TooLargeError here, before any state is interned."""
+    A universe that holds only its orbit representatives raises TooLargeError
+    here, before any state is interned."""
     if instance_list is not None:
         return [(st, tab.id_of(st), [a]) for st, a in instance_list]
     return [(st, tab.id_of(st), tab.classes()) for st in universe.states]
@@ -96,26 +98,31 @@ def _flat(work):
     return [(st, sid, ins, a) for st, sid, ins in work for a in ins]
 
 
-def _orbits(op, universe: StateUniverse, instance_list=None, lazy: bool = False):
-    """One state per orbit of the universe under renaming the worlds, with the orbit's size,
-    where those decide the check; None where the whole universe must be walked.
+def _decide(tab, universe: StateUniverse, instance_list, check_id, per_state: int, fails, run, by_orbit=True) -> Verdict:
+    """The verdict of `run(work, sizes)` on `_suite_work` items, item i standing for sizes[i] states.
 
     Postulates, conditions and reconstructions use worlds only through set
-    operations, so where renaming the worlds maps the universe onto itself
-    and commutes with the operator, the verdict at (Ψ, α) is the verdict at
-    the renamed pair.  That holds for an exhaustive call with a dl, cl or agm
-    `RevisionOperator` on a faithful, clf or fa universe
-    (`StateUniverse.orbits`).  If no representative fails, the check holds
-    over the instances its orbits stand for; otherwise the caller walks the
-    whole universe, so its counterexamples are those of the plain run.  A
-    lazy universe gives None unless `lazy`: the caller then takes the
-    representatives' failures as its verdict.
+    operations, so where renaming the worlds commutes with the operator and
+    maps the universe onto itself (`classify.renaming_orbits`), the verdict
+    at (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there
+    first asks `fails(work)` whether any orbit representative fails, which
+    builds no row and no Counterexample.  If none fails, the check holds,
+    `per_state` instances for each state their orbits stand for.  If one
+    fails, a universe that holds its states is walked, so the
+    counterexamples are those of the plain run; one that holds only its
+    representatives takes theirs.  `by_orbit` is False for a check that
+    compares states, which no orbit decides (the IL round trip's one scope).
     """
-    if instance_list is not None or not isinstance(op, RevisionOperator) or op.family == "il":
-        return None
-    if universe._states is None and not lazy:
-        return None
-    return universe.orbits()
+    orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None and by_orbit else None
+    if orbits is not None:
+        work = [(st, tab.id_of(st), tab.classes()) for st, _ in orbits]
+        sizes = [size for _, size in orbits]
+        if not fails(work):
+            return Verdict(check_id, True, per_state * sum(sizes))
+        if universe._states is None:
+            return run(work, sizes)
+    work = _suite_work(tab, universe, instance_list)
+    return run(work, [1] * len(work))
 
 
 def check_postulate(
@@ -132,28 +139,26 @@ def check_postulate(
     `instance_list` replaces the cross product with explicit (state, alpha)
     pairs, which is how sampled runs at 3 atoms stay at a fixed budget; the
     second input of DL7, CL5, CL6 and IL7 still ranges over every class.
-    Where `_orbits` applies, a postulate that fails at no representative
-    holds, and no row is built.
     """
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
     tab = suite_table(op, universe, consistent_only, instance_list)
     per_input = len(tab.classes()) if pid in _PAIRED else 1
-    orbits = _orbits(op, universe, instance_list)
-    if orbits is not None and not any(
-        next(_iter_postulate(tab, pid, tab.id_of(st), tab.classes()), None) for st, _ in orbits
-    ):
-        return Verdict(pid, True, sum(size for _, size in orbits) * len(tab.classes()) * per_input)
-    ces: list[Counterexample] = []
-    instances = 0
-    for st, sid, alphas in _suite_work(tab, universe, instance_list):
-        instances += len(alphas) * per_input
-        for row in _postulate_rows(tab, pid, sid, alphas):
-            if len(ces) < max_counterexamples:
-                ces.append(Counterexample(st, *row))
-            else:
-                return Verdict(pid, False, instances, ces, note="counterexample cap hit")
-    return Verdict(pid, not ces, instances, ces)
+
+    def run(work, sizes):
+        ces: list[Counterexample] = []
+        instances = 0
+        for (st, sid, alphas), size in zip(work, sizes):
+            instances += size * len(alphas) * per_input
+            for row in _postulate_rows(tab, pid, sid, alphas):
+                if len(ces) < max_counterexamples:
+                    ces.append(Counterexample(st, *row))
+                else:
+                    return Verdict(pid, False, instances, ces, note="counterexample cap hit")
+        return Verdict(pid, not ces, instances, ces)
+
+    fails = lambda work: any(next(_iter_postulate(tab, pid, sid, ins), None) for _, sid, ins in work)  # noqa: E731
+    return _decide(tab, universe, instance_list, pid, len(tab.classes()) * per_input, fails, run)
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +244,28 @@ def verify_equivalence(
     consistent_only: bool = False,
     max_counterexamples: int = MAX_COUNTEREXAMPLES,
 ) -> Verdict:
-    """Bidirectional per-(state, alpha) check of one characterisation theorem.
-
-    Where `_orbits` applies, the representatives are checked first at every
-    input, and a theorem none of them mismatches holds over the instances
-    their orbits stand for.  Otherwise the whole universe is checked, so the
-    counterexamples are those of the plain run; only a lazy universe, which
-    cannot be walked, takes the representatives' mismatches as its verdict,
-    counting each instance as its orbit's size.
-    """
+    """Bidirectional per-(state, alpha) check of one characterisation theorem."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list)
-    orbits = _orbits(op, universe, instance_list, lazy=True)
-    work = None
-    if orbits is not None:
-        reduced = _flat([(st, tab.id_of(st), tab.classes()) for st, _ in orbits])
-        counts = [0, *accumulate(size for _, size in orbits for _ in tab.classes())]  # instances the first i stand for
-        if universe._states is None:
-            work = reduced
-        elif next(_mismatches(tab, parts, reduced), None) is None:
-            return Verdict(theorem, True, counts[-1])
-    if work is None:
-        # Flat, not streamed per state: streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
-        work = _flat(_suite_work(tab, universe, instance_list))
-        counts = range(len(work) + 1)
-    ces: list[Counterexample] = []
-    for instances, st, a, lhs, rhs in _mismatches(tab, parts, work):
-        if len(ces) >= max_counterexamples:
-            return Verdict(theorem, False, counts[instances], ces, note="counterexample cap hit")
-        # Lists of truths compare at their first differing part, which names the side.
-        side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
-        lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
-        ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
-    return Verdict(theorem, not ces, counts[-1], ces)
+
+    def run(work, sizes):
+        # counts[i]: the instances the first i items stand for.  Flat, not streamed per state:
+        # streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
+        counts = [0, *accumulate(size for (_, _, ins), size in zip(work, sizes) for _ in ins)]
+        ces: list[Counterexample] = []
+        for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work)):
+            if len(ces) >= max_counterexamples:
+                return Verdict(theorem, False, counts[instances], ces, note="counterexample cap hit")
+            # Lists of truths compare at their first differing part, which names the side.
+            side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
+            lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
+            ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
+        return Verdict(theorem, not ces, counts[-1], ces)
+
+    fails = lambda work: next(_mismatches(tab, parts, _flat(work)), None) is not None  # noqa: E731
+    return _decide(tab, universe, instance_list, theorem, len(tab.classes()), fails, run)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +339,10 @@ def representation_roundtrip(
     postulates.  Forward: the canonical reconstruction from the operator's
     behaviour reproduces every revision result (plus, per family: the IL
     scope is constant, the CL reconstruction is CLF-valid, the AGM scope is
-    total, and DP postulates match the CR conditions per instance).  Where
-    `_orbits` applies, a round trip that no representative fails holds.  The
-    IL scope must be one across the whole universe, which no orbit shows, so
-    the IL round trip always walks it.
+    total, and DP postulates match the CR conditions per instance).  The
+    orbit representatives decide it where `_decide` says so, except the IL
+    round trip: its scope must be one across the whole universe, which no
+    orbit shows.
     """
     if family not in FAMILY_POSTULATES:
         raise ValueError(f"unknown family {family!r}; valid: {tuple(FAMILY_POSTULATES)}")
@@ -363,15 +355,15 @@ def representation_roundtrip(
     # second input's), then the DP parts' inputs or one reconstruction.
     n = len(tab.classes())
     per_state = sum(n * n if pid in _PAIRED else n for pid in FAMILY_POSTULATES[family]) + (n if family == "DP" else 1)
-    orbits = _orbits(op, universe) if family != "IL" else None
-    if orbits is not None:
-        reduced = [(st, tab.id_of(st), tab.classes()) for st, _ in orbits]
-        if next(_roundtrip_failures(tab, family, reduced, _iter_postulate), None) is None:
-            return Verdict(f"roundtrip-{family}", True, per_state * sum(size for _, size in orbits))
-    work = _suite_work(tab, universe, None)
-    failures = islice(_roundtrip_failures(tab, family, work, _postulate_rows), max_counterexamples)
-    ces = [Counterexample(st, *row) for st, row in failures]
-    return Verdict(f"roundtrip-{family}", not ces, per_state * len(work), ces)
+    check_id = f"roundtrip-{family}"
+
+    def run(work, sizes):
+        failures = islice(_roundtrip_failures(tab, family, work, _postulate_rows), max_counterexamples)
+        ces = [Counterexample(st, *row) for st, row in failures]
+        return Verdict(check_id, not ces, per_state * sum(sizes), ces)
+
+    fails = lambda work: next(_roundtrip_failures(tab, family, work, _iter_postulate), None) is not None  # noqa: E731
+    return _decide(tab, universe, None, check_id, per_state, fails, run, by_orbit=family != "IL")
 
 
 def mutation_detection(

@@ -309,7 +309,7 @@ def test_criterion_10_family_separation(faithful_gc, fa_universe):
     # (b) the credibility-limited operator whose credible set is exactly the
     # belief models fails the fixed-scope suite
     cl_states = tuple(EpistemicState(b, b, RankedOrder((b,))) for b in range(1, 16))
-    cl_uni = StateUniverse(AB, "clf", True, None, cl_states, None)
+    cl_uni = StateUniverse(AB, "clf", True, None, cl_states)
     cl_op = RevisionOperator("cl")
     cl_fails_il = not all(
         check_postulate(cl_op, cl_uni, pid, consistent_only=True).holds
@@ -372,7 +372,7 @@ def test_criterion_12_inherence_boundaries(fa_universe):
     singletons = sum(1 << (1 << w) for w in range(4))
     nonempty = sum(1 << a for a in range(1, 16))
     cl_states = tuple(EpistemicState(b, b, RankedOrder((b,))) for b in range(1, 16))
-    cl_uni = StateUniverse(AB, "clf", True, None, cl_states, None)
+    cl_uni = StateUniverse(AB, "clf", True, None, cl_states)
     cl_op = RevisionOperator("cl")
     cl_inh = classify.inherent_classes(cl_op, cl_uni)
     cl_imm = classify.immanent_classes(cl_op, cl_uni)

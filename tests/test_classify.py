@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from condition_oracle import semantic_scope
 
 from revlab import kernels
@@ -12,6 +13,7 @@ from revlab.classify import (
     find_witness_M,
     immanent_classes,
     inherent_classes,
+    renaming_orbits,
 )
 from revlab.fixtures import fig1_fixture, karl_fixture
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
@@ -84,7 +86,7 @@ def oracle_immanent(op, universe):
     n_classes = 1 << universe.sig.n_worlds
     inh = 0
     for a in range(1, n_classes):
-        if all(op.revise_beliefs(st, a) == a for st in universe.iter_states()):
+        if all(op.revise_beliefs(st, a) == a for st in universe.states):
             inh |= 1 << a
     return sum(1 << a for a in range(1, n_classes) if _covered(a, inh))
 
@@ -129,6 +131,17 @@ class TestTransformsMatchOracle:
             assert_matches_oracle(op, st, AB)
         assert immanent_classes(op, uni) == oracle_immanent(op, uni)
 
+    @pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
+    @pytest.mark.parametrize("family", ["dl", "cl", "agm"])
+    def test_immanent_classes_from_representatives(self, family, kind):
+        # Read off the orbit representatives alone, against the walk over every state.
+        for gc in (False, True):
+            uni = enumerate_states(AB, kind, gc)
+            for policy in all_policies():
+                op = RevisionOperator(family, policy)
+                assert renaming_orbits(op, uni) is not None
+                assert immanent_classes(op, uni) == oracle_immanent(op, uni), (gc, policy)
+
     def test_il_universe(self):
         sig, _, _, op = fig1_fixture()
         uni = enumerate_states(sig, "il", global_consistency=True, il_scope=op.il_scope)
@@ -155,7 +168,7 @@ class TestTransformsMatchOracle:
                 st: [a if rng.random() < 0.8 else rng.randrange(16) for a in range(16)]
                 for st in states
             }
-            uni = StateUniverse(AB, "faithful", False, None, tuple(states), None)
+            uni = StateUniverse(AB, "faithful", False, None, tuple(states))
             op = TableOp(tables)
             assert immanent_classes(op, uni) == oracle_immanent(op, uni)
 
@@ -278,7 +291,7 @@ class TestInherence:
         states = tuple(
             EpistemicState(b, b, RankedOrder((b,))) for b in range(1, 16)
         )
-        uni = StateUniverse(AB, "clf", True, None, states, None)
+        uni = StateUniverse(AB, "clf", True, None, states)
         op = RevisionOperator("cl")
         assert inherent_classes(op, uni) == 0
         assert immanent_classes(op, uni) == 0

@@ -6,7 +6,7 @@ import random
 import pytest
 from lane_oracle import corrupted_table
 
-from revlab import classify, verify
+from revlab import classify, states, verify
 from revlab.cli import DEFAULT_SEED, main
 from revlab.fixtures import (
     FIG1_OPERATOR_TEXT,
@@ -20,6 +20,7 @@ from revlab.states import dump_state, enumerate_states, parse_state, sample_stat
 from revlab.transitions import TransitionTable
 
 AB = Signature.of("a b")
+ABC = Signature.of("a b c")
 
 
 @pytest.fixture
@@ -184,6 +185,48 @@ def test_sampled_check_builds_each_prior_row_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("result=PASS") == 7
     sampled = sample_states(Signature.of("a b c"), "faithful", 100, random.Random(DEFAULT_SEED))
     assert {built[st] for st in sampled} == {1}
+
+
+def test_check_all_builds_the_orbit_representatives_once(monkeypatch, capsys):
+    built = []
+    build = states.orbit_representatives
+    monkeypatch.setattr(states, "orbit_representatives", lambda *args: built.append(args) or build(*args))
+    assert main(["check", "--sig", "a b", "all"]) == 0
+    assert capsys.readouterr().out.count("result=PASS") == 7
+    assert built == [(AB, "faithful", False)]
+
+
+def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypatch, tmp_path, capsys):
+    # The immanent classes of an agm operator come from the 128 orbit
+    # representatives of the 3-atom fa universe, not from its 545,835 states.
+    built = collections.Counter()
+    bel_row_of = classify.bel_row_of
+
+    def counting(op, st, sig):
+        if not isinstance(op, TransitionTable):  # a table's own row read passes through
+            built[st] += 1
+        return bel_row_of(op, st, sig)
+
+    monkeypatch.setattr(classify, "bel_row_of", counting)
+    op = tmp_path / "agm.op"
+    op.write_text(dump_operator(RevisionOperator("agm", UpdatePolicy("keep", "doc"))))
+    argv = ["check", "--operator", str(op), "--sig", "a b c", "--universe", "fa", "--samples", "20", "IL2"]
+    assert main(argv) == 1
+    assert "CHECK IL2 op=agm(keep/doc) n=3 instances=20 result=FAIL" in capsys.readouterr().out
+    sampled = sample_states(ABC, "fa", 20, random.Random(DEFAULT_SEED))
+    reps = {st for st, _ in states.orbit_representatives(ABC, "fa")}
+    assert set(built) <= set(sampled) | reps and reps <= set(built)
+
+
+@pytest.mark.parametrize("flags, universe", [([], "fa"), (["--universe", "faithful"], "faithful")], ids=["default", "faithful"])
+def test_agm_operator_file_checks_on_the_fa_universe_by_default(tmp_path, capsys, flags, universe):
+    # On the faithful universe these fail at states that are not fa states.
+    op = tmp_path / "agm.op"
+    op.write_text(dump_operator(RevisionOperator("agm", UpdatePolicy("keep", "doc"))))
+    code = main(["check", "--operator", str(op), "--sig", "a b", "--consistent-only", *flags, "CL2", "CL3", "IL2", "IL5"])
+    out = capsys.readouterr().out
+    assert f"# universe: {universe} " in out
+    assert (code, out.count("result=PASS")) == ((0, 4) if universe == "fa" else (1, 0))
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from revlab import states
 from revlab.errors import InvariantError, ParseError, TooLargeError
 from revlab.fixtures import KARL_STATE_TEXT
 from revlab.orders import RankedOrder, enumerate_orders
@@ -128,12 +129,13 @@ class TestEnumerate:
             enumerate_states(Signature.of("a b c d"))
 
     def test_lazy_universe_at_three_atoms(self):
+        # A 3-atom universe holds only its orbit representatives, built when first asked for.
         uni = enumerate_states(Signature.of("a b c"))
+        assert uni._orbits is None
         with pytest.raises(TooLargeError):
             uni.states
-        it = uni.iter_states()
-        first = next(it)
-        assert check_faithful_limited(first)
+        reps = uni.orbits()
+        assert len(reps) == 1_004 and all(check_faithful_limited(st) for st, _ in reps)
 
 
 class TestSampling:
@@ -213,13 +215,23 @@ class TestOrbitRepresentatives:
             EpistemicState(mask(1, 2, 3), mask(0), RankedOrder((mask(0),))),
         ]
 
+    def test_orbits_are_built_once_per_universe(self, monkeypatch):
+        built = []
+        build = states.orbit_representatives
+        monkeypatch.setattr(states, "orbit_representatives", lambda *args: built.append(args) or build(*args))
+        universe = enumerate_states(AB, "faithful", True)
+        assert universe.orbits() is universe.orbits()
+        il = enumerate_states(AB, "il", il_scope=mask(1, 2))
+        assert il.orbits() is il.orbits() is None
+        assert built == [(AB, "faithful", True)]
+
     def test_universes_without_orbits(self):
         il = enumerate_states(AB, "il", global_consistency=True, il_scope=mask(1, 2))
         assert il.orbits() is None
         with pytest.raises(ValueError, match="not 'il'"):
             orbit_representatives(AB, "il")
         # A hand-built universe short of its kind's states is not closed under renaming.
-        some = StateUniverse(AB, "clf", True, None, enumerate_states(AB, "clf", True).states[:10], None)
+        some = StateUniverse(AB, "clf", True, None, enumerate_states(AB, "clf", True).states[:10])
         assert some.orbits() is None
 
 

@@ -35,6 +35,7 @@ from revlab.verify import (
 )
 
 AB = Signature.of("a b")
+ABC = Signature.of("a b c")
 DL_OP = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
 
 
@@ -987,7 +988,7 @@ def _tabulated_closure(op, universe):
         if st not in seen:
             seen.add(st)
             todo.extend(op.apply(st, a) for a in range(1 << universe.sig.n_worlds))
-    closure = StateUniverse(universe.sig, universe.kind, universe.global_consistency, None, tuple(seen), None)
+    closure = StateUniverse(universe.sig, universe.kind, universe.global_consistency, None, tuple(seen))
     return tabulate(op, closure)
 
 
@@ -1060,36 +1061,72 @@ def test_orbit_decision_skips_sampled_il_and_tabulated_calls(monkeypatch):
     check_postulate(il_op, il_uni, "IL7")
     check_postulate(table, uni, "DL7")
     representation_roundtrip(il_op, il_uni, "IL")
-    representation_roundtrip(DL_OP, uni, "IL")
     representation_roundtrip(table, uni, "DL")
     assert read == []
     verify_equivalence(DL_OP, uni, "P16")
     check_postulate(DL_OP, uni, "DL7")
     representation_roundtrip(DL_OP, uni, "DL")
     assert read == [uni] * 3
+    # The IL round trip reads them once, for the immanent classes, and walks every state.
+    representation_roundtrip(DL_OP, uni, "IL")
+    assert read == [uni] * 4 and set(uni.states) <= set(uni._transitions.states)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda uni: check_postulate(DL_OP, uni, "DL1"),
-        lambda uni: representation_roundtrip(DL_OP, uni, "DL"),
         lambda uni: mutation_detection(DL_OP, uni, trials=1),
         lambda uni: verify_equivalence(RevisionOperator("il", il_scope=0b11), uni, "P9"),
         lambda uni: verify_equivalence(ExtensionalOperator(uni.sig, (), {}), uni, "P9"),
         lambda uni: tabulate(DL_OP, uni),
     ],
-    ids=["check_postulate", "roundtrip", "mutation_detection", "il_theorem", "extensional_theorem", "tabulate"],
+    ids=["mutation_detection", "il_theorem", "extensional_theorem", "tabulate"],
 )
 def test_exhaustive_calls_on_a_lazy_universe_raise_before_any_state(call):
-    uni = enumerate_states(Signature.of("a b c"), "faithful", global_consistency=True)
-    # Walking the lazy universe would intern its 3,274,497 states first; an
-    # empty walk that records itself stands in for it.
-    walked = []
-    object.__setattr__(uni, "_maker", lambda: walked.append(1) or iter(()))
+    # A 3-atom universe holds only its orbit representatives, so a call that
+    # must walk its 3,274,497 states raises before interning any.
+    uni = enumerate_states(ABC, "faithful", global_consistency=True)
     with pytest.raises(TooLargeError):
         call(uni)
-    assert walked == []
+    assert uni._transitions is None or uni._transitions.states == []
+
+
+@pytest.mark.parametrize(
+    "call, holds, instances",
+    [
+        (lambda uni: check_postulate(DL_OP, uni, "DL1"), True, 3_274_497 * 256),
+        # A dl operator rebuilds assignments that are not CLF-valid.
+        (lambda uni: representation_roundtrip(DL_OP, uni, "CL"), False, 3_274_497 * (4 * 256 + 2 * 256 * 256 + 1)),
+    ],
+    ids=["check_postulate", "roundtrip"],
+)
+def test_lazy_universe_calls_decided_on_representatives(call, holds, instances):
+    uni = enumerate_states(ABC, "faithful", global_consistency=True)
+    v = call(uni)
+    assert (v.holds, v.instances) == (holds, instances)
+    reps = [st for st, _ in uni.orbits()]
+    assert uni._transitions.states[: len(reps)] == reps
+    assert v.holds or (v.counterexamples and all(ce.state in reps for ce in v.counterexamples))
+
+
+@pytest.mark.parametrize(
+    "family, op_family, kind, gc, total, per_state",
+    [
+        # DL1-DL6 at each input, DL7 at each pair, one reconstruction.
+        ("DL", "dl", "faithful", False, 4_366_166, 6 * 256 + 256 * 256 + 1),
+        ("CL", "cl", "clf", True, 1_091_669, 4 * 256 + 2 * 256 * 256 + 1),
+        # On the consistent inputs: CL1-CL6 and IL1-IL7, three of them paired.
+        ("AGM", "agm", "fa", False, 545_835, 10 * 255 + 3 * 255 * 255 + 1),
+        # DP1-DP4, and the four DP parts together, at each input.
+        ("DP", "agm", "fa", False, 545_835, 4 * 255 + 255),
+    ],
+    ids=["DL", "CL", "AGM", "DP"],
+)
+def test_roundtrips_hold_on_the_3atom_representatives(family, op_family, kind, gc, total, per_state):
+    uni = enumerate_states(ABC, kind, gc)
+    v = representation_roundtrip(RevisionOperator(op_family, UpdatePolicy("keep", "doc")), uni, family)
+    assert sum(size for _, size in uni.orbits()) == total
+    assert (v.holds, v.instances, v.counterexamples) == (True, total * per_state, [])
 
 
 @pytest.mark.parametrize(
