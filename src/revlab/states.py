@@ -13,6 +13,9 @@ holds its states.  At 3 atoms the faithful universe has ~4.4M members, so a
 faithful, clf or fa universe holds only one state per orbit under renaming
 the worlds (`orbit_representatives`), built on the first `orbits()` call;
 there the verifier samples, or decides a check on the representatives.
+The renamings that fix a representative map its inputs onto each other in
+turn, and `orbit_inputs()` gives one input per such orbit
+(`stabilizer_inputs`), built once.
 """
 
 from __future__ import annotations
@@ -37,12 +40,18 @@ class EpistemicState:
     bel: int
     scope: int
     order: RankedOrder
+    # Taken once: a suite looks states up by value tens of thousands of times.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scope == 0:
             raise InvariantError("scope must be nonempty")
         if self.order.domain != self.scope:
             raise InvariantError("order domain must equal the scope")
+        object.__setattr__(self, "_hash", hash((self.bel, self.scope, self.order)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def check_faithful_limited(st: EpistemicState) -> bool:
@@ -73,6 +82,8 @@ class StateUniverse:
     # The orbit representatives with their sizes, built on the first orbits()
     # call; [] where the universe has none.
     _orbits: list | None = field(default=None, init=False, repr=False, compare=False)
+    # `stabilizer_inputs` of each representative, built on the first orbit_inputs() call.
+    _inputs: list | None = field(default=None, init=False, repr=False, compare=False)
     # The last transition table a verifier suite built on this universe (see
     # transitions.suite_table), kept for the next suite call with the same
     # operator over the same states.  Not part of the universe's value.
@@ -93,6 +104,13 @@ class StateUniverse:
                 orbits = []
             object.__setattr__(self, "_orbits", orbits)
         return self._orbits or None
+
+    def orbit_inputs(self) -> list[tuple[int, ...]]:
+        """`stabilizer_inputs` of each representative of `orbits()`, in their order, built once."""
+        if self._inputs is None:
+            n = self.sig.n_worlds
+            object.__setattr__(self, "_inputs", [stabilizer_inputs(st, n) for st, _ in self.orbits() or ()])
+        return self._inputs
 
     def is_unbiased(self) -> bool:
         """Every consistent belief set occurs in some member state."""
@@ -190,6 +208,26 @@ def orbit_representatives(
                     size = arranged // (factorial(j) * factorial(n - k - j))
                     out.append((EpistemicState(bel, (1 << k) - 1, order), size))
     return out
+
+
+def stabilizer_inputs(st: EpistemicState, n_worlds: int) -> tuple[int, ...]:
+    """One input per orbit of the renamings that fix the faithful state `st`, ascending.
+
+    Those renamings permute the worlds within each block of `st`: each
+    level, the believed worlds outside the scope, and the other worlds
+    outside it.  So an input's orbit is fixed by how many of its worlds lie
+    in each block, and the input made of the lowest c worlds of each block,
+    for every count c, stands for it.  The empty input comes first, an
+    orbit of its own.
+    """
+    outside = ((1 << n_worlds) - 1) & ~st.scope
+    inputs = [0]
+    for block in (*st.order.levels, st.bel & outside, outside & ~st.bel):
+        lowest = [0]
+        for w in iter_worlds(block):
+            lowest.append(lowest[-1] | 1 << w)
+        inputs = [a | low for a in inputs for low in lowest]
+    return tuple(sorted(inputs))
 
 
 def sample_states(

@@ -25,7 +25,8 @@ Three layers, each in its own module:
   reconstruction check.
 
 An exhaustive check that renaming the worlds cannot change is decided on one
-state per orbit first (`_decide`), and walks the whole universe only when a
+state per orbit first, and at each state on one input per orbit of the
+renamings that fix it (`_decide`).  It walks the whole universe only when a
 representative fails, so its counterexamples are those of the plain run; a
 3-atom universe, which holds only its representatives, takes theirs.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice, repeat
 
 from . import classify, kernels
 from .conditions import CONDITIONS, _READS_REVISIONS, _prior_values
@@ -106,21 +107,27 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, per_state: in
     maps the universe onto itself (`classify.renaming_orbits`), the verdict
     at (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there
     first asks `fails(work)` whether any orbit representative fails, which
-    builds no row and no Counterexample.  If none fails, the check holds,
-    `per_state` instances for each state their orbits stand for.  If one
-    fails, a universe that holds its states is walked, so the
-    counterexamples are those of the plain run; one that holds only its
-    representatives takes theirs.  `by_orbit` is False for a check that
-    compares states, which no orbit decides (the IL round trip's one scope).
+    builds no row and no Counterexample.  It asks each representative only
+    one input per orbit of the renamings that fix it (`orbit_inputs()`),
+    since those renamings map its inputs onto each other and leave the
+    verdict at each; under `consistent_only` the empty input, an orbit of its
+    own, is dropped.  If none fails, the check holds, `per_state` instances
+    for each state their orbits stand for.  If one fails, a universe that
+    holds its states is walked, so the counterexamples are those of the plain
+    run; one that holds only its representatives takes theirs, at every
+    input.  `by_orbit` is False for a check that compares states, which no
+    orbit decides (the IL round trip's one scope).
     """
     orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None and by_orbit else None
     if orbits is not None:
-        work = [(st, tab.id_of(st), tab.classes()) for st, _ in orbits]
+        skip = 1 if tab.consistent_only else 0
+        # Each representative's own inputs object: `_mismatches` tells states apart by it.
+        work = [(st, tab.id_of(st), ins[skip:]) for (st, _), ins in zip(orbits, universe.orbit_inputs())]
         sizes = [size for _, size in orbits]
         if not fails(work):
             return Verdict(check_id, True, per_state * sum(sizes))
         if universe._states is None:
-            return run(work, sizes)
+            return run([(st, sid, tab.classes()) for st, sid, _ in work], sizes)
     work = _suite_work(tab, universe, instance_list)
     return run(work, [1] * len(work))
 
@@ -201,20 +208,22 @@ def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int
     return sum(1 << a for a, _ in _iter_postulate(tab, pid, sid, alphas))
 
 
-def _mismatches(tab: TransitionTable, parts, work):
+def _mismatches(tab: TransitionTable, parts, work, sizes):
     """(instances so far, state, α, postulate truths, condition truths) at each
     (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
     each side is a bitset of failing inputs, built once per state (or sampled
-    instance), so an instance is one bit test and truth lists exist only for a mismatch."""
+    instance), so an instance is one bit test and truth lists exist only for a mismatch.
+    The k-th state (or sampled instance) of `work` stands for the k-th of `sizes`
+    states, and each of its instances counts that many."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
     reads = {_READS_REVISIONS.get(cid) for _, cids in parts for cid in cids}
     full = tab.sig.all_worlds
     co = tab.consistent_only
     states = tab.states
-    seen = None
-    for instances, (st, sid, ins, a) in enumerate(work, 1):
+    seen, instances, sizes = None, 0, iter(sizes)
+    for st, sid, ins, a in work:
         if ins is not seen:  # a new state, or a new sampled instance
-            seen, fails, unmet, differ = ins, [], [], 0
+            seen, fails, unmet, differ, size = ins, [], [], 0, next(sizes)
             posts = tab.posts(sid, ins)
             sc, dom = _prior_values(tab, sid, reads)
             for (pids, _), conds in zip(parts, groups):
@@ -231,6 +240,7 @@ def _mismatches(tab: TransitionTable, parts, work):
                 fails.append(failing)
                 unmet.append(failed)
                 differ |= failing ^ failed
+        instances += size
         if (differ >> a) & 1:
             yield instances, st, a, [not (bad >> a) & 1 for bad in fails], [not (bad >> a) & 1 for bad in unmet]
 
@@ -251,20 +261,21 @@ def verify_equivalence(
     tab = suite_table(op, universe, consistent_only, instance_list)
 
     def run(work, sizes):
-        # counts[i]: the instances the first i items stand for.  Flat, not streamed per state:
-        # streaming raises the `theorems-2atom` benchmark's peak_rss_mb past its bound.
-        counts = [0, *accumulate(size for (_, _, ins), size in zip(work, sizes) for _ in ins)]
+        # Flat, not streamed per state.  Streamed, the `theorems-2atom` benchmark ran faster
+        # (wall_s 0.23 against 0.31 s) but its peak_rss_mb rose from 26.1 to 31.5 MB, past its
+        # 10% bound, as each pass's re-import garbage waited longer for the collector; ROADMAP
+        # item 3's benchmark change collects before each set-up, which unblocks streaming.
         ces: list[Counterexample] = []
-        for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work)):
+        for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work), sizes):
             if len(ces) >= max_counterexamples:
-                return Verdict(theorem, False, counts[instances], ces, note="counterexample cap hit")
+                return Verdict(theorem, False, instances, ces, note="counterexample cap hit")
             # Lists of truths compare at their first differing part, which names the side.
             side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
             lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
             ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
-        return Verdict(theorem, not ces, counts[-1], ces)
+        return Verdict(theorem, not ces, sum(size * len(ins) for (_, _, ins), size in zip(work, sizes)), ces)
 
-    fails = lambda work: next(_mismatches(tab, parts, _flat(work)), None) is not None  # noqa: E731
+    fails = lambda work: next(_mismatches(tab, parts, _flat(work), repeat(1)), None) is not None  # noqa: E731
     return _decide(tab, universe, instance_list, theorem, len(tab.classes()), fails, run)
 
 
@@ -311,7 +322,7 @@ def _roundtrip_failures(tab: TransitionTable, family: str, work, expand):
         for st, sid, alphas in work:
             yield from ((st, row) for row in expand(tab, pid, sid, alphas))
     if family == "DP":
-        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work)):  # flat: see verify_equivalence
+        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work), repeat(1)):  # flat: see verify_equivalence
             for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
                 if holds != met:
                     yield st, (a, None, f"{pid} vs {cid} mismatch", holds, met)
@@ -358,9 +369,11 @@ def representation_roundtrip(
     check_id = f"roundtrip-{family}"
 
     def run(work, sizes):
-        failures = islice(_roundtrip_failures(tab, family, work, _postulate_rows), max_counterexamples)
-        ces = [Counterexample(st, *row) for st, row in failures]
-        return Verdict(check_id, not ces, per_state * sum(sizes), ces)
+        failures = _roundtrip_failures(tab, family, work, _postulate_rows)
+        ces = [Counterexample(st, *row) for st, row in islice(failures, max_counterexamples)]
+        capped = next(failures, None) is not None
+        note = "counterexample cap hit" if capped else ""
+        return Verdict(check_id, not (ces or capped), per_state * sum(sizes), ces, note=note)
 
     fails = lambda work: next(_roundtrip_failures(tab, family, work, _iter_postulate), None) is not None  # noqa: E731
     return _decide(tab, universe, None, check_id, per_state, fails, run, by_orbit=family != "IL")

@@ -33,6 +33,7 @@ from revlab.states import (
     sample_states,
 )
 from revlab.verify import (
+    MAX_COUNTEREXAMPLES,
     THEOREM_IDS,
     check_postulate,
     mutation_detection,
@@ -278,6 +279,35 @@ def test_theorems_exhaustive_3atom_keep_doc():
         assert len(v.counterexamples) == RED_3ATOM_KEEP_DOC.get(theorem, 0), theorem
         assert v.holds == (theorem not in RED_3ATOM_KEEP_DOC)
         assert all(ce.state in reps for ce in v.counterexamples)
+
+
+# Under every policy at 3 atoms and the default cap: the instances a red
+# theorem counts up to the mismatch past its fifth counterexample, each
+# representative weighted by its orbit.  P12 is red only under the */keep
+# policies, and P14b reaches its cap later there.
+RED_3ATOM_CAPPED = {"P9": 672, "P10": 672, "P14a": 1_344, "P14b": 560}
+RED_3ATOM_CAPPED_KEEP = {**RED_3ATOM_CAPPED, "P12": 529_968, "P14b": 1_232}
+
+
+@pytest.fixture(scope="module")
+def faithful_gc_3atom():
+    return enumerate_states(ABC, "faithful", global_consistency=True)
+
+
+# One test per policy: the nine took 25–35 s in all on a 2-core container.
+@pytest.mark.parametrize("policy", all_policies(), ids=str)
+def test_theorems_exhaustive_3atom_every_policy(policy, faithful_gc_3atom):
+    reps = {st for st, _ in faithful_gc_3atom.orbits()}
+    op = RevisionOperator("dl", policy)
+    red = RED_3ATOM_CAPPED_KEEP if policy.scope_rule == "keep" else RED_3ATOM_CAPPED
+    for theorem in THEOREM_IDS:
+        v = verify_equivalence(op, faithful_gc_3atom, theorem)
+        if theorem in red:
+            assert (v.holds, v.instances, v.note) == (False, red[theorem], "counterexample cap hit"), theorem
+            assert len(v.counterexamples) == MAX_COUNTEREXAMPLES
+            assert all(ce.state in reps for ce in v.counterexamples)
+        else:
+            assert (v.holds, v.instances, v.counterexamples) == (True, 3_274_497 * 256, []), theorem
 
 
 def test_readme_p9_witness_fails_under_every_policy(faithful_gc):

@@ -157,18 +157,31 @@ class TestSampling:
         assert a == b
 
 
+def _image(ws, perm):
+    """The world set `ws` with world w renamed perm[w]."""
+    return sum(1 << perm[w] for w in range(len(perm)) if ws >> w & 1)
+
+
 def _renamed(st, perm):
     """`st` with world w renamed perm[w]."""
+    return EpistemicState(
+        _image(st.bel, perm), _image(st.scope, perm), RankedOrder(tuple(_image(lv, perm) for lv in st.order.levels))
+    )
 
-    def image(ws):
-        return sum(1 << perm[w] for w in range(len(perm)) if ws >> w & 1)
 
-    return EpistemicState(image(st.bel), image(st.scope), RankedOrder(tuple(map(image, st.order.levels))))
+def _key(st):
+    return st.bel, st.scope, st.order.levels
 
 
 def _canonical(st, perms):
     """The least renaming of `st`, by (bel, scope, levels): one key per orbit."""
-    return min((r.bel, r.scope, r.order.levels) for r in (_renamed(st, p) for p in perms))
+    return min(_key(_renamed(st, p)) for p in perms)
+
+
+def _pair_keys(st, perms):
+    """Per input α, the least renaming of (st, α): one key per orbit of (state, input) pairs."""
+    renamed = [(_key(_renamed(st, p)), p) for p in perms]
+    return [min((key, _image(a, p)) for key, p in renamed) for a in range(1 << len(perms[0]))]
 
 
 class TestOrbitRepresentatives:
@@ -189,6 +202,24 @@ class TestOrbitRepresentatives:
         assert set(keys) == set(orbit_sizes)  # every state lies in the orbit of one of them
         assert {key: size for key, (_, size) in zip(keys, reps)} == orbit_sizes
         assert universe.orbits() == reps
+
+    @pytest.mark.parametrize(
+        "kind, gc", [("faithful", True), ("faithful", False), ("clf", True), ("fa", False)], ids=str
+    )
+    def test_one_input_per_stabilizer_orbit_at_2_atoms(self, kind, gc):
+        universe = enumerate_states(AB, kind, gc)
+        pair_orbits = Counter(key for st in universe.states for key in _pair_keys(st, self.PERMS))
+        chosen = []
+        for (st, size), inputs in zip(universe.orbits(), universe.orbit_inputs()):
+            assert list(inputs) == sorted(set(inputs)) and inputs[0] == 0
+            keys = _pair_keys(st, self.PERMS)
+            chosen += [keys[a] for a in inputs]
+            # A pair's orbit holds the orbit of its state times the orbit of its input under
+            # the renamings that fix the state, so those input orbits fill all 16 inputs.
+            assert sum(pair_orbits[keys[a]] for a in inputs) == size * 16
+        assert len(set(chosen)) == len(chosen)  # no two inputs share an orbit
+        assert set(chosen) == set(pair_orbits)  # every (state, input) pair lies in one of theirs
+        assert universe.orbit_inputs() is universe.orbit_inputs()
 
     @pytest.mark.parametrize(
         "kind, gc, count, total",

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import repeat
 
 import pytest
 from condition_oracle import oracle_condition
@@ -638,7 +639,7 @@ def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_
     """Both loops' full mismatch sequences on one suite's work list; their length."""
     tab = suite_table(op, universe, consistent_only, instance_list)
     work = [(st, sid, ins, a) for st, sid, ins in verify._suite_work(tab, universe, instance_list) for a in ins]
-    got = list(verify._mismatches(tab, parts, work))
+    got = list(verify._mismatches(tab, parts, work, repeat(1)))
     assert got == list(_per_instance_mismatches(tab, parts, work))
     return len(got)
 
@@ -751,6 +752,18 @@ def test_roundtrip_instance_count_does_not_depend_on_the_cap(faithful, family, i
         v = representation_roundtrip(DL_OP, faithful, family, max_counterexamples=cap)
         assert (v.holds, v.instances) == (False, instances)
         assert v.counterexamples == full.counterexamples[:cap]
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_capped_roundtrip_fails_with_the_cap_note(faithful, cap):
+    # The cap bounds the counterexamples listed, not the verdict: a failing
+    # round trip fails at cap 0 too, and says that the cap cut its list.
+    op = RevisionOperator("dl")
+    full = representation_roundtrip(op, faithful, "CL", max_counterexamples=10**7)
+    v = representation_roundtrip(op, faithful, "CL", max_counterexamples=cap)
+    assert not full.holds and len(full.counterexamples) > 1
+    assert (v.holds, v.instances, v.note) == (False, full.instances, "counterexample cap hit")
+    assert v.counterexamples == full.counterexamples[:cap]
 
 
 @pytest.mark.parametrize("family", ["CL", "AGM"])
@@ -1185,3 +1198,29 @@ def test_orbit_decided_roundtrips_give_the_full_verdict():
         decided += got.holds
         failed += not got.holds
     assert decided > 0 and failed > 0
+
+
+@pytest.mark.parametrize(
+    "family, kind, gc",
+    [("dl", "faithful", True), ("dl", "faithful", False), ("cl", "clf", True), ("agm", "fa", False)],
+    ids=str,
+)
+def test_one_input_per_stabilizer_orbit_decides_as_every_input(family, kind, gc, monkeypatch):
+    # The orbit pass asks each representative one input per orbit of the
+    # renamings that fix it; asking it every input gives the same verdicts.
+    def verdicts():
+        universe = enumerate_states(AB, kind, gc)
+        got = []
+        for policy in all_policies():
+            op = RevisionOperator(family, policy)
+            for co in (False, True):
+                got += [verify_equivalence(op, universe, t, consistent_only=co) for t in THEOREM_IDS]
+                got += [check_postulate(op, universe, pid, consistent_only=co) for pid in POSTULATE_IDS]
+            got += [representation_roundtrip(op, universe, f) for f in verify.FAMILY_POSTULATES if f != "IL"]
+        return [_verdict(v) for v in got]
+
+    reduced = verdicts()
+    assert sum(holds for holds, *_ in reduced) > 0 and not all(holds for holds, *_ in reduced)
+    # A new tuple per representative: `_mismatches` tells states apart by their inputs object.
+    monkeypatch.setattr(StateUniverse, "orbit_inputs", lambda uni: [tuple(range(16)) for _ in uni.orbits()])
+    assert verdicts() == reduced
