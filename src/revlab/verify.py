@@ -24,10 +24,12 @@ Three layers, each in its own module:
   mismatch.  The other round trips and mutation_detection share one
   reconstruction check.
 
-An exhaustive check that renaming the worlds cannot change is decided on one
-state per orbit first, and at each state on one input per orbit of the
-renamings that fix it (`_decide`).  It walks the whole universe only when a
-representative fails, so its counterexamples are those of the plain run; a
+Each suite is one stream of its failures, and one runner, `_decide`, reads it
+into the Verdict: the runner alone builds Counterexamples, applies the cap and
+counts the instances.  An exhaustive check that renaming the worlds cannot
+change is decided on one state per orbit first, and at each state on one input
+per orbit of the renamings that fix it.  It walks the whole universe only when
+a representative fails, so its counterexamples are those of the plain run; a
 3-atom universe, which holds only its representatives, takes theirs.
 
 Reading notes (also emitted in report headers):
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 
 from . import classify, kernels
 from .conditions import CONDITIONS, _READS_REVISIONS, _prior_values
@@ -87,9 +88,11 @@ MAX_COUNTEREXAMPLES = 5
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
     """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior.
 
-    A universe that holds only its orbit representatives raises TooLargeError
-    here, before any state is interned."""
+    A sampled input outside the classes raises ValueError, and a universe that
+    holds only its representatives TooLargeError, before any state is interned."""
     if instance_list is not None:
+        if outside := [a for _, a in instance_list if a not in range(tab.n_classes)]:
+            raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{tab.n_classes - 1}")
         return [(st, tab.id_of(st), [a]) for st, a in instance_list]
     return [(st, tab.id_of(st), tab.classes()) for st in universe.states]
 
@@ -99,37 +102,46 @@ def _flat(work):
     return [(st, sid, ins, a) for st, sid, ins in work for a in ins]
 
 
-def _decide(tab, universe: StateUniverse, instance_list, check_id, per_state: int, fails, run, by_orbit=True) -> Verdict:
-    """The verdict of `run(work, sizes)` on `_suite_work` items, item i standing for sizes[i] states.
+def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failures, cap: int, by_orbit=True) -> Verdict:
+    """The Verdict of a suite's failure stream `failures(work, sizes, expand)`: (instances, state, row) per
+    failure in report order on `_suite_work` items, item i standing for sizes[i] states, `expand` building
+    postulate rows.  `instances` is the count of a verdict capped there; a check that holds counts `count(inputs)`.
 
     Postulates, conditions and reconstructions use worlds only through set
     operations, so where renaming the worlds commutes with the operator and
-    maps the universe onto itself (`classify.renaming_orbits`), the verdict
-    at (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there
-    first asks `fails(work)` whether any orbit representative fails, which
-    builds no row and no Counterexample.  It asks each representative only
-    one input per orbit of the renamings that fix it (`orbit_inputs()`),
-    since those renamings map its inputs onto each other and leave the
-    verdict at each; under `consistent_only` the empty input, an orbit of its
-    own, is dropped.  If none fails, the check holds, `per_state` instances
-    for each state their orbits stand for.  If one fails, a universe that
-    holds its states is walked, so the counterexamples are those of the plain
-    run; one that holds only its representatives takes theirs, at every
-    input.  `by_orbit` is False for a check that compares states, which no
-    orbit decides (the IL round trip's one scope).
+    maps the universe onto itself (`classify.renaming_orbits`), the verdict at
+    (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there first
+    reads the representatives' stream for a failure with `_iter_postulate` as
+    `expand`, which builds no row and no Counterexample.  It asks each
+    representative only one input per orbit of the renamings that fix it
+    (`orbit_inputs()`), since those renamings map its inputs onto each other
+    and leave the verdict at each; under `consistent_only` the empty input, an
+    orbit of its own, is dropped.  If none fails, the check holds.  If one
+    fails, a universe that holds its states is walked, so the counterexamples
+    are those of the plain run; one that holds only its representatives takes
+    theirs, at every input.  `by_orbit` is False for a check that compares
+    states, which no orbit decides (the IL round trip's one scope).
     """
+    if cap < 0:
+        raise ValueError(f"max_counterexamples must be at least 0, got {cap}")
     orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None and by_orbit else None
     if orbits is not None:
         skip = 1 if tab.consistent_only else 0
         # Each representative's own inputs object: `_mismatches` tells states apart by it.
-        work = [(st, tab.id_of(st), ins[skip:]) for (st, _), ins in zip(orbits, universe.orbit_inputs())]
+        reps = [(st, tab.id_of(st), ins[skip:]) for (st, _), ins in zip(orbits, universe.orbit_inputs())]
         sizes = [size for _, size in orbits]
-        if not fails(work):
-            return Verdict(check_id, True, per_state * sum(sizes))
-        if universe._states is None:
-            return run([(st, sid, tab.classes()) for st, sid, _ in work], sizes)
-    work = _suite_work(tab, universe, instance_list)
-    return run(work, [1] * len(work))
+        if next(failures(reps, sizes, _iter_postulate), None) is None:
+            return Verdict(check_id, True, sum(sizes) * count(tab.classes()))
+        work = [(st, sid, tab.classes()) for st, sid, _ in reps]
+    if orbits is None or universe._states is not None:
+        work = _suite_work(tab, universe, instance_list)
+        sizes = [1] * len(work)
+    ces: list[Counterexample] = []
+    for instances, st, row in failures(work, sizes, _postulate_rows):
+        if len(ces) == cap:
+            return Verdict(check_id, False, instances, ces, note="counterexample cap hit")
+        ces.append(Counterexample(st, *row))
+    return Verdict(check_id, not ces, sum(size * count(ins) for (_, _, ins), size in zip(work, sizes)), ces)
 
 
 def check_postulate(
@@ -150,22 +162,18 @@ def check_postulate(
     if pid not in POSTULATE_IDS:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
     tab = suite_table(op, universe, consistent_only, instance_list)
-    per_input = len(tab.classes()) if pid in _PAIRED else 1
 
-    def run(work, sizes):
-        ces: list[Counterexample] = []
+    def count(alphas):  # times the second input's classes for DL7, CL5, CL6 and IL7
+        return len(alphas) * (len(tab.classes()) if pid in _PAIRED else 1)
+
+    def failures(work, sizes, expand):
         instances = 0
         for (st, sid, alphas), size in zip(work, sizes):
-            instances += size * len(alphas) * per_input
-            for row in _postulate_rows(tab, pid, sid, alphas):
-                if len(ces) < max_counterexamples:
-                    ces.append(Counterexample(st, *row))
-                else:
-                    return Verdict(pid, False, instances, ces, note="counterexample cap hit")
-        return Verdict(pid, not ces, instances, ces)
+            instances += size * count(alphas)
+            for row in expand(tab, pid, sid, alphas):  # a generator per state here made DL1-DL7 8% slower
+                yield instances, st, row
 
-    fails = lambda work: any(next(_iter_postulate(tab, pid, sid, ins), None) for _, sid, ins in work)  # noqa: E731
-    return _decide(tab, universe, instance_list, pid, len(tab.classes()) * per_input, fails, run)
+    return _decide(tab, universe, instance_list, pid, count, failures, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +268,17 @@ def verify_equivalence(
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list)
 
-    def run(work, sizes):
-        # Flat, not streamed per state.  Streamed, the `theorems-2atom` benchmark ran faster
-        # (wall_s 0.23 against 0.31 s) but its peak_rss_mb rose from 26.1 to 31.5 MB, past its
-        # 10% bound, as each pass's re-import garbage waited longer for the collector; ROADMAP
-        # item 3's benchmark change collects before each set-up, which unblocks streaming.
-        ces: list[Counterexample] = []
+    def failures(work, sizes, _expand):  # the sides read no postulate row
+        # Flat, not streamed per state: streamed, the `theorems-2atom` benchmark ran faster (wall_s
+        # 0.23 against 0.31 s) but its peak_rss_mb rose from 26.1 to 31.5 MB, past its 10% bound, as
+        # re-import garbage waited longer for the collector; collecting before each set-up lets it stream.
         for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work), sizes):
-            if len(ces) >= max_counterexamples:
-                return Verdict(theorem, False, instances, ces, note="counterexample cap hit")
             # Lists of truths compare at their first differing part, which names the side.
             side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
             lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
-            ces.append(Counterexample(st, a, None, f"{theorem}: {side}", lhs, rhs))
-        return Verdict(theorem, not ces, sum(size * len(ins) for (_, _, ins), size in zip(work, sizes)), ces)
+            yield instances, st, (a, None, f"{theorem}: {side}", lhs, rhs)
 
-    fails = lambda work: next(_mismatches(tab, parts, _flat(work), repeat(1)), None) is not None  # noqa: E731
-    return _decide(tab, universe, instance_list, theorem, len(tab.classes()), fails, run)
+    return _decide(tab, universe, instance_list, theorem, len, failures, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +314,8 @@ def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, 
     return scope, failures()
 
 
-def _roundtrip_failures(tab: TransitionTable, family: str, work, expand):
-    """(state, row) per failure of the round trip over the `_suite_work` items `work`, lazily
+def _roundtrip_failures(tab: TransitionTable, family: str, work, sizes, expand):
+    """(state, row) per failure of the round trip over `work` and `sizes` as in `_decide`, lazily
     and in report order: each postulate's rows by `expand` (`_postulate_rows`), then the DP
     parts' mismatches or the forward reconstructions.  With `_iter_postulate` as `expand` a
     backward failure is its (α, failing β) item, so asking whether any failure exists builds
@@ -322,7 +324,7 @@ def _roundtrip_failures(tab: TransitionTable, family: str, work, expand):
         for st, sid, alphas in work:
             yield from ((st, row) for row in expand(tab, pid, sid, alphas))
     if family == "DP":
-        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work), repeat(1)):  # flat: see verify_equivalence
+        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work), sizes):  # flat: see verify_equivalence
             for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
                 if holds != met:
                     yield st, (a, None, f"{pid} vs {cid} mismatch", holds, met)
@@ -362,21 +364,18 @@ def representation_roundtrip(
     # agree; the contradiction input separates them by construction.
     consistent_only = family in ("DP", "AGM")
     tab = suite_table(op, universe, consistent_only)
-    # Instances per state, counted whole whatever the cap: each postulate's inputs (times the
-    # second input's), then the DP parts' inputs or one reconstruction.
-    n = len(tab.classes())
-    per_state = sum(n * n if pid in _PAIRED else n for pid in FAMILY_POSTULATES[family]) + (n if family == "DP" else 1)
-    check_id = f"roundtrip-{family}"
 
-    def run(work, sizes):
-        failures = _roundtrip_failures(tab, family, work, _postulate_rows)
-        ces = [Counterexample(st, *row) for st, row in islice(failures, max_counterexamples)]
-        capped = next(failures, None) is not None
-        note = "counterexample cap hit" if capped else ""
-        return Verdict(check_id, not (ces or capped), per_state * sum(sizes), ces, note=note)
+    def count(alphas):
+        # Instances per state, counted whole whatever the cap: each postulate's inputs (times the
+        # second input's), then the DP parts' inputs or one reconstruction.
+        n = len(alphas)
+        return sum(n * n if pid in _PAIRED else n for pid in FAMILY_POSTULATES[family]) + (n if family == "DP" else 1)
 
-    fails = lambda work: next(_roundtrip_failures(tab, family, work, _iter_postulate), None) is not None  # noqa: E731
-    return _decide(tab, universe, None, check_id, per_state, fails, run, by_orbit=family != "IL")
+    def failures(work, sizes, expand):
+        instances = sum(sizes) * count(tab.classes())
+        yield from ((instances, st, row) for st, row in _roundtrip_failures(tab, family, work, sizes, expand))
+
+    return _decide(tab, universe, None, f"roundtrip-{family}", count, failures, max_counterexamples, by_orbit=family != "IL")
 
 
 def mutation_detection(
@@ -393,6 +392,8 @@ def mutation_detection(
     reconstruction check on the state.  The table is the mutation's own, so
     no suite reads a corrupted row, and each trial puts its row back.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     states = universe.states
     sig = universe.sig
     rng = random.Random(seed)
@@ -420,6 +421,4 @@ def mutation_detection(
             detected += 1
         elif len(misses) < MAX_COUNTEREXAMPLES:
             misses.append(Counterexample(st, a, new_bel, "mutation not detected", "accepted", "detected"))
-    verdict = Verdict("mutation-detection", detected >= trials * 0.95, trials, misses, seed=seed)
-    verdict.note = f"detected {detected}/{trials}"
-    return verdict
+    return Verdict("mutation-detection", detected >= trials * 0.95, trials, misses, seed, f"detected {detected}/{trials}")

@@ -7,9 +7,12 @@ its own body: by name, as an attribute, or as a string such as
 the `__init__` re-exports.  A helper that only tests call belongs in
 `tests/` (as the oracles in `condition_oracle.py` do) or nowhere.
 `ENTRY_POINTS` holds the functions kept for callers outside the package.
+A library module also reads every name it imports at module level (the
+project runs no linter to say so), and cites no ROADMAP item by number.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import revlab
@@ -80,5 +83,31 @@ def test_every_public_function_has_a_caller_in_the_library():
 
 def test_no_library_file_cites_a_roadmap_item():
     # ROADMAP items are renumbered when the roadmap is rewritten, so a cited number goes stale.
-    citing = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py")) if "ROADMAP item" in path.read_text()]
+    # \W+ also matches a citation split across a comment's line break.
+    citing = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py")) if re.search(r"ROADMAP\W+item", path.read_text())]
     assert citing == []
+
+
+def unused_imports():
+    """`module: name` of each module-level import in a library module that the module never reads.
+
+    `__init__.py` re-exports by design, and so does an import line marked `# noqa: F401`."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            unused |= {f"{path.stem}: {name}" for name in names if name not in read}
+    return unused
+
+
+def test_no_library_module_imports_a_name_it_does_not_use():
+    assert unused_imports() == set()

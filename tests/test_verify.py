@@ -766,6 +766,28 @@ def test_capped_roundtrip_fails_with_the_cap_note(faithful, cap):
     assert v.counterexamples == full.counterexamples[:cap]
 
 
+@pytest.mark.parametrize(
+    "suite, check_id",
+    [(check_postulate, "CL2"), (verify_equivalence, "P9"), (representation_roundtrip, "CL")],
+    ids=["postulate", "theorem", "roundtrip"],
+)
+def test_negative_cap_is_refused(faithful, suite, check_id):
+    # Every suite refuses a negative cap alike, rather than reading it as a cap
+    # hit before the first counterexample.
+    with pytest.raises(ValueError, match="max_counterexamples"):
+        suite(RevisionOperator("dl"), faithful, check_id, max_counterexamples=-1)
+
+
+@pytest.mark.parametrize("alpha", [-1, 16])
+@pytest.mark.parametrize("suite, check_id", [(check_postulate, "DL1"), (verify_equivalence, "P9")], ids=["postulate", "theorem"])
+def test_sampled_input_outside_the_classes_is_refused(faithful, suite, check_id, alpha):
+    # Refused before any check: read past the belief row, an input outside the
+    # classes gives a verdict or an error that says nothing of the input.
+    instances = [(faithful.states[0], 3), (faithful.states[1], alpha)]
+    with pytest.raises(ValueError, match=rf"\[{alpha}\] lie outside the classes 0\.\.15"):
+        suite(DL_OP, faithful, check_id, instance_list=instances)
+
+
 @pytest.mark.parametrize("family", ["CL", "AGM"])
 def test_roundtrip_builds_backward_counterexamples_only_up_to_the_cap(faithful, family, monkeypatch):
     # dl keep/keep fails thousands of backward instances; past the cap they
@@ -797,6 +819,11 @@ class TestMutation:
         v = mutation_detection(DL_OP, faithful_gc, trials=60, seed=1)
         assert v.holds
         assert v.seed == 1
+
+    def test_no_trials_is_refused(self, faithful):
+        # Zero trials would detect 0 of 0 mutations and pass.
+        with pytest.raises(ValueError, match="trials"):
+            mutation_detection(DL_OP, faithful, trials=0)
 
     def test_verdicts_for_seeds_0_and_1(self, faithful):
         # pinned from the version that copied the table for every trial
