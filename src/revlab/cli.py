@@ -6,8 +6,9 @@
     revlab repro    karl|fig1|lemmas
     revlab enumerate --sig "a b" --universe faithful
 
-Reports are deterministic given inputs and seed; the seed is recorded in
-every report header.  `--format json` emits one machine-readable document.
+Reports are deterministic given their inputs.  `check` and `enumerate`
+sample at 3 atoms; they take `--seed` and record it in the report header.
+`--format json` emits one machine-readable document.
 """
 
 from __future__ import annotations
@@ -41,19 +42,18 @@ def build_parser() -> argparse.ArgumentParser:
         if sig:
             p.add_argument("--sig", help="signature atoms, e.g. 'a b'")
             p.add_argument("--samples", type=int, help=f"instances sampled at 3 atoms (default {DEFAULT_SAMPLES})")
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if universe:
             p.add_argument(
                 "--universe",
                 choices=("faithful", "clf", "fa", "il"),
                 help="state universe kind (default: il for an operator with an il_scope, fa for agm, else faithful)",
             )
-            p.add_argument("--unbiased", action="store_true", help="require the universe to be unbiased")
             p.add_argument(
                 "--global-consistency",
                 action="store_true",
                 help="exclude states with inconsistent beliefs",
             )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", default="text", choices=("text", "json"))
 
     p = sub.add_parser("revise", help="run a revision sequence, printing each posterior state")
@@ -116,10 +116,6 @@ def _universe(args, sig: Signature, op):
         # The inputs are drawn for `enumerate` too, which has no --consistent-only.
         lo = 1 if getattr(args, "consistent_only", False) else 0
         instance_list = [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
-    if args.unbiased and instance_list is not None:
-        raise RevlabError(f"--unbiased needs an enumerated universe; at {sig.n_atoms} atoms it is sampled")
-    if args.unbiased and not uni.is_unbiased():
-        raise RevlabError("universe is not unbiased")
     return uni, states, instance_list
 
 
@@ -185,7 +181,7 @@ def cmd_revise(args) -> int:
         rows.append(
             {"line": f"# after {text}\n{dump_state(sig, st)}", "state": dump_state(sig, st), "input": text}
         )
-    header = {"command": "revise", "operator": op.name, "seed": args.seed}
+    header = {"command": "revise", "operator": op.name}
     return _emit(args, header, rows, any_fail=False)
 
 
@@ -266,12 +262,11 @@ def cmd_classify(args) -> int:
         for flag, is_set in (
             ("--universe", args.universe not in (None, "faithful")),
             ("--global-consistency", args.global_consistency),
-            ("--unbiased", args.unbiased),
         ):
             if is_set:
                 raise RevlabError(f"{flag} needs a state of at most 2 atoms; no universe is built at {sig.n_atoms}")
     lines = classification_report(op, st, universe, sig)
-    header = {"command": "classify", "operator": op.name, "seed": args.seed}
+    header = {"command": "classify", "operator": op.name}
     rows = [{"line": line} for line in lines]
     return _emit(args, header, rows, any_fail=False)
 

@@ -32,14 +32,6 @@ from functools import lru_cache
 
 from .errors import TooLargeError
 
-ORDER_KEEP = 0
-ORDER_NATURAL = 1
-ORDER_LEX = 2
-
-SCOPE_KEEP = 0
-SCOPE_DOC = 1
-SCOPE_RESULT_ONLY = 2
-
 MAX_TABLE_CLASSES = 1 << 16  # one 16-bit lane per class of a 16-world signature
 
 
@@ -186,22 +178,25 @@ def posterior(
     scope: int,
     bel: int,
     alpha: int,
-    order_rule: int,
-    scope_rule: int,
+    order_rule: str,
+    scope_rule: str,
 ) -> tuple[int, int, tuple[int, ...]]:
-    """Full posterior state (bel', scope', levels') under an update policy.
+    """Full posterior state (bel', scope', levels') under the update policy named by the rules.
 
-    Worlds entering the scope from outside the prior domain are appended as
-    a least-plausible level.  Emptied scopes fall back to the prior scope
-    (domains must stay nonempty).  The new belief minimum is then promoted
-    to a fresh level 0, which re-establishes faithfulness; the natural order
-    rule, which adds only that promotion, so gives the keep rule's posteriors.
+    Scope rule `keep` keeps the prior scope, `doc` takes the new beliefs and
+    the prior scope's alpha-worlds, `result_only` the new beliefs; order rule
+    `lex` puts the new scope's alpha-worlds first.  Worlds entering the
+    scope from outside the prior domain are appended as a least-plausible
+    level.  Emptied scopes fall back to the prior scope (domains must stay
+    nonempty).  The new belief minimum is then promoted to a fresh level 0,
+    which re-establishes faithfulness; the natural order rule, which adds
+    only that promotion, so gives the keep rule's posteriors.
     """
     bel2 = revise_mask(levels, scope, bel, alpha)
 
-    if scope_rule == SCOPE_KEEP:
+    if scope_rule == "keep":
         scope2 = scope
-    elif scope_rule == SCOPE_DOC:
+    elif scope_rule == "doc":
         scope2 = bel2 | (scope & alpha)
     else:
         scope2 = bel2
@@ -213,7 +208,7 @@ def posterior(
         domain |= level
     fresh = scope2 & ~domain
 
-    if order_rule == ORDER_LEX:
+    if order_rule == "lex":
         new_levels = [lv & scope2 & alpha for lv in levels]
         if fresh & alpha:
             new_levels.append(fresh & alpha)

@@ -34,16 +34,8 @@ from .orders import RankedOrder
 from .prop import Signature, iter_worlds
 from .states import EpistemicState, StateUniverse
 
-ORDER_RULES = {
-    "keep": kernels.ORDER_KEEP,
-    "natural": kernels.ORDER_NATURAL,
-    "lex": kernels.ORDER_LEX,
-}
-SCOPE_RULES = {
-    "keep": kernels.SCOPE_KEEP,
-    "doc": kernels.SCOPE_DOC,
-    "result_only": kernels.SCOPE_RESULT_ONLY,
-}
+ORDER_RULES = ("keep", "natural", "lex")
+SCOPE_RULES = ("keep", "doc", "result_only")
 FAMILIES = ("dl", "cl", "agm", "il")
 
 
@@ -126,12 +118,7 @@ class RevisionOperator:
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state; families with a fixed scope keep it."""
         scope_rule = "keep" if self.family in ("agm", "il") else self.policy.scope_rule
-        bel2, scope2, levels2 = kernels.posterior(
-            *self._kernel_args(st),
-            alpha,
-            ORDER_RULES[self.policy.order_rule],
-            SCOPE_RULES[scope_rule],
-        )
+        bel2, scope2, levels2 = kernels.posterior(*self._kernel_args(st), alpha, self.policy.order_rule, scope_rule)
         return EpistemicState(bel2, scope2, RankedOrder(levels2))
 
 
@@ -342,7 +329,7 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     for key, known in (("order_rule", ORDER_RULES), ("scope_rule", SCOPE_RULES)):
         rule = fields.get(key, "keep")
         if rule not in known:
-            raise ParseError(f"line {linenos[key]}: unknown {key} {rule!r}; want one of {tuple(known)}")
+            raise ParseError(f"line {linenos[key]}: unknown {key} {rule!r}; want one of {known}")
         rules.append(rule)
     il_scope = None
     if family == "il":

@@ -40,9 +40,6 @@ class RankedOrder:
             mask |= lv
         return mask
 
-    def __str__(self):
-        return "[" + " | ".join(" ".join(str(w) for w in iter_worlds(lv)) for lv in self.levels) + "]"
-
     def to_text(self, sig: Signature) -> str:
         """`[w1 w2 | w3]` with worlds as signature-order bit strings, minimal level first."""
         return "[" + " | ".join(sig.worldset_str(lv).replace("  ", " ") for lv in self.levels) + "]"

@@ -112,10 +112,6 @@ class StateUniverse:
             object.__setattr__(self, "_inputs", [stabilizer_inputs(st, n) for st, _ in self.orbits() or ()])
         return self._inputs
 
-    def is_unbiased(self) -> bool:
-        """Every consistent belief set occurs in some member state."""
-        return {st.bel for st in self.states} >= set(range(1, self.sig.all_worlds + 1))
-
 
 def _generate_states(
     sig: Signature, kind: str, global_consistency: bool, il_scope: int | None

@@ -322,7 +322,8 @@ def _roundtrip_failures(tab: TransitionTable, family: str, work, sizes, expand):
     no postulate row."""
     for pid in FAMILY_POSTULATES[family]:
         for st, sid, alphas in work:
-            yield from ((st, row) for row in expand(tab, pid, sid, alphas))
+            for row in expand(tab, pid, sid, alphas):
+                yield st, row
     if family == "DP":
         for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work), sizes):  # flat: see verify_equivalence
             for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
@@ -334,7 +335,8 @@ def _roundtrip_failures(tab: TransitionTable, family: str, work, sizes, expand):
         scope, rows = _reconstruction_errors(tab, st, tab.sig, family, alphas)
         if scope is not None:
             il_scopes.add(scope)
-        yield from ((st, row) for row in rows)
+        for row in rows:
+            yield st, row
     if family == "IL" and len(il_scopes) > 1:
         yield work[0][0], (None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope")
 

@@ -7,6 +7,9 @@ the conditions as stated: world-pair loops over `leq_in` and
 independence conditions.  `tests/test_verify.py` compares the two.
 `semantic_scope` is the scope as the paper defines it, which the
 acceptance suite compares with the classes revision accepts.
+`is_unbiased` is the paper's premise of its inherence results; every
+universe `enumerate_states` builds has it, which `tests/test_states.py`
+checks.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ def strictly_less_in(order, w1, w2):
 def semantic_scope(st, sig):
     """Believed classes plus classes meeting the state's scope set."""
     return {a for a in range(1 << sig.n_worlds) if st.bel & ~a == 0 or a & st.scope}
+
+
+def is_unbiased(universe):
+    """Every consistent belief set occurs in some member state."""
+    return {st.bel for st in universe.states} >= set(range(1, universe.sig.all_worlds + 1))
 
 
 def _worlds(mask, n):

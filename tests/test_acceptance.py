@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from condition_oracle import semantic_scope
+from condition_oracle import is_unbiased, semantic_scope
 from conftest import record_criterion
 from revlab import classify
 from revlab.fixtures import fig1_fixture, karl_fixture
@@ -396,7 +396,7 @@ def test_criterion_11_latency_and_reasonableness_characterised(faithful_all):
 
 def test_criterion_12_inherence_boundaries(fa_universe):
     agm = RevisionOperator("agm")
-    assert fa_universe.is_unbiased()
+    assert is_unbiased(fa_universe)
     inh = classify.inherent_classes(agm, fa_universe)
     imm = classify.immanent_classes(agm, fa_universe)
     singletons = sum(1 << (1 << w) for w in range(4))

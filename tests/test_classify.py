@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from condition_oracle import semantic_scope
+from condition_oracle import is_unbiased, semantic_scope
 
 from revlab import kernels
 from revlab.classify import (
@@ -281,7 +281,7 @@ class TestScope:
 class TestInherence:
     def test_agm_inherent_iff_single_model(self):
         uni = enumerate_states(AB, "fa")
-        assert uni.is_unbiased()
+        assert is_unbiased(uni)
         op = RevisionOperator("agm")
         inh = inherent_classes(op, uni)
         assert inh == sum(1 << (1 << w) for w in range(4))

@@ -6,7 +6,7 @@ import random
 import pytest
 from lane_oracle import corrupted_table
 
-from revlab import classify, states, verify
+from revlab import classify, cli, states, verify
 from revlab.cli import DEFAULT_SEED, main
 from revlab.fixtures import (
     FIG1_OPERATOR_TEXT,
@@ -218,6 +218,21 @@ def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypa
     assert set(built) <= set(sampled) | reps and reps <= set(built)
 
 
+def test_sampled_check_on_a_3atom_il_universe(monkeypatch, tmp_path, capsys):
+    # The il branch of the sampler: every sampled state has the operator's scope.
+    drawn = []
+    sample = cli.sample_states
+    monkeypatch.setattr(cli, "sample_states", lambda *args: drawn.extend(sample(*args)) or drawn)
+    op = tmp_path / "il.op"
+    op.write_text("family: il\nil_scope: 0x0f\n")
+    assert main(["check", "--operator", str(op), "--sig", "a b c", "--samples", "20", "IL1", "IL2"]) == 0
+    out = capsys.readouterr().out
+    for pid in ("IL1", "IL2"):
+        assert f"CHECK {pid} op=il(keep/keep) scope=15 n=3 instances=20 result=PASS" in out
+    assert "# universe: il " in out and "sampled=True" in out
+    assert len(drawn) == 20 and {st.scope for st in drawn} == {0x0F}
+
+
 @pytest.mark.parametrize("flags, universe", [([], "fa"), (["--universe", "faithful"], "faithful")], ids=["default", "faithful"])
 def test_agm_operator_file_checks_on_the_fa_universe_by_default(tmp_path, capsys, flags, universe):
     # On the faithful universe these fail at states that are not fa states.
@@ -320,10 +335,9 @@ class TestBadInput:
         [
             (["--universe", "il"], "--universe"),
             (["--global-consistency"], "--global-consistency"),
-            (["--unbiased"], "--unbiased"),
-            (["--universe", "il", "--unbiased", "--global-consistency"], "--universe"),
+            (["--universe", "il", "--global-consistency"], "--universe"),
         ],
-        ids=["universe", "global-consistency", "unbiased", "all-three"],
+        ids=["universe", "global-consistency", "both"],
     )
     def test_classify_universe_flags_above_two_atoms(self, karl_files, capsys, flags, needle):
         # A 3-atom state is classified without a universe, so these flags cannot apply.
@@ -337,17 +351,6 @@ class TestBadInput:
         op.write_text("family: il\nil_scope: 3\n")
         argv = ["check", "--operator", str(op), "--sig", "a b", "--universe", universe, "IL1"]
         self._fails_cleanly(argv, capsys, f"--universe {universe}")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check", "--sig", "a b c", "--samples", "20", "--unbiased", "--universe", "clf", "DL1"],
-            ["enumerate", "--sig", "a b c", "--samples", "20", "--unbiased"],
-        ],
-        ids=["check", "enumerate"],
-    )
-    def test_unbiased_on_a_sampled_universe(self, argv, capsys):
-        self._fails_cleanly(argv, capsys, "--unbiased")
 
     @pytest.mark.parametrize(
         "argv",
@@ -383,17 +386,23 @@ class TestBadInput:
         [
             ["revise", "--state", "s", "--consistent-only"],
             ["revise", "--state", "s", "--max-counterexamples", "3"],
+            ["revise", "--state", "s", "--seed", "3"],
             ["classify", "--state", "s", "--consistent-only"],
             ["classify", "--state", "s", "--max-counterexamples", "3"],
             ["classify", "--state", "s", "--sig", "a b"],
             ["classify", "--state", "s", "--samples", "9"],
+            ["classify", "--state", "s", "--seed", "3"],
+            ["classify", "--state", "s", "--unbiased"],
+            ["check", "--sig", "a b", "--unbiased", "all"],
             ["enumerate", "--sig", "a b", "--consistent-only"],
             ["enumerate", "--sig", "a b", "--max-counterexamples", "3"],
+            ["enumerate", "--sig", "a b", "--unbiased"],
         ],
         ids=[
-            "revise-consistent-only", "revise-max-counterexamples",
+            "revise-consistent-only", "revise-max-counterexamples", "revise-seed",
             "classify-consistent-only", "classify-max-counterexamples", "classify-sig", "classify-samples",
-            "enumerate-consistent-only", "enumerate-max-counterexamples",
+            "classify-seed", "classify-unbiased", "check-unbiased",
+            "enumerate-consistent-only", "enumerate-max-counterexamples", "enumerate-unbiased",
         ],
     )
     def test_options_a_command_does_not_read_are_rejected(self, argv, capsys):

@@ -13,6 +13,7 @@ from condition_oracle import leq_in
 
 from revlab import kernels
 from revlab.errors import TooLargeError
+from revlab.operators import ORDER_RULES, SCOPE_RULES
 from revlab.orders import RankedOrder, enumerate_orders
 
 
@@ -73,8 +74,8 @@ class TestSemantics:
 
     def test_posterior_invariants(self):
         for levels, scope, bel, alpha in cases(4, 300, 7):
-            for orule in (0, 1, 2):
-                for srule in (0, 1, 2):
+            for orule in ORDER_RULES:
+                for srule in SCOPE_RULES:
                     bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, orule, srule)
                     assert scope2 != 0
                     seen = 0

@@ -12,7 +12,6 @@ from revlab.errors import (
 )
 from revlab.fixtures import fig1_fixture, karl_fixture
 from revlab.operators import (
-    ORDER_RULES,
     ExtensionalOperator,
     RevisionOperator,
     UpdatePolicy,
@@ -186,7 +185,7 @@ def _plain_agm_apply(op, st, alpha):
     if not alpha & st.scope:
         return EpistemicState(0, st.scope, st.order)
     bel2, scope2, levels2 = kernels.posterior(
-        st.order.levels, st.scope, st.bel, alpha, ORDER_RULES[op.policy.order_rule], kernels.SCOPE_KEEP
+        st.order.levels, st.scope, st.bel, alpha, op.policy.order_rule, "keep"
     )
     return EpistemicState(bel2, scope2, RankedOrder(levels2))
 

@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from condition_oracle import is_unbiased
 
 from revlab import states
 from revlab.errors import InvariantError, ParseError, TooLargeError
@@ -106,7 +107,26 @@ class TestEnumerate:
     def test_unbiased_witness(self):
         uni = enumerate_states(AB, "faithful")
         assert any(st.bel == AB.all_worlds for st in uni.states)
-        assert uni.is_unbiased()
+        assert is_unbiased(uni)
+
+    @pytest.mark.parametrize("gc", [False, True])
+    @pytest.mark.parametrize("atoms", ["a", "a b"])
+    def test_every_built_universe_is_unbiased(self, atoms, gc):
+        # K nonempty is held by: faithful and il, a first level K∩S with K's
+        # other worlds outside S (or no level believed when K misses S); clf,
+        # scope K in one level; fa, first level K.
+        sig = Signature.of(atoms)
+        universes = [enumerate_states(sig, kind, gc) for kind in ("faithful", "clf", "fa")]
+        universes += [enumerate_states(sig, "il", gc, scope) for scope in range(1, sig.all_worlds + 1)]
+        assert all(is_unbiased(uni) for uni in universes)
+
+    @pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
+    @pytest.mark.parametrize("gc", [False, True])
+    def test_3atom_representatives_believe_every_size(self, kind, gc):
+        # The universe is closed under renaming the worlds, so it holds every
+        # nonempty belief set iff its representatives hold one of each size.
+        uni = enumerate_states(Signature.of("a b c"), kind, gc)
+        assert {st.bel.bit_count() for st, _ in uni.orbits()} >= set(range(1, 9))
 
     def test_global_consistency_flag(self):
         uni = enumerate_states(AB, "faithful", global_consistency=True)
