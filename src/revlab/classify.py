@@ -150,10 +150,12 @@ def classify_row(row: int, bel: int, sig: Signature) -> StateClassification:
 
 
 def renaming_orbits(op, universe: StateUniverse):
-    """`universe.orbits()` where renaming the worlds commutes with `op`
-    (`RevisionOperator.commutes_with_renaming`), so that what holds at a
-    representative holds across its orbit; None otherwise."""
-    return universe.orbits() if getattr(op, "commutes_with_renaming", False) else None
+    """`universe.orbits()` for a policy operator whose fixed scope is none or the universe's own,
+    whose posteriors follow the renamings that keep that scope and map the universe onto itself,
+    so that what holds at a representative holds across its orbit; None otherwise (lookup tables)."""
+    if getattr(op, "policy", None) is None or op.il_scope not in (None, universe.il_scope):
+        return None
+    return universe.orbits()
 
 
 def inherent_classes(op, universe: StateUniverse) -> int:
@@ -162,8 +164,9 @@ def inherent_classes(op, universe: StateUniverse) -> int:
     The contradiction is never counted as inherent (matching the convention
     for reasonableness and immanence), so inherent classes are always
     immanent.  Where `renaming_orbits` gives representatives, only they are
-    read: the inherent set is then closed under renaming the worlds, so a
-    class is inherent iff every class of its size is fixed at each of them.
+    read: the inherent set is then closed under the renamings that keep the
+    universe's fixed scope S, so a class a is inherent iff every class of its
+    (|a ∩ S|, |a|) is fixed at each of them.
     """
     sig = universe.sig
     ln = kernels.lanes(1 << sig.n_worlds)
@@ -175,8 +178,9 @@ def inherent_classes(op, universe: StateUniverse) -> int:
             break
     fixed = ln.bits(fixed)
     if orbits is not None:
-        moved = {a.bit_count() for a in range(ln.n_classes) if not fixed >> a & 1}  # sizes of some unfixed class
-        fixed = sum(1 << a for a in range(ln.n_classes) if a.bit_count() not in moved)
+        keys = [((a & universe.fixed_scope).bit_count(), a.bit_count()) for a in range(ln.n_classes)]  # a's orbit
+        moved = {keys[a] for a in range(ln.n_classes) if not fixed >> a & 1}
+        fixed = sum(1 << a for a, key in enumerate(keys) if key not in moved)
     return fixed & ~1
 
 

@@ -94,12 +94,6 @@ class RevisionOperator:
         extra = f" scope={self.il_scope}" if self.family == "il" else ""
         return f"{self.family}({self.policy}){extra}"
 
-    @property
-    def commutes_with_renaming(self) -> bool:
-        """Renaming the worlds of a state renames its posteriors alike: true of every family
-        but il, whose fixed scope a renaming moves."""
-        return self.family != "il"
-
     def _kernel_args(self, st: EpistemicState) -> tuple[tuple[int, ...], int, int]:
         """The kernels' (levels, scope, fallback beliefs) for `st`; agm falls back to none."""
         if self.family == "il" and st.scope != self.il_scope:

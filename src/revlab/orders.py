@@ -65,10 +65,6 @@ def enumerate_orders(domain: int) -> Iterator[RankedOrder]:
         raise TooLargeError(
             f"order enumeration supports domains of at most {MAX_DOMAIN_EXHAUSTIVE} worlds, got {n}"
         )
-    return _enumerate_orders_unchecked(domain)
-
-
-def _enumerate_orders_unchecked(domain: int) -> Iterator[RankedOrder]:
     if domain == 0:
         raise InvariantError("domain must be nonempty")
 

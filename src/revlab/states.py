@@ -8,14 +8,15 @@ ranked order over the scope).  The three nested validity notions:
 * FA: scope is all of Ω and beliefs are exactly level 0.
 
 Universes are the quantification domains of the postulates ("for all Ψ").
-A universe is one of two things.  Up to 2 atoms, and for the il kind, it
-holds its states.  At 3 atoms the faithful universe has ~4.4M members, so a
-faithful, clf or fa universe holds only one state per orbit under renaming
-the worlds (`orbit_representatives`), built on the first `orbits()` call;
-there the verifier samples, or decides a check on the representatives.
-The renamings that fix a representative map its inputs onto each other in
-turn, and `orbit_inputs()` gives one input per such orbit
-(`stabilizer_inputs`), built once.
+Every universe is closed under the renamings of the worlds that keep its
+fixed scope: `il_scope` for the il kind, all worlds for the others.  Up to
+2 atoms it holds its states.  At 3 atoms the faithful universe has ~4.4M
+members, so a universe of any kind holds only one state per orbit under
+those renamings (`orbit_representatives`), built on the first `orbits()`
+call; there the verifier samples, or decides a check on the
+representatives.  The renamings that fix a representative map its inputs
+onto each other in turn, and `orbit_inputs()` gives one input per such
+orbit (`stabilizer_inputs`), built once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import InvariantError, ParseError, TooLargeError
-from .orders import RankedOrder, _enumerate_orders_unchecked, min_set
+from .orders import RankedOrder, enumerate_orders, min_set
 from .prop import Signature, iter_worlds
 
 MAX_ATOMS_MATERIALISED = 2
@@ -95,11 +96,16 @@ class StateUniverse:
             raise TooLargeError(f"a {self.sig.n_atoms}-atom universe holds only its orbit representatives")
         return self._states
 
+    @property
+    def fixed_scope(self) -> int:
+        """The scope whose keeping renamings map the universe onto itself: `il_scope`, or all worlds."""
+        return self.il_scope or self.sig.all_worlds
+
     def orbits(self) -> list[tuple[EpistemicState, int]] | None:
-        """`orbit_representatives` of a whole faithful, clf or fa universe, built once; None for
-        an il universe, or one built by hand that holds fewer states than its kind has."""
+        """`orbit_representatives` of the whole universe, built once; None for one built by hand
+        that holds fewer states than its kind has."""
         if self._orbits is None:
-            orbits = [] if self.kind == "il" else orbit_representatives(self.sig, self.kind, self.global_consistency)
+            orbits = orbit_representatives(self.sig, self.kind, self.global_consistency, self.il_scope)
             if self._states is not None and len(self._states) != sum(size for _, size in orbits):
                 orbits = []
             object.__setattr__(self, "_orbits", orbits)
@@ -117,15 +123,10 @@ def _generate_states(
     sig: Signature, kind: str, global_consistency: bool, il_scope: int | None
 ) -> Iterator[EpistemicState]:
     full = sig.all_worlds
-    if kind == "il":
-        scopes: Iterable[int] = [il_scope]
-    elif kind == "fa":
-        scopes = [full]
-    else:
-        scopes = range(1, full + 1)
+    scopes: Iterable[int] = [il_scope or full] if kind in ("il", "fa") else range(1, full + 1)
     for scope in scopes:
         outside = [bel for bel in range(full + 1) if not bel & scope]  # believed worlds outside the scope
-        for order in _enumerate_orders_unchecked(scope):
+        for order in enumerate_orders(scope):
             if kind in ("clf", "fa"):
                 beliefs = [order.levels[0]]
             else:
@@ -145,19 +146,27 @@ def enumerate_states(
 
     `kind`: faithful (every faithful limited assignment), clf, fa, or il
     (faithful with one fixed scope, passed as `il_scope`).  It holds its
-    states up to 2 atoms and for il; at 3 atoms only its orbit
-    representatives, built on the first `orbits()` call.
+    states up to 2 atoms; at 3 atoms only its orbit representatives, built
+    on the first `orbits()` call.
     """
+    _check_kind(sig, kind, il_scope)
+    if sig.n_atoms > MAX_ATOMS:
+        raise TooLargeError(f"state enumeration supports at most {MAX_ATOMS} atoms")
+    held = sig.n_atoms <= MAX_ATOMS_MATERIALISED
+    states = tuple(_generate_states(sig, kind, global_consistency, il_scope)) if held else None
+    return StateUniverse(sig, kind, global_consistency, il_scope, states)
+
+
+def _check_kind(sig: Signature, kind: str, il_scope: int | None) -> None:
+    """Refuses an unknown kind, an il kind without a nonempty `il_scope` within the signature,
+    and an `il_scope` for any other kind."""
     if kind not in UNIVERSE_KINDS:
         raise ValueError(f"unknown universe kind {kind!r}; want one of {UNIVERSE_KINDS}")
     if kind == "il":
         if not il_scope or il_scope & ~sig.all_worlds:
             raise InvariantError("il universe needs a nonempty il_scope within the signature")
-    if sig.n_atoms > MAX_ATOMS:
-        raise TooLargeError(f"state enumeration supports at most {MAX_ATOMS} atoms")
-    held = sig.n_atoms <= MAX_ATOMS_MATERIALISED or kind == "il"
-    states = tuple(_generate_states(sig, kind, global_consistency, il_scope)) if held else None
-    return StateUniverse(sig, kind, global_consistency, il_scope, states)
+    elif il_scope is not None:
+        raise InvariantError(f"only an il universe has an il_scope, not a {kind} one")
 
 
 def _compositions(k: int) -> Iterator[tuple[int, ...]]:
@@ -170,39 +179,44 @@ def _compositions(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def orbit_representatives(
-    sig: Signature, kind: str, global_consistency: bool = False
+    sig: Signature, kind: str, global_consistency: bool = False, il_scope: int | None = None
 ) -> list[tuple[EpistemicState, int]]:
-    """One state per orbit of the universe under renaming the worlds, with the orbit's size.
+    """One state per orbit of the universe under the renamings of the worlds that keep its fixed
+    scope S (`il_scope` for il, all worlds otherwise), with the orbit's size.
 
-    For the faithful, clf and fa kinds.  A renaming keeps a state's kind, and
-    three things fix its orbit: its level sizes, which form a composition of
-    the scope size k; whether the beliefs contain level 0; and the number j
-    of believed worlds outside the scope (clf and fa: level 0 believed, j =
-    0; fa: k is every world).  The representative puts worlds 0..k-1 into
-    the levels in order and the next j worlds into the beliefs, and its
-    orbit holds n!/(prod of the level sizes' factorials · j! · (n-k-j)!)
-    of the n worlds' states.  Built directly, in the order (k, level sizes,
-    level 0 believed, j).
+    A renaming keeps a state's kind, and three things fix its orbit: its
+    level sizes, which form a composition of the scope size k (il: k = |S|,
+    fa: every world); whether the beliefs contain level 0; and the number j
+    of believed worlds outside the scope (clf and fa: level 0 believed,
+    j = 0).  With S's worlds listed first and the others after them, the
+    representative puts the first k worlds into the levels in order and the
+    next j into the beliefs.  The renamings that fix it permute each level,
+    the believed worlds outside the scope and the other n-k-j worlds among
+    themselves, so its orbit holds |S|!·(n-|S|)! / (prod of the level sizes'
+    factorials · j! · (n-k-j)!) of the n worlds' states.  Built directly, in
+    the order (k, level sizes, level 0 believed, j).
     """
-    if kind not in ("faithful", "clf", "fa"):
-        raise ValueError(f"orbit representatives cover the faithful, clf and fa kinds, not {kind!r}")
-    n = sig.n_worlds
+    _check_kind(sig, kind, il_scope)
+    n, fixed = sig.n_worlds, il_scope or sig.all_worlds
+    worlds = [*iter_worlds(fixed), *iter_worlds(sig.all_worlds & ~fixed)]  # S's worlds first
+    first = [sum(1 << w for w in worlds[:i]) for i in range(n + 1)]  # first[i]: the first i of them
+    renamings = factorial(fixed.bit_count()) * factorial(n - fixed.bit_count())  # those keeping S
     out = []
-    for k in [n] if kind == "fa" else range(1, n + 1):
+    for k in [fixed.bit_count()] if kind in ("il", "fa") else range(1, n + 1):
         for sizes in _compositions(k):
             levels, low = [], 0
             for size in sizes:
-                levels.append((1 << low + size) - (1 << low))
+                levels.append(first[low + size] ^ first[low])
                 low += size
             order = RankedOrder(tuple(levels))
-            arranged = factorial(n) // prod(map(factorial, sizes))
-            for inner in (0, levels[0]) if kind == "faithful" else (levels[0],):
-                for j in range(n - k + 1) if kind == "faithful" else (0,):
+            arranged = renamings // prod(map(factorial, sizes))
+            for inner in (0, levels[0]) if kind in ("faithful", "il") else (levels[0],):
+                for j in range(n - k + 1) if kind in ("faithful", "il") else (0,):
                     if global_consistency and not inner and not j:
                         continue
-                    bel = inner | (1 << k + j) - (1 << k)
+                    bel = inner | first[k + j] ^ first[k]
                     size = arranged // (factorial(j) * factorial(n - k - j))
-                    out.append((EpistemicState(bel, (1 << k) - 1, order), size))
+                    out.append((EpistemicState(bel, first[k], order), size))
     return out
 
 
@@ -235,15 +249,11 @@ def sample_states(
     il_scope: int | None = None,
 ) -> list[EpistemicState]:
     """Random states of the given kind; the seeded complement of enumerate_states."""
+    _check_kind(sig, kind, il_scope)
     full = sig.all_worlds
     out = []
     for _ in range(count):
-        if kind == "il":
-            scope = il_scope
-        elif kind == "fa":
-            scope = full
-        else:
-            scope = rng.randrange(1, full + 1)
+        scope = (il_scope or full) if kind in ("il", "fa") else rng.randrange(1, full + 1)
         worlds = list(iter_worlds(scope))
         rng.shuffle(worlds)
         levels: list[int] = []

@@ -26,9 +26,10 @@ Three layers, each in its own module:
 
 Each suite is one stream of its failures, and one runner, `_decide`, reads it
 into the Verdict: the runner alone builds Counterexamples, applies the cap and
-counts the instances.  An exhaustive check that renaming the worlds cannot
-change is decided on one state per orbit first, and at each state on one input
-per orbit of the renamings that fix it.  It walks the whole universe only when
+counts the instances.  An exhaustive check that the renamings of the worlds
+keeping the universe's fixed scope cannot change (`classify.renaming_orbits`)
+is decided on one state per orbit first, and at each state on one input per
+orbit of the renamings that fix it.  It walks the whole universe only when
 a representative fails, so its counterexamples are those of the plain run; a
 3-atom universe, which holds only its representatives, takes theirs.
 
@@ -102,14 +103,14 @@ def _flat(work):
     return [(st, sid, ins, a) for st, sid, ins in work for a in ins]
 
 
-def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failures, cap: int, by_orbit=True) -> Verdict:
+def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failures, cap: int) -> Verdict:
     """The Verdict of a suite's failure stream `failures(work, sizes, expand)`: (instances, state, row) per
     failure in report order on `_suite_work` items, item i standing for sizes[i] states, `expand` building
     postulate rows.  `instances` is the count of a verdict capped there; a check that holds counts `count(inputs)`.
 
     Postulates, conditions and reconstructions use worlds only through set
-    operations, so where renaming the worlds commutes with the operator and
-    maps the universe onto itself (`classify.renaming_orbits`), the verdict at
+    operations, so where the renamings that map the universe onto itself
+    commute with the operator (`classify.renaming_orbits`), the verdict at
     (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there first
     reads the representatives' stream for a failure with `_iter_postulate` as
     `expand`, which builds no row and no Counterexample.  It asks each
@@ -119,12 +120,11 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
     orbit of its own, is dropped.  If none fails, the check holds.  If one
     fails, a universe that holds its states is walked, so the counterexamples
     are those of the plain run; one that holds only its representatives takes
-    theirs, at every input.  `by_orbit` is False for a check that compares
-    states, which no orbit decides (the IL round trip's one scope).
+    theirs, at every input.
     """
     if cap < 0:
         raise ValueError(f"max_counterexamples must be at least 0, got {cap}")
-    orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None and by_orbit else None
+    orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None else None
     if orbits is not None:
         skip = 1 if tab.consistent_only else 0
         # Each representative's own inputs object: `_mismatches` tells states apart by it.
@@ -314,12 +314,15 @@ def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, 
     return scope, failures()
 
 
-def _roundtrip_failures(tab: TransitionTable, family: str, work, sizes, expand):
+def _roundtrip_failures(tab: TransitionTable, family: str, fixed: int, work, sizes, expand):
     """(state, row) per failure of the round trip over `work` and `sizes` as in `_decide`, lazily
     and in report order: each postulate's rows by `expand` (`_postulate_rows`), then the DP
     parts' mismatches or the forward reconstructions.  With `_iter_postulate` as `expand` a
     backward failure is its (α, failing β) item, so asking whether any failure exists builds
-    no postulate row."""
+    no postulate row.  The IL scope is constant if the states rebuild one, and it is a union of
+    the universe's fixed scope `fixed` and its complement, which the renamings keeping `fixed`
+    keep; so on the representatives it is every state's, and on a walked universe the union
+    test adds nothing for an operator those renamings commute with."""
     for pid in FAMILY_POSTULATES[family]:
         for st, sid, alphas in work:
             for row in expand(tab, pid, sid, alphas):
@@ -330,14 +333,14 @@ def _roundtrip_failures(tab: TransitionTable, family: str, work, sizes, expand):
                 if holds != met:
                     yield st, (a, None, f"{pid} vs {cid} mismatch", holds, met)
         return
-    il_scopes = set()
+    full, il_scopes = tab.sig.all_worlds, set()
     for st, _, alphas in work:
         scope, rows = _reconstruction_errors(tab, st, tab.sig, family, alphas)
         if scope is not None:
             il_scopes.add(scope)
         for row in rows:
             yield st, row
-    if family == "IL" and len(il_scopes) > 1:
+    if family == "IL" and (len(il_scopes) > 1 or not il_scopes <= {fixed, full & ~fixed, full}):
         yield work[0][0], (None, None, "reconstructed scope not constant", sorted(il_scopes), "one scope")
 
 
@@ -355,9 +358,7 @@ def representation_roundtrip(
     behaviour reproduces every revision result (plus, per family: the IL
     scope is constant, the CL reconstruction is CLF-valid, the AGM scope is
     total, and DP postulates match the CR conditions per instance).  The
-    orbit representatives decide it where `_decide` says so, except the IL
-    round trip: its scope must be one across the whole universe, which no
-    orbit shows.
+    orbit representatives decide it where `_decide` says so.
     """
     if family not in FAMILY_POSTULATES:
         raise ValueError(f"unknown family {family!r}; valid: {tuple(FAMILY_POSTULATES)}")
@@ -375,9 +376,10 @@ def representation_roundtrip(
 
     def failures(work, sizes, expand):
         instances = sum(sizes) * count(tab.classes())
-        yield from ((instances, st, row) for st, row in _roundtrip_failures(tab, family, work, sizes, expand))
+        rows = _roundtrip_failures(tab, family, universe.fixed_scope, work, sizes, expand)
+        yield from ((instances, st, row) for st, row in rows)
 
-    return _decide(tab, universe, None, f"roundtrip-{family}", count, failures, max_counterexamples, by_orbit=family != "IL")
+    return _decide(tab, universe, None, f"roundtrip-{family}", count, failures, max_counterexamples)
 
 
 def mutation_detection(

@@ -131,16 +131,19 @@ class TestTransformsMatchOracle:
             assert_matches_oracle(op, st, AB)
         assert immanent_classes(op, uni) == oracle_immanent(op, uni)
 
-    @pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
+    @pytest.mark.parametrize("kind", ["faithful", "clf", "fa", "il"])
     @pytest.mark.parametrize("family", ["dl", "cl", "agm"])
     def test_immanent_classes_from_representatives(self, family, kind):
-        # Read off the orbit representatives alone, against the walk over every state.
+        # Read off the orbit representatives alone, against the walk over every state.  An il
+        # universe under each of its 15 scopes, read with the il operator of that scope too.
         for gc in (False, True):
-            uni = enumerate_states(AB, kind, gc)
-            for policy in all_policies():
-                op = RevisionOperator(family, policy)
-                assert renaming_orbits(op, uni) is not None
-                assert immanent_classes(op, uni) == oracle_immanent(op, uni), (gc, policy)
+            for scope in range(1, 16) if kind == "il" else [None]:
+                uni = enumerate_states(AB, kind, gc, scope)
+                for policy in all_policies():
+                    ops = [RevisionOperator(family, policy)] + ([RevisionOperator("il", policy, scope)] if scope else [])
+                    for op in ops:
+                        assert renaming_orbits(op, uni) is not None
+                        assert immanent_classes(op, uni) == oracle_immanent(op, uni), (gc, scope, policy, op)
 
     def test_il_universe(self):
         sig, _, _, op = fig1_fixture()

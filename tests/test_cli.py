@@ -193,12 +193,14 @@ def test_check_all_builds_the_orbit_representatives_once(monkeypatch, capsys):
     monkeypatch.setattr(states, "orbit_representatives", lambda *args: built.append(args) or build(*args))
     assert main(["check", "--sig", "a b", "all"]) == 0
     assert capsys.readouterr().out.count("result=PASS") == 7
-    assert built == [(AB, "faithful", False)]
+    assert built == [(AB, "faithful", False, None)]
 
 
 def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypatch, tmp_path, capsys):
     # The immanent classes of an agm operator come from the 128 orbit
-    # representatives of the 3-atom fa universe, not from its 545,835 states.
+    # representatives of the 3-atom fa universe, not from its 545,835 states;
+    # those of an il operator of scope 0xff from the 128 of its globally
+    # consistent il universe, not from its 545,835 states.
     built = collections.Counter()
     bel_row_of = classify.bel_row_of
 
@@ -216,6 +218,17 @@ def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypa
     sampled = sample_states(ABC, "fa", 20, random.Random(DEFAULT_SEED))
     reps = {st for st, _ in states.orbit_representatives(ABC, "fa")}
     assert set(built) <= set(sampled) | reps and reps <= set(built)
+
+    built.clear()
+    op.write_text("family: il\nil_scope: 0xff\n")
+    argv = ["check", "--operator", str(op), "--sig", "a b c", "--global-consistency", "--samples", "20", "IL1", "IL2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for pid in ("IL1", "IL2"):
+        assert f"CHECK {pid} op=il(keep/keep) scope=255 n=3 instances=20 result=PASS" in out
+    sampled = sample_states(ABC, "il", 20, random.Random(DEFAULT_SEED), True, 0xFF)
+    reps = {st for st, _ in states.orbit_representatives(ABC, "il", True, 0xFF)}
+    assert len(reps) == 128 and set(built) <= set(sampled) | reps and reps <= set(built)
 
 
 def test_sampled_check_on_a_3atom_il_universe(monkeypatch, tmp_path, capsys):

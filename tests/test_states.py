@@ -144,6 +144,12 @@ class TestEnumerate:
         uni = enumerate_states(AB, "il", il_scope=mask(1, 2))
         assert uni.states and all(st.scope == mask(1, 2) for st in uni.states)
 
+    @pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
+    def test_only_an_il_universe_takes_an_il_scope(self, kind):
+        # The scope fixes the renamings a universe is closed under, so a stray one would misstate them.
+        with pytest.raises(InvariantError, match=f"not a {kind} one"):
+            enumerate_states(AB, kind, True, il_scope=5)
+
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             enumerate_states(Signature.of("a b c d"))
@@ -156,6 +162,19 @@ class TestEnumerate:
             uni.states
         reps = uni.orbits()
         assert len(reps) == 1_004 and all(check_faithful_limited(st) for st, _ in reps)
+
+    @pytest.mark.parametrize(
+        "il_scope, gc, count, total",
+        [(0x0F, True, 72, 2_325), (0x3F, True, 160, 32_781), (0xFF, True, 128, 545_835), (0xFF, False, 256, 1_091_670)],
+        ids=str,
+    )
+    def test_lazy_il_universe_at_three_atoms(self, il_scope, gc, count, total):
+        # An il universe is held no longer than any other: at 3 atoms only its representatives, on demand.
+        uni = enumerate_states(Signature.of("a b c"), "il", gc, il_scope)
+        assert uni._orbits is None and uni._states is None
+        reps = uni.orbits()
+        assert (len(reps), sum(size for _, size in reps)) == (count, total)
+        assert all(st.scope == il_scope and check_faithful_limited(st) for st, _ in reps)
 
 
 class TestSampling:
@@ -175,6 +194,20 @@ class TestSampling:
         a = sample_states(sig, "faithful", 20, random.Random(3))
         b = sample_states(sig, "faithful", 20, random.Random(3))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "kind, il_scope, error, message",
+        [
+            ("bogus", None, ValueError, "unknown universe kind 'bogus'"),
+            ("il", None, InvariantError, "il universe needs a nonempty il_scope"),
+            ("il", 0x200, InvariantError, "il universe needs a nonempty il_scope within the signature"),
+        ],
+        ids=["unknown-kind", "il-without-scope", "il-scope-outside"],
+    )
+    def test_bad_kind_or_scope_is_refused(self, kind, il_scope, error, message):
+        # The same check as enumerate_states, before any state is drawn.
+        with pytest.raises(error, match=message):
+            sample_states(Signature.of("a b c"), kind, 3, random.Random(0), il_scope=il_scope)
 
 
 def _image(ws, perm):
@@ -204,35 +237,51 @@ def _pair_keys(st, perms):
     return [min((key, _image(a, p)) for key, p in renamed) for a in range(1 << len(perms[0]))]
 
 
+# The universes of the orbit oracle: every kind, il under scopes of 1 to 4 worlds.
+ORBIT_CASES = [
+    ("faithful", True, None),
+    ("faithful", False, None),
+    ("clf", True, None),
+    ("fa", False, None),
+    ("il", False, 0b0001),
+    ("il", True, 0b0110),
+    ("il", True, 0b1011),
+    ("il", False, 0b1111),
+]
+ORBIT_IDS = [f"{kind}-{gc}" + (f"-{scope:#06b}" if scope else "") for kind, gc, scope in ORBIT_CASES]
+
+
 class TestOrbitRepresentatives:
-    # The oracle: canonical forms under all 24 renamings of the 2-atom worlds.
+    # The oracle: canonical forms under the renamings of the 2-atom worlds
+    # that keep the universe's fixed scope, all 24 of them but for il.
     PERMS = list(permutations(range(4)))
 
-    @pytest.mark.parametrize(
-        "kind, gc", [("faithful", True), ("faithful", False), ("clf", True), ("fa", False)], ids=str
-    )
-    def test_one_state_per_orbit_at_2_atoms(self, kind, gc):
-        universe = enumerate_states(AB, kind, gc)
-        orbit_sizes = Counter(_canonical(st, self.PERMS) for st in universe.states)
-        reps = orbit_representatives(AB, kind, gc)
+    def perms(self, il_scope):
+        return [p for p in self.PERMS if il_scope is None or _image(il_scope, p) == il_scope]
+
+    @pytest.mark.parametrize("kind, gc, il_scope", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_one_state_per_orbit_at_2_atoms(self, kind, gc, il_scope):
+        perms = self.perms(il_scope)
+        universe = enumerate_states(AB, kind, gc, il_scope)
+        orbit_sizes = Counter(_canonical(st, perms) for st in universe.states)
+        reps = orbit_representatives(AB, kind, gc, il_scope)
         members = set(universe.states)
         assert all(st in members for st, _ in reps)
-        keys = [_canonical(st, self.PERMS) for st, _ in reps]
+        keys = [_canonical(st, perms) for st, _ in reps]
         assert len(set(keys)) == len(keys)  # no two share an orbit
         assert set(keys) == set(orbit_sizes)  # every state lies in the orbit of one of them
         assert {key: size for key, (_, size) in zip(keys, reps)} == orbit_sizes
         assert universe.orbits() == reps
 
-    @pytest.mark.parametrize(
-        "kind, gc", [("faithful", True), ("faithful", False), ("clf", True), ("fa", False)], ids=str
-    )
-    def test_one_input_per_stabilizer_orbit_at_2_atoms(self, kind, gc):
-        universe = enumerate_states(AB, kind, gc)
-        pair_orbits = Counter(key for st in universe.states for key in _pair_keys(st, self.PERMS))
+    @pytest.mark.parametrize("kind, gc, il_scope", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_one_input_per_stabilizer_orbit_at_2_atoms(self, kind, gc, il_scope):
+        perms = self.perms(il_scope)
+        universe = enumerate_states(AB, kind, gc, il_scope)
+        pair_orbits = Counter(key for st in universe.states for key in _pair_keys(st, perms))
         chosen = []
         for (st, size), inputs in zip(universe.orbits(), universe.orbit_inputs()):
             assert list(inputs) == sorted(set(inputs)) and inputs[0] == 0
-            keys = _pair_keys(st, self.PERMS)
+            keys = _pair_keys(st, perms)
             chosen += [keys[a] for a in inputs]
             # A pair's orbit holds the orbit of its state times the orbit of its input under
             # the renamings that fix the state, so those input orbits fill all 16 inputs.
@@ -273,13 +322,12 @@ class TestOrbitRepresentatives:
         universe = enumerate_states(AB, "faithful", True)
         assert universe.orbits() is universe.orbits()
         il = enumerate_states(AB, "il", il_scope=mask(1, 2))
-        assert il.orbits() is il.orbits() is None
-        assert built == [(AB, "faithful", True)]
+        assert il.orbits() is il.orbits() is not None
+        assert built == [(AB, "faithful", True, None), (AB, "il", False, mask(1, 2))]
 
     def test_universes_without_orbits(self):
-        il = enumerate_states(AB, "il", global_consistency=True, il_scope=mask(1, 2))
-        assert il.orbits() is None
-        with pytest.raises(ValueError, match="not 'il'"):
+        # Every kind has its representatives, il only under a scope of its own.
+        with pytest.raises(InvariantError, match="il universe needs a nonempty il_scope"):
             orbit_representatives(AB, "il")
         # A hand-built universe short of its kind's states is not closed under renaming.
         some = StateUniverse(AB, "clf", True, None, enumerate_states(AB, "clf", True).states[:10])

@@ -1,9 +1,10 @@
 """The library exports no function that only the tests call.
 
-A public function of `src/revlab/`, at module level or as a method of a
-module-level class, must be referred to somewhere in the package outside
-its own body: by name, as an attribute, or as a string such as
-`getattr(op, "bel_row", None)`.  Recursion does not count, and neither do
+A function of `src/revlab/` at module level, private or public, and a
+public method of a module-level class must be referred to somewhere in the
+package outside its own body: by name, as an attribute, or as a string such
+as `getattr(op, "bel_row", None)`.  So a private helper left behind when
+its work moved elsewhere is caught too.  Recursion does not count, and neither do
 the `__init__` re-exports.  A helper that only tests call belongs in
 `tests/` (as the oracles in `condition_oracle.py` do) or nowhere.
 `ENTRY_POINTS` holds the functions kept for callers outside the package.
@@ -33,7 +34,7 @@ ENTRY_POINTS = {
 }
 
 
-def _public_functions(tree):
+def _functions(tree):
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
@@ -55,7 +56,8 @@ def _references(tree):
 
 
 def uncalled_functions():
-    """`module.qualname` of each public function with no reference outside its own body."""
+    """`module.qualname` of each module-level function and public method with no reference
+    outside its own body."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
@@ -64,9 +66,9 @@ def uncalled_functions():
                 refs.setdefault(name, []).append((module, line))
     uncalled = set()
     for module, tree in trees.items():
-        for qualname, node in _public_functions(tree):
+        for qualname, node in _functions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if name.startswith("_"):
+            if name.startswith("_") and "." in qualname:  # a private method
                 continue
             outside = [
                 (m, line) for m, line in refs.get(name, ())

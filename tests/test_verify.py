@@ -6,7 +6,7 @@ import pytest
 from condition_oracle import oracle_condition
 from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
-from revlab.errors import PreconditionError, TooLargeError
+from revlab.errors import PreconditionError, ScopeMismatchError, TooLargeError
 from revlab import verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
@@ -1028,20 +1028,38 @@ def _tabulated_closure(op, universe):
         if st not in seen:
             seen.add(st)
             todo.extend(op.apply(st, a) for a in range(1 << universe.sig.n_worlds))
-    closure = StateUniverse(universe.sig, universe.kind, universe.global_consistency, None, tuple(seen))
+    closure = StateUniverse(universe.sig, universe.kind, universe.global_consistency, universe.il_scope, tuple(seen))
     return tabulate(op, closure)
 
 
-@pytest.mark.parametrize(
-    "family, kind, gc",
-    [("dl", "faithful", True), ("dl", "faithful", False), ("cl", "clf", True), ("agm", "fa", False)],
-    ids=str,
-)
+# The fixed scope of the il universes in the orbit oracles: three worlds, not the first three.
+ORACLE_IL_SCOPE = mask(0, 1, 3)
+
+# (operator family, universe kind, global consistency) of the orbit oracles, il and dl
+# operators on il universes among them.
+ORBIT_ORACLE_CASES = [
+    ("dl", "faithful", True),
+    ("dl", "faithful", False),
+    ("cl", "clf", True),
+    ("agm", "fa", False),
+    ("il", "il", True),
+    ("il", "il", False),
+    ("dl", "il", True),
+    ("dl", "il", False),
+]
+
+
+def _oracle_case(family, kind, gc, policy):
+    """The operator and universe of an `ORBIT_ORACLE_CASES` entry under `policy`."""
+    op = RevisionOperator(family, policy, ORACLE_IL_SCOPE if family == "il" else None)
+    return op, enumerate_states(AB, kind, gc, ORACLE_IL_SCOPE if kind == "il" else None)
+
+
+@pytest.mark.parametrize("family, kind, gc", ORBIT_ORACLE_CASES, ids=str)
 def test_orbit_decision_gives_the_full_verdict(family, kind, gc):
-    universe = enumerate_states(AB, kind, gc)
     decided = 0
     for policy in all_policies():
-        op = RevisionOperator(family, policy)
+        op, universe = _oracle_case(family, kind, gc, policy)
         table = _tabulated_closure(op, universe)
         for co in (False, True):
             # Theorem-major per operator, so each operator's calls share one table.
@@ -1085,31 +1103,35 @@ def test_red_theorem_walks_the_universe_once(monkeypatch):
 
 
 def test_orbit_decision_skips_sampled_il_and_tabulated_calls(monkeypatch):
-    # Only an exhaustive call with a dl, cl or agm operator reads the orbits,
-    # and a round trip only outside the IL family.
+    # Only an exhaustive call with a policy operator of no fixed scope, or of
+    # the universe's own, reads the orbits: not a sampled call, not a lookup
+    # table, and not an il operator of another scope.
     read = []
     monkeypatch.setattr(StateUniverse, "orbits", lambda uni: read.append(uni) or None)
     uni = _faithful_gc()
-    il_scope = mask(1, 2)
-    il_op = RevisionOperator("il", il_scope=il_scope)
-    il_uni = enumerate_states(AB, "il", global_consistency=True, il_scope=il_scope)
+    il_op = RevisionOperator("il", il_scope=mask(1, 2))
+    il_uni = enumerate_states(AB, "il", global_consistency=True, il_scope=mask(1, 2))
     table = tabulate(DL_OP, uni)
     verify_equivalence(DL_OP, uni, "P16", instance_list=[(uni.states[0], 3)])
-    verify_equivalence(il_op, il_uni, "P16")
     verify_equivalence(table, uni, "P16")
     check_postulate(DL_OP, uni, "DL7", instance_list=[(uni.states[0], 3)])
-    check_postulate(il_op, il_uni, "IL7")
     check_postulate(table, uni, "DL7")
-    representation_roundtrip(il_op, il_uni, "IL")
     representation_roundtrip(table, uni, "DL")
+    with pytest.raises(ScopeMismatchError):
+        check_postulate(RevisionOperator("il", il_scope=mask(0, 1)), il_uni, "IL1")
     assert read == []
     verify_equivalence(DL_OP, uni, "P16")
     check_postulate(DL_OP, uni, "DL7")
     representation_roundtrip(DL_OP, uni, "DL")
     assert read == [uni] * 3
-    # The IL round trip reads them once, for the immanent classes, and walks every state.
-    representation_roundtrip(DL_OP, uni, "IL")
-    assert read == [uni] * 4 and set(uni.states) <= set(uni._transitions.states)
+    verify_equivalence(il_op, il_uni, "P16")
+    check_postulate(il_op, il_uni, "IL7")
+    check_postulate(DL_OP, il_uni, "DL7")
+    assert read == [uni] * 3 + [il_uni] * 3
+    # A round trip of the IL family reads them twice, to decide it and for the
+    # immanent classes, and with none given walks every state.
+    representation_roundtrip(il_op, il_uni, "IL")
+    assert read == [uni] * 3 + [il_uni] * 5 and set(il_uni.states) <= set(il_uni._transitions.states)
 
 
 @pytest.mark.parametrize(
@@ -1155,18 +1177,33 @@ def test_lazy_universe_calls_decided_on_representatives(call, holds, instances):
         # DL1-DL6 at each input, DL7 at each pair, one reconstruction.
         ("DL", "dl", "faithful", False, 4_366_166, 6 * 256 + 256 * 256 + 1),
         ("CL", "cl", "clf", True, 1_091_669, 4 * 256 + 2 * 256 * 256 + 1),
+        # IL1-IL6 at each input, IL7 at each pair, one reconstruction; il_scope 0x0f.
+        ("IL", "il", "il", True, 2_325, 6 * 256 + 256 * 256 + 1),
         # On the consistent inputs: CL1-CL6 and IL1-IL7, three of them paired.
         ("AGM", "agm", "fa", False, 545_835, 10 * 255 + 3 * 255 * 255 + 1),
         # DP1-DP4, and the four DP parts together, at each input.
         ("DP", "agm", "fa", False, 545_835, 4 * 255 + 255),
     ],
-    ids=["DL", "CL", "AGM", "DP"],
+    ids=["DL", "CL", "IL", "AGM", "DP"],
 )
 def test_roundtrips_hold_on_the_3atom_representatives(family, op_family, kind, gc, total, per_state):
-    uni = enumerate_states(ABC, kind, gc)
-    v = representation_roundtrip(RevisionOperator(op_family, UpdatePolicy("keep", "doc")), uni, family)
+    il_scope = 0x0F if kind == "il" else None
+    uni = enumerate_states(ABC, kind, gc, il_scope)
+    v = representation_roundtrip(RevisionOperator(op_family, UpdatePolicy("keep", "doc"), il_scope), uni, family)
     assert sum(size for _, size in uni.orbits()) == total
     assert (v.holds, v.instances, v.counterexamples) == (True, total * per_state, [])
+
+
+@pytest.mark.parametrize("rebuilt, holds", [(0x0F, True), (0xF0, True), (0xFF, True), (0x01, False), (0x1F, False)])
+def test_il_roundtrip_on_representatives_needs_a_scope_their_renamings_keep(rebuilt, holds, monkeypatch):
+    # Were every representative to rebuild `rebuilt`, renaming them would
+    # rebuild its images across the universe: one scope only if `rebuilt` is
+    # a union of the fixed scope 0x0f and its complement.
+    monkeypatch.setattr(verify, "_reconstruction_errors", lambda *args: (rebuilt, iter(())))
+    uni = enumerate_states(ABC, "il", True, 0x0F)
+    v = representation_roundtrip(RevisionOperator("il", UpdatePolicy("keep", "doc"), 0x0F), uni, "IL")
+    assert v.holds == holds
+    assert holds or [(ce.clause, ce.observed) for ce in v.counterexamples] == [("reconstructed scope not constant", [rebuilt])]
 
 
 @pytest.mark.parametrize(
@@ -1212,6 +1249,10 @@ def _roundtrip_oracle_runs():
         ("DP", "agm", fa),
     ]
     runs = [(family, RevisionOperator(op_family, policy), uni) for family, op_family, uni in own for policy in all_policies()]
+    # The IL round trip of il and dl operators on il universes.
+    for family, kind, gc in ORBIT_ORACLE_CASES:
+        if kind == "il":
+            runs += [("IL", *_oracle_case(family, kind, gc, policy)) for policy in all_policies()]
     return runs + [(family, DL_OP, own[0][2]) for family in ("CL", "AGM")]
 
 
@@ -1227,23 +1268,18 @@ def test_orbit_decided_roundtrips_give_the_full_verdict():
     assert decided > 0 and failed > 0
 
 
-@pytest.mark.parametrize(
-    "family, kind, gc",
-    [("dl", "faithful", True), ("dl", "faithful", False), ("cl", "clf", True), ("agm", "fa", False)],
-    ids=str,
-)
+@pytest.mark.parametrize("family, kind, gc", ORBIT_ORACLE_CASES, ids=str)
 def test_one_input_per_stabilizer_orbit_decides_as_every_input(family, kind, gc, monkeypatch):
     # The orbit pass asks each representative one input per orbit of the
     # renamings that fix it; asking it every input gives the same verdicts.
     def verdicts():
-        universe = enumerate_states(AB, kind, gc)
         got = []
         for policy in all_policies():
-            op = RevisionOperator(family, policy)
+            op, universe = _oracle_case(family, kind, gc, policy)
             for co in (False, True):
                 got += [verify_equivalence(op, universe, t, consistent_only=co) for t in THEOREM_IDS]
                 got += [check_postulate(op, universe, pid, consistent_only=co) for pid in POSTULATE_IDS]
-            got += [representation_roundtrip(op, universe, f) for f in verify.FAMILY_POSTULATES if f != "IL"]
+            got += [representation_roundtrip(op, universe, f) for f in verify.FAMILY_POSTULATES]
         return [_verdict(v) for v in got]
 
     reduced = verdicts()
