@@ -34,6 +34,8 @@ over supersets or subsets:
 * Reasonable classes are unions of latent classes.  Latent is down-closed,
   so a world lies in a latent subclass of a iff its minterm is latent;
   a class is reasonable iff it is nonempty and all its minterms are latent.
+  A minterm is latent iff its own lane is in S1 ∩ S2, so `latent_worlds`
+  reads them off the row without the latent transform.
 * Immanent classes are unions of inherent ones, which are not down-closed;
   the subset-OR transform gives the union of the inherent subclasses of
   every class at once.
@@ -141,8 +143,25 @@ def classify_row(row: int, bel: int, sig: Signature) -> StateClassification:
     # Latent: a and every nonempty class below it are in S1 ∩ S2; lane 0,
     # the empty class, is set so that it constrains nothing.
     latent = ln.bits(ln.lattice_and(s1 & s2 | high & ln.lane, supersets=False)) & ~1
-    reasonable = subset_bits(minterm_worlds(latent, sig.n_worlds)) & ~1
+    reasonable = subset_bits(latent_worlds(row, bel, ln)) & ~1
     return StateClassification(ln.bits(s1), ln.bits(s2), latent, reasonable, ln.accepted(row))
+
+
+def latent_worlds(row: int, bel: int, ln: kernels.Lanes) -> int:
+    """Worlds whose minterm is latent, for prior beliefs `bel` and belief row `row`.
+
+    A minterm {w} has no nonempty subclass but itself, so it is latent iff
+    it is in S1 and S2: two tests on lane {w}, with the weakest row as in
+    `classify_row` and no class bitset built.
+    """
+    weakest = ln.lattice_and(row, supersets=True)
+    worlds = 0
+    for w in range(ln.n_classes.bit_length() - 1):
+        c = 1 << w
+        t = ln.entry(row, c)
+        if t & c and not (bel & c and t & ~ln.entry(weakest, c)):  # S2, and S1
+            worlds |= c
+    return worlds
 
 
 # ---------------------------------------------------------------------------

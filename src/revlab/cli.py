@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         if universe:
             p.add_argument(
                 "--universe",
-                choices=("faithful", "clf", "fa", "il"),
+                choices=("faithful", "clf", "fa"),
                 help="state universe kind (default: il for an operator with an il_scope, fa for agm, else faithful)",
             )
             p.add_argument(
@@ -96,11 +96,14 @@ def _load_operator(args, sig: Signature | None) -> RevisionOperator:
 
 
 def _universe(args, sig: Signature, op):
-    """Universe plus either full states (n<=2) or sampled (state, alpha) pairs."""
+    """Universe plus sampled (state, alpha) pairs at 3 atoms, None up to 2 (every state is read).
+
+    The universe is il exactly when the operator has an il_scope, which only an
+    operator file gives, so `--universe` offers no il."""
     il_scope = getattr(op, "il_scope", None)
     if il_scope is None:
         kind = args.universe or ("fa" if getattr(op, "family", None) == "agm" else "faithful")
-    elif args.universe in (None, "il"):
+    elif args.universe is None:
         kind = "il"
     else:
         raise RevlabError(
@@ -108,15 +111,13 @@ def _universe(args, sig: Signature, op):
         )
     uni = enumerate_states(sig, kind, args.global_consistency, il_scope)
     if sig.n_atoms <= 2:
-        states, instance_list = list(uni.states), None
-    else:
-        rng = random.Random(args.seed)
-        n_samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-        states = sample_states(sig, kind, n_samples, rng, args.global_consistency, il_scope)
-        # The inputs are drawn for `enumerate` too, which has no --consistent-only.
-        lo = 1 if getattr(args, "consistent_only", False) else 0
-        instance_list = [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
-    return uni, states, instance_list
+        return uni, None
+    rng = random.Random(args.seed)
+    n_samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    states = sample_states(sig, kind, n_samples, rng, args.global_consistency, il_scope)
+    # The inputs are drawn for `enumerate` too, which has no --consistent-only.
+    lo = 1 if getattr(args, "consistent_only", False) else 0
+    return uni, [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
 
 
 def _emit(args, header: dict, rows: list[dict], any_fail: bool) -> int:
@@ -220,7 +221,7 @@ def cmd_check(args) -> int:
     if args.max_counterexamples < 0:
         raise RevlabError(f"--max-counterexamples must be at least 0, got {args.max_counterexamples}")
     op = _load_operator(args, sig)
-    uni, _, instance_list = _universe(args, sig, op)
+    uni, instance_list = _universe(args, sig, op)
     ids = _expand_ids(args.ids, op)
     rows = []
     any_fail = False
@@ -257,7 +258,7 @@ def cmd_classify(args) -> int:
     op = _load_operator(args, sig)
     universe = None
     if sig.n_atoms <= 2:
-        universe, _, _ = _universe(args, sig, op)
+        universe, _ = _universe(args, sig, op)
     else:
         for flag, is_set in (
             ("--universe", args.universe not in (None, "faithful")),
@@ -287,8 +288,9 @@ def cmd_repro(args) -> int:
 
 def cmd_enumerate(args) -> int:
     sig = _signature(args)
-    uni, states, instance_list = _universe(args, sig, RevisionOperator("dl"))
+    uni, instance_list = _universe(args, sig, RevisionOperator("dl"))
     sampled = instance_list is not None
+    states = [st for st, _ in instance_list] if sampled else uni.states
     rows = [{"line": f"# states: {len(states)}{' (sampled)' if sampled else ''}"}]
     if not args.count_only:
         rows += [{"line": dump_state(sig, st), "state": dump_state(sig, st)} for st in states]

@@ -180,8 +180,10 @@ def canonical_assignment(
     """
     row = classify.bel_row_of(op, st, sig)
     ln = kernels.lanes(1 << sig.n_worlds)
-    classes = ln.accepted(row) if family == "cl" else classify.classify_row(row, st.bel, sig).latent
-    domain = classify.minterm_worlds(classes, sig.n_worlds)
+    if family == "cl":
+        domain = classify.minterm_worlds(ln.accepted(row), sig.n_worlds)
+    else:
+        domain = classify.latent_worlds(row, st.bel, ln)
     if domain == 0:
         raise NonWeakOrderError("reconstructed scope is empty")
 

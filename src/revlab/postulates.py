@@ -141,7 +141,7 @@ for _pids, _order, _clause, _values in (
 def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
     ln = tab.lanes
     T = tab.row(sid)
-    full = tab.sig.all_worlds
+    full = tab.full
     skip = 1 if tab.consistent_only else 0  # the contradiction's class bit, when β may not be it
 
     # β loops as lane operations on the packed rows T (prior) and P
@@ -231,7 +231,7 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
                 yield a, None
     elif pid == "CL5":
         # Every class above an accepted input is accepted.
-        sc, full = tab.scope_classes(sid), tab.sig.all_worlds
+        sc, full = tab.scope_classes(sid), tab.full
         for a in alphas:
             if (sc >> a) & 1:
                 bad = (classify.subset_bits(full & ~a) << a) & ~sc & ~int(tab.consistent_only)

@@ -1,11 +1,12 @@
 """Transition tables: one operator's behaviour on a universe, by state id.
 
 A verifier suite quantifies over (state, input) transitions and reads, for
-each state, its posteriors, its belief table and the classifications built
-on it.  A `TransitionTable` computes each of these once per state id, and
+each state, its posteriors, its belief table and the class sets built on
+it.  A `TransitionTable` computes each of these once per state id, and
 every suite call leaves its table on the universe, so the next call with
 the same operator over the same states (the whole universe, or the same
-sample) reads what earlier calls filled.
+sample) reads what earlier calls filled; a sampled table also keeps its
+sample interned.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .states import EpistemicState, StateUniverse
 
 
 class TransitionTable:
-    """Posteriors, belief rows and classifications of one operator, by state id.
+    """Posteriors, belief rows and class sets of one operator, by state id.
 
     States get dense integer ids in the order they first appear: a suite
     interns its states before any posterior, so an exhaustive run numbers
@@ -36,7 +37,8 @@ class TransitionTable:
     class sets built on it are a few lane operations each.  The table also
     answers `bel_row` from its rows, so `classify_state` and
     `canonical_assignment` can take it as their operator without building
-    a belief row again.
+    a belief row again.  Of the classifications it stores only the
+    reasonable classes, read off the minterm lanes (`classify.latent_worlds`).
     """
 
     def __init__(
@@ -54,7 +56,10 @@ class TransitionTable:
         # The sampled (state, class) pairs `suite_table` built this table for;
         # None for the whole universe.
         self.sample: tuple | None = None
+        # The sample's (state, id, [α]) items, once `verify._suite_work` has interned them.
+        self.work: list | None = None
         self.n_classes = 1 << sig.n_worlds
+        self.full = sig.all_worlds
         self.lanes = kernels.lanes(self.n_classes)
         self.states: list[EpistemicState] = []
         self._ids: dict[EpistemicState, int] = {}
@@ -64,7 +69,7 @@ class TransitionTable:
         self._rows: list[int | None] = []
         self._scopes: list[int | None] = []
         self._success: list[int | None] = []
-        self._cls: list[classify.StateClassification | None] = []
+        self._reasonable: list[int | None] = []
         self._immanent: int | None = None
 
     def id_of(self, st: EpistemicState) -> int:
@@ -73,7 +78,7 @@ class TransitionTable:
             sid = len(self.states)
             self._ids[st] = sid
             self.states.append(st)
-            for rows in (self._rows, self._scopes, self._success, self._cls):
+            for rows in (self._rows, self._scopes, self._success, self._reasonable):
                 rows.append(None)
             self._posts.append({})
         return sid
@@ -105,12 +110,6 @@ class TransitionTable:
         """The stored row; `n_classes` is always the table's own here."""
         return self.row(self.id_of(st))
 
-    def classification(self, sid: int) -> classify.StateClassification:
-        c = self._cls[sid]
-        if c is None:
-            c = self._cls[sid] = classify.classify_state(self, self.states[sid], self.sig)
-        return c
-
     def scope_classes(self, sid: int) -> int:
         """Classes whose revision succeeds: the lanes a with T[a] inside a."""
         bits = self._scopes[sid]
@@ -119,7 +118,12 @@ class TransitionTable:
         return bits
 
     def reasonable(self, sid: int) -> int:
-        return self.classification(sid).reasonable
+        """Reasonable classes of state `sid`: the nonempty classes of its latent minterms."""
+        bits = self._reasonable[sid]
+        if bits is None:
+            worlds = classify.latent_worlds(self.row(sid), self.states[sid].bel, self.lanes)
+            bits = self._reasonable[sid] = classify.subset_bits(worlds) & ~1
+        return bits
 
     def success_worlds(self, sid: int) -> int:
         """Worlds whose minterm is accepted: revising state `sid` by it succeeds."""

@@ -89,12 +89,16 @@ MAX_COUNTEREXAMPLES = 5
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
     """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior.
 
-    A sampled input outside the classes raises ValueError, and a universe that
-    holds only its representatives TooLargeError, before any state is interned."""
+    A sampled table keeps its items, so the suites that share it intern the
+    sample once.  A sampled input outside the classes raises ValueError, and a
+    universe that holds only its representatives TooLargeError, before any
+    state is interned."""
     if instance_list is not None:
-        if outside := [a for _, a in instance_list if a not in range(tab.n_classes)]:
-            raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{tab.n_classes - 1}")
-        return [(st, tab.id_of(st), [a]) for st, a in instance_list]
+        if tab.work is None:
+            if outside := [a for _, a in instance_list if a not in range(tab.n_classes)]:
+                raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{tab.n_classes - 1}")
+            tab.work = [(st, tab.id_of(st), [a]) for st, a in instance_list]
+        return tab.work
     return [(st, tab.id_of(st), tab.classes()) for st in universe.states]
 
 
@@ -213,7 +217,10 @@ _DP_PARTS = ((("DP1",), ("CR8",)), (("DP2",), ("CR9",)), (("DP3",), ("CR10",)), 
 def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int:
     """Bitset of the inputs among `alphas` at which the postulate fails at state `sid`,
     inner variables quantified: one pass over the state's inputs, and no row built."""
-    return sum(1 << a for a, _ in _iter_postulate(tab, pid, sid, alphas))
+    failing = 0
+    for a, _ in _iter_postulate(tab, pid, sid, alphas):
+        failing |= 1 << a
+    return failing
 
 
 def _mismatches(tab: TransitionTable, parts, work, sizes):
@@ -225,7 +232,7 @@ def _mismatches(tab: TransitionTable, parts, work, sizes):
     states, and each of its instances counts that many."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
     reads = {_READS_REVISIONS.get(cid) for _, cids in parts for cid in cids}
-    full = tab.sig.all_worlds
+    full = tab.full
     co = tab.consistent_only
     states = tab.states
     seen, instances, sizes = None, 0, iter(sizes)
@@ -333,7 +340,7 @@ def _roundtrip_failures(tab: TransitionTable, family: str, fixed: int, work, siz
                 if holds != met:
                     yield st, (a, None, f"{pid} vs {cid} mismatch", holds, met)
         return
-    full, il_scopes = tab.sig.all_worlds, set()
+    full, il_scopes = tab.full, set()
     for st, _, alphas in work:
         scope, rows = _reconstruction_errors(tab, st, tab.sig, family, alphas)
         if scope is not None:

@@ -7,7 +7,8 @@ the forms they replaced, over one tuple entry per class:
 
 * the subset-lattice transforms as list loops (superset-AND, subset-OR);
 * the scope classes as a loop over the classes;
-* `classify_state` with the list transforms;
+* `classify_state` with the list transforms, and the worlds of its latent
+  minterms (`classify.latent_worlds`) taken from the list form;
 * the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP), of
   the scope-move postulates (CLCD, CM1, CM2, DOC, FC, FR, SC, SR), and of
   the pair postulates (the trichotomy DL7, CL6 and IL7, and CL5), each over
@@ -97,6 +98,12 @@ def classify_table(table, bel: int, n_worlds: int):
     minterms = sum(1 << w for w in range(n_worlds) if down[1 << w])
     reasonable = sum(1 << a for a in iter_subsets(minterms) if a)
     return s1, s2, latent, reasonable, scope
+
+
+def latent_worlds(table, bel: int, n_worlds: int) -> int:
+    """Worlds whose minterm is latent, read from `classify_table`'s latent classes."""
+    latent = classify_table(table, bel, n_worlds)[2]
+    return sum(1 << w for w in range(n_worlds) if (latent >> (1 << w)) & 1)
 
 
 def unions(members: int, n_classes: int) -> int:
@@ -234,8 +241,7 @@ def canonical_pairs(tab: TransitionTable, st, family: str = "dl"):
     if family == "cl":
         domain = sum(1 << w for w in range(n) if t[1 << w] & ~(1 << w) == 0)
     else:
-        latent = classify_table(t, st.bel, n)[2]
-        domain = sum(1 << w for w in range(n) if (latent >> (1 << w)) & 1)
+        domain = latent_worlds(t, st.bel, n)
     if domain == 0:
         raise NonWeakOrderError("reconstructed scope is empty")
 

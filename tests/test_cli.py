@@ -346,9 +346,9 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (["--universe", "il"], "--universe"),
+            (["--universe", "fa"], "--universe"),
             (["--global-consistency"], "--global-consistency"),
-            (["--universe", "il", "--global-consistency"], "--universe"),
+            (["--universe", "fa", "--global-consistency"], "--universe"),
         ],
         ids=["universe", "global-consistency", "both"],
     )
@@ -423,6 +423,18 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--sig", "a b", "--count-only"], ["check", "--sig", "a b", "DL1"]],
+        ids=["enumerate", "check"],
+    )
+    def test_universe_il_is_not_a_choice(self, argv, capsys):
+        # The il scope comes only from an il operator file, which selects the il universe itself.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--universe", "il"])
+        assert exc.value.code == 2
+        assert "--universe: invalid choice: 'il'" in capsys.readouterr().err
 
 
 class TestRepro:

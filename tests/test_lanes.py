@@ -22,6 +22,7 @@ from lane_oracle import (
     classify_table,
     corrupted_table,
     iter_beta_rows,
+    latent_worlds,
     scope_classes,
     subset_or,
     superset_and,
@@ -66,6 +67,7 @@ def _assert_rows_match(tab):
         cls = classify.classify_state(tab, st, tab.sig)
         got = (cls.s1, cls.s2, cls.latent, cls.reasonable, cls.scope_syntactic)
         assert got == classify_table(table, st.bel, n_worlds), st
+        assert tab.reasonable(sid) == cls.reasonable, st
 
 
 def _assert_beta_rows_match(tab, work, pids=BETA_PIDS):
@@ -159,6 +161,49 @@ def test_unions_match_the_list_transform():
         for _ in range(300):
             members = rng.getrandbits(n_classes) & rng.getrandbits(n_classes)
             assert classify._unions(members, sig) == unions(members, n_classes)
+
+
+def _assert_latent_worlds_match(row, bel, sig):
+    """`classify.latent_worlds` against the minterms of `classify_row`'s latent classes and the list form."""
+    ln = kernels.lanes(1 << sig.n_worlds)
+    got = classify.latent_worlds(row, bel, ln)
+    assert got == classify.minterm_worlds(classify.classify_row(row, bel, sig).latent, sig.n_worlds), (row, bel)
+    assert got == latent_worlds(ln.entries(row), bel, sig.n_worlds), (row, bel)
+    return got
+
+
+@pytest.mark.parametrize(
+    "family, kind, il_scope",
+    [("dl", "faithful", None), ("cl", "clf", None), ("agm", "fa", None), ("il", "il", 0b0110), ("il", "il", 0b1011)],
+)
+def test_latent_worlds_of_every_2atom_state_under_every_policy(family, kind, il_scope):
+    uni = enumerate_states(AB, kind, il_scope=il_scope)
+    for policy in all_policies():
+        tab = TransitionTable(RevisionOperator(family, policy, il_scope), AB)
+        for st in uni.states:
+            sid = tab.id_of(st)
+            _assert_latent_worlds_match(tab.row(sid), st.bel, AB)
+            want = classify_table(tab.lanes.entries(tab.row(sid)), st.bel, AB.n_worlds)[3]
+            assert tab.reasonable(sid) == classify.classify_state(tab.op, st, AB).reasonable == want, st
+
+
+@pytest.mark.parametrize("sig, n_rows", [(AB, 3000), (ABC, 400)], ids=["2atom", "3atom"])
+def test_latent_worlds_of_seeded_random_rows(sig, n_rows):
+    # Rows that no weak order gives, as a lookup table's may be: half draw every
+    # lane at random, so the weakest row is mostly empty, and half draw their
+    # lanes from three masks, so it is not.  Dropping any one minterm test (the
+    # beliefs or the weakest row of S1, or S2) fails both sizes.  Every world is
+    # latent in some row and not in another.
+    rng = random.Random(26)
+    n_classes = 1 << sig.n_worlds
+    ln = kernels.lanes(n_classes)
+    latent = unlatent = 0
+    for i in range(n_rows):
+        pool = [rng.randrange(n_classes) for _ in range(3)] if i % 2 else range(n_classes)
+        row = ln.pack(rng.choice(pool) for _ in range(n_classes))
+        got = _assert_latent_worlds_match(row, rng.randrange(n_classes), sig)
+        latent, unlatent = latent | got, unlatent | ~got & n_classes - 1
+    assert latent == unlatent == n_classes - 1
 
 
 def _rebuilt(fn, *args):

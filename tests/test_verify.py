@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 from itertools import repeat
@@ -7,7 +8,7 @@ from condition_oracle import oracle_condition
 from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
 from revlab.errors import PreconditionError, ScopeMismatchError, TooLargeError
-from revlab import verify
+from revlab import classify, verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
     ExtensionalOperator,
@@ -986,6 +987,38 @@ def test_sampled_table_keeps_only_the_last_sample():
     assert exhaustive is not tab and exhaustive.sample is None
     check_postulate(DL_OP, uni, "DL1", instance_list=second)
     assert uni._transitions is not exhaustive and uni._transitions.sample == tuple(second)
+
+
+def test_green_theorems_intern_a_sample_once_and_build_no_classification(monkeypatch):
+    # The 13 green theorems over one seeded 3-atom batch of 100, as the
+    # sample-3atom benchmark runs them: the suites share one table, which
+    # interns the sample once, and read the reasonable classes off the minterm
+    # lanes.  A sampled state is looked up again only as the posterior of some
+    # sampled (state, input) pair, once per pair.
+    rng = random.Random(26)
+    states = sample_states(ABC, "faithful", 100, rng, global_consistency=True)
+    batch = [(st, rng.randrange(256)) for st in states]
+    op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+    uni = enumerate_states(ABC, "faithful", global_consistency=True)
+    looked_up = collections.Counter()
+    id_of = TransitionTable.id_of
+
+    def counting(tab, st):
+        looked_up[st] += 1
+        return id_of(tab, st)
+
+    classified = []
+    classify_row = classify.classify_row
+    monkeypatch.setattr(TransitionTable, "id_of", counting)
+    monkeypatch.setattr(classify, "classify_row", lambda *args: classified.append(args) or classify_row(*args))
+    green = [theorem for theorem in THEOREM_IDS if theorem not in RED_COUNTEREXAMPLES]
+    assert len(green) == 13
+    for theorem in green:
+        assert verify_equivalence(op, uni, theorem, instance_list=batch).holds, theorem
+    sampled = collections.Counter(st for st, _ in batch)
+    posteriors = collections.Counter(op.apply(st, a) for st, a in set(batch))
+    assert {st: looked_up[st] - posteriors[st] for st in sampled} == sampled
+    assert classified == []
 
 
 def test_shared_sampled_table_gives_the_verdicts_of_fresh_universes():
