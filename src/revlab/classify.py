@@ -256,20 +256,12 @@ def find_witness_M(classes: set[int], sig: Signature) -> int | None:
     return m if generated == classes else None
 
 
-def classification_report(op, st: EpistemicState, universe: StateUniverse | None, sig: Signature) -> list[str]:
-    """One line per class: scope / latent / reasonable (+ inherent / immanent)."""
+def classification_report(op, st: EpistemicState, universe: StateUniverse | None, sig: Signature) -> list[dict]:
+    """One row per class: its number and whether it is scope / latent / reasonable (+ inherent / immanent)."""
     cls = classify_state(op, st, sig)
-    inh = inherent_classes(op, universe) if universe is not None else None
-    imm = _unions(inh, sig) if universe is not None else None
-    lines = []
-    for a in range(1 << sig.n_worlds):
-        flags = [
-            f"scope={'y' if (cls.scope_syntactic >> a) & 1 else 'n'}",
-            f"latent={'y' if (cls.latent >> a) & 1 else 'n'}",
-            f"reasonable={'y' if (cls.reasonable >> a) & 1 else 'n'}",
-        ]
-        if inh is not None:
-            flags.append(f"inherent={'y' if (inh >> a) & 1 else 'n'}")
-            flags.append(f"immanent={'y' if (imm >> a) & 1 else 'n'}")
-        lines.append(f"class {a}: " + " ".join(flags))
-    return lines
+    sets = {"scope": cls.scope_syntactic, "latent": cls.latent, "reasonable": cls.reasonable}
+    if universe is not None:
+        sets["inherent"] = inh = inherent_classes(op, universe)
+        sets["immanent"] = _unions(inh, sig)
+    n_classes = 1 << sig.n_worlds
+    return [{"class": a, **{name: bool(bits >> a & 1) for name, bits in sets.items()}} for a in range(n_classes)]

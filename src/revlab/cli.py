@@ -235,8 +235,6 @@ def cmd_check(args) -> int:
             consistent_only=args.consistent_only,
             max_counterexamples=args.max_counterexamples,
         )
-        if instance_list is not None:
-            v.seed = args.seed
         any_fail = any_fail or not v.holds
         rows.append(_verdict_row(v, op.name, sig.n_atoms, sig))
     header = {
@@ -266,9 +264,11 @@ def cmd_classify(args) -> int:
         ):
             if is_set:
                 raise RevlabError(f"{flag} needs a state of at most 2 atoms; no universe is built at {sig.n_atoms}")
-    lines = classification_report(op, st, universe, sig)
+    rows = []
+    for row in classification_report(op, st, universe, sig):
+        flags = " ".join(f"{name}={'y' if value else 'n'}" for name, value in row.items() if name != "class")
+        rows.append({"line": f"class {row['class']}: {flags}", **row})
     header = {"command": "classify", "operator": op.name}
-    rows = [{"line": line} for line in lines]
     return _emit(args, header, rows, any_fail=False)
 
 
@@ -291,7 +291,8 @@ def cmd_enumerate(args) -> int:
     uni, instance_list = _universe(args, sig, RevisionOperator("dl"))
     sampled = instance_list is not None
     states = [st for st, _ in instance_list] if sampled else uni.states
-    rows = [{"line": f"# states: {len(states)}{' (sampled)' if sampled else ''}"}]
+    line = f"# states: {len(states)}{' (sampled)' if sampled else ''}"
+    rows = [{"line": line, "states": len(states), "sampled": sampled}]
     if not args.count_only:
         rows += [{"line": dump_state(sig, st), "state": dump_state(sig, st)} for st in states]
     header = {

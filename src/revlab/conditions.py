@@ -3,8 +3,9 @@
 Every condition is a function of (st, post, a, na, sc, dom, co): the prior,
 the posterior, the input and its complement, the prior's scope classes and
 success worlds, and consistent_only.  `sc` and `dom` are revision results:
-only the ids in `_READS_REVISIONS` read them, and a caller passes None for a
-value no id it evaluates reads.  Orders are read through masks: an order's
+the suites read them from the table and hand them to every condition; only
+`check_condition` without an operator passes None, and then evaluates only
+the ids outside `_READS_REVISIONS`.  Orders are read through masks: an order's
 domain is its state's scope, and a world off the domain is related to
 nothing.  `check_condition` evaluates one condition by id; the theorem suites
 in `verify` read the `CONDITIONS` table directly.
@@ -235,20 +236,10 @@ CONDITIONS = {
 
 CONDITION_IDS = tuple(CONDITIONS)
 
-# The conditions that read revision results, by the prior's value they read:
-# its scope classes (sc) or its success worlds (dom).
-_READS_REVISIONS = {
-    **dict.fromkeys(("C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"), "sc"),
-    **dict.fromkeys(("P14.a", "P14.b", "P16.i", "P16.ii", "P16.iii", "P16.iv"), "dom"),
-}
-
-
-def _prior_values(tab: TransitionTable, sid: int, reads) -> tuple[int | None, int | None]:
-    """(sc, dom) of state `sid`, each read from the table only when `reads` names it."""
-    return (
-        tab.scope_classes(sid) if "sc" in reads else None,
-        tab.success_worlds(sid) if "dom" in reads else None,
-    )
+# The conditions that read revision results: the prior's scope classes (the C- ids)
+# or its success worlds (P14 and P16).
+_READS_REVISIONS = {"C-CLCD", "C-CM1", "C-CM2", "C-FC", "C-FR", "C-SC", "C-SR"}
+_READS_REVISIONS |= {"P14.a", "P14.b", "P16.i", "P16.ii", "P16.iii", "P16.iv"}
 
 
 def check_condition(
@@ -262,19 +253,19 @@ def check_condition(
 ) -> bool:
     """One named condition clause on the transition, from the `CONDITIONS` table.
 
-    `op` is read only for the conditions that read revision results, and
-    they need it.  It is the operator, or the `TransitionTable` of the calling
-    suite, whose belief tables are then shared with the postulate side.
+    The prior's scope classes and success worlds are read from `op`: the
+    operator, or the `TransitionTable` of the calling suite, whose belief
+    tables are then shared with the postulate side.  Without `op` both are
+    None, and the conditions that read revision results raise.
     """
     cond = CONDITIONS.get(cid)
     if cond is None:
         raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
     sc = dom = None
-    reads = _READS_REVISIONS.get(cid)
-    if reads:
-        if op is None:
-            raise PreconditionError("this condition reads revision results, so it needs the operator")
-        if not isinstance(op, TransitionTable):
-            op = TransitionTable(op, sig)
-        sc, dom = _prior_values(op, op.id_of(st), (reads,))
+    if op is not None:
+        tab = op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
+        sid = tab.id_of(st)
+        sc, dom = tab.scope_classes(sid), tab.success_worlds(sid)
+    elif cid in _READS_REVISIONS:
+        raise PreconditionError("this condition reads revision results, so it needs the operator")
     return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, sc, dom, consistent_only)

@@ -203,10 +203,7 @@ def posterior(
     if scope2 == 0:
         scope2 = scope
 
-    domain = 0
-    for level in levels:
-        domain |= level
-    fresh = scope2 & ~domain
+    fresh = scope2 & ~scope
 
     if order_rule == "lex":
         new_levels = [lv & scope2 & alpha for lv in levels]

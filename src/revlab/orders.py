@@ -42,7 +42,7 @@ class RankedOrder:
 
     def to_text(self, sig: Signature) -> str:
         """`[w1 w2 | w3]` with worlds as signature-order bit strings, minimal level first."""
-        return "[" + " | ".join(sig.worldset_str(lv).replace("  ", " ") for lv in self.levels) + "]"
+        return "[" + " | ".join(sig.worldset_str(lv) for lv in self.levels) + "]"
 
     @staticmethod
     def from_text(text: str, sig: Signature) -> "RankedOrder":

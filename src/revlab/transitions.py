@@ -56,7 +56,7 @@ class TransitionTable:
         # The sampled (state, class) pairs `suite_table` built this table for;
         # None for the whole universe.
         self.sample: tuple | None = None
-        # The sample's (state, id, [α]) items, once `verify._suite_work` has interned them.
+        # The sample's (state, id, [α], 1) items, once `verify._suite_work` has interned them.
         self.work: list | None = None
         self.n_classes = 1 << sig.n_worlds
         self.full = sig.all_worlds

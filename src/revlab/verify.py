@@ -16,13 +16,12 @@ Three layers, each in its own module:
   checks of the characterisation theorems and the construct/reconstruct
   round trips behind the representation results.  The theorems and the DP
   round trip share one mismatch loop.  Once per state it reads the
-  posteriors and the prior's scope classes and success worlds (each only if
-  a condition reads it), and turns each side into a bitset of failing
-  inputs: the postulate side (P13a ORs FC and SC, P13b FR and SR) and the
-  condition side.  A part mismatches where the two differ, so no postulate
-  row is built, and truth lists and a Counterexample only for a reported
-  mismatch.  The other round trips and mutation_detection share one
-  reconstruction check.
+  posteriors and the prior's scope classes and success worlds, and turns
+  each side into a bitset of failing inputs: the postulate side (P13a ORs
+  FC and SC, P13b FR and SR) and the condition side.  A part mismatches
+  where the two differ, so no postulate row is built, and truth lists and a
+  Counterexample only for a reported mismatch.  The other round trips and
+  mutation_detection share one reconstruction check.
 
 Each suite is one stream of its failures, and one runner, `_decide`, reads it
 into the Verdict: the runner alone builds Counterexamples, applies the cap and
@@ -51,14 +50,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import classify, kernels
-from .conditions import CONDITIONS, _READS_REVISIONS, _prior_values
+from . import classify
+from .conditions import CONDITIONS
 from .conditions import CONDITION_IDS, check_condition  # noqa: F401 (re-exported; the benchmark traces check_condition here)
 from .errors import NonWeakOrderError
 from .kernels import revise_mask
 from .operators import canonical_assignment
 from .postulates import FAMILY_POSTULATES, POSTULATE_IDS, _iter_postulate, _PAIRED, _postulate_rows
-from .prop import Signature
 from .states import EpistemicState, StateUniverse, check_clf, check_faithful_limited
 from .transitions import TransitionTable, suite_table
 
@@ -87,7 +85,7 @@ MAX_COUNTEREXAMPLES = 5
 
 
 def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
-    """(state, id, inputs) per universe state, or per sampled (state, input) pair, interned before any posterior.
+    """(state, id, inputs, 1) per universe state, or per sampled (state, input) pair, interned before any posterior.
 
     A sampled table keeps its items, so the suites that share it intern the
     sample once.  A sampled input outside the classes raises ValueError, and a
@@ -97,20 +95,21 @@ def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
         if tab.work is None:
             if outside := [a for _, a in instance_list if a not in range(tab.n_classes)]:
                 raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{tab.n_classes - 1}")
-            tab.work = [(st, tab.id_of(st), [a]) for st, a in instance_list]
+            tab.work = [(st, tab.id_of(st), [a], 1) for st, a in instance_list]
         return tab.work
-    return [(st, tab.id_of(st), tab.classes()) for st in universe.states]
+    return [(st, tab.id_of(st), tab.classes(), 1) for st in universe.states]
 
 
 def _flat(work):
-    """(state, id, inputs, α) per input of `_suite_work` items, the inputs object shared by a state's items."""
-    return [(st, sid, ins, a) for st, sid, ins in work for a in ins]
+    """(item, α) per input of each work item, the item shared by its inputs' entries."""
+    return [(item, a) for item in work for a in item[2]]
 
 
 def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failures, cap: int) -> Verdict:
-    """The Verdict of a suite's failure stream `failures(work, sizes, expand)`: (instances, state, row) per
-    failure in report order on `_suite_work` items, item i standing for sizes[i] states, `expand` building
-    postulate rows.  `instances` is the count of a verdict capped there; a check that holds counts `count(inputs)`.
+    """The Verdict of a suite's failure stream `failures(work, expand)`: (instances, state, row) per
+    failure in report order on (state, id, inputs, size) items, an item standing for `size` states, `expand`
+    building postulate rows.  `instances` is the count of a verdict capped there; a check that holds counts
+    `count(inputs)` per state.
 
     Postulates, conditions and reconstructions use worlds only through set
     operations, so where the renamings that map the universe onto itself
@@ -131,21 +130,18 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
     orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None else None
     if orbits is not None:
         skip = 1 if tab.consistent_only else 0
-        # Each representative's own inputs object: `_mismatches` tells states apart by it.
-        reps = [(st, tab.id_of(st), ins[skip:]) for (st, _), ins in zip(orbits, universe.orbit_inputs())]
-        sizes = [size for _, size in orbits]
-        if next(failures(reps, sizes, _iter_postulate), None) is None:
-            return Verdict(check_id, True, sum(sizes) * count(tab.classes()))
-        work = [(st, sid, tab.classes()) for st, sid, _ in reps]
+        reps = [(st, tab.id_of(st), ins[skip:], size) for (st, size), ins in zip(orbits, universe.orbit_inputs())]
+        if next(failures(reps, _iter_postulate), None) is None:
+            return Verdict(check_id, True, sum(size for _, size in orbits) * count(tab.classes()))
+        work = [(st, sid, tab.classes(), size) for st, sid, _, size in reps]
     if orbits is None or universe._states is not None:
         work = _suite_work(tab, universe, instance_list)
-        sizes = [1] * len(work)
     ces: list[Counterexample] = []
-    for instances, st, row in failures(work, sizes, _postulate_rows):
+    for instances, st, row in failures(work, _postulate_rows):
         if len(ces) == cap:
             return Verdict(check_id, False, instances, ces, note="counterexample cap hit")
         ces.append(Counterexample(st, *row))
-    return Verdict(check_id, not ces, sum(size * count(ins) for (_, _, ins), size in zip(work, sizes)), ces)
+    return Verdict(check_id, not ces, sum(size * count(ins) for _, _, ins, size in work), ces)
 
 
 def check_postulate(
@@ -170,9 +166,9 @@ def check_postulate(
     def count(alphas):  # times the second input's classes for DL7, CL5, CL6 and IL7
         return len(alphas) * (len(tab.classes()) if pid in _PAIRED else 1)
 
-    def failures(work, sizes, expand):
+    def failures(work, expand):
         instances = 0
-        for (st, sid, alphas), size in zip(work, sizes):
+        for st, sid, alphas, size in work:
             instances += size * count(alphas)
             for row in expand(tab, pid, sid, alphas):  # a generator per state here made DL1-DL7 8% slower
                 yield instances, st, row
@@ -223,24 +219,23 @@ def _postulate_instance(tab: TransitionTable, pid: str, sid: int, alphas) -> int
     return failing
 
 
-def _mismatches(tab: TransitionTable, parts, work, sizes):
+def _mismatches(tab: TransitionTable, parts, work):
     """(instances so far, state, α, postulate truths, condition truths) at each
-    (state, id, inputs, α) of `work` where the sides of some part of `parts` differ;
-    each side is a bitset of failing inputs, built once per state (or sampled
-    instance), so an instance is one bit test and truth lists exist only for a mismatch.
-    The k-th state (or sampled instance) of `work` stands for the k-th of `sizes`
-    states, and each of its instances counts that many."""
+    (item, α) of `work` (`_flat`) where the sides of some part of `parts` differ;
+    each side is a bitset of failing inputs, built once per (state, id, inputs, size)
+    item, so an instance is one bit test and truth lists exist only for a mismatch.
+    Each instance counts the `size` states its item stands for."""
     groups = [[CONDITIONS[cid] for cid in cids] for _, cids in parts]
-    reads = {_READS_REVISIONS.get(cid) for _, cids in parts for cid in cids}
     full = tab.full
     co = tab.consistent_only
     states = tab.states
-    seen, instances, sizes = None, 0, iter(sizes)
-    for st, sid, ins, a in work:
-        if ins is not seen:  # a new state, or a new sampled instance
-            seen, fails, unmet, differ, size = ins, [], [], 0, next(sizes)
+    seen, instances = None, 0
+    for item, a in work:
+        if item is not seen:  # a new state, or a new sampled instance
+            seen, fails, unmet, differ = item, [], [], 0
+            st, sid, ins, size = item
             posts = tab.posts(sid, ins)
-            sc, dom = _prior_values(tab, sid, reads)
+            sc, dom = tab.scope_classes(sid), tab.success_worlds(sid)
             for (pids, _), conds in zip(parts, groups):
                 failing = 0
                 for pid in pids:
@@ -275,11 +270,11 @@ def verify_equivalence(
     parts = _THEOREM_CONDITIONS[theorem]
     tab = suite_table(op, universe, consistent_only, instance_list)
 
-    def failures(work, sizes, _expand):  # the sides read no postulate row
+    def failures(work, _expand):  # the sides read no postulate row
         # Flat, not streamed per state: streamed, the `theorems-2atom` benchmark ran faster (wall_s
         # 0.23 against 0.31 s) but its peak_rss_mb rose from 26.1 to 31.5 MB, past its 10% bound, as
         # re-import garbage waited longer for the collector; collecting before each set-up lets it stream.
-        for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work), sizes):
+        for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work)):
             # Lists of truths compare at their first differing part, which names the side.
             side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
             lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
@@ -292,14 +287,14 @@ def verify_equivalence(
 # Representation round trips
 
 
-def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, alphas):
-    """The forward check at one state: the scope rebuilt from `op`'s revision results (None
+def _reconstruction_errors(tab: TransitionTable, st: EpistemicState, family: str, alphas):
+    """The forward check at one state: the scope rebuilt from the table's belief rows (None
     without a weak order) and the (α, β, clause, observed, required) rows of the rebuilt
     assignment's failures: unfaithful, not CLF-valid (CL), scope short of all worlds (AGM), or
-    the first input of `alphas` revised unlike `op`.  The rows are lazy: a failure past the
-    last row read is neither built nor looked for."""
+    the first input of `alphas` revised unlike the state's row.  The rows are lazy: a failure
+    past the last row read is neither built nor looked for."""
     try:
-        order, scope = canonical_assignment(op, st, sig, family="cl" if family == "CL" else "dl")
+        order, scope = canonical_assignment(tab, st, tab.sig, family="cl" if family == "CL" else "dl")
     except NonWeakOrderError as err:
         return None, iter([(None, None, f"canonical reconstruction failed: {err}", "error", "weak order")])
 
@@ -309,11 +304,11 @@ def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, 
             yield None, None, "reconstruction not faithful", recon, "faithful"
         if family == "CL" and not check_clf(recon):
             yield None, None, "reconstruction not CLF-valid", recon, "CLF"
-        if family == "AGM" and scope != sig.all_worlds:
-            yield None, None, "AGM scope not total", scope, sig.all_worlds
-        row, ln = classify.bel_row_of(op, st, sig), kernels.lanes(1 << sig.n_worlds)
+        if family == "AGM" and scope != tab.full:
+            yield None, None, "AGM scope not total", scope, tab.full
+        row = tab.row(tab.id_of(st))
         for a in alphas:
-            got, want = revise_mask(order.levels, scope, st.bel, a), ln.entry(row, a)
+            got, want = revise_mask(order.levels, scope, st.bel, a), tab.lanes.entry(row, a)
             if got != want:
                 yield a, None, "reconstructed operator disagrees", got, want
                 return
@@ -321,8 +316,8 @@ def _reconstruction_errors(op, st: EpistemicState, sig: Signature, family: str, 
     return scope, failures()
 
 
-def _roundtrip_failures(tab: TransitionTable, family: str, fixed: int, work, sizes, expand):
-    """(state, row) per failure of the round trip over `work` and `sizes` as in `_decide`, lazily
+def _roundtrip_failures(tab: TransitionTable, family: str, fixed: int, work, expand):
+    """(state, row) per failure of the round trip over the items of `work` as in `_decide`, lazily
     and in report order: each postulate's rows by `expand` (`_postulate_rows`), then the DP
     parts' mismatches or the forward reconstructions.  With `_iter_postulate` as `expand` a
     backward failure is its (α, failing β) item, so asking whether any failure exists builds
@@ -331,18 +326,18 @@ def _roundtrip_failures(tab: TransitionTable, family: str, fixed: int, work, siz
     keep; so on the representatives it is every state's, and on a walked universe the union
     test adds nothing for an operator those renamings commute with."""
     for pid in FAMILY_POSTULATES[family]:
-        for st, sid, alphas in work:
+        for st, sid, alphas, _ in work:
             for row in expand(tab, pid, sid, alphas):
                 yield st, row
     if family == "DP":
-        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work), sizes):  # flat: see verify_equivalence
+        for _, st, a, lhs, rhs in _mismatches(tab, _DP_PARTS, _flat(work)):  # flat: see verify_equivalence
             for ((pid,), (cid,)), holds, met in zip(_DP_PARTS, lhs, rhs):
                 if holds != met:
                     yield st, (a, None, f"{pid} vs {cid} mismatch", holds, met)
         return
     full, il_scopes = tab.full, set()
-    for st, _, alphas in work:
-        scope, rows = _reconstruction_errors(tab, st, tab.sig, family, alphas)
+    for st, _, alphas, _ in work:
+        scope, rows = _reconstruction_errors(tab, st, family, alphas)
         if scope is not None:
             il_scopes.add(scope)
         for row in rows:
@@ -381,9 +376,9 @@ def representation_roundtrip(
         n = len(alphas)
         return sum(n * n if pid in _PAIRED else n for pid in FAMILY_POSTULATES[family]) + (n if family == "DP" else 1)
 
-    def failures(work, sizes, expand):
-        instances = sum(sizes) * count(tab.classes())
-        rows = _roundtrip_failures(tab, family, universe.fixed_scope, work, sizes, expand)
+    def failures(work, expand):
+        instances = sum(size for *_, size in work) * count(tab.classes())
+        rows = _roundtrip_failures(tab, family, universe.fixed_scope, work, expand)
         yield from ((instances, st, row) for st, row in rows)
 
     return _decide(tab, universe, None, f"roundtrip-{family}", count, failures, max_counterexamples)
@@ -406,10 +401,9 @@ def mutation_detection(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     states = universe.states
-    sig = universe.sig
     rng = random.Random(seed)
-    tab = TransitionTable(op, sig)
-    n_classes = 1 << sig.n_worlds
+    tab = TransitionTable(op, universe.sig)
+    n_classes = tab.n_classes
     detected = 0
     misses = []
     for _ in range(trials):
@@ -425,7 +419,7 @@ def mutation_detection(
         tab._rows[sid] = row ^ (old ^ new_bel) << a * tab.lanes.width
         try:
             # Detection needs one failure, so the check stops at the first.
-            hit = next(_reconstruction_errors(tab, st, sig, "DL", range(n_classes))[1], None) is not None
+            hit = next(_reconstruction_errors(tab, st, "DL", range(n_classes))[1], None) is not None
         finally:
             tab._rows[sid] = row
         if hit:

@@ -172,23 +172,40 @@ def test_criterion_5_scope_equality(faithful_all):
         syntactic_scope(op, st, ABC) != semantic_scope(st, ABC)
         for st in sample_states(ABC, "faithful", 500, rng)
     )
-    ok = bad == 0 and bad3 == 0
+    # Both scopes use worlds only through set operations, so the orbit
+    # representatives decide them on every 3-atom state.
+    t0 = time.perf_counter()
+    reps = [st for st, _ in enumerate_states(ABC, "faithful").orbits()]
+    bad_reps = sum(syntactic_scope(op, st, ABC) != semantic_scope(st, ABC) for st in reps)
+    elapsed = time.perf_counter() - t0
+    ok = bad == 0 and bad3 == 0 and bad_reps == 0
     record_criterion(
         "05",
-        "syntactic scope equals semantic scope (exhaustive n=2, 500 seeded n=3)",
+        f"syntactic scope equals semantic scope (exhaustive n=2, 500 seeded n=3, {len(reps)} n=3 representatives)",
         ok,
-        f"seed {SEED}",
+        f"seed {SEED}; representatives {elapsed:.2f}s",
     )
     assert bad == 0
     assert bad3 == 0
+    assert (len(reps), bad_reps) == (1004, 0)
 
 
 def test_criterion_6_agm_scope_is_total(fa_universe):
     op = RevisionOperator("agm")
     everything = set(range(16))
     bad = sum(syntactic_scope(op, st, AB) != everything for st in fa_universe.states)
-    record_criterion("06", "AGM operators accept all 16 classes in every FA state", bad == 0)
+    t0 = time.perf_counter()
+    reps = [st for st, _ in enumerate_states(ABC, "fa").orbits()]
+    bad3 = sum(syntactic_scope(op, st, ABC) != set(range(256)) for st in reps)
+    elapsed = time.perf_counter() - t0
+    record_criterion(
+        "06",
+        f"AGM operators accept every class in every FA state (all n=2, the {len(reps)} n=3 representatives)",
+        bad == 0 and bad3 == 0,
+        f"representatives {elapsed:.2f}s",
+    )
     assert bad == 0
+    assert (len(reps), bad3) == (128, 0)
 
 
 def test_criterion_7_closure_witness_equivalence():

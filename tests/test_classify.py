@@ -338,9 +338,9 @@ class TestClosure:
 class TestReport:
     def test_report_lines(self):
         sig, st, op = karl_fixture()
-        lines = classification_report(op, st, None, sig)
-        assert len(lines) == 256
-        assert lines[0].startswith("class 0: scope=")
+        rows = classification_report(op, st, None, sig)
+        assert len(rows) == 256
+        assert list(rows[0]) == ["class", "scope", "latent", "reasonable"] and rows[0]["class"] == 0
         uni = enumerate_states(AB, "fa")
-        lines = classification_report(RevisionOperator("agm"), uni.states[0], uni, AB)
-        assert "inherent=" in lines[1]
+        rows = classification_report(RevisionOperator("agm"), uni.states[0], uni, AB)
+        assert "inherent" in rows[1] and "immanent" in rows[1]

@@ -453,6 +453,23 @@ class TestClassify:
         assert "class 0: scope=" in out
         assert out.count("latent=") == 256
 
+    @pytest.mark.parametrize("atoms, seed", [("a b", 3), ("a b c", 4)])
+    def test_json_rows_carry_the_text_flags(self, atoms, seed, tmp_path, capsys):
+        # Up to 2 atoms the report builds a universe, and so reads inherence and immanence.
+        sig = Signature.of(atoms)
+        path = tmp_path / "st.txt"
+        path.write_text(dump_state(sig, sample_states(sig, "faithful", 1, random.Random(seed))[0]))
+        assert main(["classify", "--state", str(path)]) == 0
+        text = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert main(["classify", "--state", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["checks"]
+        names = ["scope", "latent", "reasonable"] + (["inherent", "immanent"] if sig.n_atoms == 2 else [])
+        assert len(rows) == len(text) == 1 << sig.n_worlds
+        for a, (line, row) in enumerate(zip(text, rows)):
+            assert list(row) == sorted(["class", *names]) and row["class"] == a
+            assert line == f"class {a}: " + " ".join(f"{n}={'y' if row[n] else 'n'}" for n in names)
+        assert {row[n] for row in rows for n in ("scope", "latent")} == {True, False}
+
 
 class TestEnumerate:
     def test_counts(self, capsys):
@@ -464,6 +481,15 @@ class TestEnumerate:
         assert "# states: 417" in capsys.readouterr().out
         assert main(["enumerate", "--sig", "a b c", "--samples", "7", "--count-only"]) == 0
         assert "# states: 7 (sampled)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, states, sampled",
+        [(["a b"], 566, False), (["a b", "--global-consistency"], 417, False), (["a b c", "--samples", "7"], 7, True)],
+        ids=["faithful", "global-consistency", "sampled"],
+    )
+    def test_count_only_json(self, flags, states, sampled, capsys):
+        assert main(["enumerate", "--sig", *flags, "--count-only", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"] == [{"states": states, "sampled": sampled}]
 
     def test_dump(self, capsys):
         assert main(["enumerate", "--sig", "a", "--universe", "fa"]) == 0

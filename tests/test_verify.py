@@ -1,12 +1,12 @@
 import collections
 import hashlib
 import random
-from itertools import repeat
 
 import pytest
 from condition_oracle import oracle_condition
 from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
+from revlab.conditions import _READS_REVISIONS
 from revlab.errors import PreconditionError, ScopeMismatchError, TooLargeError
 from revlab import classify, verify
 from revlab.fixtures import karl_fixture
@@ -234,12 +234,11 @@ class TestConditionsMatchOracle:
 
 
 def test_conditions_outside_the_registry_read_no_revision_results(faithful):
-    # Only the ids of `_READS_REVISIONS` are handed the prior's scope classes
-    # and success worlds; every other id is handed None for both, so one that
-    # reads them without being registered raises here.
-    assert set(verify._READS_REVISIONS) <= set(CONDITION_IDS)
-    assert set(verify._READS_REVISIONS.values()) == {"sc", "dom"}
-    free = [cid for cid in CONDITION_IDS if cid not in verify._READS_REVISIONS]
+    # Without an operator `check_condition` hands a condition None for the
+    # prior's scope classes and success worlds, and refuses the ids of
+    # `_READS_REVISIONS`; an id that reads them without being listed raises here.
+    assert _READS_REVISIONS <= set(CONDITION_IDS)
+    free = [cid for cid in CONDITION_IDS if cid not in _READS_REVISIONS]
     transitions = _distinct_transitions(AB, [(st, a) for st in faithful.states for a in range(16)])
     for st, post, a in transitions:
         for cid in free:
@@ -617,9 +616,10 @@ def _per_instance_mismatches(tab, parts, work):
     from each state's `_postulate_instance` bitsets, the condition side from
     `check_condition` on the instance's transition."""
     seen = None
-    for instances, (st, sid, ins, a) in enumerate(work, 1):
-        if ins is not seen:
-            seen = ins
+    for instances, (item, a) in enumerate(work, 1):
+        if item is not seen:
+            seen = item
+            st, sid, ins, _ = item
             fails = []
             for pids, _ in parts:
                 bad = 0
@@ -639,8 +639,8 @@ def _per_instance_mismatches(tab, parts, work):
 def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_only=False):
     """Both loops' full mismatch sequences on one suite's work list; their length."""
     tab = suite_table(op, universe, consistent_only, instance_list)
-    work = [(st, sid, ins, a) for st, sid, ins in verify._suite_work(tab, universe, instance_list) for a in ins]
-    got = list(verify._mismatches(tab, parts, work, repeat(1)))
+    work = verify._flat(verify._suite_work(tab, universe, instance_list))
+    got = list(verify._mismatches(tab, parts, work))
     assert got == list(_per_instance_mismatches(tab, parts, work))
     return len(got)
 
@@ -1317,6 +1317,6 @@ def test_one_input_per_stabilizer_orbit_decides_as_every_input(family, kind, gc,
 
     reduced = verdicts()
     assert sum(holds for holds, *_ in reduced) > 0 and not all(holds for holds, *_ in reduced)
-    # A new tuple per representative: `_mismatches` tells states apart by their inputs object.
-    monkeypatch.setattr(StateUniverse, "orbit_inputs", lambda uni: [tuple(range(16)) for _ in uni.orbits()])
+    every = tuple(range(16))
+    monkeypatch.setattr(StateUniverse, "orbit_inputs", lambda uni: [every for _ in uni.orbits()])
     assert verdicts() == reduced
