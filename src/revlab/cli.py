@@ -221,8 +221,8 @@ def cmd_check(args) -> int:
     if args.max_counterexamples < 0:
         raise RevlabError(f"--max-counterexamples must be at least 0, got {args.max_counterexamples}")
     op = _load_operator(args, sig)
+    ids = _expand_ids(args.ids, op)  # refused before the universe or a sample is built
     uni, instance_list = _universe(args, sig, op)
-    ids = _expand_ids(args.ids, op)
     rows = []
     any_fail = False
     for check_id in ids:

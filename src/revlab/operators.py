@@ -187,8 +187,8 @@ def canonical_assignment(
     if domain == 0:
         raise NonWeakOrderError("reconstructed scope is empty")
 
-    worlds = list(iter_worlds(domain))
-    up = {w: sum(1 << v for v in worlds if ln.entry(row, 1 << w | 1 << v) >> w & 1) for w in worlds}
+    worlds, t = list(iter_worlds(domain)), ln.entries(row)
+    up = {w: sum(1 << v for v in worlds if t[1 << w | 1 << v] >> w & 1) for w in worlds}
     for w in worlds:
         gap = domain & ~up[w] & ~sum(1 << v for v in worlds if up[v] >> w & 1)
         if gap:

@@ -10,11 +10,12 @@ ranked order over the scope).  The three nested validity notions:
 Universes are the quantification domains of the postulates ("for all Ψ").
 Every universe is closed under the renamings of the worlds that keep its
 fixed scope: `il_scope` for the il kind, all worlds for the others.  Up to
-2 atoms it holds its states.  At 3 atoms the faithful universe has ~4.4M
-members, so a universe of any kind holds only one state per orbit under
-those renamings (`orbit_representatives`), built on the first `orbits()`
-call; there the verifier samples, or decides a check on the
-representatives.  The renamings that fix a representative map its inputs
+2 atoms it builds its states on the first read of `states`, so a check
+decided on the representatives builds none.  At 3 atoms the faithful
+universe has ~4.4M members, so a universe of any kind holds only one state
+per orbit under those renamings (`orbit_representatives`), built on the
+first `orbits()` call; there the verifier samples, or decides a check on
+the representatives.  The renamings that fix a representative map its inputs
 onto each other in turn, and `orbit_inputs()` gives one input per such
 orbit (`stabilizer_inputs`), built once.
 """
@@ -79,7 +80,9 @@ class StateUniverse:
     kind: str
     global_consistency: bool
     il_scope: int | None = None
-    _states: tuple[EpistemicState, ...] | None = None
+    _states: tuple[EpistemicState, ...] | None = None  # given by hand, or None for all of the kind's
+    # All of the kind's states where none are given, built on the first `states` read; not compared.
+    _built: tuple[EpistemicState, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # The orbit representatives with their sizes, built on the first orbits()
     # call; [] where the universe has none.
     _orbits: list | None = field(default=None, init=False, repr=False, compare=False)
@@ -92,9 +95,14 @@ class StateUniverse:
 
     @property
     def states(self) -> tuple[EpistemicState, ...]:
-        if self._states is None:
-            raise TooLargeError(f"a {self.sig.n_atoms}-atom universe holds only its orbit representatives")
-        return self._states
+        if self._states is not None:
+            return self._states
+        if self._built is None:
+            if self.sig.n_atoms > MAX_ATOMS_MATERIALISED:
+                raise TooLargeError(f"a {self.sig.n_atoms}-atom universe holds only its orbit representatives")
+            built = tuple(_generate_states(self.sig, self.kind, self.global_consistency, self.il_scope))
+            object.__setattr__(self, "_built", built)
+        return self._built
 
     @property
     def fixed_scope(self) -> int:
@@ -145,16 +153,14 @@ def enumerate_states(
     """The universe of the given validity kind over the signature.
 
     `kind`: faithful (every faithful limited assignment), clf, fa, or il
-    (faithful with one fixed scope, passed as `il_scope`).  It holds its
-    states up to 2 atoms; at 3 atoms only its orbit representatives, built
-    on the first `orbits()` call.
+    (faithful with one fixed scope, passed as `il_scope`).  It builds no
+    state here: up to 2 atoms its states on the first read of `states`, and
+    at any size its orbit representatives on the first `orbits()` call.
     """
     _check_kind(sig, kind, il_scope)
     if sig.n_atoms > MAX_ATOMS:
         raise TooLargeError(f"state enumeration supports at most {MAX_ATOMS} atoms")
-    held = sig.n_atoms <= MAX_ATOMS_MATERIALISED
-    states = tuple(_generate_states(sig, kind, global_consistency, il_scope)) if held else None
-    return StateUniverse(sig, kind, global_consistency, il_scope, states)
+    return StateUniverse(sig, kind, global_consistency, il_scope)
 
 
 def _check_kind(sig: Signature, kind: str, il_scope: int | None) -> None:

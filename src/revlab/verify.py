@@ -29,8 +29,8 @@ counts the instances.  An exhaustive check that the renamings of the worlds
 keeping the universe's fixed scope cannot change (`classify.renaming_orbits`)
 is decided on one state per orbit first, and at each state on one input per
 orbit of the renamings that fix it.  It walks the whole universe only when
-a representative fails, so its counterexamples are those of the plain run; a
-3-atom universe, which holds only its representatives, takes theirs.
+a representative fails, and builds its states only then; its counterexamples
+are the plain run's, and a 3-atom universe's are its representatives'.
 
 Reading notes (also emitted in report headers):
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from . import classify
 from .conditions import CONDITIONS
 from .conditions import CONDITION_IDS, check_condition  # noqa: F401 (re-exported; the benchmark traces check_condition here)
-from .errors import NonWeakOrderError
+from .errors import NonWeakOrderError, TooLargeError
 from .kernels import revise_mask
 from .operators import canonical_assignment
 from .postulates import FAMILY_POSTULATES, POSTULATE_IDS, _iter_postulate, _PAIRED, _postulate_rows
@@ -120,10 +120,11 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
     representative only one input per orbit of the renamings that fix it
     (`orbit_inputs()`), since those renamings map its inputs onto each other
     and leave the verdict at each; under `consistent_only` the empty input, an
-    orbit of its own, is dropped.  If none fails, the check holds.  If one
-    fails, a universe that holds its states is walked, so the counterexamples
-    are those of the plain run; one that holds only its representatives takes
-    theirs, at every input.
+    orbit of its own, is dropped.  If none fails, the check holds, and no
+    universe state was built.  If one fails, a universe that can give its
+    states (at most 2 atoms, or given them by hand) is walked, building them
+    on the first read, so the counterexamples are those of the plain run; one
+    that holds only its representatives takes theirs, at every input.
     """
     if cap < 0:
         raise ValueError(f"max_counterexamples must be at least 0, got {cap}")
@@ -134,8 +135,11 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
         if next(failures(reps, _iter_postulate), None) is None:
             return Verdict(check_id, True, sum(size for _, size in orbits) * count(tab.classes()))
         work = [(st, sid, tab.classes(), size) for st, sid, _, size in reps]
-    if orbits is None or universe._states is not None:
+    try:
         work = _suite_work(tab, universe, instance_list)
+    except TooLargeError:  # a universe that holds only its representatives takes theirs
+        if orbits is None:
+            raise
     ces: list[Counterexample] = []
     for instances, st, row in failures(work, _postulate_rows):
         if len(ces) == cap:

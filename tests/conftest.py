@@ -1,5 +1,9 @@
 """Collects acceptance-criterion results and prints one line per criterion
-at the end of the run."""
+at the end of the run, and records when a universe builds its states."""
+
+import pytest
+
+from revlab import states
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -16,3 +20,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The (sig, kind, global_consistency, il_scope) of each `states._generate_states` call: one per
+    universe that builds its states."""
+    calls = []
+    generate = states._generate_states
+    monkeypatch.setattr(states, "_generate_states", lambda *args: calls.append(args) or generate(*args))
+    return calls

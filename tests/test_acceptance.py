@@ -389,26 +389,39 @@ def test_criterion_10_family_separation(faithful_gc, fa_universe):
     assert separation_ok
 
 
-def test_criterion_11_latency_and_reasonableness_characterised(faithful_all):
-    op = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
+def _latency_mismatches(op, states, sig: Signature) -> int:
+    """The classes and minterms at which criterion 11's characterisation fails, over `states`."""
     bad = 0
-    for st in faithful_all.states:
-        cls = classify.classify_state(op, st, AB)
-        for alpha in range(16):
+    for st in states:
+        cls = classify.classify_state(op, st, sig)
+        for alpha in range(1 << sig.n_worlds):
             want = alpha != 0 and alpha & ~st.scope == 0
             bad += bool(cls.reasonable >> alpha & 1) != want
-        for w in range(4):
+        for w in range(sig.n_worlds):
             wm = 1 << w
             in_scope = bool(st.scope & wm)
             if st.bel & wm:
                 bad += bool(cls.s1 >> wm & 1) != in_scope
             else:
                 bad += bool(cls.s2 >> wm & 1) != in_scope
+    return bad
+
+
+def test_criterion_11_latency_and_reasonableness_characterised(faithful_all):
+    # Every state at 2 atoms, and the 1,004 faithful orbit representatives at 3: the
+    # characterisation is renaming-invariant, so they stand for the 3-atom universe.
+    op = RevisionOperator("dl", UpdatePolicy("keep", "keep"))
+    bad = _latency_mismatches(op, faithful_all.states, AB)
+    start = time.perf_counter()
+    reps = [st for st, _ in enumerate_states(ABC, "faithful").orbits()]
+    bad_3atom = _latency_mismatches(op, reps, ABC)
+    elapsed = time.perf_counter() - start
     record_criterion(
         "11", "reasonable iff inside scope; acceptance conditions split by belief",
-        bad == 0,
+        bad == bad_3atom == 0, f"{len(reps)} 3-atom representatives in {elapsed:.2f}s",
     )
-    assert bad == 0
+    assert len(reps) == 1_004
+    assert (bad, bad_3atom) == (0, 0)
 
 
 def test_criterion_12_inherence_boundaries(fa_universe):

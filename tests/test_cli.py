@@ -15,8 +15,9 @@ from revlab.fixtures import (
     KARL_STATE_TEXT,
 )
 from revlab.operators import RevisionOperator, UpdatePolicy, dump_operator, tabulate
+from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
-from revlab.states import dump_state, enumerate_states, parse_state, sample_states
+from revlab.states import EpistemicState, dump_state, enumerate_states, parse_state, sample_states
 from revlab.transitions import TransitionTable
 
 AB = Signature.of("a b")
@@ -196,6 +197,30 @@ def test_check_all_builds_the_orbit_representatives_once(monkeypatch, capsys):
     assert built == [(AB, "faithful", False, None)]
 
 
+@pytest.mark.parametrize(
+    "op, flags, passes",
+    [
+        (RevisionOperator("dl"), [], 7),
+        (RevisionOperator("cl"), ["--universe", "clf"], 6),
+        (RevisionOperator("agm"), ["--consistent-only"], 13),
+        (RevisionOperator("il", il_scope=0b0110), [], 7),
+    ],
+    ids=["dl", "cl", "agm", "il"],
+)
+def test_green_checks_and_classify_build_no_universe_state(op, flags, passes, generated, tmp_path, capsys):
+    # Each check holds on the orbit representatives, and the inherent and immanent classes
+    # come from them, so none of the 2-atom universe's states is built.
+    path = tmp_path / "op.op"
+    path.write_text(dump_operator(op))
+    assert main(["check", "--operator", str(path), "--sig", "a b", *flags, "all"]) == 0
+    assert capsys.readouterr().out.count("result=PASS") == passes
+    state = tmp_path / "st.txt"
+    state.write_text(dump_state(AB, EpistemicState(0b0010, 0b0110, RankedOrder((0b0010, 0b0100)))))
+    assert main(["classify", "--state", str(state), "--operator", str(path)]) == 0
+    assert capsys.readouterr().out.count("immanent=") == 16
+    assert generated == []
+
+
 def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypatch, tmp_path, capsys):
     # The immanent classes of an agm operator come from the 128 orbit
     # representatives of the 3-atom fa universe, not from its 545,835 states;
@@ -334,6 +359,13 @@ class TestBadInput:
         op = tmp_path / "bad.op"
         op.write_text("family: extensional\nsig: a\nstate x: bel 0 ; scope 0 ; order [0]\n")
         self._fails_cleanly(["check", "--operator", str(op), "--sig", "a", "all"], capsys, "line 3")
+
+    def test_unknown_id_is_refused_before_any_state_is_built(self, generated, monkeypatch, capsys):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_states", lambda *args: sampled.append(args) or [])
+        self._fails_cleanly(["check", "--sig", "a b c", "NOPE"], capsys, "unknown id 'NOPE'")
+        self._fails_cleanly(["check", "--sig", "a b", "DL1", "NOPE"], capsys, "unknown id 'NOPE'")
+        assert sampled == [] and generated == []
 
     def test_bad_signature_option(self, capsys):
         self._fails_cleanly(["check", "--sig", "A B", "all"], capsys, "'A'")

@@ -154,6 +154,23 @@ class TestEnumerate:
         with pytest.raises(TooLargeError):
             enumerate_states(Signature.of("a b c d"))
 
+    def test_states_are_built_on_the_first_read_and_keep_the_value(self, generated):
+        # Up to 2 atoms a universe builds its states once, on the first read of `states`.  They are a
+        # cache: the universe equals and hashes as before, and as a twin that never read them.
+        uni, twin = enumerate_states(AB, "faithful"), enumerate_states(AB, "faithful")
+        before = hash(uni)
+        assert generated == [] and uni == twin
+        assert len(uni.states) == 566 and uni.states is uni.states
+        assert generated == [(AB, "faithful", False, None)]
+        assert uni == twin and hash(uni) == before == hash(twin)
+        # A universe given its states by hand compares by them: one short of the kind's is another
+        # universe, and has no orbits.
+        short = StateUniverse(AB, "faithful", False, None, uni.states[:-1])
+        assert short != uni and short.states == uni.states[:-1] and short.orbits() is None
+        assert len(generated) == 1
+        with pytest.raises(TooLargeError):
+            enumerate_states(Signature.of("a b c")).states
+
     def test_lazy_universe_at_three_atoms(self):
         # A 3-atom universe holds only its orbit representatives, built when first asked for.
         uni = enumerate_states(Signature.of("a b c"))

@@ -10,6 +10,7 @@ the `__init__` re-exports.  A helper that only tests call belongs in
 `ENTRY_POINTS` holds the functions kept for callers outside the package.
 A library module also reads every name it imports at module level (the
 project runs no linter to say so), and cites no ROADMAP item by number.
+Only `states.py` reads a universe's `_states`.
 """
 
 import ast
@@ -113,3 +114,17 @@ def unused_imports():
 
 def test_no_library_module_imports_a_name_it_does_not_use():
     assert unused_imports() == set()
+
+
+def test_only_the_states_module_reads_a_universes_own_states():
+    # `StateUniverse._states` is set only for a universe given its states by hand; an enumerated
+    # one builds them when `states` is first read.  Elsewhere a test of `_states` would take an
+    # enumerated universe for one that holds no states.
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "states.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_states"
+    ]
+    assert readers == []

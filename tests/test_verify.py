@@ -20,7 +20,7 @@ from revlab.operators import (
 )
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
-from revlab.states import EpistemicState, StateUniverse, enumerate_states, sample_states
+from revlab.states import EpistemicState, StateUniverse, _generate_states, enumerate_states, sample_states
 from revlab.transitions import TransitionTable, suite_table
 from revlab.verify import (
     _THEOREM_CONDITIONS,
@@ -333,6 +333,30 @@ def test_red_counterexamples_pinned(theorem, faithful_gc):
     rows = _rows(full)
     assert len(rows) == total
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+
+def test_red_theorem_builds_the_states_once(generated):
+    # A representative fails, so the universe builds its states for the walk, once for both calls,
+    # and the counterexamples are the pinned ones of the plain run.
+    universe = enumerate_states(AB, "faithful", global_consistency=True)
+    first, at_cap, total, digest = RED_COUNTEREXAMPLES["P9"]
+    v = verify_equivalence(DL_OP, universe, "P9")
+    assert generated == [(AB, "faithful", True, None)]
+    assert v.instances == at_cap and _rows(v) == [(st, a, f"P9: {side}") for st, a, side in first]
+    rows = _rows(verify_equivalence(DL_OP, universe, "P9", max_counterexamples=10**6))
+    assert len(rows) == total and hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+    assert len(generated) == 1
+
+
+def test_a_3atom_universe_given_its_states_is_walked():
+    # Given every state of its kind by hand, a 3-atom universe has orbits but can still list its
+    # states, so a failing check walks them as the plain run does.  The cap stops the walk within
+    # the first failing state's 256 inputs; the representatives would count 24,576 there.
+    given = StateUniverse(ABC, "il", True, 0x0F, tuple(_generate_states(ABC, "il", True, 0x0F)))
+    assert len(given.states) == 2_325 and given.orbits() is not None
+    v = check_postulate(DL_OP, given, "CL2")
+    assert not v.holds and v.instances == 256
+    assert [(ce.state.bel, ce.state.scope, ce.alpha) for ce in v.counterexamples] == [(16, 15, a) for a in range(17, 22)]
 
 
 # Uncapped postulate verdicts with consistent_only off and on: one digest
