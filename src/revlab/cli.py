@@ -88,11 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read(flag: str, path: str) -> str:
+    """The text of a --state or --operator file; one that cannot be read is a RevlabError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise RevlabError(f"{flag} {path}: {err.strerror if isinstance(err, OSError) else 'not UTF-8 text'}") from None
+
+
 def _load_operator(args, sig: Signature | None) -> RevisionOperator:
     if not getattr(args, "operator", None):
         return RevisionOperator("dl")
-    with open(args.operator) as fh:
-        return parse_operator(fh.read(), sig)
+    return parse_operator(_read("--operator", args.operator), sig)
 
 
 def _universe(args, sig: Signature, op):
@@ -172,8 +180,7 @@ def _verdict_row(v: verify.Verdict, op_name: str, n_atoms: int, sig: Signature) 
 
 
 def cmd_revise(args) -> int:
-    with open(args.state) as fh:
-        sig, st = parse_state(fh.read())
+    sig, st = parse_state(_read("--state", args.state))
     op = _load_operator(args, sig)
     rows = [{"line": f"# initial\n{dump_state(sig, st)}", "state": dump_state(sig, st)}]
     for text in args.formulas:
@@ -251,8 +258,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    with open(args.state) as fh:
-        sig, st = parse_state(fh.read())
+    sig, st = parse_state(_read("--state", args.state))
     op = _load_operator(args, sig)
     universe = None
     if sig.n_atoms <= 2:

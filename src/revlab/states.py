@@ -13,17 +13,19 @@ fixed scope: `il_scope` for the il kind, all worlds for the others.  Up to
 2 atoms it builds its states on the first read of `states`, so a check
 decided on the representatives builds none.  At 3 atoms the faithful
 universe has ~4.4M members, so a universe of any kind holds only one state
-per orbit under those renamings (`orbit_representatives`), built on the
-first `orbits()` call; there the verifier samples, or decides a check on
-the representatives.  The renamings that fix a representative map its inputs
-onto each other in turn, and `orbit_inputs()` gives one input per such
-orbit (`stabilizer_inputs`), built once.
+per orbit under those renamings (`orbit_representatives`); there the
+verifier samples, or decides a check on the representatives.  The renamings
+that fix a representative map its inputs onto each other in turn, and
+`orbit_inputs()` gives one input per such orbit (`stabilizer_inputs`).  Both
+are built once per process for each key (signature, kind, global
+consistency, fixed scope), and every universe of that key shares them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -83,11 +85,6 @@ class StateUniverse:
     _states: tuple[EpistemicState, ...] | None = None  # given by hand, or None for all of the kind's
     # All of the kind's states where none are given, built on the first `states` read; not compared.
     _built: tuple[EpistemicState, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    # The orbit representatives with their sizes, built on the first orbits()
-    # call; [] where the universe has none.
-    _orbits: list | None = field(default=None, init=False, repr=False, compare=False)
-    # `stabilizer_inputs` of each representative, built on the first orbit_inputs() call.
-    _inputs: list | None = field(default=None, init=False, repr=False, compare=False)
     # The last transition table a verifier suite built on this universe (see
     # transitions.suite_table), kept for the next suite call with the same
     # operator over the same states.  Not part of the universe's value.
@@ -109,22 +106,15 @@ class StateUniverse:
         """The scope whose keeping renamings map the universe onto itself: `il_scope`, or all worlds."""
         return self.il_scope or self.sig.all_worlds
 
-    def orbits(self) -> list[tuple[EpistemicState, int]] | None:
-        """`orbit_representatives` of the whole universe, built once; None for one built by hand
-        that holds fewer states than its kind has."""
-        if self._orbits is None:
-            orbits = orbit_representatives(self.sig, self.kind, self.global_consistency, self.il_scope)
-            if self._states is not None and len(self._states) != sum(size for _, size in orbits):
-                orbits = []
-            object.__setattr__(self, "_orbits", orbits)
-        return self._orbits or None
+    def orbits(self) -> tuple[tuple[EpistemicState, int], ...] | None:
+        """`orbit_representatives` of the universe; None for one built by hand short of its kind's states."""
+        orbits = orbit_representatives(self.sig, self.kind, self.global_consistency, self.il_scope)
+        whole = self._states is None or len(self._states) == sum(size for _, size in orbits)
+        return orbits if whole else None
 
-    def orbit_inputs(self) -> list[tuple[int, ...]]:
-        """`stabilizer_inputs` of each representative of `orbits()`, in their order, built once."""
-        if self._inputs is None:
-            n = self.sig.n_worlds
-            object.__setattr__(self, "_inputs", [stabilizer_inputs(st, n) for st, _ in self.orbits() or ()])
-        return self._inputs
+    def orbit_inputs(self) -> tuple[tuple[int, ...], ...]:
+        """`stabilizer_inputs` of each representative of `orbits()`, in their order."""
+        return _orbit_inputs(self.sig, self.kind, self.global_consistency, self.il_scope) if self.orbits() else ()
 
 
 def _generate_states(
@@ -155,7 +145,7 @@ def enumerate_states(
     `kind`: faithful (every faithful limited assignment), clf, fa, or il
     (faithful with one fixed scope, passed as `il_scope`).  It builds no
     state here: up to 2 atoms its states on the first read of `states`, and
-    at any size its orbit representatives on the first `orbits()` call.
+    at any size the orbit representatives on the first `orbits()` call for its key.
     """
     _check_kind(sig, kind, il_scope)
     if sig.n_atoms > MAX_ATOMS:
@@ -184,9 +174,10 @@ def _compositions(k: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+@lru_cache(maxsize=None)
 def orbit_representatives(
     sig: Signature, kind: str, global_consistency: bool = False, il_scope: int | None = None
-) -> list[tuple[EpistemicState, int]]:
+) -> tuple[tuple[EpistemicState, int], ...]:
     """One state per orbit of the universe under the renamings of the worlds that keep its fixed
     scope S (`il_scope` for il, all worlds otherwise), with the orbit's size.
 
@@ -200,7 +191,7 @@ def orbit_representatives(
     the believed worlds outside the scope and the other n-k-j worlds among
     themselves, so its orbit holds |S|!·(n-|S|)! / (prod of the level sizes'
     factorials · j! · (n-k-j)!) of the n worlds' states.  Built directly, in
-    the order (k, level sizes, level 0 believed, j).
+    the order (k, level sizes, level 0 believed, j), once per argument tuple.
     """
     _check_kind(sig, kind, il_scope)
     n, fixed = sig.n_worlds, il_scope or sig.all_worlds
@@ -223,7 +214,14 @@ def orbit_representatives(
                     bel = inner | first[k + j] ^ first[k]
                     size = arranged // (factorial(j) * factorial(n - k - j))
                     out.append((EpistemicState(bel, first[k], order), size))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _orbit_inputs(sig: Signature, *rest) -> tuple[tuple[int, ...], ...]:
+    """`stabilizer_inputs` of each of `orbit_representatives(sig, *rest)`, in their order; once per key."""
+    n = sig.n_worlds
+    return tuple(stabilizer_inputs(st, n) for st, _ in orbit_representatives(sig, *rest))
 
 
 def stabilizer_inputs(st: EpistemicState, n_worlds: int) -> tuple[int, ...]:

@@ -188,13 +188,16 @@ def test_sampled_check_builds_each_prior_row_once(monkeypatch, capsys):
     assert {built[st] for st in sampled} == {1}
 
 
-def test_check_all_builds_the_orbit_representatives_once(monkeypatch, capsys):
-    built = []
-    build = states.orbit_representatives
-    monkeypatch.setattr(states, "orbit_representatives", lambda *args: built.append(args) or build(*args))
-    assert main(["check", "--sig", "a b", "all"]) == 0
-    assert capsys.readouterr().out.count("result=PASS") == 7
-    assert built == [(AB, "faithful", False, None)]
+def test_check_all_builds_the_orbit_representatives_once(capsys):
+    # Once per key and process: a second call builds a new universe of the same key, and no orbits.
+    states.orbit_representatives.cache_clear()
+    states._orbit_inputs.cache_clear()
+    for _ in range(2):
+        assert main(["check", "--sig", "a b", "all"]) == 0
+        assert capsys.readouterr().out.count("result=PASS") == 7
+    assert states.orbit_representatives.cache_info().misses == states._orbit_inputs.cache_info().misses == 1
+    states.orbit_representatives(AB, "faithful", False, None)  # the key the calls built
+    assert states.orbit_representatives.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
@@ -354,6 +357,30 @@ class TestBadInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["revise", "--state", "BAD"], "--state"),
+            (["revise", "--state", "KARL", "--operator", "BAD"], "--operator"),
+            (["check", "--operator", "BAD", "--sig", "a b", "DL1"], "--operator"),
+            (["classify", "--state", "BAD"], "--state"),
+            (["classify", "--state", "KARL", "--operator", "BAD"], "--operator"),
+        ],
+        ids=["revise-state", "revise-operator", "check-operator", "classify-state", "classify-operator"],
+    )
+    def test_unreadable_state_or_operator_file(self, argv, flag, missing, karl_files, tmp_path, capsys):
+        # The error names the flag and the path that could not be read.
+        bad = str(tmp_path / "nonexistent" if missing else tmp_path)
+        argv = [{"BAD": bad, "KARL": karl_files[0]}.get(arg, arg) for arg in argv]
+        reason = "No such file or directory" if missing else "Is a directory"
+        self._fails_cleanly(argv, capsys, f"{flag} {bad}: {reason}")
+
+    def test_state_file_that_is_not_text(self, tmp_path, capsys):
+        state = tmp_path / "binary.state"
+        state.write_bytes(b"\xff\xfe")
+        self._fails_cleanly(["revise", "--state", str(state)], capsys, "not UTF-8 text")
 
     def test_malformed_operator_file(self, tmp_path, capsys):
         op = tmp_path / "bad.op"

@@ -8,6 +8,7 @@ from condition_oracle import is_unbiased
 from revlab import states
 from revlab.errors import InvariantError, ParseError, TooLargeError
 from revlab.fixtures import KARL_STATE_TEXT
+from revlab.operators import RevisionOperator, UpdatePolicy
 from revlab.orders import RankedOrder, enumerate_orders
 from revlab.prop import Signature
 from revlab.states import (
@@ -21,7 +22,9 @@ from revlab.states import (
     orbit_representatives,
     parse_state,
     sample_states,
+    stabilizer_inputs,
 )
+from revlab.verify import THEOREM_IDS, verify_equivalence
 
 AB = Signature.of("a b")
 
@@ -172,12 +175,14 @@ class TestEnumerate:
             enumerate_states(Signature.of("a b c")).states
 
     def test_lazy_universe_at_three_atoms(self):
-        # A 3-atom universe holds only its orbit representatives, built when first asked for.
+        # A 3-atom universe holds only its orbit representatives, built for its key when first asked for.
+        orbit_representatives.cache_clear()
         uni = enumerate_states(Signature.of("a b c"))
-        assert uni._orbits is None
+        assert orbit_representatives.cache_info().currsize == 0
         with pytest.raises(TooLargeError):
             uni.states
         reps = uni.orbits()
+        assert orbit_representatives.cache_info().misses == 1
         assert len(reps) == 1_004 and all(check_faithful_limited(st) for st, _ in reps)
 
     @pytest.mark.parametrize(
@@ -187,9 +192,11 @@ class TestEnumerate:
     )
     def test_lazy_il_universe_at_three_atoms(self, il_scope, gc, count, total):
         # An il universe is held no longer than any other: at 3 atoms only its representatives, on demand.
+        orbit_representatives.cache_clear()
         uni = enumerate_states(Signature.of("a b c"), "il", gc, il_scope)
-        assert uni._orbits is None and uni._states is None
+        assert orbit_representatives.cache_info().currsize == 0 and uni._states is None
         reps = uni.orbits()
+        assert orbit_representatives.cache_info().misses == 1
         assert (len(reps), sum(size for _, size in reps)) == (count, total)
         assert all(st.scope == il_scope and check_faithful_limited(st) for st, _ in reps)
 
@@ -268,6 +275,11 @@ ORBIT_CASES = [
 ORBIT_IDS = [f"{kind}-{gc}" + (f"-{scope:#06b}" if scope else "") for kind, gc, scope in ORBIT_CASES]
 
 
+def _clear_orbit_caches():
+    orbit_representatives.cache_clear()
+    states._orbit_inputs.cache_clear()
+
+
 class TestOrbitRepresentatives:
     # The oracle: canonical forms under the renamings of the 2-atom worlds
     # that keep the universe's fixed scope, all 24 of them but for il.
@@ -332,23 +344,131 @@ class TestOrbitRepresentatives:
             EpistemicState(mask(1, 2, 3), mask(0), RankedOrder((mask(0),))),
         ]
 
-    def test_orbits_are_built_once_per_universe(self, monkeypatch):
-        built = []
-        build = states.orbit_representatives
-        monkeypatch.setattr(states, "orbit_representatives", lambda *args: built.append(args) or build(*args))
-        universe = enumerate_states(AB, "faithful", True)
-        assert universe.orbits() is universe.orbits()
+    def test_orbits_are_built_once_per_key(self):
+        # The key is (sig, kind, global_consistency, il_scope): two universes of one key share one
+        # representatives tuple and one inputs tuple, built once.
+        _clear_orbit_caches()
+        universe, twin = enumerate_states(AB, "faithful", True), enumerate_states(AB, "faithful", True)
+        assert universe.orbits() is twin.orbits() and universe.orbit_inputs() is twin.orbit_inputs()
         il = enumerate_states(AB, "il", il_scope=mask(1, 2))
-        assert il.orbits() is il.orbits() is not None
-        assert built == [(AB, "faithful", True, None), (AB, "il", False, mask(1, 2))]
+        assert il.orbits() is enumerate_states(AB, "il", il_scope=mask(1, 2)).orbits() is not None
+        assert orbit_representatives.cache_info().misses == 2 and states._orbit_inputs.cache_info().misses == 1
+        # A universe of another key shares neither.
+        other = enumerate_states(AB, "faithful", False)
+        assert other.orbits() is not universe.orbits() and other.orbit_inputs() is not universe.orbit_inputs()
+        assert orbit_representatives.cache_info().misses == 3
+
+    @pytest.mark.parametrize(
+        "atoms, kind, gc, il_scope",
+        [
+            (atoms, *case)
+            for atoms, scopes in (("a b", (0b0110, 0b1011)), ("a b c", (0x0F, 0b10110100)))
+            for case in [
+                ("faithful", True, None),
+                ("faithful", False, None),
+                ("clf", True, None),
+                ("fa", False, None),
+                ("il", True, scopes[0]),
+                ("il", False, scopes[1]),
+            ]
+        ],
+        ids=str,
+    )
+    def test_cached_orbits_equal_a_fresh_build(self, atoms, kind, gc, il_scope):
+        _clear_orbit_caches()
+        sig = Signature.of(atoms)
+        uni = enumerate_states(sig, kind, gc, il_scope)
+        fresh = orbit_representatives.__wrapped__(sig, kind, gc, il_scope)
+        assert uni.orbits() == fresh and isinstance(uni.orbits(), tuple)
+        assert uni.orbit_inputs() == tuple(stabilizer_inputs(st, sig.n_worlds) for st, _ in fresh)
+
+    def test_enumerate_states_builds_no_orbits(self):
+        sizes = orbit_representatives.cache_info().currsize, states._orbit_inputs.cache_info().currsize
+        for sig in (AB, Signature.of("a b c")):
+            for kind, gc, il_scope in ORBIT_CASES:
+                enumerate_states(sig, kind, gc, il_scope)
+        assert (orbit_representatives.cache_info().currsize, states._orbit_inputs.cache_info().currsize) == sizes
 
     def test_universes_without_orbits(self):
         # Every kind has its representatives, il only under a scope of its own.
         with pytest.raises(InvariantError, match="il universe needs a nonempty il_scope"):
             orbit_representatives(AB, "il")
-        # A hand-built universe short of its kind's states is not closed under renaming.
-        some = StateUniverse(AB, "clf", True, None, enumerate_states(AB, "clf", True).states[:10])
-        assert some.orbits() is None
+        # A hand-built universe short of its kind's states is not closed under renaming, even where its
+        # key's representatives and inputs are already built.
+        whole = enumerate_states(AB, "clf", True)
+        assert whole.orbits() and whole.orbit_inputs()
+        some = StateUniverse(AB, "clf", True, None, whole.states[:10])
+        assert some.orbits() is None and some.orbit_inputs() == ()
+        # One given all of them by hand shares the key's.
+        given = StateUniverse(AB, "clf", True, None, whole.states)
+        assert given.orbits() is whole.orbits() and given.orbit_inputs() is whole.orbit_inputs()
+
+
+def canonical(st, fixed_scope, n_worlds=8):
+    """The renaming, as a list of images, that maps `st` onto its orbit's representative under the
+    renamings that keep `fixed_scope`.
+
+    It lists the worlds of each level, then the believed worlds outside the scope, then the rest,
+    each ascending, and sends them in turn to the worlds of `fixed_scope` and then to the others,
+    each ascending, as `orbit_representatives` lays its representatives out.  An il state's scope
+    is `fixed_scope`, so its levels go to those worlds; any other kind keeps all worlds.
+    """
+    outside = ((1 << n_worlds) - 1) & ~st.scope
+    blocks = (*st.order.levels, st.bel & outside, outside & ~st.bel)
+    listed = [w for block in blocks for w in range(n_worlds) if block >> w & 1]
+    slots = sorted(range(n_worlds), key=lambda w: not fixed_scope >> w & 1)
+    perm = [0] * n_worlds
+    for w, slot in zip(listed, slots):
+        perm[w] = slot
+    return perm
+
+
+class TestOrbitRuleAt3Atoms:
+    # The seeded oracle for the orbit rule at 3 atoms, where the 40,320 renamings are too many to
+    # canonicalise by: `canonical` maps each sampled state onto its representative directly.
+    ABC = Signature.of("a b c")
+    SEED = 20240809
+
+    @pytest.mark.parametrize(
+        "kind, gc, il_scope",
+        [
+            ("faithful", True, None),
+            ("faithful", False, None),
+            ("clf", True, None),
+            ("fa", False, None),
+            ("il", True, 0x0F),
+            ("il", False, 0b10110100),
+        ],
+        ids=str,
+    )
+    def test_every_sampled_state_maps_onto_a_representative(self, kind, gc, il_scope):
+        uni = enumerate_states(self.ABC, kind, gc, il_scope)
+        reps = {st for st, _ in uni.orbits()}
+        sample = sample_states(self.ABC, kind, 1_000, random.Random(self.SEED), gc, il_scope)
+        missed = [st for st in sample if _renamed(st, canonical(st, uni.fixed_scope)) not in reps]
+        assert missed == []
+
+    def test_theorem_verdicts_agree_at_each_state_and_its_image(self):
+        # Postulates and conditions use worlds only through set operations, so a renaming keeps
+        # the verdict at every (state, α): the failing pairs of a sample map onto those of its images.
+        rng = random.Random(self.SEED)
+        sample = sample_states(self.ABC, "faithful", 1_000, rng, True)
+        pairs = [(st, rng.randrange(256)) for st in sample]
+        perms = [canonical(st, self.ABC.all_worlds) for st, _ in pairs]
+        images = [(_renamed(st, p), _image(a, p)) for (st, a), p in zip(pairs, perms)]
+        uni = enumerate_states(self.ABC, "faithful", True)
+        op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+        failing = set()
+        for theorem in THEOREM_IDS:
+            verdicts = []
+            for instances in (pairs, images):
+                v = verify_equivalence(op, uni, theorem, instance_list=instances, max_counterexamples=10**6)
+                failed = {(ce.state, ce.alpha) for ce in v.counterexamples}
+                verdicts.append([pair in failed for pair in instances])
+            assert verdicts[0] == verdicts[1], theorem
+            if any(verdicts[0]):
+                failing.add(theorem)
+        assert failing == {"P9", "P10", "P14a", "P14b"}  # the sample reaches every red theorem
 
 
 class TestStateFiles:

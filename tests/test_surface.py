@@ -10,7 +10,9 @@ the `__init__` re-exports.  A helper that only tests call belongs in
 `ENTRY_POINTS` holds the functions kept for callers outside the package.
 A library module also reads every name it imports at module level (the
 project runs no linter to say so), and cites no ROADMAP item by number.
-Only `states.py` reads a universe's `_states`.
+Only `states.py` reads a universe's `_states`.  `CACHED` lists every
+function the library memoises for the life of the process (`lru_cache` or
+`cache`), each with why it may hold its results that long.
 """
 
 import ast
@@ -32,6 +34,13 @@ ENTRY_POINTS = {
     "conditions.check_condition": "one named condition on one transition; the benchmark traces it through verify",
     "verify.representation_roundtrip": "the representation round trips of criteria 3 and 4",
     "verify.mutation_detection": "the belief-table corruption trials of criterion 4",
+}
+
+CACHED = {
+    "kernels.lanes": "the lane constants of one class count, which every belief row of a suite reads",
+    "classify.incomparable": "per class, the classes incomparable with it; a fixed table per class count",
+    "states.orbit_representatives": "one state per renaming orbit, a function of the universe's key alone",
+    "states._orbit_inputs": "the representatives' stabilizer inputs, a function of the universe's key alone",
 }
 
 
@@ -128,3 +137,23 @@ def test_only_the_states_module_reads_a_universes_own_states():
         if isinstance(node, ast.Attribute) and node.attr == "_states"
     ]
     assert readers == []
+
+
+def cached_functions():
+    """`module.qualname` of each library function decorated with functools' `lru_cache` or `cache`,
+    called or not, by name or as an attribute."""
+    cached = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _functions(ast.parse(path.read_text())):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    cached.add(f"{path.stem}.{qualname}")
+    return cached
+
+
+def test_every_process_lifetime_cache_is_listed():
+    # A cache that outlives every universe and table must hold what depends on its arguments alone;
+    # a new one needs its reason here.
+    assert cached_functions() == set(CACHED)
