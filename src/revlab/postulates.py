@@ -3,9 +3,12 @@
 `_iter_postulate` yields, for one state, an (α, failing β) item per input at
 which the postulate fails: the failing β as a class bitset, or None where
 the postulate has no β.  Postulates of one shape share a branch and differ
-by a row of its tables; a class set is a bitset over classes, read from the
-table for the state id.  Where β ranges over classes, the branch tests all
-β at once on the packed belief rows.
+by a row of its table: `_ROW_TESTS` (two-step tests on the prior and
+posterior belief rows), `_SCOPE_MOVES` (classes that entered or left the
+scope) or `_ONE_STEP` (the posterior entry at α alone).  COM, the DL4/IL4
+witness, the DL7/CL6/IL7 trichotomy and CL5 keep a branch each.  A class
+set is a bitset over classes, read from the table for the state id; where
+β ranges over classes, the branch tests all β at once on the packed rows.
 
 `_postulate_rows` expands the items into (α, β, clause, observed, required)
 rows by `_ROW_SHAPES`, β in the order a loop over classes would take, and
@@ -83,9 +86,28 @@ _SCOPE_MOVES = {
 }
 
 
-def _reasonable_or_immanent(tab: TransitionTable, pid: str, sid: int) -> int:
-    """DL postulates read the state's reasonable classes, IL ones the universe's immanent classes."""
-    return tab.reasonable(sid) if pid.startswith("DL") else tab.immanent()
+def _immanent(tab: TransitionTable, sid: int) -> int:
+    return tab.immanent()
+
+
+# pid: (the class set read, from the table and state id; whether the postulate
+#       holds at α, given T[α], α, the prior beliefs and that class set, or
+#       None where it never fails)
+_ONE_STEP = {}
+for _pids, _classes, _holds in (
+    (("DL1", "CL1", "IL1"), _all_classes, lambda ta, a, bel, cls: ta == bel or ta & ~a == 0),
+    (("DL2",), _REASONABLE, lambda ta, a, bel, cls: ta == bel or (cls >> ta) & 1),
+    (("IL2",), _immanent, lambda ta, a, bel, cls: ta == bel or (cls >> ta) & 1),
+    (("DL3",), _REASONABLE, lambda ta, a, bel, cls: not (bel & a and (cls >> a) & 1 and ta != bel & a)),
+    (("DL5", "IL5"), _all_classes, lambda ta, a, bel, cls: not bel or ta),
+    (("CL2",), _all_classes, lambda ta, a, bel, cls: not (bel & a and ta != bel & a)),
+    (("CL3",), _all_classes, lambda ta, a, bel, cls: ta),
+    (("IL3",), _immanent, lambda ta, a, bel, cls: not (bel & a and (cls >> a) & 1 and ta & a != bel & a)),
+    # Classes are canonical model sets, so syntax independence holds by
+    # representation; counted for the record.
+    (("DL6", "CL4", "IL6"), _all_classes, None),
+):
+    _ONE_STEP.update(dict.fromkeys(_pids, (_classes, _holds)))
 
 
 def _descending(bits: int):
@@ -171,48 +193,29 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
         for a in alphas:
             if not (sc >> a) & 1 and not (tab.scope_classes(posts[a]) >> a) & 1:
                 yield a, None
-    elif pid in ("DL6", "CL4", "IL6"):
-        # Classes are canonical model sets, so syntax independence holds by
-        # representation; counted for the record.
-        return
-    elif pid in POSTULATE_IDS:
-        # The one-step postulates read single entries of the row.
-        yield from _iter_one_step(tab, pid, sid, alphas, ln.entries(T))
-    else:
-        raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
-
-
-def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[int, ...]):
-    bel = tab.states[sid].bel
-    if pid in ("DL1", "CL1", "IL1"):
+    elif pid in _ONE_STEP:
+        classes, holds = _ONE_STEP[pid]
+        if holds is None:
+            return
+        cls = classes(tab, sid)
+        bel = tab.states[sid].bel
+        t = ln.entries(T)
         for a in alphas:
-            if not (t[a] == bel or t[a] & ~a == 0):
-                yield a, None
-    elif pid in ("DL2", "IL2"):
-        cls = _reasonable_or_immanent(tab, pid, sid)
-        for a in alphas:
-            if not (t[a] == bel or (cls >> t[a]) & 1):
+            if not holds(t[a], a, bel, cls):
                 yield a, None
     elif pid in ("DL4", "IL4"):
-        cls = _reasonable_or_immanent(tab, pid, sid)
+        cls = tab.reasonable(sid) if pid == "DL4" else tab.immanent()
+        t = ln.entries(T)
         for a in alphas:
             # The witness is the first class inside a that qualifies, in iter_subsets order.
             witness = classify.subset_bits(a) & cls
             if witness and not (cls >> t[a]) & 1:
                 yield a, 1 << witness.bit_length() - 1
-    elif pid == "DL3":
-        rs = tab.reasonable(sid)
-        for a in alphas:
-            if bel & a and (rs >> a) & 1 and t[a] != bel & a:
-                yield a, None
-    elif pid in ("DL5", "IL5"):
-        for a in alphas:
-            if bel and not t[a]:
-                yield a, None
     elif pid in ("DL7", "CL6", "IL7"):
         # Where β contains α or lies inside it, α ∨ β is one of them and the
         # trichotomy holds, so only the incomparable β are read.
         pairs = classify.incomparable(tab.n_classes)
+        t = ln.entries(T)
         for a in alphas:
             ta, bad = t[a], 0
             for b in pairs[a]:
@@ -221,27 +224,16 @@ def _iter_one_step(tab: TransitionTable, pid: str, sid: int, alphas, t: tuple[in
                     bad |= 1 << b
             if bad:
                 yield a, bad
-    elif pid == "CL2":
-        for a in alphas:
-            if bel & a and t[a] != bel & a:
-                yield a, None
-    elif pid == "CL3":
-        for a in alphas:
-            if not t[a]:
-                yield a, None
     elif pid == "CL5":
         # Every class above an accepted input is accepted.
-        sc, full = tab.scope_classes(sid), tab.full
+        sc = tab.scope_classes(sid)
         for a in alphas:
             if (sc >> a) & 1:
-                bad = (classify.subset_bits(full & ~a) << a) & ~sc & ~int(tab.consistent_only)
+                bad = (classify.subset_bits(full & ~a) << a) & ~sc & ~skip
                 if bad:
                     yield a, bad
-    elif pid == "IL3":
-        imm = tab.immanent()
-        for a in alphas:
-            if bel & a and (imm >> a) & 1 and t[a] & a != bel & a:
-                yield a, None
+    else:
+        raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
 
 
 def _postulate_rows(tab: TransitionTable, pid: str, sid: int, alphas):

@@ -176,7 +176,7 @@ def _compositions(k: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def orbit_representatives(
-    sig: Signature, kind: str, global_consistency: bool = False, il_scope: int | None = None
+    sig: Signature, kind: str, global_consistency: bool, il_scope: int | None
 ) -> tuple[tuple[EpistemicState, int], ...]:
     """One state per orbit of the universe under the renamings of the worlds that keep its fixed
     scope S (`il_scope` for il, all worlds otherwise), with the orbit's size.
@@ -191,7 +191,7 @@ def orbit_representatives(
     the believed worlds outside the scope and the other n-k-j worlds among
     themselves, so its orbit holds |S|!·(n-|S|)! / (prod of the level sizes'
     factorials · j! · (n-k-j)!) of the n worlds' states.  Built directly, in
-    the order (k, level sizes, level 0 believed, j), once per argument tuple.
+    the order (k, level sizes, level 0 believed, j), once per key.
     """
     _check_kind(sig, kind, il_scope)
     n, fixed = sig.n_worlds, il_scope or sig.all_worlds
@@ -218,10 +218,13 @@ def orbit_representatives(
 
 
 @lru_cache(maxsize=None)
-def _orbit_inputs(sig: Signature, *rest) -> tuple[tuple[int, ...], ...]:
-    """`stabilizer_inputs` of each of `orbit_representatives(sig, *rest)`, in their order; once per key."""
+def _orbit_inputs(
+    sig: Signature, kind: str, global_consistency: bool, il_scope: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """`stabilizer_inputs` of each of the key's `orbit_representatives`, in their order; once per key."""
     n = sig.n_worlds
-    return tuple(stabilizer_inputs(st, n) for st, _ in orbit_representatives(sig, *rest))
+    reps = orbit_representatives(sig, kind, global_consistency, il_scope)
+    return tuple(stabilizer_inputs(st, n) for st, _ in reps)
 
 
 def stabilizer_inputs(st: EpistemicState, n_worlds: int) -> tuple[int, ...]:

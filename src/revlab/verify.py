@@ -134,12 +134,12 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
         reps = [(st, tab.id_of(st), ins[skip:], size) for (st, size), ins in zip(orbits, universe.orbit_inputs())]
         if next(failures(reps, _iter_postulate), None) is None:
             return Verdict(check_id, True, sum(size for _, size in orbits) * count(tab.classes()))
-        work = [(st, sid, tab.classes(), size) for st, sid, _, size in reps]
     try:
         work = _suite_work(tab, universe, instance_list)
-    except TooLargeError:  # a universe that holds only its representatives takes theirs
+    except TooLargeError:  # a universe that holds only its representatives takes theirs, at every input
         if orbits is None:
             raise
+        work = [(st, sid, tab.classes(), size) for st, sid, _, size in reps]
     ces: list[Counterexample] = []
     for instances, st, row in failures(work, _postulate_rows):
         if len(ces) == cap:

@@ -244,7 +244,7 @@ def test_sampled_il_check_reads_only_its_sample_and_the_representatives(monkeypa
     assert main(argv) == 1
     assert "CHECK IL2 op=agm(keep/doc) n=3 instances=20 result=FAIL" in capsys.readouterr().out
     sampled = sample_states(ABC, "fa", 20, random.Random(DEFAULT_SEED))
-    reps = {st for st, _ in states.orbit_representatives(ABC, "fa")}
+    reps = {st for st, _ in states.orbit_representatives(ABC, "fa", False, None)}
     assert set(built) <= set(sampled) | reps and reps <= set(built)
 
     built.clear()
@@ -386,6 +386,9 @@ class TestBadInput:
         op = tmp_path / "bad.op"
         op.write_text("family: extensional\nsig: a\nstate x: bel 0 ; scope 0 ; order [0]\n")
         self._fails_cleanly(["check", "--operator", str(op), "--sig", "a", "all"], capsys, "line 3")
+
+    def test_check_without_a_signature(self, capsys):
+        self._fails_cleanly(["check", "all"], capsys, "error: check needs --sig")
 
     def test_unknown_id_is_refused_before_any_state_is_built(self, generated, monkeypatch, capsys):
         sampled = []

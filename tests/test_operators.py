@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from condition_oracle import level_of
@@ -367,6 +368,29 @@ class TestOperatorFiles:
     def test_malformed_files_name_the_line(self, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_operator(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family: dl\norder_rule keep\n", "line 2: expected 'key: value', got 'order_rule keep'"),
+            (
+                "family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1\n",
+                "line 4: entry wants 'state class state', got '0 1'",
+            ),
+            (
+                "family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1 7\n",
+                "line 4: entry references unknown state id in (0, 1, 7)",
+            ),
+        ],
+        ids=["no-colon", "entry-arity", "entry-unknown-state"],
+    )
+    def test_malformed_lines_are_named_in_full(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_operator(text)
+
+    def test_extensional_file_without_a_signature(self):
+        with pytest.raises(ParseError, match="^extensional operator file needs a sig line$"):
+            parse_operator("family: extensional\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1 0\n")
 
     def test_errors(self):
         with pytest.raises(ParseError):

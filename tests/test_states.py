@@ -331,13 +331,13 @@ class TestOrbitRepresentatives:
     )
     def test_3atom_counts(self, kind, gc, count, total):
         # The totals are the sizes of the lazily enumerated universes.
-        reps = orbit_representatives(Signature.of("a b c"), kind, gc)
+        reps = orbit_representatives(Signature.of("a b c"), kind, gc, None)
         assert (len(reps), sum(size for _, size in reps)) == (count, total)
 
     def test_representatives_are_built_in_order(self):
         # (k, level sizes, level 0 believed, j): a lazy universe's theorem
         # counterexamples come in this order.
-        reps = [st for st, _ in orbit_representatives(AB, "faithful", True)]
+        reps = [st for st, _ in orbit_representatives(AB, "faithful", True, None)]
         assert reps[:3] == [
             EpistemicState(mask(1), mask(0), RankedOrder((mask(0),))),
             EpistemicState(mask(1, 2), mask(0), RankedOrder((mask(0),))),
@@ -357,6 +357,15 @@ class TestOrbitRepresentatives:
         other = enumerate_states(AB, "faithful", False)
         assert other.orbits() is not universe.orbits() and other.orbit_inputs() is not universe.orbit_inputs()
         assert orbit_representatives.cache_info().misses == 3
+
+    def test_a_universe_and_a_direct_call_share_one_entry(self):
+        # Every call passes the whole key, so the cache holds one entry per key, however it is reached.
+        _clear_orbit_caches()
+        reps = enumerate_states(AB, "fa").orbits()
+        assert orbit_representatives(AB, "fa", False, None) is reps
+        assert orbit_representatives.cache_info()[:2] == (1, 1)  # hits, misses
+        with pytest.raises(TypeError):
+            orbit_representatives(AB, "fa")
 
     @pytest.mark.parametrize(
         "atoms, kind, gc, il_scope",
@@ -392,7 +401,7 @@ class TestOrbitRepresentatives:
     def test_universes_without_orbits(self):
         # Every kind has its representatives, il only under a scope of its own.
         with pytest.raises(InvariantError, match="il universe needs a nonempty il_scope"):
-            orbit_representatives(AB, "il")
+            orbit_representatives(AB, "il", False, None)
         # A hand-built universe short of its kind's states is not closed under renaming, even where its
         # key's representatives and inputs are already built.
         whole = enumerate_states(AB, "clf", True)
@@ -505,8 +514,10 @@ class TestStateFiles:
             ("sig: a b\n# note\nbel: 0x\nscope: 01\norder: [01]\n", "line 3: world '0x'"),
             ("sig: a b\nbel: 01\nscope: 01\norder: 01\n", "line 4: order text must be bracketed"),
             ("sig: a a\nbel: 01\nscope: 01\norder: [01]\n", "line 1: atom names must be unique"),
+            ("sig: a b\nbel: 01\ncolour: red\nscope: 01\norder: [01]\n", "line 3: unknown key 'colour'"),
+            ("sig: a b\nbel: 01\nbel: 01\nscope: 01\norder: [01]\n", "line 3: duplicate key 'bel'"),
         ],
-        ids=["empty-scope", "bad-world", "unbracketed-order", "duplicate-atom"],
+        ids=["empty-scope", "bad-world", "unbracketed-order", "duplicate-atom", "unknown-key", "duplicate-key"],
     )
     def test_field_errors_name_their_line(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}"):

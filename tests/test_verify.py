@@ -8,7 +8,7 @@ from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
 from revlab.conditions import _READS_REVISIONS
 from revlab.errors import PreconditionError, ScopeMismatchError, TooLargeError
-from revlab import classify, verify
+from revlab import classify, postulates, verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
     ExtensionalOperator,
@@ -922,6 +922,22 @@ def test_id_registries_are_disjoint_and_complete():
             assert all(cid in CONDITIONS for cid in cids)
 
 
+def test_postulate_tables_are_disjoint_and_every_id_is_dispatched(faithful):
+    tables = [set(postulates._ROW_TESTS), set(postulates._SCOPE_MOVES), set(postulates._ONE_STEP)]
+    assert sum(map(len, tables)) == len(set().union(*tables))
+    assert set().union(*tables) <= set(POSTULATE_IDS)
+    tab = TransitionTable(DL_OP, AB, faithful)
+    sid = tab.id_of(faithful.states[0])
+    for pid in POSTULATE_IDS:  # a ValueError here is an id no branch dispatches
+        list(postulates._iter_postulate(tab, pid, sid, tab.classes()))
+
+
+def test_unknown_postulate_id_names_the_valid_ones(faithful):
+    tab = TransitionTable(DL_OP, AB, faithful)
+    with pytest.raises(ValueError, match=r"^unknown postulate id 'DL8'; valid ids: DL1, DL2, .*, DLDP2$"):
+        list(postulates._iter_postulate(tab, "DL8", tab.id_of(faithful.states[0]), tab.classes()))
+
+
 # ---------------------------------------------------------------------------
 # Transition tables shared by the suite calls on one universe
 
@@ -951,6 +967,11 @@ def test_shared_table_gives_the_verdicts_of_fresh_universes(policy):
         assert shared._transitions is kept
         want = verify_equivalence(RevisionOperator("dl", policy), _faithful_gc(), theorem)
         assert _verdict(got) == _verdict(want), theorem
+
+
+def test_immanence_needs_a_universe():
+    with pytest.raises(PreconditionError, match="^immanence needs a state universe$"):
+        TransitionTable(DL_OP, AB).immanent()
 
 
 def test_table_is_not_shared_across_consistent_only():
