@@ -103,16 +103,19 @@ class RevisionOperator:
         return st.order.levels, st.scope, 0 if self.family == "agm" else st.bel
 
     def revise_beliefs(self, st: EpistemicState, alpha: int) -> int:
-        return kernels.revise_mask(*self._kernel_args(st), alpha)
+        levels, scope, bel = self._kernel_args(st)
+        return kernels.revise_mask(levels, scope, bel, alpha)
 
     def bel_row(self, st: EpistemicState, n_classes: int) -> int:
         """Posterior beliefs for every class at once, packed one class per lane."""
-        return kernels.bel_row(*self._kernel_args(st), n_classes)
+        levels, scope, bel = self._kernel_args(st)
+        return kernels.bel_row(levels, scope, bel, n_classes)
 
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state; families with a fixed scope keep it."""
         scope_rule = "keep" if self.family in ("agm", "il") else self.policy.scope_rule
-        bel2, scope2, levels2 = kernels.posterior(*self._kernel_args(st), alpha, self.policy.order_rule, scope_rule)
+        levels, scope, bel = self._kernel_args(st)
+        bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, self.policy.order_rule, scope_rule)
         return EpistemicState(bel2, scope2, RankedOrder(levels2))
 
 
@@ -171,15 +174,25 @@ def canonical_assignment(
 ) -> tuple[RankedOrder, int]:
     """Rebuilds (order, scope) from the operator's revision behaviour alone.
 
-    Both are read off the state's belief row.  The scope is the set of
+    Both are read off the state's belief row T.  The scope is the set of
     worlds whose minterm formula is latent (for the cl family: accepted),
     and w1 precedes w2 iff w1 survives revision by the two-world
-    disjunction; `up[w]` holds the scope worlds that w precedes.  Raises
-    NonWeakOrderError when that relation is not a weak order, which
-    signals a postulate violation.
+    disjunction.  Raises NonWeakOrderError when that relation is not a
+    weak order, which signals a postulate violation.
+
+    The order is first peeled off the row: the next level is `T[rest] &
+    rest` for the domain worlds `rest` not yet placed, until none is left
+    or a level comes out empty.  One `kernels.bel_row` call then checks the
+    peeled order against T on every nonempty class inside the domain.
+    Those classes include every class of one or two domain worlds, so
+    where they agree the pairwise relation is exactly the peeled order: a
+    weak order, whose minimal-element walk would build the same levels and
+    raise nothing.  Only a row the check rejects, or a peel that stalls,
+    goes through that walk (`_pairwise_walk`).
     """
     row = classify.bel_row_of(op, st, sig)
-    ln = kernels.lanes(1 << sig.n_worlds)
+    n_classes = 1 << sig.n_worlds
+    ln = kernels.lanes(n_classes)
     if family == "cl":
         domain = classify.minterm_worlds(ln.accepted(row), sig.n_worlds)
     else:
@@ -187,7 +200,31 @@ def canonical_assignment(
     if domain == 0:
         raise NonWeakOrderError("reconstructed scope is empty")
 
-    worlds, t = list(iter_worlds(domain)), ln.entries(row)
+    levels = []
+    remaining = domain
+    while remaining:
+        level = ln.entry(row, remaining) & remaining
+        if not level:
+            break
+        levels.append(level)
+        remaining ^= level
+    if not remaining:
+        order = RankedOrder(tuple(levels))
+        peeled = kernels.bel_row(order.levels, domain, 0, n_classes)
+        # Lane 0, the empty class, lies inside every domain but holds the fallback, not a minimum.
+        if not ln.nz(peeled ^ row) & ln.within(domain) & ~(1 << ln.width - 1):
+            return order, domain
+    return _pairwise_walk(ln.entries(row), domain)
+
+
+def _pairwise_walk(t: tuple[int, ...], domain: int) -> tuple[RankedOrder, int]:
+    """The pairwise relation of the unpacked belief row `t` on `domain`, checked and ranked.
+
+    `up[w]` holds the domain worlds that w precedes.  Raises
+    NonWeakOrderError, with a witness, where the relation is not total, has
+    no minimal element or is not transitive.
+    """
+    worlds = list(iter_worlds(domain))
     up = {w: sum(1 << v for v in worlds if t[1 << w | 1 << v] >> w & 1) for w in worlds}
     for w in worlds:
         gap = domain & ~up[w] & ~sum(1 << v for v in worlds if up[v] >> w & 1)

@@ -7,8 +7,10 @@ a few seeded 4-atom states, whose rows have 16-bit lanes.  The postulate
 rows are also compared under two corrupted operators, and every postulate
 whose β ranges over classes must have an oracle.  The canonical
 reconstruction is compared with its pairwise-dict form on whole 2-atom
-universes, on every single-entry corruption of a few rows, and on a seeded
-3-atom sample.
+universes, on every single-entry corruption of a few rows, on a seeded
+3-atom sample, on every 3-atom orbit representative and on seeded
+single-entry corruptions of a few 3-atom rows; a count of its pairwise
+walks shows that no uncorrupted row needs one.
 """
 
 import random
@@ -29,7 +31,7 @@ from lane_oracle import (
     unions,
 )
 
-from revlab import classify, kernels, postulates
+from revlab import classify, kernels, operators, postulates
 from revlab.errors import NonWeakOrderError, TooLargeError
 from revlab.operators import canonical_assignment
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
@@ -266,3 +268,74 @@ def test_reconstruction_on_a_seeded_3atom_sample():
     states = sample_states(ABC, "faithful", 300, random.Random(20240813))
     op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
     _assert_reconstructions_match(op, TransitionTable(op, ABC), states, ABC)
+
+
+# The round trips' universes at 3 atoms; each family's operator reads its rows.
+KINDS_3ATOM = [("dl", "faithful", None), ("cl", "clf", None), ("agm", "fa", None), ("il", "il", 0x0F)]
+
+
+def _representatives(sig, kind, il_scope):
+    uni = enumerate_states(sig, kind, il_scope=il_scope)
+    return uni.states if sig.n_atoms < 3 else [st for st, _ in uni.orbits()]
+
+
+@pytest.mark.parametrize("family, kind, il_scope", KINDS_3ATOM)
+def test_reconstruction_on_every_3atom_representative(family, kind, il_scope):
+    op = RevisionOperator(family, il_scope=il_scope)
+    _assert_reconstructions_match(op, TransitionTable(op, ABC), _representatives(ABC, kind, il_scope), ABC)
+
+
+def _counting_walks(monkeypatch):
+    calls = []
+    walk = operators._pairwise_walk
+    monkeypatch.setattr(operators, "_pairwise_walk", lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+def test_reconstruction_on_seeded_3atom_corruptions(monkeypatch):
+    # Single entries of a few 3-atom rows, each replaced by a seeded other
+    # mask.  Most hit a class of three or more worlds: the peeled order fails
+    # its check there and the walk, which reads only pairs, rebuilds it.
+    walks = _counting_walks(monkeypatch)
+    rng = random.Random(20261020)
+    tab = TransitionTable(RevisionOperator("dl"), ABC)
+    ln = tab.lanes
+    errors, walked_orders, trials = set(), 0, 0
+    for st in rng.sample(_representatives(ABC, "faithful", None), 3):
+        sid = tab.id_of(st)
+        row = tab.row(sid)
+        for _ in range(400):
+            a = rng.randrange(256)
+            old = ln.entry(row, a)
+            new = (old + rng.randrange(1, 256)) % 256
+            tab._rows[sid] = row ^ (old ^ new) << a * ln.width
+            for family in ("dl", "cl"):
+                before = len(walks)
+                got = _rebuilt(canonical_assignment, tab, st, ABC, family)
+                assert got == _rebuilt(canonical_pairs, tab, st, family), (st, a, new, family)
+                if isinstance(got[0], str):
+                    errors.add(got[0])
+                elif len(walks) > before:
+                    walked_orders += 1
+                trials += 1
+        tab._rows[sid] = row
+    assert 0 < walked_orders and len(walks) < trials
+    assert errors == {
+        "pairwise relation is not total",
+        "pairwise relation has no minimal element",
+        "pairwise relation is not transitive",
+    }
+
+
+def test_only_a_row_the_peel_does_not_explain_is_walked(monkeypatch):
+    # Every state of the 2-atom universes and every 3-atom representative is
+    # rebuilt, by its round trip's construction, from the peel alone.
+    walks = _counting_walks(monkeypatch)
+    kinds = {AB: KINDS_3ATOM[:3] + [("il", "il", 0b0110)], ABC: KINDS_3ATOM}
+    for sig, cases in kinds.items():
+        for family, kind, il_scope in cases:
+            op = RevisionOperator(family, il_scope=il_scope)
+            construction = "cl" if family == "cl" else "dl"
+            for st in _representatives(sig, kind, il_scope):
+                canonical_assignment(op, st, sig, construction)
+    assert walks == []

@@ -1365,3 +1365,22 @@ def test_one_input_per_stabilizer_orbit_decides_as_every_input(family, kind, gc,
     every = tuple(range(16))
     monkeypatch.setattr(StateUniverse, "orbit_inputs", lambda uni: [every for _ in uni.orbits()])
     assert verdicts() == reduced
+
+
+@pytest.mark.parametrize("sig, asked", [(AB, 576), (ABC, 88_804)], ids=["2atom", "3atom"])
+def test_orbit_pass_asks_one_input_per_stabilizer_orbit(sig, asked, monkeypatch):
+    # A green orbit-decided check asks each representative exactly its
+    # stabilizer inputs.  Asking every input changes no verdict, so only this
+    # count tells the two apart: 1,004 x 256 = 257,024 pairs at 3 atoms.
+    counts = []
+    iter_postulate = verify._iter_postulate
+
+    def counted(tab, pid, sid, alphas):
+        counts.append(len(alphas))
+        return iter_postulate(tab, pid, sid, alphas)
+
+    monkeypatch.setattr(verify, "_iter_postulate", counted)
+    universe = enumerate_states(sig, "faithful")
+    assert check_postulate(RevisionOperator("dl"), universe, "DL1").holds
+    assert len(counts) == len(universe.orbits())
+    assert sum(counts) == sum(len(ins) for ins in universe.orbit_inputs()) == asked
