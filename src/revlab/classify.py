@@ -248,10 +248,7 @@ def find_witness_M(classes: set[int], sig: Signature) -> int | None:
     Exists iff the class set satisfies both closure properties (classes must
     all be nonempty).
     """
-    m = 0
-    for w in range(sig.n_worlds):
-        if (1 << w) in classes:
-            m |= 1 << w
+    m = sum(1 << w for w in range(sig.n_worlds) if 1 << w in classes)
     generated = {a for a in range(1, 1 << sig.n_worlds) if a & m}
     return m if generated == classes else None
 

@@ -40,6 +40,8 @@ class ScopeMismatchError(PreconditionError):
 class TableMissError(RevlabError, KeyError):
     """An extensional operator has no entry for the requested (state, input)."""
 
+    __str__ = Exception.__str__  # the bare message: KeyError's would quote it
+
 
 class NonWeakOrderError(RevlabError, ValueError):
     """A pairwise relation reconstructed from an operator is not total/transitive.

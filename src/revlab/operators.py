@@ -357,7 +357,7 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
         if family not in _KEY_FAMILIES[key]:
             raise ParseError(f"line {lineno}: key {key!r} does not apply to a {family} operator")
     if family == "extensional":
-        return _parse_extensional(fields, state_lines, entries)
+        return _parse_extensional(fields, linenos, state_lines, entries, sig)
     rules = []
     for key, known in (("order_rule", ORDER_RULES), ("scope_rule", SCOPE_RULES)):
         rule = fields.get(key, "keep")
@@ -387,15 +387,23 @@ def _parse_il_scope(raw: str, lineno: int, sig: Signature | None) -> int:
     return scope
 
 
-def _parse_extensional(fields, state_lines, entries) -> ExtensionalOperator:
+def _parse_extensional(fields, linenos, state_lines, entries, given: Signature | None) -> ExtensionalOperator:
+    """The table of an extensional file, refused where its `sig:` line is not `given`'s atoms."""
     if "sig" not in fields:
         raise ParseError("extensional operator file needs a sig line")
-    sig = Signature.of(fields["sig"])
+    try:
+        sig = Signature.of(fields["sig"])
+        if given not in (None, sig):
+            raise ParseError(f"sig: {' '.join(sig.atoms)} does not match the signature {' '.join(given.atoms)}")
+    except ParseError as err:
+        raise ParseError(f"line {linenos['sig']}: {err}") from None
     states: dict[int, EpistemicState] = {}
     for idx, (body, lineno) in state_lines.items():
         parts = {}
         for chunk in body.split(";"):
             keyword, _, rest = chunk.strip().partition(" ")
+            if keyword in parts:
+                raise ParseError(f"line {lineno}: state {idx}: repeated part {keyword!r}")
             parts[keyword] = rest.strip()
         if set(parts) != {"bel", "scope", "order"}:
             raise ParseError(f"line {lineno}: state {idx}: want 'bel ... ; scope ... ; order [...]'")

@@ -35,10 +35,7 @@ class RankedOrder:
 
     @property
     def domain(self) -> int:
-        mask = 0
-        for lv in self.levels:
-            mask |= lv
-        return mask
+        return sum(self.levels)  # the levels are disjoint
 
     def to_text(self, sig: Signature) -> str:
         """`[w1 w2 | w3]` with worlds as signature-order bit strings, minimal level first."""
@@ -75,9 +72,7 @@ def enumerate_orders(domain: int) -> Iterator[RankedOrder]:
         worlds = list(iter_worlds(remaining))
         for k in range(1, len(worlds) + 1):
             for combo in combinations(worlds, k):
-                first = 0
-                for w in combo:
-                    first |= 1 << w
+                first = sum(1 << w for w in combo)
                 yield from rec(remaining & ~first, prefix + (first,))
 
     return rec(domain, ())

@@ -80,10 +80,7 @@ class Signature:
         return format(world, f"0{self.n_atoms}b")
 
     def worldset_of_strs(self, text: str) -> int:
-        mask = 0
-        for tok in text.split():
-            mask |= 1 << self.world_of_str(tok)
-        return mask
+        return sum({1 << self.world_of_str(tok) for tok in text.split()})
 
     def worldset_str(self, mask: int) -> str:
         return " ".join(self.world_str(w) for w in iter_worlds(mask))

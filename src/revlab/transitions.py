@@ -5,8 +5,8 @@ each state, its posteriors, its belief table and the class sets built on
 it.  A `TransitionTable` computes each of these once per state id, and
 every suite call leaves its table on the universe, so the next call with
 the same operator over the same states (the whole universe, or the same
-sample) reads what earlier calls filled; a sampled table also keeps its
-sample interned.
+sample) reads what earlier calls filled, and the lists of states a check
+walks, each built once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import weakref
 
 from . import classify, kernels
-from .errors import PreconditionError
+from .errors import PreconditionError, TooLargeError
 from .prop import Signature
 from .states import EpistemicState, StateUniverse
 
@@ -26,12 +26,12 @@ class TransitionTable:
     interns its states before any posterior, so an exhaustive run numbers
     the universe in universe order, and a posterior gets the next id the
     first time it is seen.  A check decided on orbit representatives
-    interns those and their posteriors first, so the universe's other
-    states come after them.  Every per-id row is filled
-    on first use.  The postulate side reads by id; the conditions are
-    handed the table in place of the bare operator and read the same
-    rows.  A state's posterior ids are kept together, by class, so a suite
-    fetches them once per state.
+    interns those and their posteriors first (`orbit_work`), so the
+    universe's other states come after them.  Every per-id row is filled on
+    first use.  The postulate side reads by id; the conditions are handed
+    the table in place of the bare operator and read the same rows.  A
+    state's posterior ids are kept together, by class, so a suite fetches
+    them once per state.
 
     A belief row is packed, one class per lane (`kernels.Lanes`), so the
     class sets built on it are a few lane operations each.  The table also
@@ -56,8 +56,8 @@ class TransitionTable:
         # The sampled (state, class) pairs `suite_table` built this table for;
         # None for the whole universe.
         self.sample: tuple | None = None
-        # The sample's (state, id, [α], 1) items, once `verify._suite_work` has interned them.
-        self.work: list | None = None
+        self._orbit_work: list | None = None
+        self._work: list | None = None
         self.n_classes = 1 << sig.n_worlds
         self.full = sig.all_worlds
         self.lanes = kernels.lanes(self.n_classes)
@@ -131,6 +131,34 @@ class TransitionTable:
         if mask is None:
             mask = self._success[sid] = classify.minterm_worlds(self.scope_classes(sid), self.sig.n_worlds)
         return mask
+
+    def orbit_work(self) -> list | None:
+        """(representative, id, inputs, orbit size) per orbit of `classify.renaming_orbits`, at one input per
+        orbit of the renamings that fix it (`orbit_inputs()`), bar the empty one under `consistent_only`; built
+        once.  None, asked again on the next call, for a sampled table or where there are no orbits."""
+        if self._orbit_work is None and self.sample is None:
+            universe, skip = self._universe(), 1 if self.consistent_only else 0
+            if (orbits := classify.renaming_orbits(self.op, universe)) is not None:
+                inputs = universe.orbit_inputs()
+                self._orbit_work = [(st, self.id_of(st), ins[skip:], size) for (st, size), ins in zip(orbits, inputs)]
+        return self._orbit_work
+
+    def work(self) -> list:
+        """What a check walks, built once and interned first: (state, id, [α], 1) per sampled pair, else (state,
+        id, classes, 1) per universe state, else `orbit_work()`'s items at every class.  A sampled input outside
+        the classes raises ValueError, and a universe with neither states nor orbits TooLargeError, first."""
+        if self._work is None and self.sample is not None:
+            if outside := [a for _, a in self.sample if a not in range(self.n_classes)]:
+                raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{self.n_classes - 1}")
+            self._work = [(st, self.id_of(st), [a], 1) for st, a in self.sample]
+        elif self._work is None:
+            try:
+                self._work = [(st, self.id_of(st), self.classes(), 1) for st in self._universe().states]
+            except TooLargeError:
+                if (reps := self.orbit_work()) is None:
+                    raise
+                self._work = [(st, sid, self.classes(), size) for st, sid, _, size in reps]
+        return self._work
 
     def immanent(self) -> int:
         if self._immanent is None:

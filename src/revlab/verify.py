@@ -50,10 +50,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import classify, kernels
+from . import kernels
 from .conditions import CONDITIONS
 from .conditions import CONDITION_IDS, check_condition  # noqa: F401 (re-exported; the benchmark traces check_condition here)
-from .errors import NonWeakOrderError, TooLargeError
+from .errors import NonWeakOrderError
 from .kernels import revise_mask  # noqa: F401 (unused; the benchmark's tracer wraps it here)
 from .operators import canonical_assignment
 from .postulates import FAMILY_POSTULATES, POSTULATE_IDS, _iter_postulate, _PAIRED, _postulate_rows
@@ -84,28 +84,12 @@ class Verdict:
 MAX_COUNTEREXAMPLES = 5
 
 
-def _suite_work(tab: TransitionTable, universe: StateUniverse, instance_list):
-    """(state, id, inputs, 1) per universe state, or per sampled (state, input) pair, interned before any posterior.
-
-    A sampled table keeps its items, so the suites that share it intern the
-    sample once.  A sampled input outside the classes raises ValueError, and a
-    universe that holds only its representatives TooLargeError, before any
-    state is interned."""
-    if instance_list is not None:
-        if tab.work is None:
-            if outside := [a for _, a in instance_list if a not in range(tab.n_classes)]:
-                raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{tab.n_classes - 1}")
-            tab.work = [(st, tab.id_of(st), [a], 1) for st, a in instance_list]
-        return tab.work
-    return [(st, tab.id_of(st), tab.classes(), 1) for st in universe.states]
-
-
 def _flat(work):
     """(item, α) per input of each work item, the item shared by its inputs' entries."""
     return [(item, a) for item in work for a in item[2]]
 
 
-def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failures, cap: int) -> Verdict:
+def _decide(tab: TransitionTable, check_id, count, failures, cap: int) -> Verdict:
     """The Verdict of a suite's failure stream `failures(work, expand)`: (instances, state, row) per
     failure in report order on (state, id, inputs, size) items, an item standing for `size` states, `expand`
     building postulate rows.  `instances` is the count of a verdict capped there; a check that holds counts
@@ -113,33 +97,18 @@ def _decide(tab, universe: StateUniverse, instance_list, check_id, count, failur
 
     Postulates, conditions and reconstructions use worlds only through set
     operations, so where the renamings that map the universe onto itself
-    commute with the operator (`classify.renaming_orbits`), the verdict at
-    (Ψ, α) is the verdict at the renamed pair.  An exhaustive call there first
-    reads the representatives' stream for a failure with `_iter_postulate` as
-    `expand`, which builds no row and no Counterexample.  It asks each
-    representative only one input per orbit of the renamings that fix it
-    (`orbit_inputs()`), since those renamings map its inputs onto each other
-    and leave the verdict at each; under `consistent_only` the empty input, an
-    orbit of its own, is dropped.  If none fails, the check holds, and no
-    universe state was built.  If one fails, a universe that can give its
-    states (at most 2 atoms, or given them by hand) is walked, building them
-    on the first read, so the counterexamples are those of the plain run; one
-    that holds only its representatives takes theirs, at every input.
+    commute with the operator, the verdict at (Ψ, α) is the verdict at the
+    renamed pair.  There the stream on `tab.orbit_work()` is read first, with
+    `_iter_postulate` as `expand`, which builds no row and no Counterexample;
+    if no failure comes, the check holds.  Otherwise the Verdict is the
+    stream's on `tab.work()`.  The table builds both lists once.
     """
     if cap < 0:
         raise ValueError(f"max_counterexamples must be at least 0, got {cap}")
-    orbits = classify.renaming_orbits(tab.op, universe) if instance_list is None else None
-    if orbits is not None:
-        skip = 1 if tab.consistent_only else 0
-        reps = [(st, tab.id_of(st), ins[skip:], size) for (st, size), ins in zip(orbits, universe.orbit_inputs())]
-        if next(failures(reps, _iter_postulate), None) is None:
-            return Verdict(check_id, True, sum(size for _, size in orbits) * count(tab.classes()))
-    try:
-        work = _suite_work(tab, universe, instance_list)
-    except TooLargeError:  # a universe that holds only its representatives takes theirs, at every input
-        if orbits is None:
-            raise
-        work = [(st, sid, tab.classes(), size) for st, sid, _, size in reps]
+    reps = tab.orbit_work()
+    if reps is not None and next(failures(reps, _iter_postulate), None) is None:
+        return Verdict(check_id, True, sum(size for *_, size in reps) * count(tab.classes()))
+    work = tab.work()
     ces: list[Counterexample] = []
     for instances, st, row in failures(work, _postulate_rows):
         if len(ces) == cap:
@@ -177,7 +146,7 @@ def check_postulate(
             for row in expand(tab, pid, sid, alphas):  # a generator per state here made DL1-DL7 8% slower
                 yield instances, st, row
 
-    return _decide(tab, universe, instance_list, pid, count, failures, max_counterexamples)
+    return _decide(tab, pid, count, failures, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +253,7 @@ def verify_equivalence(
             lhs, rhs = (lhs[0], rhs[0]) if len(parts) == 1 else (tuple(lhs), tuple(rhs))
             yield instances, st, (a, None, f"{theorem}: {side}", lhs, rhs)
 
-    return _decide(tab, universe, instance_list, theorem, len, failures, max_counterexamples)
+    return _decide(tab, theorem, len, failures, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +357,7 @@ def representation_roundtrip(
         rows = _roundtrip_failures(tab, family, universe.fixed_scope, work, expand)
         yield from ((instances, st, row) for st, row in rows)
 
-    return _decide(tab, universe, None, f"roundtrip-{family}", count, failures, max_counterexamples)
+    return _decide(tab, f"roundtrip-{family}", count, failures, max_counterexamples)
 
 
 def mutation_detection(

@@ -14,7 +14,7 @@ from revlab.fixtures import (
     KARL_OPERATOR_TEXT,
     KARL_STATE_TEXT,
 )
-from revlab.operators import RevisionOperator, UpdatePolicy, dump_operator, tabulate
+from revlab.operators import ExtensionalOperator, RevisionOperator, UpdatePolicy, dump_operator, tabulate
 from revlab.orders import RankedOrder
 from revlab.prop import Signature, parse_models
 from revlab.states import EpistemicState, dump_state, enumerate_states, parse_state, sample_states
@@ -386,6 +386,39 @@ class TestBadInput:
         op = tmp_path / "bad.op"
         op.write_text("family: extensional\nsig: a\nstate x: bel 0 ; scope 0 ; order [0]\n")
         self._fails_cleanly(["check", "--operator", str(op), "--sig", "a", "all"], capsys, "line 3")
+
+    @pytest.mark.parametrize(
+        "argv, atoms",
+        [
+            (["check", "--operator", "OP", "--sig", "x", "DL1"], "x"),
+            (["check", "--operator", "OP", "--sig", "a b", "DL1"], "a b"),
+            (["check", "--operator", "OP", "--sig", "a b c", "DL1"], "a b c"),
+            (["revise", "--state", "ST", "--operator", "OP", "a"], "a b"),
+            (["classify", "--state", "ST", "--operator", "OP"], "a b"),
+        ],
+        ids=["check-other-atom", "check-2atom", "check-3atom", "revise", "classify"],
+    )
+    def test_operator_file_over_another_signature(self, argv, atoms, generated, monkeypatch, tmp_path, capsys):
+        # A table over the one atom a is refused, naming its sig line, before any universe or sample is built.
+        op, st = tmp_path / "t.op", tmp_path / "st.txt"
+        op.write_text(dump_operator(tabulate(RevisionOperator("dl"), enumerate_states(Signature.of("a"), "faithful"))))
+        st.write_text(dump_state(AB, EpistemicState(0b0010, 0b0110, RankedOrder((0b0010, 0b0100)))))
+        generated.clear()
+        sampled = []
+        monkeypatch.setattr(cli, "sample_states", lambda *args: sampled.append(args) or [])
+        argv = [{"OP": str(op), "ST": str(st)}.get(arg, arg) for arg in argv]
+        self._fails_cleanly(argv, capsys, f"error: line 2: sig: a does not match the signature {atoms}\n")
+        assert sampled == [] and generated == []
+
+    def test_table_miss_is_one_line_without_quotes(self, tmp_path, capsys):
+        table = tabulate(RevisionOperator("dl"), enumerate_states(AB, "faithful"))
+        mapping = dict(table.mapping)
+        del mapping[(table.states[0], 5)]
+        path = tmp_path / "t.op"
+        path.write_text(dump_operator(ExtensionalOperator(AB, table.states, mapping)))
+        assert main(["check", "--operator", str(path), "--sig", "a b", "DL1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no table entry for state ") and err.count("\n") == 1 and "'" not in err
 
     def test_check_without_a_signature(self, capsys):
         self._fails_cleanly(["check", "all"], capsys, "error: check needs --sig")

@@ -270,8 +270,10 @@ class TestExtensional:
     def test_miss_error(self):
         op = ExtensionalOperator(AB, (), {})
         st = EpistemicState(mask(0), mask(0), RankedOrder((mask(0),)))
-        with pytest.raises(TableMissError):
+        with pytest.raises(TableMissError) as miss:
             op.apply(st, 3)
+        # The bare message: KeyError's own str would put it in quotes.
+        assert str(miss.value) == f"no table entry for state {st} and class 3"
 
 
 class TestOperatorFiles:
@@ -381,12 +383,26 @@ class TestOperatorFiles:
                 "family: extensional\nsig: a\nstate 0: bel 0 ; scope 0 ; order [0]\nentry: 0 1 7\n",
                 "line 4: entry references unknown state id in (0, 1, 7)",
             ),
+            ("family: extensional\n\nsig: a a\n", "line 3: atom names must be unique"),
+            ("family: extensional\nsig: A\n", "line 2: bad atom name 'A' (want [a-z][a-z0-9_]*)"),
+            (
+                "family: extensional\nsig: a\nstate 0: bel 1 ; scope 1 ; order [1] ; bel 0\n",
+                "line 3: state 0: repeated part 'bel'",
+            ),
         ],
-        ids=["no-colon", "entry-arity", "entry-unknown-state"],
+        ids=["no-colon", "entry-arity", "entry-unknown-state", "sig-repeated-atom", "sig-bad-atom", "state-repeated-part"],
     )
     def test_malformed_lines_are_named_in_full(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_operator(text)
+
+    @pytest.mark.parametrize("given", ["x", "a", "b a"])
+    def test_extensional_file_over_another_signature(self, given):
+        # A table holds the states of its own `sig:` line, so it is refused with another signature.
+        text = "family: extensional\n# two atoms\nsig: a b\n"
+        assert parse_operator(text, AB).sig == parse_operator(text).sig == AB
+        with pytest.raises(ParseError, match=f"^line 3: sig: a b does not match the signature {given}$"):
+            parse_operator(text, Signature.of(given))
 
     def test_extensional_file_without_a_signature(self):
         with pytest.raises(ParseError, match="^extensional operator file needs a sig line$"):

@@ -348,6 +348,31 @@ def test_red_theorem_builds_the_states_once(generated):
     assert len(generated) == 1
 
 
+def test_red_theorem_reads_the_universe_states_once(monkeypatch):
+    # The table keeps the walk's work list, so a second red check on it reads the states no more,
+    # and both give the pinned counterexamples.
+    read = []
+    states = StateUniverse.states
+    monkeypatch.setattr(StateUniverse, "states", property(lambda uni: read.append(uni) or states.fget(uni)))
+    universe = enumerate_states(AB, "faithful", global_consistency=True)
+    first, at_cap, _, _ = RED_COUNTEREXAMPLES["P9"]
+    for _ in range(2):
+        v = verify_equivalence(DL_OP, universe, "P9")
+        assert v.instances == at_cap and _rows(v) == [(st, a, f"P9: {side}") for st, a, side in first]
+    assert read == [universe]
+
+
+def test_postulates_sharing_a_table_read_the_orbit_inputs_once(monkeypatch):
+    # Equal operators share one table, which builds the representatives' work list once.
+    read = []
+    orbit_inputs = StateUniverse.orbit_inputs
+    monkeypatch.setattr(StateUniverse, "orbit_inputs", lambda uni: read.append(uni) or orbit_inputs(uni))
+    universe = enumerate_states(AB, "faithful")
+    for pid in [f"DL{i}" for i in range(1, 8)]:
+        assert check_postulate(RevisionOperator("dl"), universe, pid).holds, pid
+    assert read == [universe]
+
+
 def test_a_3atom_universe_given_its_states_is_walked():
     # Given every state of its kind by hand, a 3-atom universe has orbits but can still list its
     # states, so a failing check walks them as the plain run does.  The cap stops the walk within
@@ -663,7 +688,7 @@ def _per_instance_mismatches(tab, parts, work):
 def _suite_mismatches_agree(op, universe, parts, instance_list=None, consistent_only=False):
     """Both loops' full mismatch sequences on one suite's work list; their length."""
     tab = suite_table(op, universe, consistent_only, instance_list)
-    work = verify._flat(verify._suite_work(tab, universe, instance_list))
+    work = verify._flat(tab.work())
     got = list(verify._mismatches(tab, parts, work))
     assert got == list(_per_instance_mismatches(tab, parts, work))
     return len(got)
