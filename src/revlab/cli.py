@@ -22,9 +22,9 @@ from . import verify
 from .classify import classification_report
 from .errors import RevlabError
 from .fixtures import REPRO_NAMES
-from .operators import RevisionOperator, parse_operator
+from .operators import ExtensionalOperator, RevisionOperator, parse_operator
 from .prop import Signature, parse_models
-from .states import dump_state, enumerate_states, parse_state, sample_states
+from .states import check_clf, check_fa, dump_state, enumerate_states, parse_state, sample_states
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 1000
@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--universe",
                 choices=("faithful", "clf", "fa"),
-                help="state universe kind (default: il for an operator with an il_scope, fa for agm, else faithful)",
+                help="state universe kind (default: il for an operator with an il_scope, fa for agm, "
+                "the narrowest kind of a lookup table's states, else faithful)",
             )
             p.add_argument(
                 "--global-consistency",
@@ -110,7 +111,7 @@ def _universe(args, sig: Signature, op):
     operator file gives, so `--universe` offers no il."""
     il_scope = getattr(op, "il_scope", None)
     if il_scope is None:
-        kind = args.universe or ("fa" if getattr(op, "family", None) == "agm" else "faithful")
+        kind = args.universe or _default_kind(op, sig)
     elif args.universe is None:
         kind = "il"
     else:
@@ -126,6 +127,14 @@ def _universe(args, sig: Signature, op):
     # The inputs are drawn for `enumerate` too, which has no --consistent-only.
     lo = 1 if getattr(args, "consistent_only", False) else 0
     return uni, [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
+
+
+def _default_kind(op, sig: Signature) -> str:
+    """fa for agm; for a lookup table, the narrowest kind all its states satisfy (fa, then clf); else faithful."""
+    if isinstance(op, ExtensionalOperator):
+        kinds = {"fa": lambda st: check_fa(st, sig), "clf": check_clf}
+        return next((kind for kind, ok in kinds.items() if all(map(ok, op.states))), "faithful")
+    return "fa" if getattr(op, "family", None) == "agm" else "faithful"
 
 
 def _emit(args, header: dict, rows: list[dict], any_fail: bool) -> int:

@@ -173,27 +173,24 @@ def bel_table(levels: tuple[int, ...], scope: int, bel: int, n_classes: int) -> 
     return lanes(n_classes).entries(bel_row(levels, scope, bel, n_classes))
 
 
-def posterior(
+def posterior_key(
     levels: tuple[int, ...],
     scope: int,
     bel: int,
     alpha: int,
     order_rule: str,
     scope_rule: str,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Full posterior state (bel', scope', levels') under the update policy named by the rules.
+) -> tuple[int, int, int]:
+    """What fixes the posterior of (levels, scope, bel) revised by alpha: (bel', scope', cut).
 
     Scope rule `keep` keeps the prior scope, `doc` takes the new beliefs and
-    the prior scope's alpha-worlds, `result_only` the new beliefs; order rule
-    `lex` puts the new scope's alpha-worlds first.  Worlds entering the
-    scope from outside the prior domain are appended as a least-plausible
-    level.  Emptied scopes fall back to the prior scope (domains must stay
-    nonempty).  The new belief minimum is then promoted to a fresh level 0,
-    which re-establishes faithfulness; the natural order rule, which adds
-    only that promotion, so gives the keep rule's posteriors.
+    the prior scope's alpha-worlds, `result_only` the new beliefs; an
+    emptied scope falls back to the prior scope (domains must stay
+    nonempty).  The cut is the new scope's alpha-worlds under order rule
+    `lex`, which puts them first, and empty under `keep` and `natural`, so
+    inputs of one state with one key share a posterior.
     """
     bel2 = revise_mask(levels, scope, bel, alpha)
-
     if scope_rule == "keep":
         scope2 = scope
     elif scope_rule == "doc":
@@ -202,25 +199,35 @@ def posterior(
         scope2 = bel2
     if scope2 == 0:
         scope2 = scope
+    return bel2, scope2, scope2 & alpha if order_rule == "lex" else 0
 
+
+def posterior_levels(levels: tuple[int, ...], scope: int, key: tuple[int, int, int]) -> tuple[int, ...]:
+    """The posterior order of (levels, scope) at its `posterior_key`.
+
+    The cut comes first and then the rest of the new scope, each in the
+    prior order with the worlds entering the scope from outside the prior
+    domain as a least-plausible level, so an empty cut keeps the prior
+    order.  The new belief minimum is then promoted to a fresh level 0,
+    which re-establishes faithfulness; the natural order rule, which adds
+    only that promotion, so gives the keep rule's posteriors.
+    """
+    bel2, scope2, cut = key
     fresh = scope2 & ~scope
-
-    if order_rule == "lex":
-        new_levels = [lv & scope2 & alpha for lv in levels]
-        if fresh & alpha:
-            new_levels.append(fresh & alpha)
-        new_levels += [lv & scope2 & ~alpha for lv in levels]
-        if fresh & ~alpha:
-            new_levels.append(fresh & ~alpha)
-        new_levels = [lv for lv in new_levels if lv]
-    else:
-        new_levels = [lv for lv in (lv & scope2 for lv in levels) if lv]
-        if fresh:
-            new_levels.append(fresh)
-
     promoted = bel2 & scope2
-    if promoted:
-        rest = [lv & ~promoted for lv in new_levels]
-        new_levels = [promoted] + [lv for lv in rest if lv]
+    rest = [lv & part for part in (cut & ~promoted, scope2 & ~cut & ~promoted) for lv in (*levels, fresh)]
+    return tuple(filter(None, [promoted, *rest]))
 
-    return bel2, scope2, tuple(new_levels)
+
+def posterior(
+    levels: tuple[int, ...],
+    scope: int,
+    bel: int,
+    alpha: int,
+    order_rule: str,
+    scope_rule: str,
+) -> tuple[int, int, tuple[int, ...]]:
+    """Full posterior state (bel', scope', levels') under the update policy named by the rules:
+    `posterior_levels` at the `posterior_key`."""
+    key = posterior_key(levels, scope, bel, alpha, order_rule, scope_rule)
+    return key[0], key[1], posterior_levels(levels, scope, key)

@@ -111,11 +111,20 @@ class RevisionOperator:
         levels, scope, bel = self._kernel_args(st)
         return kernels.bel_row(levels, scope, bel, n_classes)
 
-    def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
-        """Full posterior state; families with a fixed scope keep it."""
-        scope_rule = "keep" if self.family in ("agm", "il") else self.policy.scope_rule
+    def _rules(self) -> tuple[str, str]:
+        """The kernels' (order rule, scope rule); families with a fixed scope keep it."""
+        return self.policy.order_rule, "keep" if self.family in ("agm", "il") else self.policy.scope_rule
+
+    def posterior_keys(self, st: EpistemicState, alphas) -> list[tuple[int, int, int]]:
+        """`kernels.posterior_key` of each input: inputs with one key share a posterior."""
         levels, scope, bel = self._kernel_args(st)
-        bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, self.policy.order_rule, scope_rule)
+        order_rule, scope_rule = self._rules()
+        return [kernels.posterior_key(levels, scope, bel, a, order_rule, scope_rule) for a in alphas]
+
+    def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
+        """Full posterior state."""
+        levels, scope, bel = self._kernel_args(st)
+        bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, *self._rules())
         return EpistemicState(bel2, scope2, RankedOrder(levels2))
 
 

@@ -92,8 +92,25 @@ class TransitionTable:
         if len(got) < self.n_classes:
             for a in alphas:
                 if a not in got:
-                    got[a] = self.id_of(self.op.apply(self.states[sid], a))
+                    self._build(sid, alphas)
+                    break
         return got
+
+    def _build(self, sid: int, alphas) -> None:
+        """Interns the posteriors of state `sid` at the inputs of `alphas` it lacks.
+
+        The missing inputs are grouped by the operator's `posterior_keys`, and
+        one posterior is built per key, at its first input; an operator
+        without keys, such as a lookup table, keys each input by itself, and a
+        single input computes no key.  So ids come in `alphas` order, as if
+        every input were built.
+        """
+        got, st, first = self._posts[sid], self.states[sid], {}
+        missing = [a for a in alphas if a not in got]
+        keyed = len(missing) > 1 and hasattr(self.op, "posterior_keys")
+        for a, key in zip(missing, self.op.posterior_keys(st, missing) if keyed else missing):
+            b = first.setdefault(key, a)
+            got[a] = got[b] if b != a else self.id_of(self.op.apply(st, a))
 
     def post(self, sid: int, alpha: int) -> int:
         """Id of the posterior of state `sid` revised by `alpha`."""

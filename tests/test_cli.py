@@ -317,6 +317,27 @@ class TestExtensionalOperatorFile:
         assert capsys.readouterr().out.endswith(f"# after a\n{dump_state(AB, post)}\n")
 
 
+@pytest.mark.parametrize("family, kind", [("agm", "fa"), ("cl", "clf"), ("dl", "faithful")])
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_a_lookup_table_defaults_to_the_narrowest_kind_of_its_states(family, kind, command, tmp_path, capsys):
+    # The table holds only its universe's states, so a wider default universe reaches states it misses.
+    table = tabulate(RevisionOperator(family), enumerate_states(AB, kind))
+    op, state = tmp_path / "t.op", tmp_path / "s.state"
+    op.write_text(dump_operator(table))
+    state.write_text(dump_state(AB, table.states[0]))
+    argv = {
+        "check": ["check", "--operator", str(op), "--sig", "a b", "CL1"],
+        "classify": ["classify", "--state", str(state), "--operator", str(op)],
+    }[command]
+    runs = []
+    for flags in ([], ["--universe", kind]):
+        code = main(argv + flags)
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+    if command == "check":
+        assert f"# universe: {kind} " in runs[0][1].out
+
+
 def _witness_blocks(out: str) -> list[str]:
     """The state-file blocks printed under the CHECK lines of a text report."""
     blocks: list[str] = []

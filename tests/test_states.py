@@ -24,7 +24,7 @@ from revlab.states import (
     sample_states,
     stabilizer_inputs,
 )
-from revlab.verify import THEOREM_IDS, verify_equivalence
+from revlab.verify import POSTULATE_IDS, THEOREM_IDS, check_postulate, verify_equivalence
 
 AB = Signature.of("a b")
 
@@ -457,14 +457,18 @@ class TestOrbitRuleAt3Atoms:
         missed = [st for st in sample if _renamed(st, canonical(st, uni.fixed_scope)) not in reps]
         assert missed == []
 
-    def test_theorem_verdicts_agree_at_each_state_and_its_image(self):
-        # Postulates and conditions use worlds only through set operations, so a renaming keeps
-        # the verdict at every (state, α): the failing pairs of a sample map onto those of its images.
+    def _pairs_and_images(self):
+        """1,000 seeded globally consistent faithful (state, α) pairs and their images on the representatives."""
         rng = random.Random(self.SEED)
         sample = sample_states(self.ABC, "faithful", 1_000, rng, True)
         pairs = [(st, rng.randrange(256)) for st in sample]
         perms = [canonical(st, self.ABC.all_worlds) for st, _ in pairs]
-        images = [(_renamed(st, p), _image(a, p)) for (st, a), p in zip(pairs, perms)]
+        return pairs, [(_renamed(st, p), _image(a, p)) for (st, a), p in zip(pairs, perms)]
+
+    def test_theorem_verdicts_agree_at_each_state_and_its_image(self):
+        # Postulates and conditions use worlds only through set operations, so a renaming keeps
+        # the verdict at every (state, α): the failing pairs of a sample map onto those of its images.
+        pairs, images = self._pairs_and_images()
         uni = enumerate_states(self.ABC, "faithful", True)
         op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
         failing = set()
@@ -478,6 +482,36 @@ class TestOrbitRuleAt3Atoms:
             if any(verdicts[0]):
                 failing.add(theorem)
         assert failing == {"P9", "P10", "P14a", "P14b"}  # the sample reaches every red theorem
+
+    def test_postulate_verdicts_agree_at_each_state_and_its_image(self):
+        # The postulate side of the test above, for every id whose universe is not il.
+        pairs, images = self._pairs_and_images()
+        uni = enumerate_states(self.ABC, "faithful", True)
+        op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+        failing = set()
+        for pid in (pid for pid in POSTULATE_IDS if not pid.startswith("IL")):
+            verdicts = []
+            for instances in (pairs, images):
+                v = check_postulate(op, uni, pid, instance_list=instances, max_counterexamples=10**6)
+                failed = {(ce.state, ce.alpha) for ce in v.counterexamples}
+                verdicts.append([pair in failed for pair in instances])
+            assert verdicts[0] == verdicts[1], pid
+            if any(verdicts[0]):
+                failing.add(pid)
+        assert failing == {
+            "CL2", "DP1", "DP2", "DP4", "CLDP1", "CLDP2", "CM1", "CM2", "FC", "FR", "SC", "SR", "COM", "DLDP2"
+        }
+
+    def test_sampled_p10_failures_map_onto_counterexamples_of_the_representatives(self):
+        pairs, images = self._pairs_and_images()
+        uni = enumerate_states(self.ABC, "faithful", True)
+        op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
+        sampled = verify_equivalence(op, uni, "P10", instance_list=pairs, max_counterexamples=10**6)
+        image_of = dict(zip(pairs, images))
+        failed = [image_of[ce.state, ce.alpha] for ce in sampled.counterexamples]
+        full = verify_equivalence(op, uni, "P10", max_counterexamples=10**6)
+        assert len(full.counterexamples) == 7_168 and failed
+        assert set(failed) <= {(ce.state, ce.alpha) for ce in full.counterexamples}
 
 
 class TestStateFiles:

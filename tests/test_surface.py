@@ -30,7 +30,6 @@ ENTRY_POINTS = {
     "operators.tabulate": "freezes an operator into a lookup table; the benchmark traces it",
     "operators.dump_operator": "writes an operator spec file, the inverse of parse_operator",
     "operators.ExtensionalOperator.check_total": "checks that a lookup table covers every state and class",
-    "states.check_fa": "FA validity, beside check_clf and check_faithful_limited; the fa universe is tested against it",
     "conditions.check_condition": "one named condition on one transition; the benchmark traces it through verify",
     "verify.representation_roundtrip": "the representation round trips of criteria 3 and 4",
     "verify.mutation_detection": "the belief-table corruption trials of criterion 4",
@@ -157,3 +156,15 @@ def test_every_process_lifetime_cache_is_listed():
     # A cache that outlives every universe and table must hold what depends on its arguments alone;
     # a new one needs its reason here.
     assert cached_functions() == set(CACHED)
+
+
+def test_only_the_transition_table_builds_posteriors_for_the_suites():
+    # A suite reads every posterior through `TransitionTable.posts`, which builds one per distinct key;
+    # an `.apply(` call elsewhere on the suite side would build posteriors past that grouping.
+    callers = [
+        f"{name}.py:{node.lineno}"
+        for name in ("verify", "postulates", "conditions", "classify", "transitions")
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "apply"
+    ]
+    assert callers and all(caller.startswith("transitions.py:") for caller in callers)

@@ -1409,3 +1409,89 @@ def test_orbit_pass_asks_one_input_per_stabilizer_orbit(sig, asked, monkeypatch)
     assert check_postulate(RevisionOperator("dl"), universe, "DL1").holds
     assert len(counts) == len(universe.orbits())
     assert sum(counts) == sum(len(ins) for ins in universe.orbit_inputs()) == asked
+
+
+# ---------------------------------------------------------------------------
+# Posteriors built once per distinct key: `TransitionTable.posts`
+
+
+def _interned_by_apply(op, states, inputs):
+    """(states, posterior ids per state) of a table that interns `states` and then builds every
+    input's posterior with its own `op.apply`, in order: the oracle of the grouped build."""
+    ids = {st: i for i, st in enumerate(states)}
+    order = list(states)
+    rows = []
+    for st, alphas in zip(states, inputs):
+        row = {}
+        for a in alphas:
+            post = op.apply(st, a)
+            if post not in ids:
+                ids[post] = len(order)
+                order.append(post)
+            row[a] = ids[post]
+        rows.append(row)
+    return order, rows
+
+
+def _interned_by_posts(op, sig, states, inputs):
+    tab = TransitionTable(op, sig)
+    sids = [tab.id_of(st) for st in states]
+    rows = [dict(tab.posts(sid, alphas)) for sid, alphas in zip(sids, inputs)]
+    return tab.states, rows
+
+
+_GROUPED_CASES = [
+    ("dl", "faithful", None),
+    ("cl", "clf", None),
+    ("agm", "fa", None),
+    ("il", "il", 0b0110),
+]
+
+
+@pytest.mark.parametrize("family, kind, il_scope", _GROUPED_CASES, ids=[c[0] for c in _GROUPED_CASES])
+def test_grouped_posteriors_intern_as_per_input_builds_at_2_atoms(family, kind, il_scope):
+    universe = enumerate_states(AB, kind, il_scope=il_scope)
+    inputs = [range(16)] * len(universe.states)
+    for policy in all_policies():
+        op = RevisionOperator(family, policy, il_scope)
+        want = _interned_by_apply(op, universe.states, inputs)
+        assert _interned_by_posts(op, AB, universe.states, inputs) == want, policy
+
+
+@pytest.mark.parametrize("policy", [UpdatePolicy("keep", "doc"), UpdatePolicy("lex", "doc")], ids=str)
+def test_grouped_posteriors_intern_as_per_input_builds_at_the_3atom_representatives(policy):
+    reps = [st for st, _ in enumerate_states(ABC, "faithful", True).orbits()]
+    inputs = [range(256)] * len(reps)
+    op = RevisionOperator("dl", policy)
+    assert _interned_by_posts(op, ABC, reps, inputs) == _interned_by_apply(op, reps, inputs)
+
+
+def test_posts_builds_each_distinct_posterior_of_a_state_once(faithful, monkeypatch):
+    # Under keep/keep a posterior is fixed by its beliefs, so keys and posteriors are one to one.
+    built = []
+    apply = RevisionOperator.apply
+    monkeypatch.setattr(RevisionOperator, "apply", lambda op, st, a: built.append(a) or apply(op, st, a))
+    tab = TransitionTable(DL_OP, AB)
+    for st in faithful.states:
+        distinct = len({apply(DL_OP, st, a) for a in tab.classes()})
+        built.clear()
+        tab.posts(tab.id_of(st), tab.classes())
+        assert len(built) == distinct, st
+
+
+def test_one_input_computes_no_key(faithful, monkeypatch):
+    keyed = []
+    keys = RevisionOperator.posterior_keys
+    monkeypatch.setattr(RevisionOperator, "posterior_keys", lambda op, st, alphas: keyed.append(alphas) or keys(op, st, alphas))
+    tab = TransitionTable(DL_OP, AB)
+    sid = tab.id_of(faithful.states[7])
+    assert tab.post(sid, 5) == tab.id_of(DL_OP.apply(faithful.states[7], 5))
+    assert keyed == []
+    tab.posts(sid, range(16))
+    assert keyed == [[a for a in range(16) if a != 5]]
+
+
+def test_a_lookup_table_keys_each_input_by_itself(faithful):
+    table = tabulate(RevisionOperator("dl", UpdatePolicy("lex", "doc")), faithful)
+    inputs = [range(16)] * len(table.states)
+    assert _interned_by_posts(table, AB, table.states, inputs) == _interned_by_apply(table, table.states, inputs)
