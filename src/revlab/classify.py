@@ -64,16 +64,6 @@ def bel_row_of(op, st: EpistemicState, sig: Signature) -> int:
     return kernels.lanes(n_classes).pack(op.revise_beliefs(st, a) for a in range(n_classes))
 
 
-def _iter_supersets(a: int, full: int):
-    comp = full & ~a
-    s = comp
-    while True:
-        yield a | s
-        if s == 0:
-            return
-        s = (s - 1) & comp
-
-
 def iter_subsets(a: int):
     s = a
     while True:
@@ -143,7 +133,7 @@ def classify_row(row: int, bel: int, sig: Signature) -> StateClassification:
     # Latent: a and every nonempty class below it are in S1 ∩ S2; lane 0,
     # the empty class, is set so that it constrains nothing.
     latent = ln.bits(ln.lattice_and(s1 & s2 | high & ln.lane, supersets=False)) & ~1
-    reasonable = subset_bits(latent_worlds(row, bel, ln)) & ~1
+    reasonable = subset_bits(minterm_worlds(latent, sig.n_worlds)) & ~1
     return StateClassification(ln.bits(s1), ln.bits(s2), latent, reasonable, ln.accepted(row))
 
 
@@ -223,7 +213,7 @@ def immanent_classes(op, universe: StateUniverse) -> int:
 def check_ssc(classes: set[int], sig: Signature) -> bool:
     """Single-sentence closure: with a class, every weaker class belongs."""
     full = sig.all_worlds
-    return all(d in classes for c in classes for d in _iter_supersets(c, full))
+    return all(c | s in classes for c in classes for s in iter_subsets(full & ~c))
 
 
 def check_dc(classes: set[int], sig: Signature) -> bool:

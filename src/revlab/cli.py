@@ -53,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--global-consistency",
                 action="store_true",
-                help="exclude states with inconsistent beliefs",
+                default=None,  # not given: see _universe
+                help="exclude states with inconsistent beliefs (default: on for a lookup table "
+                "whose states all believe something, else off)",
             )
         p.add_argument("--format", default="text", choices=("text", "json"))
 
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-counterexamples",
         type=int,
-        default=5,
+        default=verify.MAX_COUNTEREXAMPLES,
         help="counterexamples reported per failing check",
     )
     p.add_argument("ids", nargs="+", help="postulate or theorem ids, or 'all'")
@@ -118,12 +120,15 @@ def _universe(args, sig: Signature, op):
         raise RevlabError(
             f"--universe {args.universe} cannot apply: the operator has an il_scope, so its universe is il"
         )
-    uni = enumerate_states(sig, kind, args.global_consistency, il_scope)
+    consistent = args.global_consistency
+    if consistent is None:  # read off a lookup table, as its kind is
+        consistent = isinstance(op, ExtensionalOperator) and all(st.bel for st in op.states)
+    uni = enumerate_states(sig, kind, consistent, il_scope)
     if sig.n_atoms <= 2:
         return uni, None
     rng = random.Random(args.seed)
     n_samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    states = sample_states(sig, kind, n_samples, rng, args.global_consistency, il_scope)
+    states = sample_states(sig, kind, n_samples, rng, consistent, il_scope)
     # The inputs are drawn for `enumerate` too, which has no --consistent-only.
     lo = 1 if getattr(args, "consistent_only", False) else 0
     return uni, [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
@@ -159,7 +164,8 @@ def _verdict_row(v: verify.Verdict, op_name: str, n_atoms: int, sig: Signature) 
     blocks = []
     ces = []
     for ce in v.counterexamples:
-        parts = [dump_state(sig, ce.state)]
+        state = dump_state(sig, ce.state)
+        parts = [state]
         parts.append(f"# clause: {ce.clause}\n")
         if ce.alpha is not None:
             parts.append(f"# alpha: class {ce.alpha}\n")
@@ -169,7 +175,7 @@ def _verdict_row(v: verify.Verdict, op_name: str, n_atoms: int, sig: Signature) 
         blocks.append("".join(parts))
         ces.append(
             {
-                "state": dump_state(sig, ce.state),
+                "state": state,
                 "alpha": ce.alpha,
                 "beta": ce.beta,
                 "clause": ce.clause,
@@ -191,13 +197,12 @@ def _verdict_row(v: verify.Verdict, op_name: str, n_atoms: int, sig: Signature) 
 def cmd_revise(args) -> int:
     sig, st = parse_state(_read("--state", args.state))
     op = _load_operator(args, sig)
-    rows = [{"line": f"# initial\n{dump_state(sig, st)}", "state": dump_state(sig, st)}]
+    state = dump_state(sig, st)
+    rows = [{"line": f"# initial\n{state}", "state": state}]
     for text in args.formulas:
-        alpha = parse_models(text, sig)
-        st = op.apply(st, alpha)
-        rows.append(
-            {"line": f"# after {text}\n{dump_state(sig, st)}", "state": dump_state(sig, st), "input": text}
-        )
+        st = op.apply(st, parse_models(text, sig))
+        state = dump_state(sig, st)
+        rows.append({"line": f"# after {text}\n{state}", "state": state, "input": text})
     header = {"command": "revise", "operator": op.name}
     return _emit(args, header, rows, any_fail=False)
 
@@ -309,7 +314,7 @@ def cmd_enumerate(args) -> int:
     line = f"# states: {len(states)}{' (sampled)' if sampled else ''}"
     rows = [{"line": line, "states": len(states), "sampled": sampled}]
     if not args.count_only:
-        rows += [{"line": dump_state(sig, st), "state": dump_state(sig, st)} for st in states]
+        rows += [{"line": state, "state": state} for state in (dump_state(sig, st) for st in states)]
     header = {
         "command": "enumerate",
         "universe": uni.kind,

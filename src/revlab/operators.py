@@ -32,7 +32,7 @@ from .errors import (
 )
 from .orders import RankedOrder
 from .prop import Signature, iter_worlds
-from .states import EpistemicState, StateUniverse
+from .states import STATE_PARTS, EpistemicState, StateUniverse, key_lines, parsed, state_of_texts, state_texts
 
 ORDER_RULES = ("keep", "natural", "lex")
 SCOPE_RULES = ("keep", "doc", "result_only")
@@ -284,14 +284,8 @@ def _dump_extensional(op: ExtensionalOperator) -> str:
     for _, post in entries:  # a posterior outside the table's states is numbered after them
         index.setdefault(post, len(index))
 
-    def state_line(st: EpistemicState) -> str:
-        return (
-            f"bel {sig.worldset_str(st.bel)} ; scope {sig.worldset_str(st.scope)} ; "
-            f"order {st.order.to_text(sig)}"
-        )
-
     lines = ["family: extensional", f"sig: {' '.join(sig.atoms)}"]
-    lines += [f"state {i}: {state_line(st)}" for st, i in index.items()]
+    lines += [f"state {i}: " + "bel {} ; scope {} ; order {}".format(*state_texts(sig, st)) for st, i in index.items()]
     lines += [f"entry: {index[st]} {alpha} {index[post]}" for (st, alpha), post in entries]
     return "\n".join(lines) + "\n"
 
@@ -330,14 +324,7 @@ def parse_operator(text: str, sig: Signature | None = None) -> RevisionOperator 
     linenos: dict[str, int] = {}
     state_lines: dict[int, tuple[str, int]] = {}
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"line {lineno}: expected 'key: value', got {line!r}")
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in key_lines(text):
         kind = "state" if key.startswith("state ") else key
         if kind not in _KEY_FAMILIES:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
@@ -400,30 +387,22 @@ def _parse_extensional(fields, linenos, state_lines, entries, given: Signature |
     """The table of an extensional file, refused where its `sig:` line is not `given`'s atoms."""
     if "sig" not in fields:
         raise ParseError("extensional operator file needs a sig line")
-    try:
-        sig = Signature.of(fields["sig"])
-        if given not in (None, sig):
-            raise ParseError(f"sig: {' '.join(sig.atoms)} does not match the signature {' '.join(given.atoms)}")
-    except ParseError as err:
-        raise ParseError(f"line {linenos['sig']}: {err}") from None
+    place = f"line {linenos['sig']}"
+    sig = parsed(Signature.of, fields["sig"], place)
+    if given not in (None, sig):
+        raise ParseError(f"{place}: sig: {' '.join(sig.atoms)} does not match the signature {' '.join(given.atoms)}")
     states: dict[int, EpistemicState] = {}
     for idx, (body, lineno) in state_lines.items():
+        place = f"line {lineno}: state {idx}"
         parts = {}
         for chunk in body.split(";"):
             keyword, _, rest = chunk.strip().partition(" ")
             if keyword in parts:
-                raise ParseError(f"line {lineno}: state {idx}: repeated part {keyword!r}")
-            parts[keyword] = rest.strip()
-        if set(parts) != {"bel", "scope", "order"}:
-            raise ParseError(f"line {lineno}: state {idx}: want 'bel ... ; scope ... ; order [...]'")
-        try:
-            states[idx] = EpistemicState(
-                sig.worldset_of_strs(parts["bel"]),
-                sig.worldset_of_strs(parts["scope"]),
-                RankedOrder.from_text(parts["order"], sig),
-            )
-        except (InvariantError, ParseError) as err:
-            raise ParseError(f"line {lineno}: state {idx}: {err}") from None
+                raise ParseError(f"{place}: repeated part {keyword!r}")
+            parts[keyword] = (rest.strip(), place)
+        if set(parts) != set(STATE_PARTS):
+            raise ParseError(f"{place}: want 'bel ... ; scope ... ; order [...]'")
+        states[idx] = state_of_texts(sig, parts)
     n_classes = 1 << sig.n_worlds
     mapping = {}
     for (sid, alpha), (pid, lineno) in entries.items():

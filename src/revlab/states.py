@@ -282,21 +282,14 @@ def sample_states(
 
 
 # ---------------------------------------------------------------------------
-# State files (line-oriented; see dump_state for the shape)
+# State text: state files, and the part texts that a lookup-table line reuses
+
+STATE_PARTS = ("bel", "scope", "order")
 
 
-def dump_state(sig: Signature, st: EpistemicState) -> str:
-    return (
-        f"sig: {' '.join(sig.atoms)}\n"
-        f"bel: {sig.worldset_str(st.bel)}\n"
-        f"scope: {sig.worldset_str(st.scope)}\n"
-        f"order: {st.order.to_text(sig)}\n"
-    )
-
-
-def parse_state(text: str) -> tuple[Signature, EpistemicState]:
-    """Parses a state file; raises ParseError with the offending line number."""
-    fields: dict[str, tuple[str, int]] = {}
+def key_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each `key: value` line of a state or operator file, both
+    stripped; blank lines and `#` comments are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,28 +297,47 @@ def parse_state(text: str) -> tuple[Signature, EpistemicState]:
         if ":" not in line:
             raise ParseError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
-        key = key.strip()
-        if key not in ("sig", "bel", "scope", "order"):
+        yield lineno, key.strip(), value.strip()
+
+
+def parsed(parse, text: str, place: str):
+    """`parse(text)`, its InvariantError or ParseError named by `place` (`line N`, ...)."""
+    try:
+        return parse(text)
+    except (InvariantError, ParseError) as err:
+        raise ParseError(f"{place}: {err}") from None
+
+
+def state_texts(sig: Signature, st: EpistemicState) -> tuple[str, str, str]:
+    """The texts of a state's `STATE_PARTS`, in that order."""
+    return sig.worldset_str(st.bel), sig.worldset_str(st.scope), st.order.to_text(sig)
+
+
+def state_of_texts(sig: Signature, parts: dict[str, tuple[str, str]]) -> EpistemicState:
+    """The state of its `STATE_PARTS`, each given as (text, the place that names its errors)."""
+    bel = parsed(sig.worldset_of_strs, *parts["bel"])
+    scope = parsed(sig.worldset_of_strs, *parts["scope"])
+    order = parsed(lambda text: RankedOrder.from_text(text, sig), *parts["order"])
+    # An empty scope is named by its own place, an order over other worlds by the order's.
+    return parsed(lambda _: EpistemicState(bel, scope, order), *parts["order" if scope else "scope"])
+
+
+def dump_state(sig: Signature, st: EpistemicState) -> str:
+    bel, scope, order = state_texts(sig, st)
+    return f"sig: {' '.join(sig.atoms)}\nbel: {bel}\nscope: {scope}\norder: {order}\n"
+
+
+def parse_state(text: str) -> tuple[Signature, EpistemicState]:
+    """Parses a state file; raises ParseError with the offending line number."""
+    fields: dict[str, tuple[str, str]] = {}
+    for lineno, key, value in key_lines(text):
+        if key not in ("sig", *STATE_PARTS):
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = (value.strip(), lineno)
-    for key in ("sig", "bel", "scope", "order"):
+        fields[key] = (value, f"line {lineno}")
+    for key in ("sig", *STATE_PARTS):
         if key not in fields:
             raise ParseError(f"missing {key!r} line")
-
-    def parsed(key, parse):
-        value, lineno = fields[key]
-        try:
-            return parse(value)
-        except (InvariantError, ParseError) as err:
-            raise ParseError(f"line {lineno}: {err}") from None
-
-    sig = parsed("sig", Signature.of)
-    bel = parsed("bel", sig.worldset_of_strs)
-    scope = parsed("scope", sig.worldset_of_strs)
-    order = parsed("order", lambda text: RankedOrder.from_text(text, sig))
-    try:
-        return sig, EpistemicState(bel, scope, order)
-    except InvariantError as err:  # an empty scope, or an order over other worlds
-        raise ParseError(f"line {fields['order' if scope else 'scope'][1]}: {err}") from None
+    sig = parsed(Signature.of, *fields["sig"])
+    return sig, state_of_texts(sig, fields)

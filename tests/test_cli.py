@@ -338,6 +338,40 @@ def test_a_lookup_table_defaults_to_the_narrowest_kind_of_its_states(family, kin
         assert f"# universe: {kind} " in runs[0][1].out
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_a_lookup_table_whose_states_all_believe_something_defaults_to_global_consistency(command, tmp_path, capsys):
+    # Tabulated on a globally consistent universe, the table misses every state with empty beliefs.
+    table = tabulate(RevisionOperator("dl"), enumerate_states(AB, "faithful", global_consistency=True))
+    op, state = tmp_path / "t.op", tmp_path / "s.state"
+    op.write_text(dump_operator(table))
+    state.write_text(dump_state(AB, table.states[0]))
+    argv = {
+        "check": ["check", "--operator", str(op), "--sig", "a b", "DL1"],
+        "classify": ["classify", "--state", str(state), "--operator", str(op)],
+    }[command]
+    runs = []
+    for flags in ([], ["--global-consistency"]):
+        code = main(argv + flags)
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    if command == "check":
+        assert "# universe: faithful (global_consistency=True, sampled=False)" in runs[0][1].out
+        assert "CHECK DL1 op=extensional(417 states) n=2 instances=6672 result=PASS" in runs[0][1].out
+
+
+@pytest.mark.parametrize("operator", ["table", "policy"])
+def test_global_consistency_stays_off_by_default_otherwise(operator, table_file, tmp_path, capsys):
+    # A table holding a state with empty beliefs, and a policy operator, check the whole universe.
+    path = table_file[1]
+    if operator == "policy":
+        path = tmp_path / "dl.op"
+        path.write_text(dump_operator(RevisionOperator("dl")))
+    assert main(["check", "--operator", str(path), "--sig", "a b", "DL1"]) == 0
+    out = capsys.readouterr().out
+    assert "# universe: faithful (global_consistency=False, sampled=False)" in out
+    assert "n=2 instances=9056 result=PASS" in out
+
+
 def _witness_blocks(out: str) -> list[str]:
     """The state-file blocks printed under the CHECK lines of a text report."""
     blocks: list[str] = []

@@ -457,12 +457,12 @@ class TestOrbitRuleAt3Atoms:
         missed = [st for st in sample if _renamed(st, canonical(st, uni.fixed_scope)) not in reps]
         assert missed == []
 
-    def _pairs_and_images(self):
-        """1,000 seeded globally consistent faithful (state, α) pairs and their images on the representatives."""
+    def _pairs_and_images(self, kind="faithful", il_scope=None):
+        """1,000 seeded globally consistent (state, α) pairs of the kind and their images on the representatives."""
         rng = random.Random(self.SEED)
-        sample = sample_states(self.ABC, "faithful", 1_000, rng, True)
+        sample = sample_states(self.ABC, kind, 1_000, rng, True, il_scope)
         pairs = [(st, rng.randrange(256)) for st in sample]
-        perms = [canonical(st, self.ABC.all_worlds) for st, _ in pairs]
+        perms = [canonical(st, il_scope or self.ABC.all_worlds) for st, _ in pairs]
         return pairs, [(_renamed(st, p), _image(a, p)) for (st, a), p in zip(pairs, perms)]
 
     def test_theorem_verdicts_agree_at_each_state_and_its_image(self):
@@ -501,6 +501,58 @@ class TestOrbitRuleAt3Atoms:
         assert failing == {
             "CL2", "DP1", "DP2", "DP4", "CLDP1", "CLDP2", "CM1", "CM2", "FC", "FR", "SC", "SR", "COM", "DLDP2"
         }
+
+    # The other kinds, each under its family's operator: (il_scope, operator).
+    KEEP_DOC = UpdatePolicy("keep", "doc")
+    OTHER_KINDS = {
+        "clf": (None, RevisionOperator("cl", KEEP_DOC)),
+        "fa": (None, RevisionOperator("agm", KEEP_DOC)),
+        "il": (0x0F, RevisionOperator("il", KEEP_DOC, il_scope=0x0F)),
+    }
+
+    def _failing_ids(self, kind, ids, check):
+        """The ids that fail at some pair of the kind's sample, each asserted to give every pair
+        the verdict of its image, as in the faithful tests above."""
+        il_scope, op = self.OTHER_KINDS[kind]
+        pairs, images = self._pairs_and_images(kind, il_scope)
+        uni = enumerate_states(self.ABC, kind, True, il_scope)
+        failing = set()
+        for check_id in ids:
+            verdicts = []
+            for instances in (pairs, images):
+                v = check(op, uni, check_id, instance_list=instances, max_counterexamples=10**6)
+                failed = {(ce.state, ce.alpha) for ce in v.counterexamples}
+                verdicts.append([pair in failed for pair in instances])
+            assert verdicts[0] == verdicts[1], check_id
+            if any(verdicts[0]):
+                failing.add(check_id)
+        return failing
+
+    @pytest.mark.parametrize(
+        "kind, failing",
+        [
+            ("clf", {"P9", "P14b"}),
+            ("fa", {"P12", "P13b", "P-CM1", "P-CM2", "P-COM", "P-DOC", "P-SCSR"}),
+            ("il", {"P9", "P10", "P12", "P14a", "P14b"}),
+        ],
+        ids=["clf", "fa", "il"],
+    )
+    def test_theorem_verdicts_agree_on_the_other_kinds(self, kind, failing):
+        assert self._failing_ids(kind, THEOREM_IDS, verify_equivalence) == failing
+
+    @pytest.mark.parametrize(
+        "kind, failing",
+        [
+            ("clf", {"DP1", "DP2", "CLDP2", "CM2", "FC", "SC", "COM", "DLDP2"}),
+            ("fa", {"CL3", "CLP", "DL2", "DL5", "DOC"}),
+            ("il", {"CL2", "CLP", "DP1", "DP2", "CLDP1", "CLDP2", "CM1", "CM2", "SC", "DOC", "COM"}),
+        ],
+        ids=["clf", "fa", "il"],
+    )
+    def test_postulate_verdicts_agree_on_the_other_kinds(self, kind, failing):
+        # IL1–IL7 quantify over the il universe, so only the il sample runs them.
+        ids = [pid for pid in POSTULATE_IDS if kind == "il" or not pid.startswith("IL")]
+        assert self._failing_ids(kind, ids, check_postulate) == failing
 
     def test_sampled_p10_failures_map_onto_counterexamples_of_the_representatives(self):
         pairs, images = self._pairs_and_images()

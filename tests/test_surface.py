@@ -168,3 +168,33 @@ def test_only_the_transition_table_builds_posteriors_for_the_suites():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "apply"
     ]
     assert callers and all(caller.startswith("transitions.py:") for caller in callers)
+
+
+# The modules that may call each method of state text.  `states.py` owns that text: a state's part
+# texts, which a lookup-table line reuses, and the `key: value` lines that state and operator files
+# share.  A module outside these that formats or parses them decides the text a second time.
+STATE_TEXT_OWNERS = {
+    "from_text": {"states", "orders"},
+    "to_text": {"states", "orders"},
+    "worldset_str": {"states", "orders", "prop"},
+    "partition(':')": {"states"},
+}
+
+
+def state_text_calls():
+    """`module.py:line method` of each call of a `STATE_TEXT_OWNERS` method outside its owners."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name = node.func.attr
+            if name == "partition" and [getattr(arg, "value", None) for arg in node.args] == [":"]:
+                name = "partition(':')"
+            if path.stem not in STATE_TEXT_OWNERS.get(name, {path.stem}):
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    return calls
+
+
+def test_only_the_states_module_decides_state_text():
+    assert state_text_calls() == []
