@@ -33,61 +33,10 @@ DEFAULT_SAMPLES = 1000
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="revlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, operator=True, state=False, universe=False, sig=False):
-        if state:
-            p.add_argument("--state", required=True, help="state file (sig/bel/scope/order lines)")
-        if operator:
-            p.add_argument("--operator", help="operator spec file")
-        if sig:
-            p.add_argument("--sig", help="signature atoms, e.g. 'a b'")
-            p.add_argument("--samples", type=int, help=f"instances sampled at 3 atoms (default {DEFAULT_SAMPLES})")
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if universe:
-            p.add_argument(
-                "--universe",
-                choices=("faithful", "clf", "fa"),
-                help="state universe kind (default: il for an operator with an il_scope, fa for agm, "
-                "the narrowest kind of a lookup table's states, else faithful)",
-            )
-            p.add_argument(
-                "--global-consistency",
-                action="store_true",
-                default=None,  # not given: see _universe
-                help="exclude states with inconsistent beliefs (default: on for a lookup table "
-                "whose states all believe something, else off)",
-            )
-        p.add_argument("--format", default="text", choices=("text", "json"))
-
-    p = sub.add_parser("revise", help="run a revision sequence, printing each posterior state")
-    common(p, state=True)
-    p.add_argument("formulas", nargs="*", help="input formulas, applied in order")
-
-    p = sub.add_parser("check", help="check postulates / characterisation theorems")
-    common(p, universe=True, sig=True)
-    p.add_argument(
-        "--consistent-only",
-        action="store_true",
-        help="exclude the contradiction from formula quantifiers",
-    )
-    p.add_argument(
-        "--max-counterexamples",
-        type=int,
-        default=verify.MAX_COUNTEREXAMPLES,
-        help="counterexamples reported per failing check",
-    )
-    p.add_argument("ids", nargs="+", help="postulate or theorem ids, or 'all'")
-
-    p = sub.add_parser("classify", help="per-class scope/latency/reasonableness report")
-    common(p, state=True, universe=True)
-
-    p = sub.add_parser("repro", help="replay a built-in worked example")
-    p.add_argument("name", choices=sorted(REPRO_NAMES))
-    p.add_argument("--format", default="text", choices=("text", "json"))
-
-    p = sub.add_parser("enumerate", help="enumerate a state universe")
-    common(p, operator=False, universe=True, sig=True)
-    p.add_argument("--count-only", action="store_true")
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
     return top
 
 
@@ -101,45 +50,42 @@ def _read(flag: str, path: str) -> str:
 
 
 def _load_operator(args, sig: Signature | None) -> RevisionOperator:
-    if not getattr(args, "operator", None):
+    if not args.operator:
         return RevisionOperator("dl")
     return parse_operator(_read("--operator", args.operator), sig)
 
 
 def _universe(args, sig: Signature, op):
-    """Universe plus sampled (state, alpha) pairs at 3 atoms, None up to 2 (every state is read).
+    """The universe, plus at 3 atoms the sampled states and the generator that drew them (None, None up
+    to 2 atoms, where every state is read).
 
     The universe is il exactly when the operator has an il_scope, which only an
     operator file gives, so `--universe` offers no il."""
     il_scope = getattr(op, "il_scope", None)
-    if il_scope is None:
-        kind = args.universe or _default_kind(op, sig)
-    elif args.universe is None:
-        kind = "il"
-    else:
-        raise RevlabError(
-            f"--universe {args.universe} cannot apply: the operator has an il_scope, so its universe is il"
-        )
+    if il_scope is not None and args.universe is not None:
+        raise RevlabError(f"--universe {args.universe} cannot apply: the operator has an il_scope, so its universe is il")
+    kind = args.universe or _default_kind(op, sig)
     consistent = args.global_consistency
     if consistent is None:  # read off a lookup table, as its kind is
         consistent = isinstance(op, ExtensionalOperator) and all(st.bel for st in op.states)
     uni = enumerate_states(sig, kind, consistent, il_scope)
     if sig.n_atoms <= 2:
-        return uni, None
+        return uni, None, None
     rng = random.Random(args.seed)
     n_samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    states = sample_states(sig, kind, n_samples, rng, consistent, il_scope)
-    # The inputs are drawn for `enumerate` too, which has no --consistent-only.
-    lo = 1 if getattr(args, "consistent_only", False) else 0
-    return uni, [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in states]
+    return uni, sample_states(sig, kind, n_samples, rng, consistent, il_scope), rng
+
+
+# The universe each family's postulates quantify over; il's is fixed by the operator's il_scope.
+FAMILY_KINDS = {"agm": "fa", "cl": "clf", "dl": "faithful", "il": "il"}
 
 
 def _default_kind(op, sig: Signature) -> str:
-    """fa for agm; for a lookup table, the narrowest kind all its states satisfy (fa, then clf); else faithful."""
+    """For a lookup table, the narrowest kind all its states satisfy (fa, then clf, else faithful); else its family's."""
     if isinstance(op, ExtensionalOperator):
         kinds = {"fa": lambda st: check_fa(st, sig), "clf": check_clf}
         return next((kind for kind, ok in kinds.items() if all(map(ok, op.states))), "faithful")
-    return "fa" if getattr(op, "family", None) == "agm" else "faithful"
+    return FAMILY_KINDS[op.family]
 
 
 def _emit(args, header: dict, rows: list[dict], any_fail: bool) -> int:
@@ -243,7 +189,9 @@ def cmd_check(args) -> int:
         raise RevlabError(f"--max-counterexamples must be at least 0, got {args.max_counterexamples}")
     op = _load_operator(args, sig)
     ids = _expand_ids(args.ids, op)  # refused before the universe or a sample is built
-    uni, instance_list = _universe(args, sig, op)
+    uni, sample, rng = _universe(args, sig, op)
+    lo = 1 if args.consistent_only else 0  # one input per sampled state, drawn after the states
+    instance_list = None if sample is None else [(st, rng.randrange(lo, 1 << sig.n_worlds)) for st in sample]
     rows = []
     any_fail = False
     for check_id in ids:
@@ -276,7 +224,7 @@ def cmd_classify(args) -> int:
     op = _load_operator(args, sig)
     universe = None
     if sig.n_atoms <= 2:
-        universe, _ = _universe(args, sig, op)
+        universe = _universe(args, sig, op)[0]
     else:
         for flag, is_set in (
             ("--universe", args.universe not in (None, "faithful")),
@@ -308,9 +256,9 @@ def cmd_repro(args) -> int:
 
 def cmd_enumerate(args) -> int:
     sig = _signature(args)
-    uni, instance_list = _universe(args, sig, RevisionOperator("dl"))
-    sampled = instance_list is not None
-    states = [st for st, _ in instance_list] if sampled else uni.states
+    uni, sample, _ = _universe(args, sig, RevisionOperator("dl"))
+    sampled = sample is not None
+    states = sample if sampled else uni.states
     line = f"# states: {len(states)}{' (sampled)' if sampled else ''}"
     rows = [{"line": line, "states": len(states), "sampled": sampled}]
     if not args.count_only:
@@ -324,19 +272,67 @@ def cmd_enumerate(args) -> int:
     return _emit(args, header, rows, any_fail=False)
 
 
+# Each option's argparse settings, declared once for every command that takes it.
+OPTIONS = {
+    "--state": dict(required=True, help="state file (sig/bel/scope/order lines)"),
+    "--operator": dict(help="operator spec file"),
+    "--sig": dict(help="signature atoms, e.g. 'a b'"),
+    "--samples": dict(type=int, help=f"instances sampled at 3 atoms (default {DEFAULT_SAMPLES})"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--universe": dict(
+        choices=("faithful", "clf", "fa"),
+        help="state universe kind (default: il for an operator with an il_scope, fa for agm, clf for cl, "
+        "the narrowest kind of a lookup table's states, else faithful)",
+    ),
+    "--global-consistency": dict(
+        action="store_true",
+        default=None,  # not given: see _universe
+        help="exclude states with inconsistent beliefs (default: on for a lookup table "
+        "whose states all believe something, else off)",
+    ),
+    "--format": dict(default="text", choices=("text", "json")),
+    "--consistent-only": dict(action="store_true", help="exclude the contradiction from formula quantifiers"),
+    "--max-counterexamples": dict(
+        type=int, default=verify.MAX_COUNTEREXAMPLES, help="counterexamples reported per failing check"
+    ),
+    "--count-only": dict(action="store_true"),
+    "formulas": dict(nargs="*", help="input formulas, applied in order"),
+    "ids": dict(nargs="+", help="postulate or theorem ids, or 'all'"),
+    "name": dict(choices=sorted(REPRO_NAMES)),
+}
+
+# Each command: its help, its options in the order `--help` lists them, and its handler.
 COMMANDS = {
-    "revise": cmd_revise,
-    "check": cmd_check,
-    "classify": cmd_classify,
-    "repro": cmd_repro,
-    "enumerate": cmd_enumerate,
+    "revise": (
+        "run a revision sequence, printing each posterior state",
+        ("--state", "--operator", "--format", "formulas"),
+        cmd_revise,
+    ),
+    "check": (
+        "check postulates / characterisation theorems",
+        ("--operator", "--sig", "--samples", "--seed", "--universe", "--global-consistency", "--format", "--consistent-only",
+         "--max-counterexamples", "ids"),
+        cmd_check,
+    ),
+    "classify": (
+        "per-class scope/latency/reasonableness report",
+        ("--state", "--operator", "--universe", "--global-consistency", "--format"),
+        cmd_classify,
+    ),
+    "repro": ("replay a built-in worked example", ("name", "--format"), cmd_repro),
+    "enumerate": (
+        "enumerate a state universe",
+        ("--sig", "--samples", "--seed", "--universe", "--global-consistency", "--format", "--count-only"),
+        cmd_enumerate,
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    *_, handler = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](args)
+        return handler(args)
     except RevlabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
 """Collects acceptance-criterion results and prints one line per criterion
-at the end of the run, and records when a universe builds its states."""
+at the end of the run, each with the time its test took, and records when a universe builds its states."""
+
+import time
 
 import pytest
 
@@ -13,6 +15,15 @@ def record_criterion(number: str, description: str, ok: bool, detail: str = "") 
     suffix = f" ({detail})" if detail else ""
     ACCEPTANCE_LINES.append(f"criterion {number}: {description}: {status}{suffix}")
     return ok
+
+
+@pytest.fixture(autouse=True)
+def _criterion_time():
+    """Appends the test's own time, past its module fixtures, to each criterion line it records."""
+    first, start = len(ACCEPTANCE_LINES), time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    ACCEPTANCE_LINES[first:] = [f"{line} [{elapsed:.2f}s]" for line in ACCEPTANCE_LINES[first:]]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -389,6 +389,45 @@ def test_criterion_10_family_separation(faithful_gc, fa_universe):
     assert separation_ok
 
 
+def test_criterion_10_family_separation_at_3_atoms():
+    # (c) on the globally consistent 3-atom il universes of the scopes made of the first k worlds:
+    # both suites hold only at k = 8, where every orbit representative is an fa state, and each
+    # proper scope fails CL2 alone
+    start = time.perf_counter()
+    failing, all_fa = {}, {}
+    for k in range(1, 9):
+        scope = (1 << k) - 1
+        uni = enumerate_states(ABC, "il", global_consistency=True, il_scope=scope)
+        op = RevisionOperator("il", il_scope=scope)
+        failing[k] = [
+            pid for pid in CL_POSTULATES + IL_POSTULATES
+            if not check_postulate(op, uni, pid, consistent_only=True).holds
+        ]
+        all_fa[k] = all(check_fa(st, ABC) for st, _ in uni.orbits())
+    time_c = time.perf_counter() - start
+
+    # (a) a proper fixed scope breaks vacuity, witnessed by the all-models state
+    start = time.perf_counter()
+    scope = mask(1, 2)
+    il_uni = enumerate_states(ABC, "il", global_consistency=True, il_scope=scope)
+    v = check_postulate(RevisionOperator("il", il_scope=scope), il_uni, "CL2", max_counterexamples=10_000)
+    top_witness = any(ce.state.bel == ABC.all_worlds for ce in v.counterexamples)
+    time_a = time.perf_counter() - start
+
+    want_failing = {k: ["CL2"] if k < 8 else [] for k in range(1, 9)}
+    want_fa = {k: k == 8 for k in range(1, 9)}
+    witnessed = (v.holds, v.instances, len(v.counterexamples), top_witness) == (False, 97_536, 5_010, True)
+    record_criterion(
+        "10[3 atoms]",
+        "fixed-scope vs credibility-limited separation; both suites only for total scope",
+        failing == want_failing and all_fa == want_fa and witnessed,
+        f"(c) 8 scopes in {time_c:.2f}s, (a) scope 0x06 in {time_a:.2f}s",
+    )
+    assert failing == want_failing
+    assert all_fa == want_fa
+    assert witnessed
+
+
 def _latency_mismatches(op, states, sig: Signature) -> int:
     """The classes and minterms at which criterion 11's characterisation fails, over `states`."""
     bad = 0

@@ -285,6 +285,24 @@ def test_agm_operator_file_checks_on_the_fa_universe_by_default(tmp_path, capsys
     assert (code, out.count("result=PASS")) == ((0, 4) if universe == "fa" else (1, 0))
 
 
+@pytest.mark.parametrize("flags, universe", [([], "clf"), (["--universe", "faithful"], "faithful")], ids=["default", "faithful"])
+def test_cl_operator_file_checks_on_the_clf_universe_by_default(tmp_path, capsys, flags, universe):
+    # A faithful state whose beliefs lie outside its scope is no clf state; there CL2 and CL3 fail.
+    op = tmp_path / "cl.op"
+    op.write_text("family: cl\n")
+    code = main(["check", "--operator", str(op), "--sig", "a b", *flags, "all"])
+    out = capsys.readouterr().out
+    assert f"# universe: {universe} (global_consistency=False, sampled=False)\n" in out
+    if universe == "clf":
+        assert (code, out.count("result=PASS")) == (0, 6)
+        for pid, instances in [("CL1", 2384), ("CL4", 2384), ("CL5", 38144), ("CL6", 38144)]:
+            assert f"CHECK {pid} op=cl(keep/keep) n=2 instances={instances} result=PASS\n" in out
+    else:
+        assert (code, out.count("result=PASS")) == (1, 4)
+        assert "CHECK CL2 op=cl(keep/keep) n=2 instances=48 result=FAIL\n" in out
+        assert "CHECK CL3 op=cl(keep/keep) n=2 instances=16 result=FAIL\n" in out
+
+
 @pytest.fixture(scope="module")
 def table_file(tmp_path_factory):
     """A keep/keep operator tabulated on the 2-atom faithful universe, as a file."""

@@ -12,7 +12,8 @@ A library module also reads every name it imports at module level (the
 project runs no linter to say so), and cites no ROADMAP item by number.
 Only `states.py` reads a universe's `_states`.  `CACHED` lists every
 function the library memoises for the life of the process (`lru_cache` or
-`cache`), each with why it may hold its results that long.
+`cache`), each with why it may hold its results that long.  `cli.py`
+declares each option and each command once.
 """
 
 import ast
@@ -198,3 +199,23 @@ def state_text_calls():
 
 def test_only_the_states_module_decides_state_text():
     assert state_text_calls() == []
+
+
+def command_line_declarations():
+    """How often `cli.py` calls `add_argument` and `add_parser`, and `getattr` on `args`, by call site."""
+    counts = {"add_argument": 0, "add_parser": 0, "getattr(args)": 0}
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr in counts:
+            counts[node.func.attr] += 1
+        elif getattr(node.func, "id", None) == "getattr" and getattr(node.args[0], "id", None) == "args":
+            counts["getattr(args)"] += 1
+    return counts
+
+
+def test_the_command_line_declares_each_option_and_command_once():
+    # `OPTIONS` gives each option its argparse settings and `COMMANDS` each command its help, options and
+    # handler, so `build_parser` adds them in one loop.  A helper that probes `args` with getattr cannot
+    # tell which command called it; every command that calls a helper declares what the helper reads.
+    assert command_line_declarations() == {"add_argument": 1, "add_parser": 1, "getattr(args)": 0}
