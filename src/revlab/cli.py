@@ -81,11 +81,12 @@ FAMILY_KINDS = {"agm": "fa", "cl": "clf", "dl": "faithful", "il": "il"}
 
 
 def _default_kind(op, sig: Signature) -> str:
-    """For a lookup table, the narrowest kind all its states satisfy (fa, then clf, else faithful); else its family's."""
+    """For a lookup table, the narrowest kind all its states satisfy (fa, then clf, else faithful); else its
+    family's, or faithful without an operator (`enumerate`)."""
     if isinstance(op, ExtensionalOperator):
         kinds = {"fa": lambda st: check_fa(st, sig), "clf": check_clf}
         return next((kind for kind, ok in kinds.items() if all(map(ok, op.states))), "faithful")
-    return FAMILY_KINDS[op.family]
+    return "faithful" if op is None else FAMILY_KINDS[op.family]
 
 
 def _emit(args, header: dict, rows: list[dict], any_fail: bool) -> int:
@@ -256,7 +257,7 @@ def cmd_repro(args) -> int:
 
 def cmd_enumerate(args) -> int:
     sig = _signature(args)
-    uni, sample, _ = _universe(args, sig, RevisionOperator("dl"))
+    uni, sample, _ = _universe(args, sig, None)
     sampled = sample is not None
     states = sample if sampled else uni.states
     line = f"# states: {len(states)}{' (sampled)' if sampled else ''}"
@@ -281,14 +282,14 @@ OPTIONS = {
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--universe": dict(
         choices=("faithful", "clf", "fa"),
-        help="state universe kind (default: il for an operator with an il_scope, fa for agm, clf for cl, "
-        "the narrowest kind of a lookup table's states, else faithful)",
+        help="state universe kind (default: faithful; with an --operator file, il for an operator with an "
+        "il_scope, fa for agm, clf for cl, the narrowest kind of a lookup table's states)",
     ),
     "--global-consistency": dict(
         action="store_true",
         default=None,  # not given: see _universe
-        help="exclude states with inconsistent beliefs (default: on for a lookup table "
-        "whose states all believe something, else off)",
+        help="exclude states with inconsistent beliefs (default: off; on for an --operator lookup table "
+        "whose states all believe something)",
     ),
     "--format": dict(default="text", choices=("text", "json")),
     "--consistent-only": dict(action="store_true", help="exclude the contradiction from formula quantifiers"),

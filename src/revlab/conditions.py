@@ -13,11 +13,10 @@ in `verify` read the `CONDITIONS` table directly.
 
 from __future__ import annotations
 
-from . import classify
+from . import classify, kernels
 from .errors import PreconditionError
 from .prop import Signature
 from .states import EpistemicState, check_clf, check_faithful_limited
-from .transitions import TransitionTable
 
 
 def _agree(st: EpistemicState, post: EpistemicState, ws: int) -> bool:
@@ -253,19 +252,18 @@ def check_condition(
 ) -> bool:
     """One named condition clause on the transition, from the `CONDITIONS` table.
 
-    The prior's scope classes and success worlds are read from `op`: the
-    operator, or the `TransitionTable` of the calling suite, whose belief
-    tables are then shared with the postulate side.  Without `op` both are
-    None, and the conditions that read revision results raise.
+    The prior's scope classes and success worlds are read off its belief
+    row (`classify.bel_row_of`): one row of the operator, or the stored row
+    of a `TransitionTable` passed as `op`.  Without `op` both are None, and
+    the conditions that read revision results raise.
     """
     cond = CONDITIONS.get(cid)
     if cond is None:
         raise ValueError(f"unknown condition id {cid!r}; valid ids: {', '.join(CONDITION_IDS)}")
     sc = dom = None
     if op is not None:
-        tab = op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
-        sid = tab.id_of(st)
-        sc, dom = tab.scope_classes(sid), tab.success_worlds(sid)
+        sc = kernels.lanes(1 << sig.n_worlds).accepted(classify.bel_row_of(op, st, sig))
+        dom = classify.minterm_worlds(sc, sig.n_worlds)
     elif cid in _READS_REVISIONS:
         raise PreconditionError("this condition reads revision results, so it needs the operator")
     return cond(st, post, alpha, ((1 << sig.n_worlds) - 1) & ~alpha, sc, dom, consistent_only)

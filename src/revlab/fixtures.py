@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import classify
 from .operators import RevisionOperator, parse_operator
 from .orders import enumerate_orders, trichotomy_check
-from .prop import Signature
+from .prop import Signature, parse_models
 from .states import EpistemicState, parse_state
 
 KARL_STATE_TEXT = """\
@@ -79,8 +79,6 @@ def _row(label: str, observed, required) -> ReproRow:
 
 def repro_karl() -> list[ReproRow]:
     """Two revision steps: accept `t`, then deny the now-out-of-scope `o`."""
-    from .prop import parse_models
-
     sig, st, op = karl_fixture()
     rows = [_row("initial state parses to bel {010,001,011}", st.bel, 0b1110)]
     t_mask = parse_models("t", sig)
@@ -95,8 +93,6 @@ def repro_karl() -> list[ReproRow]:
 
 def repro_fig1() -> list[ReproRow]:
     """All five state columns of the fixed-scope operator table."""
-    from .prop import parse_models
-
     sig, st1, st2, op = fig1_fixture()
     a = parse_models("a", sig)
     ab = parse_models("a & b", sig)

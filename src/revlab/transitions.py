@@ -15,7 +15,6 @@ import weakref
 
 from . import classify, kernels
 from .errors import PreconditionError, TooLargeError
-from .prop import Signature
 from .states import EpistemicState, StateUniverse
 
 
@@ -27,11 +26,11 @@ class TransitionTable:
     the universe in universe order, and a posterior gets the next id the
     first time it is seen.  A check decided on orbit representatives
     interns those and their posteriors first (`orbit_work`), so the
-    universe's other states come after them.  Every per-id row is filled on
-    first use.  The postulate side reads by id; the conditions are handed
-    the table in place of the bare operator and read the same rows.  A
-    state's posterior ids are kept together, by class, so a suite fetches
-    them once per state.
+    universe's other states come after them.  A table is built over its
+    universe, with its sample if it is a sampled check's, and fills every
+    per-id row on first use; the postulate side and the conditions a suite
+    runs read the same rows by id.  A state's posterior ids are kept
+    together, by class, so a suite fetches them once per state.
 
     A belief row is packed, one class per lane (`kernels.Lanes`), so the
     class sets built on it are a few lane operations each.  The table also
@@ -41,25 +40,18 @@ class TransitionTable:
     reasonable classes, read off the minterm lanes (`classify.latent_worlds`).
     """
 
-    def __init__(
-        self,
-        op,
-        sig: Signature,
-        universe: StateUniverse | None = None,
-        consistent_only: bool = False,
-    ):
+    def __init__(self, op, universe: StateUniverse, consistent_only: bool = False, sample: tuple | None = None):
         self.op = op
-        self.sig = sig
+        self.sig = universe.sig
         # Weak, since a suite leaves the table on its universe.
-        self._universe = weakref.ref(universe) if universe is not None else None
+        self._universe = weakref.ref(universe)
         self.consistent_only = consistent_only
-        # The sampled (state, class) pairs `suite_table` built this table for;
-        # None for the whole universe.
-        self.sample: tuple | None = None
+        # The sampled (state, class) pairs the table is built for; None for the whole universe.
+        self.sample = sample
         self._orbit_work: list | None = None
         self._work: list | None = None
-        self.n_classes = 1 << sig.n_worlds
-        self.full = sig.all_worlds
+        self.n_classes = 1 << self.sig.n_worlds
+        self.full = self.sig.all_worlds
         self.lanes = kernels.lanes(self.n_classes)
         self.states: list[EpistemicState] = []
         self._ids: dict[EpistemicState, int] = {}
@@ -165,8 +157,9 @@ class TransitionTable:
         id, classes, 1) per universe state, else `orbit_work()`'s items at every class.  A sampled input outside
         the classes raises ValueError, and a universe with neither states nor orbits TooLargeError, first."""
         if self._work is None and self.sample is not None:
-            if outside := [a for _, a in self.sample if a not in range(self.n_classes)]:
-                raise ValueError(f"sampled inputs {outside} lie outside the classes 0..{self.n_classes - 1}")
+            classes = self.classes()
+            if outside := [a for _, a in self.sample if a not in classes]:
+                raise ValueError(f"sampled inputs {outside} lie outside the classes {classes[0]}..{classes[-1]}")
             self._work = [(st, self.id_of(st), [a], 1) for st, a in self.sample]
         elif self._work is None:
             try:
@@ -179,8 +172,7 @@ class TransitionTable:
 
     def immanent(self) -> int:
         if self._immanent is None:
-            universe = self._universe() if self._universe is not None else None
-            if universe is None:
+            if (universe := self._universe()) is None:
                 raise PreconditionError("immanence needs a state universe")
             self._immanent = classify.immanent_classes(self.op, universe)
         return self._immanent
@@ -203,7 +195,6 @@ def suite_table(op, universe: StateUniverse, consistent_only: bool, instance_lis
         or table.sample != sample
         or not (table.op is op or table.op == op)
     ):
-        table = TransitionTable(op, universe.sig, universe, consistent_only)
-        table.sample = sample
+        table = TransitionTable(op, universe, consistent_only, sample)
         object.__setattr__(universe, "_transitions", table)
     return table

@@ -244,9 +244,10 @@ def verify_equivalence(
     tab = suite_table(op, universe, consistent_only, instance_list)
 
     def failures(work, _expand):  # the sides read no postulate row
-        # Flat, not streamed per state: streamed, the `theorems-2atom` benchmark ran faster (wall_s
-        # 0.23 against 0.31 s) but its peak_rss_mb rose from 26.1 to 31.5 MB, past its 10% bound, as
-        # re-import garbage waited longer for the collector; collecting before each set-up lets it stream.
+        # Flat, not streamed per state: streamed, the `theorems-2atom` benchmark ran faster (wall_s 0.167-0.174
+        # against 0.232-0.237 s, 2 cores, Python 3.11.7) but its peak_rss_mb rose from 26.0-26.2 to 32.2-32.9 MB,
+        # past its 10% bound, as re-import garbage waited longer for the collector; collecting before each
+        # set-up lets it stream.
         for instances, st, a, lhs, rhs in _mismatches(tab, parts, _flat(work)):
             # Lists of truths compare at their first differing part, which names the side.
             side = "postulate holds, condition fails" if lhs > rhs else "condition holds, postulate fails"
@@ -371,14 +372,14 @@ def mutation_detection(
 
     Each trial draws a state and an input, overwrites that entry of the
     state's stored belief row with another belief set, and runs the forward
-    reconstruction check on the state.  The table is the mutation's own, so
-    no suite reads a corrupted row, and each trial puts its row back.
+    reconstruction check on the state.  The table, over `universe`, is not
+    left on it, so no suite reads a corrupted row; each trial puts its row back.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     states = universe.states
     rng = random.Random(seed)
-    tab = TransitionTable(op, universe.sig)
+    tab = TransitionTable(op, universe)
     n_classes = tab.n_classes
     detected = 0
     misses = []

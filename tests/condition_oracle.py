@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from revlab import classify
 from revlab.errors import PreconditionError
-from revlab.states import check_clf, check_faithful_limited
+from revlab.states import check_clf, check_faithful_limited, enumerate_states
 from revlab.transitions import TransitionTable
 
 
@@ -70,7 +70,7 @@ def _order_agree(st, post, worlds):
 
 
 def _table_of(op, sig):
-    return op if isinstance(op, TransitionTable) else TransitionTable(op, sig)
+    return op if isinstance(op, TransitionTable) else TransitionTable(op, enumerate_states(sig))
 
 
 def oracle_condition(st, post, alpha, cid, sig, op=None, consistent_only=False):

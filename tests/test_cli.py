@@ -604,6 +604,16 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "--universe: invalid choice: 'il'" in capsys.readouterr().err
 
+    def test_enumerate_help_states_the_faithful_default(self, capsys):
+        # `enumerate` takes no --operator, so its universe is faithful and keeps inconsistent beliefs
+        # unless flagged; the option texts it shares with `check` and `classify` say so first.
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "state universe kind (default: faithful;" in text
+        assert "exclude states with inconsistent beliefs (default: off;" in text
+
 
 class TestRepro:
     @pytest.mark.parametrize("name", ["karl", "fig1", "lemmas"])

@@ -36,7 +36,7 @@ from revlab.errors import NonWeakOrderError, TooLargeError
 from revlab.operators import canonical_assignment
 from revlab.operators import RevisionOperator, UpdatePolicy, all_policies
 from revlab.prop import Signature
-from revlab.states import enumerate_states, sample_states
+from revlab.states import StateUniverse, enumerate_states, sample_states
 from revlab.transitions import TransitionTable
 
 AB = Signature.of("a b")
@@ -47,7 +47,7 @@ ABCD = Signature.of("a b c d")
 def _tables(sig, states, policies, co, alphas_of):
     """A table per policy with every state's posteriors under its inputs filled in."""
     for policy in policies:
-        tab = TransitionTable(RevisionOperator("dl", policy), sig, consistent_only=co)
+        tab = TransitionTable(RevisionOperator("dl", policy), StateUniverse(sig, "faithful", False), consistent_only=co)
         work = [(tab.id_of(st), alphas_of(st)) for st in states]
         for sid, alphas in work:
             for a in alphas:
@@ -114,7 +114,7 @@ def test_postulate_rows_under_corrupted_operators(co):
     faithful = enumerate_states(AB, "faithful")
     failing = set()
     for op in (EmptiedAtAllWorlds(AB), corrupted_table(DL_KEEP, faithful, 40, 3)):
-        tab = TransitionTable(op, AB, consistent_only=co)
+        tab = TransitionTable(op, faithful, consistent_only=co)
         work = [(tab.id_of(st), tab.classes()) for st in faithful.states]
         _assert_beta_rows_match(tab, work)
         failing.update(
@@ -181,7 +181,7 @@ def _assert_latent_worlds_match(row, bel, sig):
 def test_latent_worlds_of_every_2atom_state_under_every_policy(family, kind, il_scope):
     uni = enumerate_states(AB, kind, il_scope=il_scope)
     for policy in all_policies():
-        tab = TransitionTable(RevisionOperator(family, policy, il_scope), AB)
+        tab = TransitionTable(RevisionOperator(family, policy, il_scope), uni)
         for st in uni.states:
             sid = tab.id_of(st)
             _assert_latent_worlds_match(tab.row(sid), st.bel, AB)
@@ -234,7 +234,7 @@ def test_reconstruction_on_every_2atom_state_under_every_policy(family, kind, il
     uni = enumerate_states(AB, kind, il_scope=il_scope)
     for policy in all_policies():
         op = RevisionOperator(family, policy, il_scope)
-        _assert_reconstructions_match(op, TransitionTable(op, AB), uni.states, AB)
+        _assert_reconstructions_match(op, TransitionTable(op, uni), uni.states, AB)
 
 
 def test_reconstruction_on_every_single_entry_corruption():
@@ -242,7 +242,7 @@ def test_reconstruction_on_every_single_entry_corruption():
     # between them, the corruptions reach every error the construction raises.
     rng = random.Random(20240812)
     states = rng.sample(enumerate_states(AB, "faithful").states, 12)
-    tab = TransitionTable(RevisionOperator("dl"), AB)
+    tab = TransitionTable(RevisionOperator("dl"), enumerate_states(AB))
     width = tab.lanes.width
     errors = set()
     for st in states:
@@ -267,7 +267,7 @@ def test_reconstruction_on_every_single_entry_corruption():
 def test_reconstruction_on_a_seeded_3atom_sample():
     states = sample_states(ABC, "faithful", 300, random.Random(20240813))
     op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
-    _assert_reconstructions_match(op, TransitionTable(op, ABC), states, ABC)
+    _assert_reconstructions_match(op, TransitionTable(op, enumerate_states(ABC)), states, ABC)
 
 
 # The round trips' universes at 3 atoms; each family's operator reads its rows.
@@ -282,7 +282,7 @@ def _representatives(sig, kind, il_scope):
 @pytest.mark.parametrize("family, kind, il_scope", KINDS_3ATOM)
 def test_reconstruction_on_every_3atom_representative(family, kind, il_scope):
     op = RevisionOperator(family, il_scope=il_scope)
-    _assert_reconstructions_match(op, TransitionTable(op, ABC), _representatives(ABC, kind, il_scope), ABC)
+    _assert_reconstructions_match(op, TransitionTable(op, enumerate_states(ABC)), _representatives(ABC, kind, il_scope), ABC)
 
 
 def _counting_walks(monkeypatch):
@@ -298,7 +298,7 @@ def test_reconstruction_on_seeded_3atom_corruptions(monkeypatch):
     # its check there and the walk, which reads only pairs, rebuilds it.
     walks = _counting_walks(monkeypatch)
     rng = random.Random(20261020)
-    tab = TransitionTable(RevisionOperator("dl"), ABC)
+    tab = TransitionTable(RevisionOperator("dl"), enumerate_states(ABC))
     ln = tab.lanes
     errors, walked_orders, trials = set(), 0, 0
     for st in rng.sample(_representatives(ABC, "faithful", None), 3):

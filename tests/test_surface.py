@@ -13,7 +13,9 @@ project runs no linter to say so), and cites no ROADMAP item by number.
 Only `states.py` reads a universe's `_states`.  `CACHED` lists every
 function the library memoises for the life of the process (`lru_cache` or
 `cache`), each with why it may hold its results that long.  `cli.py`
-declares each option and each command once.
+declares each option and each command once.  Only `suite_table` and
+`mutation_detection` build a transition table, and `conditions.py` imports
+nothing from `transitions`.
 """
 
 import ast
@@ -219,3 +221,30 @@ def test_the_command_line_declares_each_option_and_command_once():
     # handler, so `build_parser` adds them in one loop.  A helper that probes `args` with getattr cannot
     # tell which command called it; every command that calls a helper declares what the helper reads.
     assert command_line_declarations() == {"add_argument": 1, "add_parser": 1, "getattr(args)": 0}
+
+
+def table_builders():
+    """`module.function` of each call of `TransitionTable` in the library (`module.py:line` outside a function),
+    and `module.py:line` of each import from `transitions` in `conditions.py`."""
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = [(node.lineno, node.end_lineno, f"{path.stem}.{name}") for name, node in _functions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TransitionTable":
+                outside = f"{path.name}:{node.lineno}"
+                builders.append(next((name for lo, hi, name in spans if lo <= node.lineno <= hi), outside))
+    imports = [
+        f"conditions.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "conditions.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "transitions" or any(alias.name == "transitions" for alias in node.names))
+    ]
+    return sorted(builders), imports
+
+
+def test_only_the_suites_and_the_mutation_trials_build_transition_tables():
+    # A table is one operator's behaviour on a universe, built whole over it: by `suite_table`, which leaves it
+    # on the universe, or by `mutation_detection`, whose corrupted rows no suite may read.  `check_condition`
+    # reads one belief row, of an operator or of the table a caller passes, and builds no table.
+    assert table_builders() == (["transitions.suite_table", "verify.mutation_detection"], [])

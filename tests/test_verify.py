@@ -191,7 +191,7 @@ _CONSISTENT_ONLY_IDS = [cid for cid in CONDITION_IDS if cid[:2] in ("SI", "SD", 
 def _oracle_mismatches(sig, transitions):
     # The dl prior's belief table and success worlds do not depend on the
     # policy, so one table serves the conditions that read them.
-    tab = TransitionTable(RevisionOperator("dl"), sig)
+    tab = TransitionTable(RevisionOperator("dl"), enumerate_states(sig))
     bad = []
     for st, post, a in transitions:
         for cid, co in [(cid, False) for cid in CONDITION_IDS] + [(cid, True) for cid in _CONSISTENT_ONLY_IDS]:
@@ -628,7 +628,7 @@ def test_postulate_bitset_matches_one_input_runs(faithful, co):
     # One pass over a state's inputs flags exactly the inputs at which a
     # pass over that input alone finds a counterexample.
     for op, _ in _pinned_runs(faithful)[:4]:  # three policies and the corrupted table
-        tab = TransitionTable(op, AB, faithful, co)
+        tab = TransitionTable(op, faithful, co)
         for pid in _THEOREM_PIDS:
             for st in faithful.states:
                 sid = tab.id_of(st)
@@ -645,7 +645,7 @@ def test_p13_rows_match_the_scope_class_comparison(faithful, co):
     # under consistent_only.
     kept = -2 if co else -1
     for op, _ in _pinned_runs(faithful)[:4]:  # three policies and the corrupted table
-        tab = TransitionTable(op, AB, faithful, co)
+        tab = TransitionTable(op, faithful, co)
         for st in faithful.states:
             sid = tab.id_of(st)
             sc = tab.scope_classes(sid)
@@ -838,6 +838,15 @@ def test_sampled_input_outside_the_classes_is_refused(faithful, suite, check_id,
         suite(DL_OP, faithful, check_id, instance_list=instances)
 
 
+@pytest.mark.parametrize("suite, check_id", [(check_postulate, "DL1"), (verify_equivalence, "P9")], ids=["postulate", "theorem"])
+def test_sampled_contradiction_is_refused_under_consistent_only(faithful, suite, check_id):
+    # Under consistent_only the classes start at 1: an exhaustive check walks no α = 0, so a sampled
+    # one may not check and count it either.
+    instances = [(faithful.states[0], 3), (faithful.states[1], 0)]
+    with pytest.raises(ValueError, match=r"\[0\] lie outside the classes 1\.\.15"):
+        suite(DL_OP, faithful, check_id, instance_list=instances, consistent_only=True)
+
+
 @pytest.mark.parametrize("family", ["CL", "AGM"])
 def test_roundtrip_builds_backward_counterexamples_only_up_to_the_cap(faithful, family, monkeypatch):
     # dl keep/keep fails thousands of backward instances; past the cap they
@@ -951,14 +960,14 @@ def test_postulate_tables_are_disjoint_and_every_id_is_dispatched(faithful):
     tables = [set(postulates._ROW_TESTS), set(postulates._SCOPE_MOVES), set(postulates._ONE_STEP)]
     assert sum(map(len, tables)) == len(set().union(*tables))
     assert set().union(*tables) <= set(POSTULATE_IDS)
-    tab = TransitionTable(DL_OP, AB, faithful)
+    tab = TransitionTable(DL_OP, faithful)
     sid = tab.id_of(faithful.states[0])
     for pid in POSTULATE_IDS:  # a ValueError here is an id no branch dispatches
         list(postulates._iter_postulate(tab, pid, sid, tab.classes()))
 
 
 def test_unknown_postulate_id_names_the_valid_ones(faithful):
-    tab = TransitionTable(DL_OP, AB, faithful)
+    tab = TransitionTable(DL_OP, faithful)
     with pytest.raises(ValueError, match=r"^unknown postulate id 'DL8'; valid ids: DL1, DL2, .*, DLDP2$"):
         list(postulates._iter_postulate(tab, "DL8", tab.id_of(faithful.states[0]), tab.classes()))
 
@@ -995,8 +1004,10 @@ def test_shared_table_gives_the_verdicts_of_fresh_universes(policy):
 
 
 def test_immanence_needs_a_universe():
+    # The table holds its universe weakly, and nothing else holds this one.
+    tab = TransitionTable(DL_OP, enumerate_states(AB))
     with pytest.raises(PreconditionError, match="^immanence needs a state universe$"):
-        TransitionTable(DL_OP, AB).immanent()
+        tab.immanent()
 
 
 def test_table_is_not_shared_across_consistent_only():
@@ -1434,7 +1445,7 @@ def _interned_by_apply(op, states, inputs):
 
 
 def _interned_by_posts(op, sig, states, inputs):
-    tab = TransitionTable(op, sig)
+    tab = TransitionTable(op, enumerate_states(sig))
     sids = [tab.id_of(st) for st in states]
     rows = [dict(tab.posts(sid, alphas)) for sid, alphas in zip(sids, inputs)]
     return tab.states, rows
@@ -1471,7 +1482,7 @@ def test_posts_builds_each_distinct_posterior_of_a_state_once(faithful, monkeypa
     built = []
     apply = RevisionOperator.apply
     monkeypatch.setattr(RevisionOperator, "apply", lambda op, st, a: built.append(a) or apply(op, st, a))
-    tab = TransitionTable(DL_OP, AB)
+    tab = TransitionTable(DL_OP, faithful)
     for st in faithful.states:
         distinct = len({apply(DL_OP, st, a) for a in tab.classes()})
         built.clear()
@@ -1483,7 +1494,7 @@ def test_one_input_computes_no_key(faithful, monkeypatch):
     keyed = []
     keys = RevisionOperator.posterior_keys
     monkeypatch.setattr(RevisionOperator, "posterior_keys", lambda op, st, alphas: keyed.append(alphas) or keys(op, st, alphas))
-    tab = TransitionTable(DL_OP, AB)
+    tab = TransitionTable(DL_OP, faithful)
     sid = tab.id_of(faithful.states[7])
     assert tab.post(sid, 5) == tab.id_of(DL_OP.apply(faithful.states[7], 5))
     assert keyed == []
