@@ -1,14 +1,14 @@
 """Postulates, each as the inputs at which it fails at one state of a transition table.
 
 `_iter_postulate` yields, for one state, an (α, failing β) item per input at
-which the postulate fails: the failing β as a class bitset, or None where
-the postulate has no β.  Postulates of one shape share a branch and differ
-by a row of its table: `_ROW_TESTS` (two-step tests on the prior and
-posterior belief rows), `_SCOPE_MOVES` (classes that entered or left the
-scope) or `_ONE_STEP` (the posterior entry at α alone).  COM, the DL4/IL4
-witness, the DL7/CL6/IL7 trichotomy and CL5 keep a branch each.  A class
-set is a bitset over classes, read from the table for the state id; where
-β ranges over classes, the branch tests all β at once on the packed rows.
+which the postulate fails: the failing β as a class bitset, or, where the
+postulate has no β, True (for COM, α's own class bit), which no row reads.
+Every postulate is a row of one of three tables, and each table has one
+branch: `_ROW_TESTS` (two-step tests on the prior and posterior belief
+rows), `_SCOPE_MOVES` (classes that entered or left the scope) or
+`_ONE_STEP` (the state's belief row alone).  A class set is a bitset over
+classes, read from the table for the state id; the two two-step tables test
+all β at once on the packed rows.
 
 `_postulate_rows` expands the items into (α, β, clause, observed, required)
 rows by `_ROW_SHAPES`, β in the order a loop over classes would take, and
@@ -83,6 +83,7 @@ _SCOPE_MOVES = {
     "FR": (_all_classes, 0, lambda sc, scp: scp & ~sc),
     "SC": (_all_classes, 1, lambda sc, scp: sc & ~scp),
     "SR": (_all_classes, 1, lambda sc, scp: scp & ~sc),
+    "COM": (lambda a, full: 1 << a, 0, lambda sc, scp: ~scp),
 }
 
 
@@ -90,24 +91,47 @@ def _immanent(tab: TransitionTable, sid: int) -> int:
     return tab.immanent()
 
 
-# pid: (the class set read, from the table and state id; whether the postulate
-#       holds at α, given T[α], α, the prior beliefs and that class set, or
+def _witness(t, a, bel, cls):
+    """As a class bitset, the first class inside α in `cls`, in iter_subsets order, where T[α] is not in `cls`."""
+    witness = classify.subset_bits(a) & cls
+    return witness and not (cls >> t[a]) & 1 and 1 << witness.bit_length() - 1
+
+
+def _trichotomy(t, a, bel, pairs):
+    # Where β contains α or lies inside it, α ∨ β is one of them and the
+    # trichotomy holds, so only the incomparable β are read.
+    ta, bad = t[a], 0
+    for b in pairs[a]:
+        u = t[a | b]
+        if not (u == ta or u == t[b] or u == ta | t[b]):
+            bad |= 1 << b
+    return bad
+
+
+# pid: (the class set read, from the table and state id; the failing β at α, given
+#       the state's belief row T unpacked, α, its beliefs and that class set: falsy
+#       where the postulate holds, else a class bitset, or True where it has no β;
 #       None where it never fails)
 _ONE_STEP = {}
-for _pids, _classes, _holds in (
-    (("DL1", "CL1", "IL1"), _all_classes, lambda ta, a, bel, cls: ta == bel or ta & ~a == 0),
-    (("DL2",), _REASONABLE, lambda ta, a, bel, cls: ta == bel or (cls >> ta) & 1),
-    (("IL2",), _immanent, lambda ta, a, bel, cls: ta == bel or (cls >> ta) & 1),
-    (("DL3",), _REASONABLE, lambda ta, a, bel, cls: not (bel & a and (cls >> a) & 1 and ta != bel & a)),
-    (("DL5", "IL5"), _all_classes, lambda ta, a, bel, cls: not bel or ta),
-    (("CL2",), _all_classes, lambda ta, a, bel, cls: not (bel & a and ta != bel & a)),
-    (("CL3",), _all_classes, lambda ta, a, bel, cls: ta),
-    (("IL3",), _immanent, lambda ta, a, bel, cls: not (bel & a and (cls >> a) & 1 and ta & a != bel & a)),
+for _pids, _classes, _fails in (
+    (("DL1", "CL1", "IL1"), _all_classes, lambda t, a, bel, cls: t[a] != bel and t[a] & ~a != 0),
+    (("DL2",), _REASONABLE, lambda t, a, bel, cls: t[a] != bel and not (cls >> t[a]) & 1),
+    (("IL2",), _immanent, lambda t, a, bel, cls: t[a] != bel and not (cls >> t[a]) & 1),
+    (("DL3",), _REASONABLE, lambda t, a, bel, cls: bel & a and (cls >> a) & 1 and t[a] != bel & a),
+    (("DL4",), _REASONABLE, _witness),
+    (("IL4",), _immanent, _witness),
+    (("DL5", "IL5"), _all_classes, lambda t, a, bel, cls: bel and not t[a]),
+    (("CL2",), _all_classes, lambda t, a, bel, cls: bel & a and t[a] != bel & a),
+    (("CL3",), _all_classes, lambda t, a, bel, cls: not t[a]),
+    (("IL3",), _immanent, lambda t, a, bel, cls: bel & a and (cls >> a) & 1 and t[a] & a != bel & a),
+    (("DL7", "CL6", "IL7"), lambda tab, sid: classify.incomparable(tab.n_classes), _trichotomy),
+    # Every class above an accepted input is accepted; len(t) - 1 is all worlds.
+    (("CL5",), _SCOPE, lambda t, a, bel, sc: (sc >> a) & 1 and (classify.subset_bits(len(t) - 1 & ~a) << a) & ~sc),
     # Classes are canonical model sets, so syntax independence holds by
     # representation; counted for the record.
     (("DL6", "CL4", "IL6"), _all_classes, None),
 ):
-    _ONE_STEP.update(dict.fromkeys(_pids, (_classes, _holds)))
+    _ONE_STEP.update(dict.fromkeys(_pids, (_classes, _fails)))
 
 
 def _descending(bits: int):
@@ -187,51 +211,16 @@ def _iter_postulate(tab: TransitionTable, pid: str, sid: int, alphas):
                 gone = moved(sc, tab.scope_classes(posts[a])) & ~skip
                 if gone and (betas := gone & within(a, full)):
                     yield a, betas
-    elif pid == "COM":
-        sc = tab.scope_classes(sid)
-        posts = tab.posts(sid, alphas)
-        for a in alphas:
-            if not (sc >> a) & 1 and not (tab.scope_classes(posts[a]) >> a) & 1:
-                yield a, None
     elif pid in _ONE_STEP:
-        classes, holds = _ONE_STEP[pid]
-        if holds is None:
+        classes, fails = _ONE_STEP[pid]
+        if fails is None:
             return
         cls = classes(tab, sid)
         bel = tab.states[sid].bel
         t = ln.entries(T)
         for a in alphas:
-            if not holds(t[a], a, bel, cls):
-                yield a, None
-    elif pid in ("DL4", "IL4"):
-        cls = tab.reasonable(sid) if pid == "DL4" else tab.immanent()
-        t = ln.entries(T)
-        for a in alphas:
-            # The witness is the first class inside a that qualifies, in iter_subsets order.
-            witness = classify.subset_bits(a) & cls
-            if witness and not (cls >> t[a]) & 1:
-                yield a, 1 << witness.bit_length() - 1
-    elif pid in ("DL7", "CL6", "IL7"):
-        # Where β contains α or lies inside it, α ∨ β is one of them and the
-        # trichotomy holds, so only the incomparable β are read.
-        pairs = classify.incomparable(tab.n_classes)
-        t = ln.entries(T)
-        for a in alphas:
-            ta, bad = t[a], 0
-            for b in pairs[a]:
-                u = t[a | b]
-                if not (u == ta or u == t[b] or u == ta | t[b]):
-                    bad |= 1 << b
-            if bad:
+            if bad := fails(t, a, bel, cls):
                 yield a, bad
-    elif pid == "CL5":
-        # Every class above an accepted input is accepted.
-        sc = tab.scope_classes(sid)
-        for a in alphas:
-            if (sc >> a) & 1:
-                bad = (classify.subset_bits(full & ~a) << a) & ~sc & ~skip
-                if bad:
-                    yield a, bad
     else:
         raise ValueError(f"unknown postulate id {pid!r}; valid ids: {', '.join(POSTULATE_IDS)}")
 

@@ -10,9 +10,10 @@ the forms they replaced, over one tuple entry per class:
 * `classify_state` with the list transforms, and the worlds of its latent
   minterms (`classify.latent_worlds`) taken from the list form;
 * the β loops of the two-step postulates (DP1-DP4, CLDP, DLDP, CLP), of
-  the scope-move postulates (CLCD, CM1, CM2, DOC, FC, FR, SC, SR), and of
-  the pair postulates (the trichotomy DL7, CL6 and IL7, and CL5), each over
-  every class;
+  the scope-move postulates (CLCD, CM1, CM2, DOC, FC, FR, SC, SR), of the
+  pair postulates (the trichotomy DL7, CL6 and IL7, and CL5), each over
+  every class, and of the DL4/IL4 witness over the classes inside α; and
+  COM's loop over the inputs, which has no β;
 * `operators.canonical_assignment` with its pairwise relation as a dict of
   world pairs, each read from one entry of the row.
 
@@ -161,11 +162,17 @@ _SCOPE_SHIFTS = {
 
 _TRICHOTOMY = ("DL7", "CL6", "IL7")
 
-BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES, *_SCOPE_SHIFTS, *_TRICHOTOMY, "CL5")
+# pid: (the classes a result must lie in, given the table, state id and prior row; clause, required)
+_WITNESSED = {
+    "DL4": (lambda tab, sid, t: classify_table(t, tab.states[sid].bel, tab.sig.n_worlds)[3], "result not reasonable", "reasonable"),
+    "IL4": (lambda tab, sid, t: tab.immanent(), "result not immanent", "immanent"),
+}
+
+BETA_PIDS = (*_TWO_STEP, "DP3", "DP4", "CLP", *_SCOPE_MOVES, *_SCOPE_SHIFTS, *_TRICHOTOMY, "CL5", *_WITNESSED, "COM")
 
 
 def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
-    """The rows `postulates._postulate_rows` builds for a postulate with a β, by loops over tuples."""
+    """The rows `postulates._postulate_rows` builds for a postulate in `BETA_PIDS`, by loops over tuples."""
     t = _table(tab, sid)
     full = tab.sig.all_worlds
     if pid in _TWO_STEP:
@@ -222,6 +229,21 @@ def iter_beta_rows(tab: TransitionTable, pid: str, sid: int, alphas):
                 for b in tab.classes():
                     if a & ~b == 0 and not (sc >> b) & 1:
                         yield a, b, "CL5: success not closed under weakening", t[b], f"subset of {b}"
+    elif pid in _WITNESSED:
+        classes, clause, required = _WITNESSED[pid]
+        cls = classes(tab, sid, t)
+        for a in alphas:
+            if not (cls >> t[a]) & 1:
+                for b in iter_subsets(a):
+                    if (cls >> b) & 1:
+                        yield a, b, f"{pid}: {clause}", t[a], required
+                        break
+    elif pid == "COM":
+        # As in the scope-shift loops over `tab.classes()`, the contradiction is no class under consistent_only.
+        sc = _scope(tab, sid)
+        for a in alphas:
+            if a in tab.classes() and not (sc >> a) & 1 and not (_scope(tab, tab.post(sid, a)) >> a) & 1:
+                yield a, None, "COM: refused input still refused", "out", "in scope"
     else:
         inside, gated, moved, clause, observed, required = _SCOPE_MOVES[pid]
         sc = _scope(tab, sid)

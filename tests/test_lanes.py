@@ -5,12 +5,12 @@ row a 2-atom faithful suite reads (every state and its posteriors under all
 16 inputs and all nine update policies), on a seeded 3-atom sample, and on
 a few seeded 4-atom states, whose rows have 16-bit lanes.  The postulate
 rows are also compared under two corrupted operators, and every postulate
-whose β ranges over classes must have an oracle.  The canonical
-reconstruction is compared with its pairwise-dict form on whole 2-atom
-universes, on every single-entry corruption of a few rows, on a seeded
-3-atom sample, on every 3-atom orbit representative and on seeded
-single-entry corruptions of a few 3-atom rows; a count of its pairwise
-walks shows that no uncorrupted row needs one.
+whose β ranges over classes, or whose rows carry a β, must have an
+oracle.  The canonical reconstruction is compared with its pairwise-dict
+form on whole 2-atom universes, on every single-entry corruption of a few
+rows, on a seeded 3-atom sample, on every 3-atom orbit representative and
+on seeded single-entry corruptions of a few 3-atom rows; a count of its
+pairwise walks shows that no uncorrupted row needs one.
 """
 
 import random
@@ -46,8 +46,9 @@ ABCD = Signature.of("a b c d")
 
 def _tables(sig, states, policies, co, alphas_of):
     """A table per policy with every state's posteriors under its inputs filled in."""
+    universe = StateUniverse(sig, "faithful", False)  # held while the tables are read, for IL4's immanent classes
     for policy in policies:
-        tab = TransitionTable(RevisionOperator("dl", policy), StateUniverse(sig, "faithful", False), consistent_only=co)
+        tab = TransitionTable(RevisionOperator("dl", policy), universe, consistent_only=co)
         work = [(tab.id_of(st), alphas_of(st)) for st in states]
         for sid, alphas in work:
             for a in alphas:
@@ -125,6 +126,7 @@ def test_postulate_rows_under_corrupted_operators(co):
 
 def test_every_postulate_with_a_beta_over_classes_has_an_oracle():
     assert {*postulates._ROW_TESTS, *postulates._SCOPE_MOVES, *postulates._PAIRED} <= set(BETA_PIDS)
+    assert {pid for pid, (order, *_) in postulates._ROW_SHAPES.items() if order is not None} <= set(BETA_PIDS)
 
 
 def test_incomparable_pairs():

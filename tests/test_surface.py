@@ -15,7 +15,9 @@ function the library memoises for the life of the process (`lru_cache` or
 `cache`), each with why it may hold its results that long.  `cli.py`
 declares each option and each command once.  Only `suite_table` and
 `mutation_detection` build a transition table, and `conditions.py` imports
-nothing from `transitions`.
+nothing from `transitions`.  `postulates.py` never compares `pid` with a
+string or a tuple of strings, nor matches it: every postulate is a row of
+a table.
 """
 
 import ast
@@ -248,3 +250,27 @@ def test_only_the_suites_and_the_mutation_trials_build_transition_tables():
     # on the universe, or by `mutation_detection`, whose corrupted rows no suite may read.  `check_condition`
     # reads one belief row, of an operator or of the table a caller passes, and builds no table.
     assert table_builders() == (["transitions.suite_table", "verify.mutation_detection"], [])
+
+
+def postulate_id_branches():
+    """`postulates.py:line` of each comparison of `pid` with a string, or with a tuple, list or set of strings,
+    and of each `match pid`."""
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(literal(elt) for elt in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    return [
+        f"postulates.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "postulates.py").read_text()))
+        if isinstance(node, ast.Compare)
+        and any(getattr(side, "id", None) == "pid" for side in (node.left, *node.comparators))
+        and any(literal(side) for side in (node.left, *node.comparators))
+        or isinstance(node, ast.Match) and getattr(node.subject, "id", None) == "pid"
+    ]
+
+
+def test_no_postulate_has_a_branch_of_its_own():
+    # `_iter_postulate` dispatches through `_ROW_TESTS`, `_SCOPE_MOVES` and `_ONE_STEP` alone; a postulate
+    # that needs its own test joins one of them as a row.
+    assert postulate_id_branches() == []

@@ -959,7 +959,7 @@ def test_id_registries_are_disjoint_and_complete():
 def test_postulate_tables_are_disjoint_and_every_id_is_dispatched(faithful):
     tables = [set(postulates._ROW_TESTS), set(postulates._SCOPE_MOVES), set(postulates._ONE_STEP)]
     assert sum(map(len, tables)) == len(set().union(*tables))
-    assert set().union(*tables) <= set(POSTULATE_IDS)
+    assert set().union(*tables) == set(POSTULATE_IDS)
     tab = TransitionTable(DL_OP, faithful)
     sid = tab.id_of(faithful.states[0])
     for pid in POSTULATE_IDS:  # a ValueError here is an id no branch dispatches
