@@ -202,7 +202,7 @@ def posterior_key(
     return bel2, scope2, scope2 & alpha if order_rule == "lex" else 0
 
 
-def posterior_levels(levels: tuple[int, ...], scope: int, key: tuple[int, int, int]) -> tuple[int, ...]:
+def posterior(levels: tuple[int, ...], scope: int, key: tuple[int, int, int]) -> tuple[int, ...]:
     """The posterior order of (levels, scope) at its `posterior_key`.
 
     The cut comes first and then the rest of the new scope, each in the
@@ -217,17 +217,3 @@ def posterior_levels(levels: tuple[int, ...], scope: int, key: tuple[int, int, i
     promoted = bel2 & scope2
     rest = [lv & part for part in (cut & ~promoted, scope2 & ~cut & ~promoted) for lv in (*levels, fresh)]
     return tuple(filter(None, [promoted, *rest]))
-
-
-def posterior(
-    levels: tuple[int, ...],
-    scope: int,
-    bel: int,
-    alpha: int,
-    order_rule: str,
-    scope_rule: str,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Full posterior state (bel', scope', levels') under the update policy named by the rules:
-    `posterior_levels` at the `posterior_key`."""
-    key = posterior_key(levels, scope, bel, alpha, order_rule, scope_rule)
-    return key[0], key[1], posterior_levels(levels, scope, key)

@@ -115,17 +115,20 @@ class RevisionOperator:
         """The kernels' (order rule, scope rule); families with a fixed scope keep it."""
         return self.policy.order_rule, "keep" if self.family in ("agm", "il") else self.policy.scope_rule
 
-    def posterior_keys(self, st: EpistemicState, alphas) -> list[tuple[int, int, int]]:
-        """`kernels.posterior_key` of each input: inputs with one key share a posterior."""
+    def posteriors(self, st: EpistemicState, alphas) -> list[EpistemicState]:
+        """The posterior at each input: inputs with one `kernels.posterior_key` share one state, built from it."""
         levels, scope, bel = self._kernel_args(st)
         order_rule, scope_rule = self._rules()
-        return [kernels.posterior_key(levels, scope, bel, a, order_rule, scope_rule) for a in alphas]
+        keys = [kernels.posterior_key(levels, scope, bel, a, order_rule, scope_rule) for a in alphas]
+        built = {
+            key: EpistemicState(key[0], key[1], RankedOrder(kernels.posterior(levels, scope, key)))
+            for key in dict.fromkeys(keys)
+        }
+        return [built[key] for key in keys]
 
     def apply(self, st: EpistemicState, alpha: int) -> EpistemicState:
         """Full posterior state."""
-        levels, scope, bel = self._kernel_args(st)
-        bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, *self._rules())
-        return EpistemicState(bel2, scope2, RankedOrder(levels2))
+        return self.posteriors(st, (alpha,))[0]
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,9 @@ class ExtensionalOperator:
         except KeyError:
             raise TableMissError(f"no table entry for state {st} and class {alpha}") from None
 
-    def check_total(self) -> None:
-        n_classes = 1 << self.sig.n_worlds
-        for st in self.states:
-            for alpha in range(n_classes):
-                if (st, alpha) not in self.mapping:
-                    raise TableMissError(f"missing entry ({st}, {alpha})")
+    def posteriors(self, st: EpistemicState, alphas) -> list[EpistemicState]:
+        """The table's entry at each input."""
+        return [self.apply(st, a) for a in alphas]
 
 
 def tabulate(op, universe: StateUniverse) -> ExtensionalOperator:
@@ -164,14 +164,9 @@ def tabulate(op, universe: StateUniverse) -> ExtensionalOperator:
     posterior outside the universe (agm revised by ⊥ on the fa universe
     empties the beliefs) raises TableMissError there.
     """
-    sig = universe.sig
-    states = universe.states
-    mapping = {
-        (st, alpha): op.apply(st, alpha)
-        for st in states
-        for alpha in range(1 << sig.n_worlds)
-    }
-    return ExtensionalOperator(sig, states, mapping)
+    states, classes = universe.states, range(1 << universe.sig.n_worlds)
+    mapping = {(st, a): post for st in states for a, post in zip(classes, op.posteriors(st, classes))}
+    return ExtensionalOperator(universe.sig, states, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ class TransitionTable:
     universe, with its sample if it is a sampled check's, and fills every
     per-id row on first use; the postulate side and the conditions a suite
     runs read the same rows by id.  A state's posterior ids are kept
-    together, by class, so a suite fetches them once per state.
+    together, by class, so a suite fetches them once per state.  The
+    operator's `posteriors` builds a state's posteriors, and the table
+    only interns them.
 
     A belief row is packed, one class per lane (`kernels.Lanes`), so the
     class sets built on it are a few lane operations each.  The table also
@@ -89,20 +91,16 @@ class TransitionTable:
         return got
 
     def _build(self, sid: int, alphas) -> None:
-        """Interns the posteriors of state `sid` at the inputs of `alphas` it lacks.
+        """Interns the posteriors of state `sid` at the inputs of `alphas` it lacks, in `alphas` order.
 
-        The missing inputs are grouped by the operator's `posterior_keys`, and
-        one posterior is built per key, at its first input; an operator
-        without keys, such as a lookup table, keys each input by itself, and a
-        single input computes no key.  So ids come in `alphas` order, as if
-        every input were built.
+        One `op.posteriors` call builds them (a revision operator builds one
+        state per `kernels.posterior_key`), so ids come as a per-input build
+        gives them.
         """
-        got, st, first = self._posts[sid], self.states[sid], {}
+        got = self._posts[sid]
         missing = [a for a in alphas if a not in got]
-        keyed = len(missing) > 1 and hasattr(self.op, "posterior_keys")
-        for a, key in zip(missing, self.op.posterior_keys(st, missing) if keyed else missing):
-            b = first.setdefault(key, a)
-            got[a] = got[b] if b != a else self.id_of(self.op.apply(st, a))
+        for a, post in zip(missing, self.op.posteriors(self.states[sid], missing)):
+            got[a] = self.id_of(post)
 
     def post(self, sid: int, alpha: int) -> int:
         """Id of the posterior of state `sid` revised by `alpha`."""

@@ -317,5 +317,5 @@ class EmptiedAtAllWorlds:
     def revise_beliefs(self, st, alpha):
         return 0 if alpha == self.full else DL_KEEP.revise_beliefs(st, alpha)
 
-    def apply(self, st, alpha):
-        return DL_KEEP.apply(st, alpha)
+    def posteriors(self, st, alphas):
+        return DL_KEEP.posteriors(st, alphas)

@@ -76,7 +76,9 @@ class TestSemantics:
         for levels, scope, bel, alpha in cases(4, 300, 7):
             for orule in ORDER_RULES:
                 for srule in SCOPE_RULES:
-                    bel2, scope2, levels2 = kernels.posterior(levels, scope, bel, alpha, orule, srule)
+                    key = kernels.posterior_key(levels, scope, bel, alpha, orule, srule)
+                    bel2, scope2, _ = key
+                    levels2 = kernels.posterior(levels, scope, key)
                     assert scope2 != 0
                     seen = 0
                     for lv in levels2:

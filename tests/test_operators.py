@@ -185,10 +185,8 @@ def _plain_agm_apply(op, st, alpha):
     """The agm posterior with an input missing the scope handled apart."""
     if not alpha & st.scope:
         return EpistemicState(0, st.scope, st.order)
-    bel2, scope2, levels2 = kernels.posterior(
-        st.order.levels, st.scope, st.bel, alpha, op.policy.order_rule, "keep"
-    )
-    return EpistemicState(bel2, scope2, RankedOrder(levels2))
+    key = kernels.posterior_key(st.order.levels, st.scope, st.bel, alpha, op.policy.order_rule, "keep")
+    return EpistemicState(key[0], key[1], RankedOrder(kernels.posterior(st.order.levels, st.scope, key)))
 
 
 @pytest.mark.parametrize("kind", ["faithful", "clf", "fa"])
@@ -262,10 +260,23 @@ class TestExtensional:
         op = RevisionOperator("dl", UpdatePolicy("keep", "doc"))
         uni = enumerate_states(AB, "clf")
         table = tabulate(op, uni)
-        table.check_total()
+        assert set(table.mapping) == {(st, alpha) for st in table.states for alpha in range(16)}
         for st in table.states[::9]:
             for alpha in range(16):
                 assert table.apply(st, alpha) == op.apply(st, alpha)
+
+    @pytest.mark.parametrize(
+        "family, kind, il_scope", [("dl", "clf", None), ("agm", "fa", None), ("il", "il", 0b0110)], ids=["dl", "agm", "il"]
+    )
+    def test_tabulate_matches_per_input_apply_at_2_atoms(self, family, kind, il_scope):
+        # `tabulate` reads each state's posteriors in one call; the oracle builds every entry on its own.
+        universe = enumerate_states(AB, kind, il_scope=il_scope)
+        for policy in all_policies():
+            op = RevisionOperator(family, policy, il_scope)
+            table = tabulate(op, universe)
+            per_input = {(st, alpha): op.apply(st, alpha) for st in universe.states for alpha in range(16)}
+            assert list(table.mapping.items()) == list(per_input.items()), policy
+            assert dump_operator(table) == dump_operator(ExtensionalOperator(AB, universe.states, per_input)), policy
 
     def test_miss_error(self):
         op = ExtensionalOperator(AB, (), {})
@@ -327,7 +338,7 @@ class TestOperatorFiles:
         assert parsed.states == table.states
         assert parsed.name == table.name == "extensional(75 states)"
         assert parsed.mapping == table.mapping
-        parsed.check_total()
+        assert set(parsed.mapping) == {(st, alpha) for st in parsed.states for alpha in range(16)}
 
     @pytest.mark.parametrize(
         "text, line",

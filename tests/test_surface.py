@@ -17,7 +17,9 @@ declares each option and each command once.  Only `suite_table` and
 `mutation_detection` build a transition table, and `conditions.py` imports
 nothing from `transitions`.  `postulates.py` never compares `pid` with a
 string or a tuple of strings, nor matches it: every postulate is a row of
-a table.
+a table.  Only `operators.py` calls `kernels.posterior_key` and
+`kernels.posterior`, and `transitions.py` calls neither `hasattr` nor
+`getattr`: one operator call builds a state's posteriors.
 """
 
 import ast
@@ -34,7 +36,6 @@ ENTRY_POINTS = {
     "operators.all_policies": "the nine update policies that the suites and the benchmark run",
     "operators.tabulate": "freezes an operator into a lookup table; the benchmark traces it",
     "operators.dump_operator": "writes an operator spec file, the inverse of parse_operator",
-    "operators.ExtensionalOperator.check_total": "checks that a lookup table covers every state and class",
     "conditions.check_condition": "one named condition on one transition; the benchmark traces it through verify",
     "verify.representation_roundtrip": "the representation round trips of criteria 3 and 4",
     "verify.mutation_detection": "the belief-table corruption trials of criterion 4",
@@ -164,15 +165,38 @@ def test_every_process_lifetime_cache_is_listed():
 
 
 def test_only_the_transition_table_builds_posteriors_for_the_suites():
-    # A suite reads every posterior through `TransitionTable.posts`, which builds one per distinct key;
-    # an `.apply(` call elsewhere on the suite side would build posteriors past that grouping.
+    # A suite reads every posterior through `TransitionTable.posts`, which interns what one `.posteriors(`
+    # call per state builds; an `.apply(` or `.posteriors(` call elsewhere on the suite side would build
+    # posteriors past that table.
     callers = [
-        f"{name}.py:{node.lineno}"
+        f"{name}.py:{node.lineno} {node.func.attr}"
         for name in ("verify", "postulates", "conditions", "classify", "transitions")
         for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "apply"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("apply", "posteriors")
     ]
-    assert callers and all(caller.startswith("transitions.py:") for caller in callers)
+    assert callers and all(caller.startswith("transitions.py:") and caller.endswith(" posteriors") for caller in callers)
+
+
+def posterior_path_calls():
+    """`module.py:line name` of each call of `hasattr` or `getattr` in `transitions.py`, and of each call of
+    `posterior_key` or `posterior` (by name or as an attribute) outside `operators.py`."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        wanted = {"posterior_key", "posterior"} if path.name != "operators.py" else set()
+        if path.name == "transitions.py":
+            wanted |= {"hasattr", "getattr"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in wanted:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    return calls
+
+
+def test_one_path_builds_posteriors():
+    # `RevisionOperator.posteriors` keys each input once and hands the key to the level build; the table calls
+    # every operator's `posteriors` alike, with no probe for what the operator has.
+    assert posterior_path_calls() == []
 
 
 # The modules that may call each method of state text.  `states.py` owns that text: a state's part

@@ -8,7 +8,7 @@ from lane_oracle import EmptiedAtAllWorlds, corrupted_table
 
 from revlab.conditions import _READS_REVISIONS
 from revlab.errors import PreconditionError, ScopeMismatchError, TooLargeError
-from revlab import classify, postulates, verify
+from revlab import classify, kernels, postulates, verify
 from revlab.fixtures import karl_fixture
 from revlab.operators import (
     ExtensionalOperator,
@@ -1477,29 +1477,33 @@ def test_grouped_posteriors_intern_as_per_input_builds_at_the_3atom_representati
     assert _interned_by_posts(op, ABC, reps, inputs) == _interned_by_apply(op, reps, inputs)
 
 
+def _kernel_calls(monkeypatch, name):
+    """A list that grows by one entry, the arguments, at each call of `kernels.<name>`."""
+    calls, fn = [], getattr(kernels, name)
+    monkeypatch.setattr(kernels, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_posts_builds_each_distinct_posterior_of_a_state_once(faithful, monkeypatch):
     # Under keep/keep a posterior is fixed by its beliefs, so keys and posteriors are one to one.
-    built = []
-    apply = RevisionOperator.apply
-    monkeypatch.setattr(RevisionOperator, "apply", lambda op, st, a: built.append(a) or apply(op, st, a))
     tab = TransitionTable(DL_OP, faithful)
-    for st in faithful.states:
-        distinct = len({apply(DL_OP, st, a) for a in tab.classes()})
+    distinct = [len({DL_OP.apply(st, a) for a in tab.classes()}) for st in faithful.states]
+    built = _kernel_calls(monkeypatch, "posterior")
+    for st, want in zip(faithful.states, distinct):
         built.clear()
         tab.posts(tab.id_of(st), tab.classes())
-        assert len(built) == distinct, st
+        assert len(built) == want, st
 
 
-def test_one_input_computes_no_key(faithful, monkeypatch):
-    keyed = []
-    keys = RevisionOperator.posterior_keys
-    monkeypatch.setattr(RevisionOperator, "posterior_keys", lambda op, st, alphas: keyed.append(alphas) or keys(op, st, alphas))
+def test_every_input_is_keyed_once(faithful, monkeypatch):
+    # The key of an input is handed to its level build, not computed again there.
     tab = TransitionTable(DL_OP, faithful)
-    sid = tab.id_of(faithful.states[7])
-    assert tab.post(sid, 5) == tab.id_of(DL_OP.apply(faithful.states[7], 5))
-    assert keyed == []
-    tab.posts(sid, range(16))
-    assert keyed == [[a for a in range(16) if a != 5]]
+    distinct = sum(len({DL_OP.apply(st, a) for a in tab.classes()}) for st in faithful.states)
+    keyed, built = _kernel_calls(monkeypatch, "posterior_key"), _kernel_calls(monkeypatch, "posterior")
+    for st in faithful.states:
+        tab.posts(tab.id_of(st), tab.classes())
+    assert len(keyed) == len(faithful.states) * len(tab.classes())
+    assert len(built) == distinct
 
 
 def test_a_lookup_table_keys_each_input_by_itself(faithful):
